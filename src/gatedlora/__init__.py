@@ -2,6 +2,7 @@
 adapter branches.
 
 Module map:
+  errors     exception types shared across the package
   numerics   dense float64 linear algebra, deterministic RNG, Jacobi eig
   autodiff   minimal reverse-mode engine over 2-D arrays
   subspace   gradient projection memory (orthonormal input bases)
@@ -9,11 +10,8 @@ Module map:
   adapter    expandable low-rank branches and update strategies
   model      toy frozen backbone, synthetic tasks, file ingestion
   optim      AdamW with a per-parameter delta transform hook
-  continual  per-task orchestration, metrics, parameter accounting
-  config     TOML experiment configuration
-  checkpoint JSON + base64 array serialization
-  reporting  result bundle emission (CSV/JSON)
-  cli        command-line front end
+  params     trainable-parameter accounting for known architectures
+  continual  per-task orchestration and metrics
 """
 
 __version__ = "0.1.0"

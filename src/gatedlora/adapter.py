@@ -72,16 +72,6 @@ class AdaptedLinear:
             out = ad.add(out, ad.scale_columns(a_i, contrib))
         return out
 
-    def forward_values(self, coeffs: list[np.ndarray], h: Mat) -> Mat:
-        if len(coeffs) != len(self.branches):
-            raise ShapeMismatch(
-                f"{len(coeffs)} coefficients for {len(self.branches)} branches"
-            )
-        out = self.weight @ h
-        for a_i, branch in zip(coeffs, self.branches):
-            out = out + np.asarray(a_i) * (branch.up.value @ (branch.down.value @ h))
-        return out
-
 
 def integrate(branches: list[LoraBranch], coeffs: list[float]) -> Mat:
     """Coefficient-weighted sum of branch products; zero matrix when empty."""
@@ -100,7 +90,10 @@ def integrate(branches: list[LoraBranch], coeffs: list[float]) -> Mat:
 
 def adapted_forward(layer: AdaptedLinear, coeffs: list[float], h: Mat) -> Mat:
     """W h plus the coefficient-weighted branch contributions."""
-    return layer.forward_values([np.full(h.shape[1], a) for a in coeffs], h)
+    rows = [ad.constant(np.full((1, h.shape[1]), a)) for a in coeffs]
+    with ad.no_grad():
+        out = layer.forward_node(rows, ad.constant(h))
+    return out.value
 
 
 def olora_penalty(branches: list[LoraBranch], lam: float) -> float:

@@ -9,16 +9,33 @@ test suite; do not add ops without extending those checks.
 
 Values are immutable after construction; gradients are accumulated only
 inside a single backward() call, which visits each node exactly once in
-reverse topological order.
+reverse topological order. A node that needs no gradient keeps neither
+its parents nor its reverse-pass closure, so graph-free callers (inside
+`no_grad()`) build no graph at all.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from contextlib import contextmanager
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from .errors import NonScalarLoss, ShapeMismatch
+
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Within the block, nodes derived from other nodes need no gradient."""
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
 
 
 class DiffNode:
@@ -40,9 +57,13 @@ class DiffNode:
             raise ShapeMismatch(f"nodes are 2-D, got shape {v.shape}")
         self.value = v
         self.grad: Optional[np.ndarray] = None
-        self.parents = parents
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
-        self._push = push
+        self.requires_grad = requires_grad or (
+            _grad_enabled and any(p.requires_grad for p in parents)
+        )
+        # backward() never visits a node that needs no gradient, so such a
+        # node need not keep its inputs alive.
+        self.parents = parents if self.requires_grad else ()
+        self._push = push if self.requires_grad else None
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -18,13 +18,14 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .adapter import (
-    AdaptedLinear,
-    expand_branch,
-    inflora_design,
-    olora_penalty_node,
+from .adapter import expand_branch, inflora_design, olora_penalty_node
+from .errors import (
+    EmptyInput,
+    IncompleteMatrix,
+    NoFreeSubspace,
+    OrderViolation,
+    SingleTask,
 )
-from .errors import EmptyInput, IncompleteMatrix, OrderViolation, SingleTask
 from .gating import (
     GateFn,
     GatingBank,
@@ -35,10 +36,9 @@ from .gating import (
 from .model import Dataset, TaskSequence, ToyBackbone
 from .numerics import Rng
 from .optim import AdamW
-from .params import ArchSpec, count_trainable_params
+from .params import BRANCH_STRATEGIES, ArchSpec, count_trainable_params
 from .subspace import SubspaceMemory
 
-BRANCH_STRATEGIES = ("seq", "inc", "olora", "inflora")
 GATING_MODES = ("gain", "fixed_one", "no_init", "no_update", "no_constraints")
 
 
@@ -181,13 +181,16 @@ class ContinualState:
 
     @property
     def n_branches(self) -> int:
-        return len(self.model.layer1.branches)
+        return len(self.model.adapted_layers[0].branches)
 
-    def coefficient_values(self, pooled: np.ndarray) -> list[np.ndarray]:
-        n = pooled.shape[1]
+    def forward(self, pooled: ad.DiffNode) -> tuple[ad.DiffNode, list[np.ndarray]]:
+        """Logits and adapted-layer inputs of the integrated model: every
+        branch weighted by its gate, or by 1 when ungated."""
         if self.cfg.gated:
-            return self.bank.coefficient_values(pooled)
-        return [np.ones(n) for _ in range(self.n_branches)]
+            coeffs = self.bank.coefficient_nodes(pooled)
+        else:
+            coeffs = [ad.constant(np.ones((1, pooled.shape[1])))] * self.n_branches
+        return self.model.forward_node(coeffs, pooled)
 
     def trainable_params(self) -> list[ad.DiffNode]:
         params: list[ad.DiffNode] = []
@@ -212,10 +215,9 @@ def _collect_adapted_inputs(
     """Inputs seen by each adapted layer on a sample of the dataset."""
     idx = _subsample(rng, len(dataset), state.cfg.subspace_samples)
     pooled = state.model.pool_batch(dataset, idx)
-    coeffs = state.coefficient_values(pooled)
-    z1 = state.model.layer1.forward_values(coeffs, pooled)
-    h1 = z1 / (1.0 + np.exp(-z1))
-    return [pooled, h1]
+    with ad.no_grad():
+        _, inputs = state.forward(ad.constant(pooled))
+    return inputs
 
 
 def learn_task(state: ContinualState, train: Dataset) -> None:
@@ -231,20 +233,28 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
     t = state.tasks_learned + 1
     rng = state.rng.child(f"task{t}")
 
-    designed_rows: list[Optional[np.ndarray]] = [None, None]
+    layers = state.model.adapted_layers
+    designed_rows: list[Optional[np.ndarray]] = [None] * len(layers)
     if cfg.branch_strategy == "inflora":
         inputs = _collect_adapted_inputs(state, train, rng.child("design"))
-        designed_rows = [
-            inflora_design(h, state.grad_memory.layer(i), cfg.rank)
-            for i, h in enumerate(inputs)
-        ]
+        for i, h in enumerate(inputs):
+            basis = state.grad_memory.layer(i)
+            try:
+                designed_rows[i] = inflora_design(h, basis, cfg.rank)
+            except NoFreeSubspace as exc:
+                raise NoFreeSubspace(
+                    f"task {t}, adapted layer {i}: {basis.dim - basis.rank} of "
+                    f"{basis.dim} input dims are free of the protected subspace, "
+                    f"too few for rank={cfg.rank} (eps_threshold="
+                    f"{cfg.eps_threshold}; lowering either leaves more)"
+                ) from exc
 
     if cfg.branch_strategy == "seq":
         if t == 1:
-            for i, layer in enumerate(state.model.adapted_layers):
+            for i, layer in enumerate(layers):
                 expand_branch(layer, cfg.rank, rng.child(f"branch{i}"))
     else:
-        for i, layer in enumerate(state.model.adapted_layers):
+        for i, layer in enumerate(layers):
             expand_branch(
                 layer, cfg.rank, rng.child(f"branch{i}"),
                 designed_down=designed_rows[i],
@@ -286,16 +296,10 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
         order = shuffle_rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            pooled = ad.constant(pooled_all[:, idx])
-            if cfg.gated:
-                coeffs = state.bank.coefficient_nodes(pooled)
-            else:
-                ones = ad.constant(np.ones((1, len(idx))))
-                coeffs = [ones for _ in range(state.n_branches)]
-            logits, _ = state.model.forward_node(coeffs, pooled)
+            logits, _ = state.forward(ad.constant(pooled_all[:, idx]))
             loss = ad.softmax_cross_entropy(logits, labels_all[idx])
             if cfg.branch_strategy == "olora":
-                for layer in state.model.adapted_layers:
+                for layer in layers:
                     pen = olora_penalty_node(layer.branches, cfg.lam)
                     if pen is not None:
                         loss = ad.add(loss, pen)
@@ -320,9 +324,9 @@ def evaluate(state: ContinualState, sequence: TaskSequence) -> list[float]:
     for i in range(state.tasks_learned):
         test = sequence.tasks[i].test
         pooled = state.model.pool_batch(test)
-        coeffs = state.coefficient_values(pooled)
-        logits = state.model.forward_values(coeffs, pooled)
-        pred = np.argmax(logits, axis=0)
+        with ad.no_grad():
+            logits, _ = state.forward(ad.constant(pooled))
+        pred = np.argmax(logits.value, axis=0)
         row.append(100.0 * float(np.mean(pred == test.labels)))
     return row
 
@@ -428,10 +432,7 @@ def run_sequence(
     gate_samples = collect_gate_samples(state, sequence)
     arch = ArchSpec(
         "run",
-        (
-            (1, model.hidden_dim, model.embed_dim),
-            (1, model.hidden_dim, model.hidden_dim),
-        ),
+        tuple((1, layer.out_dim, layer.in_dim) for layer in model.adapted_layers),
         model.embed_dim,
         strategy.gate_hidden,
         strategy.gate_layers,

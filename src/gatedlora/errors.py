@@ -74,7 +74,3 @@ class ParseError(GatedLoraError):
 
 class SchemaError(GatedLoraError):
     """A dataset record parsed but violates the expected schema."""
-
-
-class ConfigError(GatedLoraError):
-    """Invalid or unknown experiment configuration."""

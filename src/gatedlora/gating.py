@@ -35,6 +35,7 @@ class GateFn(enum.Enum):
     SIGMOID = "sigmoid"          # ablation only; f(0) = 0.5
 
     def scalar(self, b: float) -> float:
+        """Scalar reference form of `apply`, kept for tests to compare against."""
         if not math.isfinite(b):
             raise NonFinite(f"gate input {b!r}")
         if self is GateFn.ABS_SIGMOID:
@@ -58,10 +59,6 @@ class GateFn(enum.Enum):
         if self is GateFn.ABS_SINE:
             return ad.absval(ad.sine(ad.smul(math.pi / 2.0, b)))
         return ad.sigmoid(b)
-
-
-def gate_fn(gate: GateFn, b: float) -> float:
-    return gate.scalar(b)
 
 
 def pool_embed(tokens, embedding: Mat) -> np.ndarray:
@@ -140,24 +137,16 @@ class GatingModule:
         for p in self.params[:-1]:
             h = ad.silu(ad.matmul(p, h))
             trace.append(h.value.copy())
-        out = self.gate.apply(ad.matmul(self.params[-1], h))
-        return out, trace
+        pre = ad.matmul(self.params[-1], h)
+        if not np.isfinite(pre.value).all():
+            raise NonFinite("gate input has NaN or Inf entries")
+        return self.gate.apply(pre), trace
 
     def forward_values(self, pooled: Mat) -> tuple[np.ndarray, list[Mat]]:
         """Graph-free forward; returns the (n,) gate row and the trace."""
-        h = np.asarray(pooled, dtype=np.float64)
-        if h.shape[0] != self.input_dims[0]:
-            raise ShapeMismatch(
-                f"pooled input dim {h.shape[0]} vs {self.input_dims[0]}"
-            )
-        trace = [h.copy()]
-        for p in self.params[:-1]:
-            z = p.value @ h
-            h = z / (1.0 + np.exp(-z))
-            trace.append(h.copy())
-        pre = (self.params[-1].value @ h)[0]
-        out = np.array([self.gate.scalar(float(b)) for b in pre])
-        return out, trace
+        with ad.no_grad():
+            out, trace = self.forward_node(ad.constant(pooled))
+        return out.value[0], trace
 
 
 def init_new_gating(
@@ -225,6 +214,3 @@ class GatingBank:
 
     def coefficient_nodes(self, pooled: DiffNode) -> list[DiffNode]:
         return [m.forward_node(pooled)[0] for m in self.modules]
-
-    def coefficient_values(self, pooled: Mat) -> list[np.ndarray]:
-        return [m.forward_values(pooled)[0] for m in self.modules]

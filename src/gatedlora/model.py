@@ -1,11 +1,11 @@
 """Desk-scale frozen backbone, synthetic task generation and file ingestion.
 
 The backbone is a stand-in for a large pre-trained network: a frozen
-embedding table, two adapted hidden linear layers with SiLU between, and
-a frozen classifier head over the union label space. Tasks are synthetic
-token-classification problems whose vocab windows are disjoint, so the
-pooled embedding carries a usable task signal without ever exposing task
-identity at inference.
+embedding table, a list of adapted hidden linear layers with SiLU between
+them, and a frozen classifier head over the union label space. Tasks are
+synthetic token-classification problems whose vocab windows are disjoint,
+so the pooled embedding carries a usable task signal without ever
+exposing task identity at inference.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ class TaskSequence:
 
 
 class ToyBackbone:
-    """Frozen embedding + two adapted hidden layers + frozen head."""
+    """Frozen embedding + adapted hidden layers + frozen head."""
 
     def __init__(
         self,
@@ -86,23 +86,19 @@ class ToyBackbone:
         self.hidden_dim = hidden_dim
         self.n_classes = n_classes
         self.embedding = gaussian_init(rng.child("embed"), vocab_size, embed_dim, 1.0)
-        self.layer1 = AdaptedLinear(
-            gaussian_init(rng.child("layer1"), hidden_dim, embed_dim, 1.0 / np.sqrt(embed_dim))
-        )
-        self.layer2 = AdaptedLinear(
-            gaussian_init(rng.child("layer2"), hidden_dim, hidden_dim, 1.0 / np.sqrt(hidden_dim))
-        )
+        self.adapted_layers = [
+            AdaptedLinear(
+                gaussian_init(rng.child(tag), hidden_dim, d_in, 1.0 / np.sqrt(d_in))
+            )
+            for tag, d_in in (("layer1", embed_dim), ("layer2", hidden_dim))
+        ]
         self.head = gaussian_init(rng.child("head"), n_classes, hidden_dim, 1.0 / np.sqrt(hidden_dim))
-
-    @property
-    def adapted_layers(self) -> list[AdaptedLinear]:
-        return [self.layer1, self.layer2]
 
     def frozen_fingerprint(self) -> bytes:
         """Bytes of every parameter that must never change during a run."""
-        parts = [self.embedding.tobytes(), self.head.tobytes(),
-                 self.layer1.weight.tobytes(), self.layer2.weight.tobytes()]
-        return b"".join(parts)
+        parts = [self.embedding, self.head]
+        parts += [layer.weight for layer in self.adapted_layers]
+        return b"".join(p.tobytes() for p in parts)
 
     def pool(self, tokens) -> Mat:
         return pool_embed(tokens, self.embedding)
@@ -121,24 +117,14 @@ class ToyBackbone:
     ) -> tuple[DiffNode, list[Mat]]:
         """Class logits node for a pooled batch; also returns the inputs
         seen by each adapted layer (for subspace collection)."""
-        h1_in = pooled
-        h1 = ad.silu(self.layer1.forward_node(coeffs, h1_in))
-        logits = ad.matmul(
-            ad.constant(self.head), self.layer2.forward_node(coeffs, h1)
-        )
-        return logits, [h1_in.value.copy(), h1.value.copy()]
-
-    def forward_values(self, coeffs: list[np.ndarray], pooled: Mat) -> Mat:
-        z1 = self.layer1.forward_values(coeffs, pooled)
-        h1 = z1 / (1.0 + np.exp(-z1))
-        return self.head @ self.layer2.forward_values(coeffs, h1)
-
-
-def backbone_forward(model: ToyBackbone, coeffs: list[float], tokens) -> np.ndarray:
-    """Logits for one token sequence under fixed integration coefficients."""
-    pooled = model.pool(tokens)
-    rows = [np.full(1, a) for a in coeffs]
-    return model.forward_values(rows, pooled).ravel()
+        h = pooled
+        inputs = []
+        for i, layer in enumerate(self.adapted_layers):
+            if i:
+                h = ad.silu(h)
+            inputs.append(h.value.copy())
+            h = layer.forward_node(coeffs, h)
+        return ad.matmul(ad.constant(self.head), h), inputs
 
 
 def generate_task(

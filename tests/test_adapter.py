@@ -86,7 +86,7 @@ class TestAdaptedForward:
         h = rng.normal(4, 3, 1.0)
         coeffs = rng.uniform(3).reshape(1, 3)
         node = layer.forward_node([ad.constant(coeffs)], ad.constant(h))
-        vals = layer.forward_values([coeffs.ravel()], h)
+        vals = layer.weight @ h + coeffs * (br.up.value @ (br.down.value @ h))
         assert np.allclose(node.value, vals, atol=1e-14)
 
 
@@ -171,11 +171,12 @@ class TestExpandBranch:
         layer = fresh_layer(rng)
         br = expand_branch(layer, 2, rng.child("a"))
         br.up.value[:] = rng.normal(5, 2, 1.0)
-        h = rng.normal(4, 3, 1.0)
-        before = layer.forward_values([np.full(3, 0.7)], h)
+        h = ad.constant(rng.normal(4, 3, 1.0))
+        before = layer.forward_node([ad.constant(np.full((1, 3), 0.7))], h)
         expand_branch(layer, 2, rng.child("b"))
-        after = layer.forward_values([np.full(3, 0.7), np.full(3, 1.0)], h)
-        assert np.array_equal(before, after)
+        coeffs = [ad.constant(np.full((1, 3), a)) for a in (0.7, 1.0)]
+        after = layer.forward_node(coeffs, h)
+        assert np.array_equal(before.value, after.value)
 
     def test_previous_branches_frozen(self, rng):
         layer = fresh_layer(rng)

@@ -66,6 +66,34 @@ class TestMechanics:
         assert c.grad is None
         assert p.grad is not None
 
+    def test_no_grad_builds_no_graph(self):
+        p = ad.parameter(np.ones((2, 2)))
+        with ad.no_grad():
+            out = ad.silu(ad.matmul(p, p))
+        assert not out.requires_grad
+        assert out.parents == ()
+        assert p.requires_grad  # the leaf itself is untouched
+
+    def test_no_grad_restored_after_exception(self):
+        p = ad.parameter(np.ones((2, 2)))
+        with pytest.raises(ShapeMismatch):
+            with ad.no_grad():
+                ad.matmul(p, ad.constant(np.ones((3, 1))))
+        out = ad.silu(p)
+        assert out.requires_grad and out.parents == (p,)
+
+    def test_backward_after_no_grad_matches_finite_difference(self):
+        w = np.random.default_rng(3).normal(size=(3, 4))
+        p = ad.parameter(w)
+        with ad.no_grad():
+            total(ad.silu(p))
+        ad.backward(total(ad.silu(p)))
+        numeric = finite_difference(
+            lambda ps: float(total(ad.silu(ad.parameter(ps[0]))).value[0, 0]),
+            [w.copy()],
+        )
+        assert_close_rel(p.grad, numeric[0], rel=1e-4, floor=1e-5)
+
     def test_shape_checks(self):
         a = ad.parameter(np.ones((2, 3)))
         b = ad.parameter(np.ones((2, 2)))

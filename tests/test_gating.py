@@ -16,7 +16,6 @@ from gatedlora.gating import (
     GatingBank,
     GatingModule,
     constrain_update,
-    gate_fn,
     gating_layer_shapes,
     init_new_gating,
     pool_embed,
@@ -29,38 +28,37 @@ from gatedlora.subspace import SubspaceBasis, SubspaceMemory
 class TestGateFn:
     def test_zero_maps_to_zero(self):
         for variant in (GateFn.ABS_SIGMOID, GateFn.CLAMP_ABS, GateFn.ABS_SINE):
-            assert gate_fn(variant, 0.0) == 0.0
+            assert variant.scalar(0.0) == 0.0
 
     def test_abs_sigmoid_closed_form(self):
         # sigmoid(ln 3) = 0.75, so |2*0.75 - 1| = 0.5
-        assert gate_fn(GateFn.ABS_SIGMOID, math.log(3)) == pytest.approx(0.5, abs=1e-12)
+        assert GateFn.ABS_SIGMOID.scalar(math.log(3)) == pytest.approx(0.5, abs=1e-12)
 
     def test_clamp_abs(self):
-        assert gate_fn(GateFn.CLAMP_ABS, 2.0) == 1.0
-        assert gate_fn(GateFn.CLAMP_ABS, 0.3) == pytest.approx(0.3)
-        assert gate_fn(GateFn.CLAMP_ABS, -0.3) == pytest.approx(0.3)
+        assert GateFn.CLAMP_ABS.scalar(2.0) == 1.0
+        assert GateFn.CLAMP_ABS.scalar(0.3) == pytest.approx(0.3)
+        assert GateFn.CLAMP_ABS.scalar(-0.3) == pytest.approx(0.3)
 
     def test_abs_sine(self):
-        assert gate_fn(GateFn.ABS_SINE, 1.0) == pytest.approx(1.0)
-        assert gate_fn(GateFn.ABS_SINE, -0.5) == pytest.approx(math.sin(math.pi / 4))
+        assert GateFn.ABS_SINE.scalar(1.0) == pytest.approx(1.0)
+        assert GateFn.ABS_SINE.scalar(-0.5) == pytest.approx(math.sin(math.pi / 4))
 
     def test_range(self):
         gen = np.random.default_rng(0)
         for variant in GateFn:
             for b in gen.normal(scale=5.0, size=200):
-                v = gate_fn(variant, float(b))
+                v = variant.scalar(float(b))
                 assert 0.0 <= v <= 1.0
 
     def test_abs_sigmoid_even_symmetry_exact(self):
         gen = np.random.default_rng(1)
+        gate = GateFn.ABS_SIGMOID
         for b in gen.normal(scale=3.0, size=500):
-            assert gate_fn(GateFn.ABS_SIGMOID, float(b)) == gate_fn(
-                GateFn.ABS_SIGMOID, float(-b)
-            )
+            assert gate.scalar(float(b)) == gate.scalar(float(-b))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(NonFinite):
-            gate_fn(GateFn.ABS_SIGMOID, float("nan"))
+            GateFn.ABS_SIGMOID.scalar(float("nan"))
 
     def test_node_path_matches_scalar_path(self):
         gen = np.random.default_rng(2)
@@ -148,6 +146,13 @@ class TestGatingForward:
         mod = make_module(rng)
         with pytest.raises(ShapeMismatch):
             mod.forward_values(np.zeros((5, 2)))
+
+    def test_nonfinite_pre_gate_rejected(self, rng):
+        mod = make_module(rng)
+        x = np.zeros((6, 3))
+        x[2, 1] = np.nan
+        with pytest.raises(NonFinite):
+            mod.forward_node(ad.constant(x))
 
 
 def memory_from_module(module, inputs, eps=1.0):
@@ -345,6 +350,6 @@ class TestGatingBank:
         bank = GatingBank()
         bank.add(make_module(rng.child("a")))
         bank.add(make_module(rng.child("b")))
-        rows = bank.coefficient_values(np.zeros((6, 4)))
+        rows = bank.coefficient_nodes(ad.constant(np.zeros((6, 4))))
         assert len(rows) == 2
-        assert all(r.shape == (4,) for r in rows)
+        assert all(r.shape == (1, 4) for r in rows)

@@ -272,7 +272,9 @@ def ingest_dataset(
                 missing = {"tokens", "label", "task_id"} - set(reader.fieldnames)
                 if missing:
                     raise SchemaError(f"missing CSV columns: {sorted(missing)}")
-            for lineno, rec in enumerate(reader, start=2):
+            for rec in reader:
+                # Physical line of the record: DictReader skips blank lines.
+                lineno = reader.line_num
                 try:
                     parsed = {
                         "tokens": [int(t) for t in rec["tokens"].split()],

@@ -1,0 +1,86 @@
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from gatedlora.errors import ParseError, SchemaError
+from gatedlora.model import build_task_sequence, ingest_dataset
+from gatedlora.numerics import Rng, gaussian_init
+
+
+class TestIngestLineNumbers:
+    """Errors name the physical line of the bad record, blank lines included."""
+
+    def test_csv_parse_error_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("tokens,label,task_id\n1 2,0,0\n\n\n3 x,1,0\n")
+        with pytest.raises(ParseError) as info:
+            ingest_dataset(path, "csv", vocab_size=10, n_classes=4)
+        assert info.value.line == 5
+
+    def test_jsonl_parse_error_counts_blank_lines(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"tokens": [1, 2], "label": 0, "task_id": 0}\n\n\n{bad\n')
+        with pytest.raises(ParseError) as info:
+            ingest_dataset(path, "jsonl", vocab_size=10, n_classes=4)
+        assert info.value.line == 4
+
+    @pytest.mark.parametrize(
+        "fmt, text",
+        [
+            (
+                "jsonl",
+                '{"tokens": [1, 2], "label": 0, "task_id": 0}\n\n\n'
+                '{"tokens": [3], "label": 9, "task_id": 0}\n',
+            ),
+            ("csv", "tokens,label,task_id\n1 2,0,0\n\n3,9,0\n"),
+        ],
+        ids=["jsonl", "csv"],
+    )
+    def test_schema_error_names_the_line(self, tmp_path, fmt, text):
+        path = tmp_path / f"d.{fmt}"
+        path.write_text(text)
+        with pytest.raises(SchemaError, match=r"^line 4: label 9 outside"):
+            ingest_dataset(path, fmt, vocab_size=10, n_classes=4)
+
+
+def desk_sequence(seed):
+    """Three noise-free tasks of 3 classes (splits of 20/10, so the class
+    quotas are uneven). Windows of 16 tokens and sequences of 2 tokens
+    leave 256 distinct sequences per task, so a generator that stopped
+    rejecting repeats would put some sequence in both splits."""
+    embedding = gaussian_init(Rng(seed).child("embed"), 48, 16, 1.0)
+    return build_task_sequence(
+        Rng(seed).child("data"),
+        n_tasks=3,
+        classes_per_task=3,
+        n_train=20,
+        n_test=10,
+        vocab_size=48,
+        window_size=16,
+        noise=0.0,
+        embedding=embedding,
+        seq_len=(2, 2),
+    )
+
+
+class TestGenerator:
+    def test_split_invariants(self):
+        for t, task in enumerate(desk_sequence(0)):
+            lo, hi = task.window
+            for ds, size in ((task.train, 20), (task.test, 10)):
+                assert len(ds) == size
+                counts = Counter(int(y) - 3 * t for y in ds.labels)
+                assert set(counts) <= {0, 1, 2}
+                per_class = [counts[c] for c in range(3)]
+                assert max(per_class) - min(per_class) <= 1, per_class
+                assert all(lo <= tok < hi for seq in ds.tokens for tok in seq)
+            train = {tuple(seq) for seq in task.train.tokens}
+            assert train.isdisjoint(tuple(seq) for seq in task.test.tokens)
+
+    def test_same_seed_same_tasks(self):
+        a, b = desk_sequence(4), desk_sequence(4)
+        for ta, tb in zip(a, b, strict=True):
+            for da, db in ((ta.train, tb.train), (ta.test, tb.test)):
+                assert da.tokens == db.tokens
+                assert np.array_equal(da.labels, db.labels)

@@ -57,15 +57,24 @@ class TestSymEig:
         evals, _ = sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert np.allclose(evals, [3.0, 1.0], atol=1e-12)
 
-    @pytest.mark.parametrize("n", [1, 3, 8, 33, 64, 256])
-    def test_reconstruction_and_orthonormality(self, n):
-        gen = np.random.default_rng(n)
-        m = gen.normal(size=(n, n))
-        s = (m + m.T) / 2
+    @pytest.mark.parametrize("case", [1, 3, 8, 33, 64, 256, "repeated"])
+    def test_reconstruction_and_orthonormality(self, case):
+        if case == "repeated":
+            # Two repeated eigenvalues, where solvers may return any basis
+            # of each eigenspace: Q diag(3, 3, 1, 1, 0) Q^T.
+            q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(5, 5)))
+            s = q @ np.diag([3.0, 3.0, 1.0, 1.0, 0.0]) @ q.T
+            s = (s + s.T) / 2
+        else:
+            m = np.random.default_rng(case).normal(size=(case, case))
+            s = (m + m.T) / 2
+        n = s.shape[0]
         evals, evecs = sym_eig(s)
         assert np.max(np.abs(evecs @ np.diag(evals) @ evecs.T - s)) <= 1e-8
         assert np.max(np.abs(evecs.T @ evecs - np.eye(n))) <= 1e-8
         assert np.all(np.diff(evals) <= 1e-12)
+        if case == "repeated":
+            assert np.allclose(evals, [3.0, 3.0, 1.0, 1.0, 0.0], atol=1e-12)
 
     def test_empty(self):
         evals, evecs = sym_eig(np.zeros((0, 0)))

@@ -73,46 +73,10 @@ class AdaptedLinear:
         return out
 
 
-def integrate(branches: list[LoraBranch], coeffs: list[float]) -> Mat:
-    """Coefficient-weighted sum of branch products; zero matrix when empty."""
-    if len(coeffs) != len(branches):
-        raise ShapeMismatch(f"{len(coeffs)} coefficients for {len(branches)} branches")
-    for a_i in coeffs:
-        if not 0.0 <= a_i <= 1.0:
-            raise ValueError(f"integration coefficient {a_i} outside [0, 1]")
-    if not branches:
-        raise ShapeMismatch("integrate needs at least one branch for its shape")
-    total = np.zeros((branches[0].up.value.shape[0], branches[0].down.value.shape[1]))
-    for a_i, branch in zip(coeffs, branches):
-        total += a_i * branch.delta()
-    return total
-
-
-def adapted_forward(layer: AdaptedLinear, coeffs: list[float], h: Mat) -> Mat:
-    """W h plus the coefficient-weighted branch contributions."""
-    rows = [ad.constant(np.full((1, h.shape[1]), a)) for a in coeffs]
-    with ad.no_grad():
-        out = layer.forward_node(rows, ad.constant(h))
-    return out.value
-
-
-def olora_penalty(branches: list[LoraBranch], lam: float) -> float:
-    """lam * sum of squared row-space overlaps of the newest branch with
-    every frozen one; zero when the row spaces are mutually orthogonal."""
-    if lam < 0:
-        raise ValueError(f"penalty weight must be >= 0, got {lam}")
-    if len(branches) <= 1:
-        return 0.0
-    new = branches[-1].down.value
-    total = 0.0
-    for old in branches[:-1]:
-        overlap = old.down.value @ new.T
-        total += float(np.sum(overlap * overlap))
-    return lam * total
-
-
 def olora_penalty_node(branches: list[LoraBranch], lam: float) -> DiffNode | None:
-    """Differentiable version of olora_penalty; None when inapplicable."""
+    """lam * sum of squared row-space overlaps of the newest branch with
+    every frozen one, as a node; zero when the row spaces are mutually
+    orthogonal, None when inapplicable (one branch, or lam = 0)."""
     if len(branches) <= 1 or lam == 0.0:
         return None
     gram = np.zeros((branches[0].down.value.shape[1],) * 2)

@@ -210,13 +210,14 @@ def _subsample(rng: Rng, n: int, cap: int) -> np.ndarray:
 
 
 def _collect_adapted_inputs(
-    state: ContinualState, dataset: Dataset, rng: Rng
+    state: ContinualState, pooled: np.ndarray, rng: Rng
 ) -> list[np.ndarray]:
-    """Inputs seen by each adapted layer on a sample of the dataset."""
-    idx = _subsample(rng, len(dataset), state.cfg.subspace_samples)
-    pooled = state.model.pool_batch(dataset, idx)
+    """Inputs seen by each adapted layer on a sample of pooled columns."""
+    idx = _subsample(rng, pooled.shape[1], state.cfg.subspace_samples)
+    # `take` copies C-contiguous; `pooled[:, idx]` is Fortran-ordered, and
+    # BLAS may round a product with it differently than with a C-ordered one.
     with ad.no_grad():
-        _, inputs = state.forward(ad.constant(pooled))
+        _, inputs = state.forward(ad.constant(pooled.take(idx, axis=1)))
     return inputs
 
 
@@ -232,11 +233,14 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
         )
     t = state.tasks_learned + 1
     rng = state.rng.child(f"task{t}")
+    pooled_all = state.model.pool_batch(train)
+    labels_all = train.labels
+    n = len(train)
 
     layers = state.model.adapted_layers
     designed_rows: list[Optional[np.ndarray]] = [None] * len(layers)
     if cfg.branch_strategy == "inflora":
-        inputs = _collect_adapted_inputs(state, train, rng.child("design"))
+        inputs = _collect_adapted_inputs(state, pooled_all, rng.child("design"))
         for i, h in enumerate(inputs):
             basis = state.grad_memory.layer(i)
             try:
@@ -288,9 +292,6 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
         weight_decay=cfg.weight_decay,
     )
 
-    pooled_all = state.model.pool_batch(train)
-    labels_all = train.labels
-    n = len(train)
     shuffle_rng = rng.child("shuffle")
     for _ in range(cfg.epochs):
         order = shuffle_rng.permutation(n)
@@ -308,26 +309,29 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
 
     if cfg.gated and (cfg.init_constraints or cfg.update_constraints):
         idx = _subsample(rng.child("trace"), n, cfg.subspace_samples)
-        pooled = state.model.pool_batch(train, idx)
-        _, trace = state.bank.modules[-1].forward_values(pooled)
+        _, trace = state.bank.modules[-1].forward_values(pooled_all.take(idx, axis=1))
         state.gate_memory.extend_all(trace)
     if cfg.branch_strategy == "inflora":
-        inputs = _collect_adapted_inputs(state, train, rng.child("grad-space"))
+        inputs = _collect_adapted_inputs(state, pooled_all, rng.child("grad-space"))
         state.grad_memory.extend_all(inputs)
     state.tasks_learned = t
 
 
-def evaluate(state: ContinualState, sequence: TaskSequence) -> list[float]:
-    """Accuracy (percent) on every learned task's test set, single gated
-    forward path, no task identities."""
+def evaluate(
+    state: ContinualState, tests: list[tuple[np.ndarray, np.ndarray]]
+) -> list[float]:
+    """Accuracy (percent) on each test set, single gated forward path, no
+    task identities.
+
+    `tests` holds one `(pooled, labels)` pair per learned task, in task
+    order: the `(embed_dim, n)` pooled test inputs and their n labels.
+    """
     row = []
-    for i in range(state.tasks_learned):
-        test = sequence.tasks[i].test
-        pooled = state.model.pool_batch(test)
+    for pooled, labels in tests:
         with ad.no_grad():
             logits, _ = state.forward(ad.constant(pooled))
         pred = np.argmax(logits.value, axis=0)
-        row.append(100.0 * float(np.mean(pred == test.labels)))
+        row.append(100.0 * float(np.mean(pred == labels)))
     return row
 
 
@@ -357,18 +361,17 @@ class RunResult:
 
 
 def collect_gate_samples(
-    state: ContinualState, sequence: TaskSequence, cap: int = 50
+    state: ContinualState, tests: list[tuple[np.ndarray, np.ndarray]], cap: int = 50
 ) -> list[dict]:
-    """Outputs of every gate module on every learned task's test samples."""
+    """Outputs of every gate module on the first `cap` samples of each test
+    set; `tests` holds one `(pooled, labels)` pair per task, as for
+    `evaluate`."""
     if not state.cfg.gated:
         return []
     samples = []
-    for task_idx in range(state.tasks_learned):
-        test = sequence.tasks[task_idx].test
-        take = min(cap, len(test))
-        pooled = state.model.pool_batch(test, range(take))
+    for task_idx, (pooled, _) in enumerate(tests):
         for gate_idx, module in enumerate(state.bank.modules):
-            values, _ = module.forward_values(pooled)
+            values, _ = module.forward_values(pooled[:, :cap])
             samples.append(
                 {
                     "gate": gate_idx,
@@ -422,14 +425,16 @@ def run_sequence(
         )
     state = ContinualState(model, strategy, rng.child("train"))
     ap_trajectory = []
+    tests = []
     for task in sequence:
         learn_task(state, task.train)
-        row = evaluate(state, sequence)
+        tests.append((model.pool_batch(task.test), task.test.labels))
+        row = evaluate(state, tests)
         state.matrix.add_row(row)
         ap_trajectory.append(float(np.mean(row)))
     ap = compute_ap(state.matrix)
     ft = compute_ft(state.matrix) if state.matrix.n_tasks >= 2 else None
-    gate_samples = collect_gate_samples(state, sequence)
+    gate_samples = collect_gate_samples(state, tests)
     arch = ArchSpec(
         "run",
         tuple((1, layer.out_dim, layer.in_dim) for layer in model.adapted_layers),

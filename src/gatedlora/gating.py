@@ -47,6 +47,10 @@ class GateFn(enum.Enum):
             return min(abs(b), 1.0)
         if self is GateFn.ABS_SINE:
             return abs(math.sin(math.pi * b / 2.0))
+        # Two branches so that exp never overflows.
+        if b < 0:
+            e = math.exp(b)
+            return e / (1.0 + e)
         return 1.0 / (1.0 + math.exp(-b))
 
     def apply(self, b: DiffNode) -> DiffNode:
@@ -61,19 +65,29 @@ class GateFn(enum.Enum):
         return ad.sigmoid(b)
 
 
+def _token_ids(tokens, vocab_size: int) -> np.ndarray:
+    """Token ids as an integer array, checked to lie in [0, vocab_size).
+
+    Ids of any non-integer dtype are rejected, never truncated.
+    """
+    ids = np.asarray(tokens)
+    if ids.size == 0:
+        raise EmptyInput("cannot pool an empty token sequence")
+    if ids.dtype.kind not in "iu":
+        raise IdOutOfRange(f"token ids must be integers, got dtype {ids.dtype}")
+    if ids.min() < 0 or ids.max() >= vocab_size:
+        raise IdOutOfRange(
+            f"token ids must be in [0, {vocab_size}), got [{ids.min()}, {ids.max()}]"
+        )
+    return ids
+
+
 def pool_embed(tokens, embedding: Mat) -> np.ndarray:
     """Mean of the embedding rows indexed by a token-id sequence.
 
     Returns a column vector (d, 1).
     """
-    ids = np.asarray(tokens, dtype=np.int64)
-    if ids.size == 0:
-        raise EmptyInput("cannot pool an empty token sequence")
-    if ids.min() < 0 or ids.max() >= embedding.shape[0]:
-        raise IdOutOfRange(
-            f"token ids must be in [0, {embedding.shape[0]}), got "
-            f"[{ids.min()}, {ids.max()}]"
-        )
+    ids = _token_ids(tokens, embedding.shape[0])
     return embedding[ids].mean(axis=0).reshape(-1, 1)
 
 

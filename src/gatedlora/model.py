@@ -11,6 +11,7 @@ exposing task identity at inference.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -28,7 +29,7 @@ from .errors import (
     ShapeMismatch,
     WindowOverlap,
 )
-from .gating import pool_embed
+from .gating import _token_ids, pool_embed
 from .numerics import Mat, Rng, gaussian_init
 
 
@@ -46,6 +47,9 @@ class Dataset:
             raise ShapeMismatch(
                 f"{len(self.tokens)} sequences vs {len(self.labels)} labels"
             )
+        for i, seq in enumerate(self.tokens):
+            if len(seq) == 0:
+                raise EmptyInput(f"sequence {i} of task {self.task_id} is empty")
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -100,17 +104,30 @@ class ToyBackbone:
         parts += [layer.weight for layer in self.adapted_layers]
         return b"".join(p.tobytes() for p in parts)
 
-    def pool(self, tokens) -> Mat:
-        return pool_embed(tokens, self.embedding)
-
     def pool_batch(self, dataset: Dataset, indices=None) -> Mat:
-        """Pooled embeddings as columns: (embed_dim, n)."""
+        """Pooled embeddings as columns: (embed_dim, n), C-contiguous.
+
+        `indices` is a sequence of dataset positions (repeats allowed), all
+        of them when None. Column j is bit-identical to `pool_embed` of the
+        j-th selected sequence: rows are summed in token order, then divided
+        by the length (`np.add.reduceat` sums in another order).
+        """
         if indices is None:
             indices = range(len(dataset))
-        cols = [self.pool(dataset.tokens[i]) for i in indices]
-        if not cols:
+        seqs = [dataset.tokens[i] for i in indices]
+        if not seqs:
             raise EmptyInput("cannot pool an empty batch")
-        return np.hstack(cols)
+        lengths = np.array([len(seq) for seq in seqs])
+        if lengths.min() == 0:
+            j = int(np.argmin(lengths))
+            raise EmptyInput(f"cannot pool sequence {indices[j]}: it is empty")
+        flat = _token_ids(list(itertools.chain.from_iterable(seqs)), self.vocab_size)
+        starts = np.cumsum(lengths) - lengths
+        total = np.zeros((len(seqs), self.embed_dim))
+        for k in range(lengths.max()):
+            rows = np.flatnonzero(lengths > k)
+            total[rows] += self.embedding[flat[starts[rows] + k]]
+        return np.ascontiguousarray((total / lengths[:, None]).T)
 
     def forward_node(
         self, coeffs: list[DiffNode], pooled: DiffNode

@@ -5,11 +5,8 @@ from gatedlora import autodiff as ad
 from gatedlora.adapter import (
     AdaptedLinear,
     LoraBranch,
-    adapted_forward,
     expand_branch,
     inflora_design,
-    integrate,
-    olora_penalty,
     olora_penalty_node,
 )
 from gatedlora.errors import NoFreeSubspace, ShapeMismatch
@@ -22,6 +19,49 @@ from conftest import assert_close_rel, finite_difference
 
 def fresh_layer(rng, d_out=5, d_in=4):
     return AdaptedLinear(rng.normal(d_out, d_in, 1.0))
+
+
+# Value-form references for the adapted layer and the O-LoRA penalty: the
+# package computes both only as graph nodes, and these are what the node
+# paths are checked against.
+
+
+def integrate(branches, coeffs):
+    """Coefficient-weighted sum of branch products."""
+    if len(coeffs) != len(branches):
+        raise ShapeMismatch(f"{len(coeffs)} coefficients for {len(branches)} branches")
+    for a_i in coeffs:
+        if not 0.0 <= a_i <= 1.0:
+            raise ValueError(f"integration coefficient {a_i} outside [0, 1]")
+    if not branches:
+        raise ShapeMismatch("integrate needs at least one branch for its shape")
+    total = np.zeros((branches[0].up.value.shape[0], branches[0].down.value.shape[1]))
+    for a_i, branch in zip(coeffs, branches):
+        total += a_i * branch.delta()
+    return total
+
+
+def adapted_forward(layer, coeffs, h):
+    """W h plus the coefficient-weighted branch contributions."""
+    rows = [ad.constant(np.full((1, h.shape[1]), a)) for a in coeffs]
+    with ad.no_grad():
+        out = layer.forward_node(rows, ad.constant(h))
+    return out.value
+
+
+def olora_penalty(branches, lam):
+    """lam * sum of squared row-space overlaps of the newest branch with
+    every frozen one; zero when the row spaces are mutually orthogonal."""
+    if lam < 0:
+        raise ValueError(f"penalty weight must be >= 0, got {lam}")
+    if len(branches) <= 1:
+        return 0.0
+    new = branches[-1].down.value
+    total = 0.0
+    for old in branches[:-1]:
+        overlap = old.down.value @ new.T
+        total += float(np.sum(overlap * overlap))
+    return lam * total
 
 
 class TestIntegrate:

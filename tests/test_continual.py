@@ -127,6 +127,22 @@ def test_whole_run_invariants(branch_strategy):
     assert run_sequence(DESK_MODEL, cfg, 7).summary_dict() == first
 
 
+@pytest.mark.parametrize("branch_strategy", ["olora", "inflora"])
+def test_each_dataset_pooled_once(branch_strategy, monkeypatch):
+    pooled = []
+    pool_batch = ToyBackbone.pool_batch
+
+    def counting(self, dataset, indices=None):
+        pooled.append(dataset)
+        return pool_batch(self, dataset, indices)
+
+    monkeypatch.setattr(ToyBackbone, "pool_batch", counting)
+    run_sequence(DESK_MODEL, desk_strategy(branch_strategy), 0)
+    # one train and one test set per task, none of them twice
+    assert len(pooled) == 2 * DESK_MODEL["n_tasks"]
+    assert len({id(ds) for ds in pooled}) == len(pooled)
+
+
 def test_inflora_out_of_subspace_names_layer_and_settings():
     cfg = desk_strategy("inflora", rank=3, eps_threshold=0.95)
     state, sequence = desk_state(cfg)

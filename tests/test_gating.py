@@ -60,6 +60,10 @@ class TestGateFn:
         with pytest.raises(NonFinite):
             GateFn.ABS_SIGMOID.scalar(float("nan"))
 
+    def test_sigmoid_scalar_saturates_without_overflow(self):
+        assert GateFn.SIGMOID.scalar(-1000.0) == 0.0
+        assert GateFn.SIGMOID.scalar(1000.0) == 1.0
+
     def test_node_path_matches_scalar_path(self):
         gen = np.random.default_rng(2)
         b = gen.normal(scale=2.0, size=(1, 50))
@@ -94,6 +98,9 @@ class TestPoolEmbed:
             pool_embed([3], np.ones((3, 2)))
         with pytest.raises(IdOutOfRange):
             pool_embed([-1], np.ones((3, 2)))
+        # float ids are rejected, not truncated to rows 1 and 2
+        with pytest.raises(IdOutOfRange, match="integers"):
+            pool_embed([1.7, 2.2], np.ones((3, 2)))
 
 
 def make_module(rng, d=6, w=4, depth=2, gate=GateFn.ABS_SIGMOID, std=0.5):

@@ -3,8 +3,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gatedlora.errors import ParseError, SchemaError
-from gatedlora.model import build_task_sequence, ingest_dataset
+from gatedlora.errors import EmptyInput, IdOutOfRange, ParseError, SchemaError
+from gatedlora.gating import pool_embed
+from gatedlora.model import Dataset, ToyBackbone, build_task_sequence, ingest_dataset
 from gatedlora.numerics import Rng, gaussian_init
 
 
@@ -84,3 +85,55 @@ class TestGenerator:
             for da, db in ((ta.train, tb.train), (ta.test, tb.test)):
                 assert da.tokens == db.tokens
                 assert np.array_equal(da.labels, db.labels)
+
+
+def pooling_case(vocab=30):
+    """A backbone and 40 sequences whose lengths cover 1..16."""
+    backbone = ToyBackbone(Rng(3), vocab_size=vocab, embed_dim=6, hidden_dim=4, n_classes=2)
+    gen = np.random.default_rng(5)
+    lengths = list(range(1, 17)) + gen.integers(1, 17, size=24).tolist()
+    gen.shuffle(lengths)
+    tokens = [gen.integers(0, vocab, size=n).tolist() for n in lengths]
+    return backbone, Dataset(tokens, np.zeros(len(tokens)), 0)
+
+
+class TestPoolBatch:
+    @pytest.mark.parametrize(
+        "indices",
+        [None, [7, 3, 3, 0, 39, 7], np.array([12, 1, 30, 1])],
+        ids=["all", "list-repeats", "array-repeats"],
+    )
+    def test_bitwise_equal_to_per_sequence_pooling(self, indices):
+        backbone, ds = pooling_case()
+        rows = range(len(ds)) if indices is None else indices
+        want = np.hstack([pool_embed(ds.tokens[i], backbone.embedding) for i in rows])
+        got = backbone.pool_batch(ds, indices)
+        assert got.shape == want.shape
+        assert got.flags["C_CONTIGUOUS"]
+        assert got.tobytes() == want.tobytes()
+
+    def test_empty_batch_rejected(self):
+        backbone, ds = pooling_case()
+        with pytest.raises(EmptyInput):
+            backbone.pool_batch(ds, [])
+
+    def test_zero_length_sequence_rejected(self):
+        # Dataset refuses empty sequences, but its token lists stay mutable.
+        backbone, ds = pooling_case()
+        ds.tokens[4] = []
+        with pytest.raises(EmptyInput, match="sequence 4"):
+            backbone.pool_batch(ds)
+
+    @pytest.mark.parametrize(
+        "bad", [[1, 30], [-1, 2], [1.0, 2.0]], ids=["vocab", "negative", "float"]
+    )
+    def test_bad_ids_rejected(self, bad):
+        backbone, ds = pooling_case(vocab=30)
+        ds.tokens[9] = bad
+        with pytest.raises(IdOutOfRange):
+            backbone.pool_batch(ds)
+
+
+def test_dataset_rejects_empty_sequence():
+    with pytest.raises(EmptyInput, match="sequence 1"):
+        Dataset([[1, 2], []], [0, 1], 0)

@@ -42,9 +42,6 @@ class LoraBranch:
     def trainable_params(self) -> list[DiffNode]:
         return [p for p in (self.up, self.down) if p.requires_grad]
 
-    def delta(self) -> Mat:
-        return self.up.value @ self.down.value
-
 
 class AdaptedLinear:
     """Frozen weight plus an ordered stack of low-rank branches."""
@@ -89,9 +86,11 @@ def inflora_design(h_new: Mat, grad_space: SubspaceBasis, r: int) -> Mat:
     """Row basis for a new branch, orthogonal to the protected input span.
 
     Rows are the top-r principal directions of the column covariance of
-    h_new after projecting off grad_space. If the new inputs do not span
-    r clean directions, the basis is completed deterministically from the
-    coordinate axes; NoFreeSubspace if the complement is smaller than r.
+    h_new after projecting off grad_space, orthonormalized after the
+    protected basis by one complete QR. If the new inputs do not span r
+    clean directions, the remaining rows come deterministically from the
+    QR's orthonormal basis of the complement; NoFreeSubspace if the
+    complement is smaller than r.
     """
     if r < 1:
         raise ValueError(f"rank must be >= 1, got {r}")
@@ -102,36 +101,11 @@ def inflora_design(h_new: Mat, grad_space: SubspaceBasis, r: int) -> Mat:
         )
     residual = project_out(grad_space, np.asarray(h_new, dtype=np.float64))
     evals, evecs = sym_eig(residual @ residual.T)
-    rows: list[np.ndarray] = []
-    floor = 1e-10 * max(1.0, float(evals[0]) if evals.size else 1.0)
-    for j in range(evecs.shape[1]):
-        if len(rows) == r or evals[j] <= floor:
-            break
-        v = evecs[:, j].copy()
-        # Re-project: eigenvectors of near-zero eigenvalues may leak into
-        # the protected span.
-        v = project_out(grad_space, v.reshape(-1, 1)).ravel()
-        for u in rows:
-            v -= (u @ v) * u
-        norm = np.linalg.norm(v)
-        if norm < 1e-8:
-            continue
-        rows.append(v / norm)
-    axis = 0
-    while len(rows) < r and axis < dim:
-        v = np.zeros(dim)
-        v[axis] = 1.0
-        axis += 1
-        v = project_out(grad_space, v.reshape(-1, 1)).ravel()
-        for u in rows:
-            v -= (u @ v) * u
-        norm = np.linalg.norm(v)
-        if norm < 1e-6:
-            continue
-        rows.append(v / norm)
-    if len(rows) < r:
-        raise NoFreeSubspace(f"could only assemble {len(rows)} of {r} directions")
-    return np.stack(rows)
+    floor = 1e-10 * max(1.0, float(evals[0]))
+    lead = evecs[:, :r][:, evals[:r] > floor]
+    known = np.column_stack([grad_space.basis, project_out(grad_space, lead)])
+    q, _ = np.linalg.qr(known, mode="complete")
+    return q[:, grad_space.rank : grad_space.rank + r].T.copy()
 
 
 def expand_branch(

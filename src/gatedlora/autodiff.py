@@ -1,11 +1,11 @@
 """Minimal reverse-mode differentiation over 2-D float64 arrays.
 
 The op set is small and closed: matmul, transpose, add (same shape or
-column bias), scalar multiply (by a python float, a 1x1 node, or
-per-column by a 1xn node), SiLU, sigmoid, abs, sin, clip-from-above,
-column mean pooling, softmax cross-entropy, and a quadratic row-space
-penalty. Every op here is covered by finite-difference checks in the
-test suite; do not add ops without extending those checks.
+column bias), scalar multiply (by a python float, or per-column by a 1xn
+node), SiLU, sigmoid, abs, sin, clip-from-above, softmax cross-entropy,
+and a quadratic row-space penalty. Every op here is covered by
+finite-difference checks in the test suite; do not add ops without
+extending those checks.
 
 Values are immutable after construction; gradients are accumulated only
 inside a single backward() call, which visits each node exactly once in
@@ -164,20 +164,8 @@ def smul(c: float, a: DiffNode) -> DiffNode:
     return DiffNode(c * a.value, (a,), push)
 
 
-def scale(s: DiffNode, a: DiffNode) -> DiffNode:
-    """Multiply a matrix node by a 1x1 scalar node; both receive gradients."""
-    if s.shape != (1, 1):
-        raise ShapeMismatch(f"scale factor must be 1x1, got {s.shape}")
-
-    def push(out: DiffNode) -> None:
-        _accum(s, np.sum(out.grad * a.value).reshape(1, 1))
-        _accum(a, s.value[0, 0] * out.grad)
-
-    return DiffNode(s.value[0, 0] * a.value, (s, a), push)
-
-
 def scale_columns(s: DiffNode, a: DiffNode) -> DiffNode:
-    """Column j of a scaled by s[0, j]; the batched form of `scale`."""
+    """Column j of a scaled by s[0, j]; both receive gradients."""
     if s.shape != (1, a.shape[1]):
         raise ShapeMismatch(f"scale_columns {s.shape} * {a.shape}")
 
@@ -188,8 +176,15 @@ def scale_columns(s: DiffNode, a: DiffNode) -> DiffNode:
     return DiffNode(s.value * a.value, (s, a), push)
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    # exp(-x) overflows to inf for x below about -709, which gives the
+    # right limit 0; only the warning is silenced.
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def sigmoid(a: DiffNode) -> DiffNode:
-    v = 1.0 / (1.0 + np.exp(-a.value))
+    v = _logistic(a.value)
 
     def push(out: DiffNode) -> None:
         _accum(a, out.grad * v * (1.0 - v))
@@ -198,7 +193,7 @@ def sigmoid(a: DiffNode) -> DiffNode:
 
 
 def silu(a: DiffNode) -> DiffNode:
-    sig = 1.0 / (1.0 + np.exp(-a.value))
+    sig = _logistic(a.value)
     v = a.value * sig
 
     def push(out: DiffNode) -> None:
@@ -231,18 +226,6 @@ def clip_upper(a: DiffNode, hi: float) -> DiffNode:
         _accum(a, out.grad * mask)
 
     return DiffNode(np.minimum(a.value, hi), (a,), push)
-
-
-def mean_columns(a: DiffNode) -> DiffNode:
-    """(m, n) -> (m, 1) mean over columns."""
-    n = a.shape[1]
-    if n == 0:
-        raise ShapeMismatch("mean over zero columns")
-
-    def push(out: DiffNode) -> None:
-        _accum(a, np.repeat(out.grad, n, axis=1) / n)
-
-    return DiffNode(a.value.mean(axis=1, keepdims=True), (a,), push)
 
 
 def softmax_cross_entropy(logits: DiffNode, labels: np.ndarray) -> DiffNode:

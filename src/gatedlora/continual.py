@@ -36,7 +36,7 @@ from .gating import (
 from .model import Dataset, TaskSequence, ToyBackbone
 from .numerics import Rng
 from .optim import AdamW
-from .params import BRANCH_STRATEGIES, ArchSpec, count_trainable_params
+from .params import BRANCH_STRATEGIES
 from .subspace import SubspaceMemory
 
 GATING_MODES = ("gain", "fixed_one", "no_init", "no_update", "no_constraints")
@@ -71,7 +71,12 @@ class StrategyConfig:
                 "the single-branch strategy has no per-task branch to gate; "
                 "use gating_mode='fixed_one'"
             )
-        GateFn(self.gate_fn)
+        if GateFn(self.gate_fn) is GateFn.SIGMOID:
+            raise ValueError(
+                "gate_fn='sigmoid' has f(0) = 0.5, so it breaks the zero-output "
+                "pin on old-task inputs; only the no_init and no_constraints "
+                "ablations use it, and they select it themselves"
+            )
         if not 0.0 < self.eps_threshold <= 1.0:
             raise ValueError(f"eps_threshold must be in (0, 1], got {self.eps_threshold}")
         if self.lam < 0:
@@ -435,16 +440,6 @@ def run_sequence(
     ap = compute_ap(state.matrix)
     ft = compute_ft(state.matrix) if state.matrix.n_tasks >= 2 else None
     gate_samples = collect_gate_samples(state, tests)
-    arch = ArchSpec(
-        "run",
-        tuple((1, layer.out_dim, layer.in_dim) for layer in model.adapted_layers),
-        model.embed_dim,
-        strategy.gate_hidden,
-        strategy.gate_layers,
-    )
-    n_params = count_trainable_params(
-        arch, strategy.branch_strategy, strategy.rank, gated=strategy.gated
-    )
     return RunResult(
         seed=seed,
         matrix=state.matrix,
@@ -452,7 +447,7 @@ def run_sequence(
         ft=ft,
         ap_trajectory=ap_trajectory,
         gate_samples=gate_samples,
-        trainable_params=n_params,
+        trainable_params=sum(p.value.size for p in state.trainable_params()),
         wall_clock_sec=time.perf_counter() - t0,
         config_echo=config_echo or {},
     )

@@ -123,17 +123,9 @@ class GatingModule:
         self.frozen = False
 
     @property
-    def depth(self) -> int:
-        """Number of hidden layers (final scalar layer excluded)."""
-        return len(self.params) - 1
-
-    @property
     def input_dims(self) -> list[int]:
         """Input dimension of every layer, hidden plus final."""
         return [p.value.shape[1] for p in self.params]
-
-    def weights(self) -> list[Mat]:
-        return [p.value.copy() for p in self.params]
 
     def freeze(self) -> None:
         self.frozen = True
@@ -147,10 +139,10 @@ class GatingModule:
                 f"pooled input dim {pooled.shape[0]} vs {self.input_dims[0]}"
             )
         h = pooled
-        trace = [h.value.copy()]
+        trace = [h.value]
         for p in self.params[:-1]:
             h = ad.silu(ad.matmul(p, h))
-            trace.append(h.value.copy())
+            trace.append(h.value)
         pre = ad.matmul(self.params[-1], h)
         if not np.isfinite(pre.value).all():
             raise NonFinite("gate input has NaN or Inf entries")

@@ -139,7 +139,7 @@ class ToyBackbone:
         for i, layer in enumerate(self.adapted_layers):
             if i:
                 h = ad.silu(h)
-            inputs.append(h.value.copy())
+            inputs.append(h.value)
             h = layer.forward_node(coeffs, h)
         return ad.matmul(ad.constant(self.head), h), inputs
 

@@ -58,15 +58,6 @@ def gaussian_init(rng: Rng, rows: int, cols: int, std: float) -> Mat:
     return rng.normal(rows, cols, std)
 
 
-def as_mat(data) -> Mat:
-    """Coerce to a 2-D float64 array; raises on NaN/Inf."""
-    m = np.asarray(data, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got ndim={m.ndim}")
-    require_finite(m)
-    return m
-
-
 def require_finite(m: Mat, what: str = "matrix") -> None:
     if not np.all(np.isfinite(m)):
         raise NonFinite(f"{what} contains NaN or Inf")

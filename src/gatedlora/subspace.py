@@ -3,7 +3,8 @@
 Each layer keeps a basis whose columns approximately span everything that
 layer has seen from completed tasks. Growing the basis projects new
 inputs off the current span, eigendecomposes the residual covariance and
-appends the leading directions until an energy-capture threshold is met.
+appends the leading directions until an energy-capture threshold is met;
+a QR orthonormalizes the appended directions.
 """
 
 from __future__ import annotations
@@ -88,9 +89,9 @@ def extend(m: SubspaceBasis, h: Mat, eps: float) -> SubspaceBasis:
 
     Projects h off the current span, eigendecomposes the residual
     covariance and appends the top-u eigenvectors, u chosen by
-    choose_rank. Existing columns are preserved as a prefix; new columns
-    get one re-orthonormalization pass against them to keep the
-    orthonormality defect small across many extensions.
+    choose_rank. Existing columns are preserved as a prefix; the new
+    columns are projected off them once more and orthonormalized by a QR,
+    which keeps the orthonormality defect small across many extensions.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.shape[0] != m.dim:
@@ -110,24 +111,8 @@ def extend(m: SubspaceBasis, h: Mat, eps: float) -> SubspaceBasis:
     u = choose_rank(evals, captured_sq, total_sq, eps)
     if u == 0:
         return SubspaceBasis(m.dim, m.basis.copy())
-    new_cols = evecs[:, :u]
-    # Modified Gram-Schmidt against the existing columns, then among the
-    # new columns themselves.
-    cols = [m.basis[:, j] for j in range(m.rank)]
-    added = []
-    for j in range(new_cols.shape[1]):
-        v = new_cols[:, j].copy()
-        for c in cols:
-            v -= (c @ v) * c
-        norm = np.linalg.norm(v)
-        if norm < 1e-10:
-            continue
-        v /= norm
-        cols.append(v)
-        added.append(v)
-    if not added:
-        return SubspaceBasis(m.dim, m.basis.copy())
-    return SubspaceBasis(m.dim, np.column_stack([m.basis] + added))
+    added, _ = np.linalg.qr(project_out(m, evecs[:, :u]))
+    return SubspaceBasis(m.dim, np.column_stack([m.basis, added]))
 
 
 class SubspaceMemory:

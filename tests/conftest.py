@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gatedlora import autodiff as ad
 from gatedlora.numerics import Rng
 
 
@@ -32,6 +33,15 @@ def finite_difference(fn, params, h=1e-5):
             it.iternext()
         grads.append(g)
     return grads
+
+
+def total(node):
+    """Collapse any (m, n) node to 1x1, the mean of its entries, by
+    matmuls with constant vectors of 1/m and 1/n."""
+    m, n = node.shape
+    rows = ad.constant(np.full((1, m), 1.0 / m))
+    cols = ad.constant(np.full((n, 1), 1.0 / n))
+    return ad.matmul(ad.matmul(rows, node), cols)
 
 
 def assert_close_rel(actual, expected, rel=1e-4, floor=1e-6):

@@ -14,7 +14,7 @@ from gatedlora.numerics import Rng, sym_eig
 from gatedlora.optim import AdamW
 from gatedlora.subspace import SubspaceBasis
 
-from conftest import assert_close_rel, finite_difference
+from conftest import assert_close_rel, finite_difference, total
 
 
 def fresh_layer(rng, d_out=5, d_in=4):
@@ -26,6 +26,11 @@ def fresh_layer(rng, d_out=5, d_in=4):
 # paths are checked against.
 
 
+def delta(branch):
+    """The branch's weight update, up @ down."""
+    return branch.up.value @ branch.down.value
+
+
 def integrate(branches, coeffs):
     """Coefficient-weighted sum of branch products."""
     if len(coeffs) != len(branches):
@@ -35,10 +40,10 @@ def integrate(branches, coeffs):
             raise ValueError(f"integration coefficient {a_i} outside [0, 1]")
     if not branches:
         raise ShapeMismatch("integrate needs at least one branch for its shape")
-    total = np.zeros((branches[0].up.value.shape[0], branches[0].down.value.shape[1]))
+    summed = np.zeros((branches[0].up.value.shape[0], branches[0].down.value.shape[1]))
     for a_i, branch in zip(coeffs, branches):
-        total += a_i * branch.delta()
-    return total
+        summed += a_i * delta(branch)
+    return summed
 
 
 def adapted_forward(layer, coeffs, h):
@@ -57,11 +62,11 @@ def olora_penalty(branches, lam):
     if len(branches) <= 1:
         return 0.0
     new = branches[-1].down.value
-    total = 0.0
+    overlap_sq = 0.0
     for old in branches[:-1]:
         overlap = old.down.value @ new.T
-        total += float(np.sum(overlap * overlap))
-    return lam * total
+        overlap_sq += float(np.sum(overlap * overlap))
+    return lam * overlap_sq
 
 
 class TestIntegrate:
@@ -116,7 +121,7 @@ class TestAdaptedForward:
             br = expand_branch(layer, 2, rng.child(tag))
             br.up.value[:] = rng.normal(5, 2, 1.0)
         h = rng.normal(4, 3, 1.0)
-        plain = layer.weight @ h + sum(b.delta() @ h for b in layer.branches)
+        plain = layer.weight @ h + sum(delta(b) @ h for b in layer.branches)
         assert np.allclose(adapted_forward(layer, [1.0, 1.0], h), plain)
 
     def test_node_path_matches_value_path(self, rng):
@@ -197,6 +202,21 @@ class TestInfloraDesign:
         with pytest.raises(NoFreeSubspace):
             inflora_design(np.ones((4, 3)), protected, 1)
 
+    def test_degenerate_inputs_with_protected_space(self):
+        # inputs excite one free direction plus the protected span, rank 3
+        # requested: the other two rows come from the free complement
+        q, _ = np.linalg.qr(np.random.default_rng(1).normal(size=(6, 2)))
+        protected = SubspaceBasis(6, q)
+        v = np.random.default_rng(2).normal(size=6)
+        v -= q @ (q.T @ v)
+        v /= np.linalg.norm(v)
+        h = np.outer(v, np.arange(1.0, 6.0)) + q @ np.ones((2, 5))
+        rows = inflora_design(h, protected, 3)
+        assert np.allclose(rows @ rows.T, np.eye(3), atol=1e-10)
+        assert np.max(np.abs(rows @ q)) <= 1e-10
+        assert abs(rows[0] @ v) == pytest.approx(1.0, abs=1e-10)
+        assert np.array_equal(rows, inflora_design(h, protected, 3))
+
     def test_degenerate_inputs_completed_deterministically(self):
         # new inputs excite one direction only, rank 2 requested
         h = np.outer(np.array([1.0, 0, 0, 0]), np.ones(5))
@@ -249,7 +269,7 @@ class TestExpandBranch:
         ones = ad.constant(np.ones((1, 6)))
         for _ in range(25):
             out = layer.forward_node([ones, ones], ad.constant(h))
-            ad.backward(ad.mean_columns(ad.mean_columns(ad.silu(out)).T))
+            ad.backward(total(ad.silu(out)))
             opt.step()
         assert (first.up.value.tobytes(), first.down.value.tobytes()) == frozen_bytes
 
@@ -261,7 +281,7 @@ class TestExpandBranch:
         opt = AdamW(br.trainable_params(), lr=1e-2)
         for _ in range(25):
             out = layer.forward_node([ad.constant(np.ones((1, 20)))], ad.constant(h_new))
-            ad.backward(ad.mean_columns(ad.mean_columns(ad.silu(out)).T))
+            ad.backward(total(ad.silu(out)))
             opt.step()
         assert np.array_equal(br.down.value, rows)
         assert np.max(np.abs(br.up.value)) > 0  # the trainable half moved

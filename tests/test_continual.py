@@ -122,6 +122,12 @@ def test_whole_run_invariants(branch_strategy):
     assert state.model.frozen_fingerprint() == fingerprint
     for k, before in enumerate(trained[:-1]):
         assert task_bytes(state, k) == before, f"task {k} moved after it was frozen"
+    # The optimizer only ever holds the newest task's params, so the bytes
+    # above hold even if freezing did nothing; check the freeze itself.
+    frozen = [p for module in state.bank.modules[:-1] for p in module.params]
+    for layer in state.model.adapted_layers:
+        frozen += [p for b in layer.branches[:-1] for p in (b.up, b.down)]
+    assert all(not p.requires_grad and p.grad is None for p in frozen)
 
     first = run_sequence(DESK_MODEL, cfg, 7).summary_dict()
     assert run_sequence(DESK_MODEL, cfg, 7).summary_dict() == first
@@ -159,12 +165,22 @@ def test_inflora_out_of_subspace_names_layer_and_settings():
     assert len(state.bank) == 0
 
 
-def test_run_param_count_matches_toy_preset():
-    # Pins the architecture run_sequence derives from the backbone's layers.
+@pytest.mark.parametrize("branch_strategy", ["seq", "inc", "olora", "inflora"])
+def test_run_param_count_matches_toy_preset(branch_strategy):
+    # run_sequence counts what the optimizer trains; the toy preset's
+    # formula must agree with it.
     model_cfg = dict(
         DESK_MODEL, vocab_size=64, window_size=64, embed_dim=64, hidden_dim=64, n_tasks=1
     )
-    cfg = StrategyConfig(branch_strategy="olora", gating_mode="no_constraints", epochs=1)
+    mode = "fixed_one" if branch_strategy == "seq" else "no_constraints"
+    cfg = StrategyConfig(branch_strategy=branch_strategy, gating_mode=mode, epochs=1)
     result = run_sequence(model_cfg, cfg, 0)
-    want = count_trainable_params(preset("toy"), "olora", cfg.rank, gated=True)
+    want = count_trainable_params(preset("toy"), branch_strategy, cfg.rank, gated=cfg.gated)
     assert result.trainable_params == want
+
+
+def test_sigmoid_gate_fn_rejected():
+    # f(0) = 0.5 would break the pin on old-task inputs under "gain"
+    with pytest.raises(ValueError, match="gate_fn.*no_init.*no_constraints"):
+        StrategyConfig(gate_fn="sigmoid").validate()
+    StrategyConfig(gating_mode="no_init").validate()  # selects sigmoid itself

@@ -32,10 +32,14 @@ class LoraBranch:
         self.up = ad.parameter(up.copy())
         self.down = ad.parameter(down.copy())
         self.down.requires_grad = train_down
-        self.frozen = False
+
+    @property
+    def frozen(self) -> bool:
+        """True once neither half trains; read from `requires_grad`, the
+        flag the optimizer and autodiff go by."""
+        return not any(p.requires_grad for p in (self.up, self.down))
 
     def freeze(self) -> None:
-        self.frozen = True
         self.up.requires_grad = False
         self.down.requires_grad = False
 
@@ -58,28 +62,49 @@ class AdaptedLinear:
     def in_dim(self) -> int:
         return self.weight.shape[1]
 
-    def forward_node(self, coeffs: list[DiffNode], h: DiffNode) -> DiffNode:
+    def forward_node(
+        self,
+        coeffs: list[DiffNode],
+        h: DiffNode,
+        start: tuple[DiffNode, int] | None = None,
+        stop: int | None = None,
+    ) -> DiffNode:
+        """W h + sum_i a_i * up_i(down_i h), adding the branches in stack order.
+
+        `start`, a `(partial, k)` pair, resumes from `partial`, the sum before
+        branch k; `stop` ends the sum before branch `stop`. A sum taken in
+        such pieces is bit-identical to one taken whole.
+        """
         if len(coeffs) != len(self.branches):
             raise ShapeMismatch(
                 f"{len(coeffs)} coefficients for {len(self.branches)} branches"
             )
-        out = ad.matmul(ad.constant(self.weight), h)
-        for a_i, branch in zip(coeffs, self.branches):
+        if start is None:
+            start = (ad.matmul(ad.constant(self.weight), h), 0)
+        out, k = start
+        for a_i, branch in zip(coeffs[k:stop], self.branches[k:stop]):
             contrib = ad.matmul(branch.up, ad.matmul(branch.down, h))
             out = ad.add(out, ad.scale_columns(a_i, contrib))
         return out
 
 
-def olora_penalty_node(branches: list[LoraBranch], lam: float) -> DiffNode | None:
-    """lam * sum of squared row-space overlaps of the newest branch with
-    every frozen one, as a node; zero when the row spaces are mutually
-    orthogonal, None when inapplicable (one branch, or lam = 0)."""
-    if len(branches) <= 1 or lam == 0.0:
+def olora_gram(branches: list[LoraBranch]) -> Mat | None:
+    """Sum of down^T down over every branch but the newest, in stack order;
+    None when there is no older branch. The older branches stay frozen while
+    the newest trains, so one Gram matrix serves a whole task."""
+    if len(branches) <= 1:
         return None
     gram = np.zeros((branches[0].down.value.shape[1],) * 2)
     for old in branches[:-1]:
         gram += old.down.value.T @ old.down.value
-    return ad.smul(lam, ad.row_space_penalty(branches[-1].down, gram))
+    return gram
+
+
+def olora_penalty_node(down: DiffNode, gram: Mat, lam: float) -> DiffNode:
+    """lam * sum of squared overlaps of the rows of `down` with the frozen
+    rows whose Gram matrix is `gram` (see `olora_gram`), as a node; zero
+    when the row spaces are mutually orthogonal."""
+    return ad.smul(lam, ad.row_space_penalty(down, gram))
 
 
 def inflora_design(h_new: Mat, grad_space: SubspaceBasis, r: int) -> Mat:

@@ -6,7 +6,9 @@ the adapter stacks (strategy-dependent), builds the new gate module with
 its initialization constraint, trains with every gate update projected
 off the stored subspaces, then grows the subspace memories from the
 task's own activations. Evaluation always uses the single gated forward
-path with no task identity.
+path with no task identity, on test pools the state holds for the whole
+run; what the frozen gates and branches give on a held pool is computed
+once.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .adapter import expand_branch, inflora_design, olora_penalty_node
+from .adapter import expand_branch, inflora_design, olora_gram, olora_penalty_node
 from .errors import (
     EmptyInput,
     IncompleteMatrix,
@@ -163,8 +165,30 @@ def compute_ft(matrix: AccuracyMatrix) -> float:
     return float(np.mean(drops))
 
 
+@dataclass
+class HeldPool:
+    """One learned task's pooled test set, held for every later evaluation,
+    with what the frozen part of the model gives on it.
+
+    The pool never changes, and neither does a frozen gate or branch, so
+    each is applied to the pool once:
+    - `gate_rows[j]` is frozen gate j's (1, n) output;
+    - `prefix`, a `(partial, k)` pair, holds as a constant node the first
+      adapted layer's sum W x + sum_{i<k} a_i * up_i(down_i x) over its
+      first k branches, each frozen and weighted by a frozen coefficient.
+    Both grow as later tasks freeze more, in the order the forward adds.
+    """
+
+    pooled: np.ndarray
+    labels: np.ndarray
+    gate_rows: list[np.ndarray] = field(default_factory=list)
+    prefix: Optional[tuple[ad.DiffNode, int]] = None
+
+
 class ContinualState:
-    """Everything that persists across tasks in one run."""
+    """Everything that persists across tasks in one run: the model, the
+    gate bank, both subspace memories, the accuracy matrix and the held
+    test pools (`held`, one `HeldPool` per learned task, in task order)."""
 
     def __init__(self, model: ToyBackbone, cfg: StrategyConfig, rng: Rng):
         cfg.validate()
@@ -183,6 +207,7 @@ class ContinualState:
         )
         self.tasks_learned = 0
         self.matrix = AccuracyMatrix()
+        self.held: list[HeldPool] = []
 
     @property
     def n_branches(self) -> int:
@@ -196,6 +221,37 @@ class ContinualState:
         else:
             coeffs = [ad.constant(np.ones((1, pooled.shape[1])))] * self.n_branches
         return self.model.forward_node(coeffs, pooled)
+
+    def hold(self, pooled: np.ndarray, labels: np.ndarray) -> None:
+        """Keep a learned task's `(embed_dim, n)` pooled test inputs and
+        their n labels for every later evaluation."""
+        self.held.append(HeldPool(pooled, labels))
+
+    def held_logits(self, pool: HeldPool) -> np.ndarray:
+        """`forward`'s logits on a held pool, graph-free, with each frozen
+        gate row and the first adapted layer's frozen prefix computed once
+        per pool; the newest gate and every unfrozen branch run fresh."""
+        x = ad.constant(pool.pooled)
+        with ad.no_grad():
+            if self.cfg.gated:
+                rows = pool.gate_rows
+                for module in self.bank.modules[len(rows):]:
+                    if not module.frozen:
+                        break
+                    rows.append(module.forward_node(x)[0].value)
+                coeffs = [ad.constant(r) for r in rows]
+                coeffs += [m.forward_node(x)[0] for m in self.bank.modules[len(rows):]]
+                settled = len(rows)
+            else:
+                coeffs = [ad.constant(np.ones((1, x.shape[1])))] * self.n_branches
+                settled = self.n_branches
+            layer = self.model.adapted_layers[0]
+            k = pool.prefix[1] if pool.prefix else 0
+            while k < settled and layer.branches[k].frozen:
+                k += 1
+            pool.prefix = (layer.forward_node(coeffs, x, pool.prefix, stop=k), k)
+            logits, _ = self.model.forward_node(coeffs, x, pool.prefix)
+        return logits.value
 
     def trainable_params(self) -> list[ad.DiffNode]:
         params: list[ad.DiffNode] = []
@@ -289,6 +345,14 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
                     lambda delta, b=basis: constrain_update(delta, b)
                 )
 
+    # The older branches stay frozen through the task: one Gram per layer.
+    penalties = []
+    if cfg.branch_strategy == "olora" and cfg.lam != 0.0:
+        for layer in layers:
+            gram = olora_gram(layer.branches)
+            if gram is not None:
+                penalties.append((layer.branches[-1].down, gram))
+
     params = state.trainable_params()
     opt = AdamW(
         params,
@@ -304,11 +368,8 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
             idx = order[start : start + cfg.batch_size]
             logits, _ = state.forward(ad.constant(pooled_all[:, idx]))
             loss = ad.softmax_cross_entropy(logits, labels_all[idx])
-            if cfg.branch_strategy == "olora":
-                for layer in layers:
-                    pen = olora_penalty_node(layer.branches, cfg.lam)
-                    if pen is not None:
-                        loss = ad.add(loss, pen)
+            for down, gram in penalties:
+                loss = ad.add(loss, olora_penalty_node(down, gram, cfg.lam))
             ad.backward(loss)
             opt.step(transforms)
 
@@ -322,21 +383,19 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
     state.tasks_learned = t
 
 
-def evaluate(
-    state: ContinualState, tests: list[tuple[np.ndarray, np.ndarray]]
-) -> list[float]:
-    """Accuracy (percent) on each test set, single gated forward path, no
-    task identities.
+def evaluate(state: ContinualState) -> list[float]:
+    """Accuracy (percent) on each held test pool (`state.held`, in task
+    order), single gated forward path, no task identities.
 
-    `tests` holds one `(pooled, labels)` pair per learned task, in task
-    order: the `(embed_dim, n)` pooled test inputs and their n labels.
+    Frozen gate rows and the first adapted layer's frozen-branch prefix are
+    memoised per pool (see `HeldPool`), so a run of T tasks computes each
+    frozen (gate, pool) pair once, O(T^2) gate forwards in all rather than
+    O(T^3). The logits are bit-identical to `state.forward`'s.
     """
     row = []
-    for pooled, labels in tests:
-        with ad.no_grad():
-            logits, _ = state.forward(ad.constant(pooled))
-        pred = np.argmax(logits.value, axis=0)
-        row.append(100.0 * float(np.mean(pred == labels)))
+    for pool in state.held:
+        pred = np.argmax(state.held_logits(pool), axis=0)
+        row.append(100.0 * float(np.mean(pred == pool.labels)))
     return row
 
 
@@ -365,18 +424,17 @@ class RunResult:
         }
 
 
-def collect_gate_samples(
-    state: ContinualState, tests: list[tuple[np.ndarray, np.ndarray]], cap: int = 50
-) -> list[dict]:
-    """Outputs of every gate module on the first `cap` samples of each test
-    set; `tests` holds one `(pooled, labels)` pair per task, as for
-    `evaluate`."""
+def collect_gate_samples(state: ContinualState, cap: int = 50) -> list[dict]:
+    """Outputs of every gate module on the first `cap` samples of each held
+    test pool (`state.held`). Each runs fresh on the `cap` columns rather
+    than slicing a memoised row: BLAS may round a narrower product
+    differently."""
     if not state.cfg.gated:
         return []
     samples = []
-    for task_idx, (pooled, _) in enumerate(tests):
+    for task_idx, pool in enumerate(state.held):
         for gate_idx, module in enumerate(state.bank.modules):
-            values, _ = module.forward_values(pooled[:, :cap])
+            values, _ = module.forward_values(pool.pooled[:, :cap])
             samples.append(
                 {
                     "gate": gate_idx,
@@ -430,16 +488,15 @@ def run_sequence(
         )
     state = ContinualState(model, strategy, rng.child("train"))
     ap_trajectory = []
-    tests = []
     for task in sequence:
         learn_task(state, task.train)
-        tests.append((model.pool_batch(task.test), task.test.labels))
-        row = evaluate(state, tests)
+        state.hold(model.pool_batch(task.test), task.test.labels)
+        row = evaluate(state)
         state.matrix.add_row(row)
         ap_trajectory.append(float(np.mean(row)))
     ap = compute_ap(state.matrix)
     ft = compute_ft(state.matrix) if state.matrix.n_tasks >= 2 else None
-    gate_samples = collect_gate_samples(state, tests)
+    gate_samples = collect_gate_samples(state)
     return RunResult(
         seed=seed,
         matrix=state.matrix,

@@ -120,15 +120,19 @@ class GatingModule:
             raise ShapeMismatch("final gate layer must map to a scalar")
         self.params = [ad.parameter(w.copy()) for w in weights]
         self.gate = gate
-        self.frozen = False
 
     @property
     def input_dims(self) -> list[int]:
         """Input dimension of every layer, hidden plus final."""
         return [p.value.shape[1] for p in self.params]
 
+    @property
+    def frozen(self) -> bool:
+        """True once no weight trains; read from `requires_grad`, the flag
+        the optimizer and autodiff go by."""
+        return not any(p.requires_grad for p in self.params)
+
     def freeze(self) -> None:
-        self.frozen = True
         for p in self.params:
             p.requires_grad = False
 

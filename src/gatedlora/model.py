@@ -130,17 +130,22 @@ class ToyBackbone:
         return np.ascontiguousarray((total / lengths[:, None]).T)
 
     def forward_node(
-        self, coeffs: list[DiffNode], pooled: DiffNode
+        self,
+        coeffs: list[DiffNode],
+        pooled: DiffNode,
+        start: tuple[DiffNode, int] | None = None,
     ) -> tuple[DiffNode, list[Mat]]:
         """Class logits node for a pooled batch; also returns the inputs
-        seen by each adapted layer (for subspace collection)."""
+        seen by each adapted layer (for subspace collection). `start`
+        resumes the first adapted layer's branch sum, as in
+        `AdaptedLinear.forward_node`."""
         h = pooled
         inputs = []
         for i, layer in enumerate(self.adapted_layers):
             if i:
                 h = ad.silu(h)
             inputs.append(h.value)
-            h = layer.forward_node(coeffs, h)
+            h = layer.forward_node(coeffs, h, None if i else start)
         return ad.matmul(ad.constant(self.head), h), inputs
 
 

@@ -7,6 +7,7 @@ from gatedlora.adapter import (
     LoraBranch,
     expand_branch,
     inflora_design,
+    olora_gram,
     olora_penalty_node,
 )
 from gatedlora.errors import NoFreeSubspace, ShapeMismatch
@@ -67,6 +68,15 @@ def olora_penalty(branches, lam):
         overlap = old.down.value @ new.T
         overlap_sq += float(np.sum(overlap * overlap))
     return lam * overlap_sq
+
+
+def olora_penalty_per_step(branches, lam):
+    """The penalty node with its Gram matrix rebuilt from the branches, as
+    a training step once built it on every call."""
+    gram = np.zeros((branches[0].down.value.shape[1],) * 2)
+    for old in branches[:-1]:
+        gram += old.down.value.T @ old.down.value
+    return ad.smul(lam, ad.row_space_penalty(branches[-1].down, gram))
 
 
 class TestIntegrate:
@@ -139,7 +149,7 @@ class TestOloraPenalty:
     def test_single_branch_penalty_zero(self):
         branch = LoraBranch(np.zeros((3, 1)), np.ones((1, 3)))
         assert olora_penalty([branch], 0.5) == 0.0
-        assert olora_penalty_node([branch], 0.5) is None
+        assert olora_gram([branch]) is None
 
     def test_orthogonal_rows_zero(self):
         b1 = LoraBranch(np.zeros((3, 1)), np.array([[1.0, 0.0, 0.0]]))
@@ -171,11 +181,32 @@ class TestOloraPenalty:
             return olora_penalty(branches, lam)
 
         branches = old + [LoraBranch(np.zeros((3, 2)), new_rows)]
-        node = olora_penalty_node(branches, lam)
+        node = olora_penalty_node(branches[-1].down, olora_gram(branches), lam)
         assert node.value[0, 0] == pytest.approx(value_of(new_rows), rel=1e-12)
         ad.backward(node)
         numeric = finite_difference(lambda ps: value_of(ps[0]), [new_rows.copy()])
         assert_close_rel(branches[-1].down.grad, numeric[0], rel=1e-4, floor=1e-6)
+
+    def test_task_gram_matches_per_step_rebuild(self, rng):
+        # One Gram built before training serves every step: value and
+        # gradient bytes equal the per-step rebuild's while the newest
+        # branch trains.
+        layer = fresh_layer(rng)
+        for tag in "abc":
+            expand_branch(layer, 2, rng.child(tag))
+        down = layer.branches[-1].down
+        gram = olora_gram(layer.branches)
+        opt = AdamW([down], lr=1e-1)
+        for _ in range(5):
+            oracle = olora_penalty_per_step(layer.branches, 0.7)
+            ad.backward(oracle)
+            oracle_grad = down.grad.copy()
+            node = olora_penalty_node(down, gram, 0.7)
+            assert node.value.tobytes() == oracle.value.tobytes()
+            ad.backward(node)
+            assert down.grad.tobytes() == oracle_grad.tobytes()
+            opt.step()
+        assert olora_gram(layer.branches).tobytes() == gram.tobytes()
 
 
 class TestInfloraDesign:

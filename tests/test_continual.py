@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 
+from gatedlora import autodiff as ad
+from gatedlora import continual
 from gatedlora.continual import (
     AccuracyMatrix,
     ContinualState,
     StrategyConfig,
     compute_ap,
     compute_ft,
+    evaluate,
     learn_task,
     run_sequence,
 )
 from gatedlora.errors import IncompleteMatrix, NoFreeSubspace, SingleTask
+from gatedlora.gating import GatingModule
 from gatedlora.model import ToyBackbone, build_task_sequence
 from gatedlora.numerics import Rng
 from gatedlora.params import count_trainable_params, preset
@@ -147,6 +151,67 @@ def test_each_dataset_pooled_once(branch_strategy, monkeypatch):
     # one train and one test set per task, none of them twice
     assert len(pooled) == 2 * DESK_MODEL["n_tasks"]
     assert len({id(ds) for ds in pooled}) == len(pooled)
+
+
+@pytest.mark.parametrize(
+    "branch_strategy, gating_mode",
+    [("olora", "gain"), ("inflora", "gain"), ("seq", "fixed_one")],
+)
+def test_held_memo_matches_fresh_forward(branch_strategy, gating_mode):
+    # After every task, each memoised gate row and first-layer prefix is
+    # byte-equal to a fresh forward, the newest gate and branch are not in
+    # the memo, and the logits are byte-equal to the training forward's.
+    cfg = desk_strategy(branch_strategy, gating_mode=gating_mode)
+    state, sequence = desk_state(cfg)
+    layer = state.model.adapted_layers[0]
+    for task in sequence:
+        learn_task(state, task.train)
+        state.hold(state.model.pool_batch(task.test), task.test.labels)
+        evaluate(state)
+        modules = state.bank.modules
+        for pool in state.held:
+            x = ad.constant(pool.pooled)
+            with ad.no_grad():
+                if cfg.gated:
+                    coeffs = [m.forward_node(x)[0] for m in modules]
+                else:
+                    coeffs = [ad.constant(np.ones((1, x.shape[1])))] * len(layer.branches)
+                partial, k = pool.prefix
+                prefix = layer.forward_node(coeffs, x, stop=k)
+                logits, _ = state.forward(x)
+            assert len(pool.gate_rows) == max(len(modules) - 1, 0)
+            for row, fresh in zip(pool.gate_rows, coeffs):
+                assert row.tobytes() == fresh.value.tobytes()
+            assert k < len(layer.branches)
+            assert partial.value.tobytes() == prefix.value.tobytes()
+            assert state.held_logits(pool).tobytes() == logits.value.tobytes()
+
+
+def test_evaluate_gate_forwards_grow_linearly(monkeypatch):
+    # Each frozen (gate, held pool) pair runs once: after task t, the newest
+    # gate runs on all t pools, the gate frozen by task t on the t - 1 older
+    # pools, and the t - 1 frozen gates on the new pool: 3t - 2 forwards,
+    # against t^2 if every gate ran on every pool.
+    count = [0]
+    per_evaluate = []
+    forward_node = GatingModule.forward_node
+
+    def counting_forward(self, pooled):
+        count[0] += 1
+        return forward_node(self, pooled)
+
+    def counting_evaluate(state):
+        before = count[0]
+        row = evaluate(state)
+        per_evaluate.append(count[0] - before)
+        return row
+
+    monkeypatch.setattr(GatingModule, "forward_node", counting_forward)
+    monkeypatch.setattr(continual, "evaluate", counting_evaluate)
+    n_tasks = 6
+    model_cfg = dict(DESK_MODEL, n_tasks=n_tasks, vocab_size=n_tasks * DESK_MODEL["window_size"])
+    run_sequence(model_cfg, desk_strategy("olora", epochs=1), 0)
+    assert per_evaluate == [3 * t - 2 for t in range(1, n_tasks + 1)]
 
 
 def test_inflora_out_of_subspace_names_layer_and_settings():

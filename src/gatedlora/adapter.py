@@ -73,12 +73,12 @@ class AdaptedLinear:
 
         `start`, a `(partial, k)` pair, resumes from `partial`, the sum before
         branch k; `stop` ends the sum before branch `stop`. A sum taken in
-        such pieces is bit-identical to one taken whole.
+        such pieces is bit-identical to one taken whole. `coeffs` holds one
+        coefficient per branch before `stop` (per branch when it is None).
         """
-        if len(coeffs) != len(self.branches):
-            raise ShapeMismatch(
-                f"{len(coeffs)} coefficients for {len(self.branches)} branches"
-            )
+        summed = len(self.branches[:stop])
+        if len(coeffs) != summed:
+            raise ShapeMismatch(f"{len(coeffs)} coefficients for {summed} branches")
         if start is None:
             start = (ad.matmul(ad.constant(self.weight), h), 0)
         out, k = start

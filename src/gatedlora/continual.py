@@ -7,8 +7,12 @@ its initialization constraint, trains with every gate update projected
 off the stored subspaces, then grows the subspace memories from the
 task's own activations. Evaluation always uses the single gated forward
 path with no task identity, on test pools the state holds for the whole
-run; what the frozen gates and branches give on a held pool is computed
-once.
+run.
+
+Training and evaluation apply the model to a pool through one method,
+`ContinualState.apply`. Frozen gates and branches never change, and
+neither does a pool, so what they give on it is computed once per pool
+(the task's training pool, or a held test pool) and read back by column.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .gating import (
     gating_layer_shapes,
     init_new_gating,
 )
-from .model import Dataset, TaskSequence, ToyBackbone
+from .model import Dataset, TaskSequence, ToyBackbone, build_task_sequence
 from .numerics import Rng
 from .optim import AdamW
 from .params import BRANCH_STRATEGIES
@@ -166,12 +170,13 @@ def compute_ft(matrix: AccuracyMatrix) -> float:
 
 
 @dataclass
-class HeldPool:
-    """One learned task's pooled test set, held for every later evaluation,
-    with what the frozen part of the model gives on it.
+class Pool:
+    """A pooled input set, with what the frozen part of the model gives on
+    it: a task's training pool, or a learned task's test pool, held for
+    every later evaluation.
 
     The pool never changes, and neither does a frozen gate or branch, so
-    each is applied to the pool once:
+    each is applied to the whole pool once:
     - `gate_rows[j]` is frozen gate j's (1, n) output;
     - `prefix`, a `(partial, k)` pair, holds as a constant node the first
       adapted layer's sum W x + sum_{i<k} a_i * up_i(down_i x) over its
@@ -188,7 +193,7 @@ class HeldPool:
 class ContinualState:
     """Everything that persists across tasks in one run: the model, the
     gate bank, both subspace memories, the accuracy matrix and the held
-    test pools (`held`, one `HeldPool` per learned task, in task order)."""
+    test pools (`held`, one `Pool` per learned task, in task order)."""
 
     def __init__(self, model: ToyBackbone, cfg: StrategyConfig, rng: Rng):
         cfg.validate()
@@ -207,51 +212,62 @@ class ContinualState:
         )
         self.tasks_learned = 0
         self.matrix = AccuracyMatrix()
-        self.held: list[HeldPool] = []
+        self.held: list[Pool] = []
 
     @property
     def n_branches(self) -> int:
         return len(self.model.adapted_layers[0].branches)
 
-    def forward(self, pooled: ad.DiffNode) -> tuple[ad.DiffNode, list[np.ndarray]]:
-        """Logits and adapted-layer inputs of the integrated model: every
-        branch weighted by its gate, or by 1 when ungated."""
-        if self.cfg.gated:
-            coeffs = self.bank.coefficient_nodes(pooled)
-        else:
-            coeffs = [ad.constant(np.ones((1, pooled.shape[1])))] * self.n_branches
-        return self.model.forward_node(coeffs, pooled)
-
     def hold(self, pooled: np.ndarray, labels: np.ndarray) -> None:
         """Keep a learned task's `(embed_dim, n)` pooled test inputs and
         their n labels for every later evaluation."""
-        self.held.append(HeldPool(pooled, labels))
+        self.held.append(Pool(pooled, labels))
 
-    def held_logits(self, pool: HeldPool) -> np.ndarray:
-        """`forward`'s logits on a held pool, graph-free, with each frozen
-        gate row and the first adapted layer's frozen prefix computed once
-        per pool; the newest gate and every unfrozen branch run fresh."""
-        x = ad.constant(pool.pooled)
+    def apply(
+        self, pool: Pool, idx: Optional[np.ndarray] = None
+    ) -> tuple[ad.DiffNode, list[np.ndarray]]:
+        """Logits node and adapted-layer inputs of the integrated model on
+        the pool's columns `idx` (all of them when None): every branch
+        weighted by its gate, or by 1 when ungated.
+
+        First the pool's memo is extended, graph-free, over the gates and
+        leading first-layer branches frozen since it was last read. Then
+        its columns `idx` are taken and only the rest runs fresh, with a
+        graph unless under `no_grad`: the unfrozen gates and branches, the
+        later adapted layers and the head. The result matches a fresh
+        forward on the C-ordered batch `pool.pooled.take(idx, axis=1)` byte
+        for byte as long as BLAS rounds an output column the same whatever
+        the product's width.
+        """
+        layer = self.model.adapted_layers[0]
         with ad.no_grad():
+            x = ad.constant(pool.pooled)
             if self.cfg.gated:
-                rows = pool.gate_rows
-                for module in self.bank.modules[len(rows):]:
+                for module in self.bank.modules[len(pool.gate_rows):]:
                     if not module.frozen:
                         break
-                    rows.append(module.forward_node(x)[0].value)
-                coeffs = [ad.constant(r) for r in rows]
-                coeffs += [m.forward_node(x)[0] for m in self.bank.modules[len(rows):]]
-                settled = len(rows)
+                    pool.gate_rows.append(module.forward_node(x)[0].value)
+                memo = [ad.constant(r) for r in pool.gate_rows]
             else:
-                coeffs = [ad.constant(np.ones((1, x.shape[1])))] * self.n_branches
-                settled = self.n_branches
-            layer = self.model.adapted_layers[0]
+                memo = [ad.constant(np.ones((1, x.shape[1])))] * self.n_branches
             k = pool.prefix[1] if pool.prefix else 0
-            while k < settled and layer.branches[k].frozen:
+            while k < len(memo) and layer.branches[k].frozen:
                 k += 1
-            pool.prefix = (layer.forward_node(coeffs, x, pool.prefix, stop=k), k)
-            logits, _ = self.model.forward_node(coeffs, x, pool.prefix)
-        return logits.value
+            pool.prefix = (layer.forward_node(memo[:k], x, pool.prefix, stop=k), k)
+
+        def cols(a: np.ndarray) -> np.ndarray:
+            # `take` copies C-ordered; `a[:, idx]` is Fortran-ordered, and
+            # BLAS may round a product with it unlike the memo's columns.
+            return a if idx is None else a.take(idx, axis=1)
+
+        x = ad.constant(cols(pool.pooled))
+        if self.cfg.gated:
+            coeffs = [ad.constant(cols(r)) for r in pool.gate_rows]
+            coeffs += [m.forward_node(x)[0] for m in self.bank.modules[len(coeffs):]]
+        else:
+            coeffs = [ad.constant(np.ones((1, x.shape[1])))] * self.n_branches
+        partial, k = pool.prefix
+        return self.model.forward_node(coeffs, x, (ad.constant(cols(partial.value)), k))
 
     def trainable_params(self) -> list[ad.DiffNode]:
         params: list[ad.DiffNode] = []
@@ -271,20 +287,23 @@ def _subsample(rng: Rng, n: int, cap: int) -> np.ndarray:
 
 
 def _collect_adapted_inputs(
-    state: ContinualState, pooled: np.ndarray, rng: Rng
+    state: ContinualState, pool: Pool, rng: Rng
 ) -> list[np.ndarray]:
-    """Inputs seen by each adapted layer on a sample of pooled columns."""
-    idx = _subsample(rng, pooled.shape[1], state.cfg.subspace_samples)
-    # `take` copies C-contiguous; `pooled[:, idx]` is Fortran-ordered, and
-    # BLAS may round a product with it differently than with a C-ordered one.
+    """Inputs seen by each adapted layer on a sample of the pool's columns,
+    read through the pool's memo (`ContinualState.apply`)."""
+    idx = _subsample(rng, pool.pooled.shape[1], state.cfg.subspace_samples)
     with ad.no_grad():
-        _, inputs = state.forward(ad.constant(pooled.take(idx, axis=1)))
+        _, inputs = state.apply(pool, idx)
     return inputs
 
 
 def learn_task(state: ContinualState, train: Dataset) -> None:
     """Run one task through the full pipeline (expansion, constrained
-    initialization, training, subspace growth)."""
+    initialization, training, subspace growth).
+
+    The task's pooled training set is one `Pool` for the whole task: every
+    step reads its batch's columns of the frozen gate rows and of the
+    first adapted layer's frozen prefix from it."""
     cfg = state.cfg
     if len(train) == 0:
         raise EmptyInput("cannot learn from an empty dataset")
@@ -294,14 +313,13 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
         )
     t = state.tasks_learned + 1
     rng = state.rng.child(f"task{t}")
-    pooled_all = state.model.pool_batch(train)
-    labels_all = train.labels
+    pool = Pool(state.model.pool_batch(train), train.labels)
     n = len(train)
 
     layers = state.model.adapted_layers
     designed_rows: list[Optional[np.ndarray]] = [None] * len(layers)
     if cfg.branch_strategy == "inflora":
-        inputs = _collect_adapted_inputs(state, pooled_all, rng.child("design"))
+        inputs = _collect_adapted_inputs(state, pool, rng.child("design"))
         for i, h in enumerate(inputs):
             basis = state.grad_memory.layer(i)
             try:
@@ -366,8 +384,8 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
         order = shuffle_rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            logits, _ = state.forward(ad.constant(pooled_all[:, idx]))
-            loss = ad.softmax_cross_entropy(logits, labels_all[idx])
+            logits, _ = state.apply(pool, idx)
+            loss = ad.softmax_cross_entropy(logits, pool.labels[idx])
             for down, gram in penalties:
                 loss = ad.add(loss, olora_penalty_node(down, gram, cfg.lam))
             ad.backward(loss)
@@ -375,10 +393,10 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
 
     if cfg.gated and (cfg.init_constraints or cfg.update_constraints):
         idx = _subsample(rng.child("trace"), n, cfg.subspace_samples)
-        _, trace = state.bank.modules[-1].forward_values(pooled_all.take(idx, axis=1))
+        _, trace = state.bank.modules[-1].forward_values(pool.pooled.take(idx, axis=1))
         state.gate_memory.extend_all(trace)
     if cfg.branch_strategy == "inflora":
-        inputs = _collect_adapted_inputs(state, pooled_all, rng.child("grad-space"))
+        inputs = _collect_adapted_inputs(state, pool, rng.child("grad-space"))
         state.grad_memory.extend_all(inputs)
     state.tasks_learned = t
 
@@ -387,15 +405,17 @@ def evaluate(state: ContinualState) -> list[float]:
     """Accuracy (percent) on each held test pool (`state.held`, in task
     order), single gated forward path, no task identities.
 
-    Frozen gate rows and the first adapted layer's frozen-branch prefix are
-    memoised per pool (see `HeldPool`), so a run of T tasks computes each
-    frozen (gate, pool) pair once, O(T^2) gate forwards in all rather than
-    O(T^3). The logits are bit-identical to `state.forward`'s.
+    Logits come from `ContinualState.apply`, which reads frozen gate rows
+    and the first adapted layer's frozen-branch prefix from each pool's
+    memo (see `Pool`), so a run of T tasks computes each frozen (gate,
+    pool) pair once, O(T^2) gate forwards in all rather than O(T^3).
     """
     row = []
-    for pool in state.held:
-        pred = np.argmax(state.held_logits(pool), axis=0)
-        row.append(100.0 * float(np.mean(pred == pool.labels)))
+    with ad.no_grad():
+        for pool in state.held:
+            logits, _ = state.apply(pool)
+            pred = np.argmax(logits.value, axis=0)
+            row.append(100.0 * float(np.mean(pred == pool.labels)))
     return row
 
 
@@ -472,8 +492,6 @@ def run_sequence(
         n_classes=n_classes,
     )
     if sequence is None:
-        from .model import build_task_sequence
-
         sequence = build_task_sequence(
             rng.child("data"),
             n_tasks=model_cfg["n_tasks"],

@@ -221,6 +221,3 @@ class GatingBank:
         for old in self.modules:
             old.freeze()
         self.modules.append(module)
-
-    def coefficient_nodes(self, pooled: DiffNode) -> list[DiffNode]:
-        return [m.forward_node(pooled)[0] for m in self.modules]

@@ -51,3 +51,9 @@ def assert_close_rel(actual, expected, rel=1e-4, floor=1e-6):
     denom = np.maximum(np.abs(expected), floor)
     err = np.max(np.abs(actual - expected) / denom)
     assert err <= rel, f"max relative error {err:.3e} > {rel:.0e}"
+
+
+def coefficient_nodes(bank, pooled):
+    """Every gate module's (1, n) output node on a pooled batch, each run
+    fresh."""
+    return [m.forward_node(pooled)[0] for m in bank.modules]

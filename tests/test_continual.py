@@ -20,6 +20,8 @@ from gatedlora.numerics import Rng
 from gatedlora.params import count_trainable_params, preset
 from gatedlora.subspace import SubspaceBasis
 
+from conftest import coefficient_nodes
+
 # Three tasks at desk size: a run takes a fraction of a second.
 DESK_MODEL = dict(
     vocab_size=24,
@@ -74,6 +76,17 @@ def desk_state(cfg, seed=0):
         seq_len=(mc["seq_len_min"], mc["seq_len_max"]),
     )
     return ContinualState(model, cfg, rng.child("train")), sequence
+
+
+def fresh_forward(state, pooled):
+    """Logits and adapted-layer inputs of the integrated model with every
+    gate and branch run fresh on `pooled`, each branch weighted by its gate
+    or by 1 when ungated: the oracle for `ContinualState.apply`'s memo."""
+    if state.cfg.gated:
+        coeffs = coefficient_nodes(state.bank, pooled)
+    else:
+        coeffs = [ad.constant(np.ones((1, pooled.shape[1])))] * state.n_branches
+    return state.model.forward_node(coeffs, pooled)
 
 
 def task_bytes(state, k):
@@ -153,14 +166,34 @@ def test_each_dataset_pooled_once(branch_strategy, monkeypatch):
     assert len({id(ds) for ds in pooled}) == len(pooled)
 
 
-@pytest.mark.parametrize(
+# olora-fixed_one is ungated with several branches: its prefix sums frozen
+# branches with all-ones coefficients. seq-fixed_one never freezes its one
+# branch, so its prefix is W x alone.
+MEMO_CONFIGS = pytest.mark.parametrize(
     "branch_strategy, gating_mode",
-    [("olora", "gain"), ("inflora", "gain"), ("seq", "fixed_one")],
+    [("olora", "gain"), ("inflora", "gain"), ("seq", "fixed_one"), ("olora", "fixed_one")],
 )
+
+
+def bytes_of(arrays):
+    return [None if a is None else a.tobytes() for a in arrays]
+
+
+def assert_memo_frozen(state, pool):
+    """Only frozen gates and branches are in the pool's memo, and the newest
+    gate is not."""
+    modules = state.bank.modules
+    assert all(m.frozen for m in modules[: len(pool.gate_rows)])
+    assert len(pool.gate_rows) == max(len(modules) - 1, 0)
+    _, k = pool.prefix
+    assert all(b.frozen for b in state.model.adapted_layers[0].branches[:k])
+
+
+@MEMO_CONFIGS
 def test_held_memo_matches_fresh_forward(branch_strategy, gating_mode):
     # After every task, each memoised gate row and first-layer prefix is
     # byte-equal to a fresh forward, the newest gate and branch are not in
-    # the memo, and the logits are byte-equal to the training forward's.
+    # the memo, and the logits are byte-equal to the oracle's.
     cfg = desk_strategy(branch_strategy, gating_mode=gating_mode)
     state, sequence = desk_state(cfg)
     layer = state.model.adapted_layers[0]
@@ -168,23 +201,87 @@ def test_held_memo_matches_fresh_forward(branch_strategy, gating_mode):
         learn_task(state, task.train)
         state.hold(state.model.pool_batch(task.test), task.test.labels)
         evaluate(state)
-        modules = state.bank.modules
         for pool in state.held:
             x = ad.constant(pool.pooled)
             with ad.no_grad():
                 if cfg.gated:
-                    coeffs = [m.forward_node(x)[0] for m in modules]
+                    coeffs = coefficient_nodes(state.bank, x)
                 else:
                     coeffs = [ad.constant(np.ones((1, x.shape[1])))] * len(layer.branches)
                 partial, k = pool.prefix
-                prefix = layer.forward_node(coeffs, x, stop=k)
-                logits, _ = state.forward(x)
-            assert len(pool.gate_rows) == max(len(modules) - 1, 0)
+                prefix = layer.forward_node(coeffs[:k], x, stop=k)
+                logits, _ = fresh_forward(state, x)
+                held, _ = state.apply(pool)
+            assert_memo_frozen(state, pool)
             for row, fresh in zip(pool.gate_rows, coeffs):
                 assert row.tobytes() == fresh.value.tobytes()
             assert k < len(layer.branches)
             assert partial.value.tobytes() == prefix.value.tobytes()
-            assert state.held_logits(pool).tobytes() == logits.value.tobytes()
+            assert held.value.tobytes() == logits.value.tobytes()
+
+
+@MEMO_CONFIGS
+def test_training_memo_matches_fresh_forward(branch_strategy, gating_mode, monkeypatch):
+    # On every call during a task (training steps, InfLoRA's design and
+    # grad-space inputs), what `apply` gives on the training pool's columns
+    # is byte-equal to the oracle on the C-ordered batch: logits, layer
+    # inputs and, on a training step, each trainable parameter's gradient.
+    cfg = desk_strategy(branch_strategy, gating_mode=gating_mode)
+    state, sequence = desk_state(cfg)
+    apply = ContinualState.apply
+    steps = []
+
+    def checked(self, pool, idx=None):
+        logits, inputs = apply(self, pool, idx)
+        if idx is None:
+            return logits, inputs
+        assert_memo_frozen(self, pool)
+        batch = pool.pooled.take(idx, axis=1)
+        fresh, fresh_inputs = fresh_forward(self, ad.constant(batch))
+        assert inputs[0].flags.c_contiguous
+        assert logits.value.tobytes() == fresh.value.tobytes()
+        assert bytes_of(inputs) == bytes_of(fresh_inputs)
+        if logits.requires_grad:
+            params = self.trainable_params()
+            grads = []
+            for out in (logits, fresh):
+                ad.backward(ad.softmax_cross_entropy(out, pool.labels[idx]))
+                grads.append(bytes_of(p.grad for p in params))
+            assert grads[0] == grads[1]
+            steps.append(len(idx))
+        return logits, inputs
+
+    monkeypatch.setattr(ContinualState, "apply", checked)
+    for task in sequence:
+        learn_task(state, task.train)
+    n = DESK_MODEL["train_per_task"]
+    assert sum(steps) == cfg.epochs * n * DESK_MODEL["n_tasks"]
+
+
+@pytest.mark.parametrize("gating_mode", ["gain", "no_constraints"])
+def test_learn_task_gate_forwards_grow_linearly(gating_mode, monkeypatch):
+    # Task t reads its t - 1 frozen gates once on its training pool; only
+    # the newest gate runs on each batch, plus once more for its input
+    # trace when the gate memory grows: (t - 1) + steps (+ 1), against
+    # t * steps (+ 1) if every gate ran on every batch.
+    count = [0]
+    forward_node = GatingModule.forward_node
+
+    def counting_forward(self, pooled):
+        count[0] += 1
+        return forward_node(self, pooled)
+
+    monkeypatch.setattr(GatingModule, "forward_node", counting_forward)
+    cfg = desk_strategy("olora", gating_mode=gating_mode)
+    state, sequence = desk_state(cfg)
+    steps = cfg.epochs * -(-DESK_MODEL["train_per_task"] // cfg.batch_size)
+    trace = 1 if gating_mode == "gain" else 0
+    per_task = []
+    for task in sequence:
+        before = count[0]
+        learn_task(state, task.train)
+        per_task.append(count[0] - before)
+    assert per_task == [t - 1 + steps + trace for t in range(1, len(sequence) + 1)]
 
 
 def test_evaluate_gate_forwards_grow_linearly(monkeypatch):

@@ -24,7 +24,7 @@ from gatedlora.numerics import Rng, gaussian_init
 from gatedlora.optim import AdamW
 from gatedlora.subspace import SubspaceBasis, SubspaceMemory
 
-from conftest import total
+from conftest import coefficient_nodes, total
 
 
 class TestGateFn:
@@ -359,6 +359,6 @@ class TestGatingBank:
         bank = GatingBank()
         bank.add(make_module(rng.child("a")))
         bank.add(make_module(rng.child("b")))
-        rows = bank.coefficient_nodes(ad.constant(np.zeros((6, 4))))
+        rows = coefficient_nodes(bank, ad.constant(np.zeros((6, 4))))
         assert len(rows) == 2
         assert all(r.shape == (1, 4) for r in rows)

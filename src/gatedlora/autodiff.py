@@ -1,23 +1,24 @@
 """Minimal reverse-mode differentiation over 2-D float64 arrays.
 
-The op set is small and closed: matmul, transpose, add (same shape or
-column bias), scalar multiply (by a python float, or per-column by a 1xn
-node), SiLU, sigmoid, abs, sin, clip-from-above, softmax cross-entropy,
-and a quadratic row-space penalty. Every op here is covered by
-finite-difference checks in the test suite; do not add ops without
-extending those checks.
+The op set is small and closed: matmul, transpose, same-shape add, scalar
+multiply (by a python float, or per-column by a 1xn node), SiLU, sigmoid,
+abs, sin, clip-from-above, softmax cross-entropy, and a quadratic
+row-space penalty. Every op here is covered by finite-difference checks
+in the test suite; do not add ops without extending those checks.
 
-Values are immutable after construction; gradients are accumulated only
-inside a single backward() call, which visits each node exactly once in
-reverse topological order. A node that needs no gradient keeps neither
-its parents nor its reverse-pass closure, so graph-free callers (inside
-`no_grad()`) build no graph at all.
+Each op builds its node from (parent, vjp) pairs: a vjp (vector-Jacobian
+product) maps the node's gradient to that parent's share. A node keeps
+only the pairs whose parent needs a gradient, so backward() computes no
+gradient that would be thrown away, and graph-free callers (inside
+`no_grad()`) build no graph at all. Values are immutable after
+construction; gradients are accumulated only inside a single backward()
+call, which visits each node exactly once in reverse topological order.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -39,17 +40,17 @@ def no_grad() -> Iterator[None]:
 
 
 class DiffNode:
-    """One value in the computation graph plus its reverse-pass record."""
+    """One value in the computation graph plus its reverse-pass record.
 
-    __slots__ = ("value", "grad", "parents", "requires_grad", "_push")
+    `parents` holds only the inputs that need a gradient, in argument
+    order, and `vjps[i]` maps this node's gradient to `parents[i]`'s
+    share. A node that needs no gradient keeps neither, so it does not
+    keep its inputs alive.
+    """
 
-    def __init__(
-        self,
-        value,
-        parents: tuple = (),
-        push: Optional[Callable[["DiffNode"], None]] = None,
-        requires_grad: bool = False,
-    ):
+    __slots__ = ("value", "grad", "parents", "vjps", "requires_grad")
+
+    def __init__(self, value, inputs: tuple = (), requires_grad: bool = False):
         v = np.asarray(value, dtype=np.float64)
         if v.ndim == 0:
             v = v.reshape(1, 1)
@@ -57,13 +58,9 @@ class DiffNode:
             raise ShapeMismatch(f"nodes are 2-D, got shape {v.shape}")
         self.value = v
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad = requires_grad or (
-            _grad_enabled and any(p.requires_grad for p in parents)
-        )
-        # backward() never visits a node that needs no gradient, so such a
-        # node need not keep its inputs alive.
-        self.parents = parents if self.requires_grad else ()
-        self._push = push if self.requires_grad else None
+        kept = [pair for pair in inputs if pair[0].requires_grad] if _grad_enabled else ()
+        self.requires_grad = requires_grad or bool(kept)
+        self.parents, self.vjps = zip(*kept) if kept else ((), ())
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -84,11 +81,6 @@ def constant(value) -> DiffNode:
     return DiffNode(value)
 
 
-def _accum(node: DiffNode, g: np.ndarray) -> None:
-    if node.requires_grad:
-        node.grad += g
-
-
 def backward(loss: DiffNode) -> None:
     """Populate .grad with d(loss)/d(node) for every reachable node.
 
@@ -105,75 +97,62 @@ def backward(loss: DiffNode) -> None:
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen or not node.requires_grad:
+        if id(node) in seen:
             continue
         seen.add(id(node))
         stack.append((node, True))
         for p in node.parents:
             stack.append((p, False))
     for node in order:
-        node.grad = np.zeros_like(node.value)
+        node.grad = None
     loss.grad = np.ones((1, 1))
     for node in reversed(order):
-        if node._push is not None:
-            node._push(node)
+        for p, vjp in zip(node.parents, node.vjps):
+            g = vjp(node.grad)
+            # Never in place: add's vjp hands the same array to both parents.
+            p.grad = g if p.grad is None else p.grad + g
 
 
 def matmul(a: DiffNode, b: DiffNode) -> DiffNode:
     if a.shape[1] != b.shape[0]:
         raise ShapeMismatch(f"matmul {a.shape} @ {b.shape}")
-
-    def push(out: DiffNode) -> None:
-        _accum(a, out.grad @ b.value.T)
-        _accum(b, a.value.T @ out.grad)
-
-    return DiffNode(a.value @ b.value, (a, b), push)
+    return DiffNode(
+        a.value @ b.value,
+        ((a, lambda g: g @ b.value.T), (b, lambda g: a.value.T @ g)),
+    )
 
 
 def transpose(a: DiffNode) -> DiffNode:
     """(m, n) -> (n, m)."""
-
-    def push(out: DiffNode) -> None:
-        _accum(a, out.grad.T)
-
-    return DiffNode(a.value.T, (a,), push)
+    # A C-ordered copy, like every other gradient: numpy reductions and
+    # BLAS products may round a Fortran-ordered operand differently.
+    return DiffNode(a.value.T, ((a, lambda g: np.ascontiguousarray(g.T)),))
 
 
 def add(a: DiffNode, b: DiffNode) -> DiffNode:
-    """Elementwise sum; b may also be a (m,1) bias added to every column."""
-    if a.shape == b.shape:
-        def push(out: DiffNode) -> None:
-            _accum(a, out.grad)
-            _accum(b, out.grad)
-        return DiffNode(a.value + b.value, (a, b), push)
-    if b.shape == (a.shape[0], 1):
-        def push(out: DiffNode) -> None:
-            _accum(a, out.grad)
-            _accum(b, out.grad.sum(axis=1, keepdims=True))
-        return DiffNode(a.value + b.value, (a, b), push)
-    raise ShapeMismatch(f"add {a.shape} + {b.shape}")
+    """Elementwise sum of two same-shape nodes."""
+    if a.shape != b.shape:
+        raise ShapeMismatch(f"add {a.shape} + {b.shape}")
+    return DiffNode(a.value + b.value, ((a, lambda g: g), (b, lambda g: g)))
 
 
 def smul(c: float, a: DiffNode) -> DiffNode:
     """Multiply by a python float."""
     c = float(c)
-
-    def push(out: DiffNode) -> None:
-        _accum(a, c * out.grad)
-
-    return DiffNode(c * a.value, (a,), push)
+    return DiffNode(c * a.value, ((a, lambda g: c * g),))
 
 
 def scale_columns(s: DiffNode, a: DiffNode) -> DiffNode:
     """Column j of a scaled by s[0, j]; both receive gradients."""
     if s.shape != (1, a.shape[1]):
         raise ShapeMismatch(f"scale_columns {s.shape} * {a.shape}")
-
-    def push(out: DiffNode) -> None:
-        _accum(s, np.sum(out.grad * a.value, axis=0, keepdims=True))
-        _accum(a, s.value * out.grad)
-
-    return DiffNode(s.value * a.value, (s, a), push)
+    return DiffNode(
+        s.value * a.value,
+        (
+            (s, lambda g: np.sum(g * a.value, axis=0, keepdims=True)),
+            (a, lambda g: s.value * g),
+        ),
+    )
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -185,47 +164,30 @@ def _logistic(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(a: DiffNode) -> DiffNode:
     v = _logistic(a.value)
-
-    def push(out: DiffNode) -> None:
-        _accum(a, out.grad * v * (1.0 - v))
-
-    return DiffNode(v, (a,), push)
+    return DiffNode(v, ((a, lambda g: g * v * (1.0 - v)),))
 
 
 def silu(a: DiffNode) -> DiffNode:
     sig = _logistic(a.value)
-    v = a.value * sig
-
-    def push(out: DiffNode) -> None:
-        # d/dx x*sigma(x) = sigma(x) (1 + x (1 - sigma(x)))
-        _accum(a, out.grad * sig * (1.0 + a.value * (1.0 - sig)))
-
-    return DiffNode(v, (a,), push)
+    # d/dx x*sigma(x) = sigma(x) (1 + x (1 - sigma(x)))
+    return DiffNode(
+        a.value * sig, ((a, lambda g: g * sig * (1.0 + a.value * (1.0 - sig))),)
+    )
 
 
 def absval(a: DiffNode) -> DiffNode:
-    def push(out: DiffNode) -> None:
-        _accum(a, out.grad * np.sign(a.value))
-
-    return DiffNode(np.abs(a.value), (a,), push)
+    return DiffNode(np.abs(a.value), ((a, lambda g: g * np.sign(a.value)),))
 
 
 def sine(a: DiffNode) -> DiffNode:
-    def push(out: DiffNode) -> None:
-        _accum(a, out.grad * np.cos(a.value))
-
-    return DiffNode(np.sin(a.value), (a,), push)
+    return DiffNode(np.sin(a.value), ((a, lambda g: g * np.cos(a.value)),))
 
 
 def clip_upper(a: DiffNode, hi: float) -> DiffNode:
     """min(a, hi) elementwise; gradient passes only where a < hi."""
     hi = float(hi)
     mask = a.value < hi
-
-    def push(out: DiffNode) -> None:
-        _accum(a, out.grad * mask)
-
-    return DiffNode(np.minimum(a.value, hi), (a,), push)
+    return DiffNode(np.minimum(a.value, hi), ((a, lambda g: g * mask),))
 
 
 def softmax_cross_entropy(logits: DiffNode, labels: np.ndarray) -> DiffNode:
@@ -246,14 +208,13 @@ def softmax_cross_entropy(logits: DiffNode, labels: np.ndarray) -> DiffNode:
     probs = expv / expv.sum(axis=0, keepdims=True)
     cols = np.arange(n)
     nll = -(shifted[labels, cols] - np.log(expv.sum(axis=0)))
-    value = np.array([[nll.mean()]])
 
-    def push(out: DiffNode) -> None:
-        g = probs.copy()
-        g[labels, cols] -= 1.0
-        _accum(logits, out.grad[0, 0] * g / n)
+    def vjp(g: np.ndarray) -> np.ndarray:
+        dprobs = probs.copy()
+        dprobs[labels, cols] -= 1.0
+        return g[0, 0] * dprobs / n
 
-    return DiffNode(value, (logits,), push)
+    return DiffNode(np.array([[nll.mean()]]), ((logits, vjp),))
 
 
 def row_space_penalty(x: DiffNode, s: np.ndarray) -> DiffNode:
@@ -267,8 +228,4 @@ def row_space_penalty(x: DiffNode, s: np.ndarray) -> DiffNode:
         raise ShapeMismatch(f"penalty metric {s.shape} vs rows of dim {x.shape[1]}")
     xs = x.value @ s
     value = np.array([[float(np.sum(xs * x.value))]])
-
-    def push(out: DiffNode) -> None:
-        _accum(x, out.grad[0, 0] * 2.0 * xs)
-
-    return DiffNode(value, (x,), push)
+    return DiffNode(value, ((x, lambda g: g[0, 0] * 2.0 * xs),))

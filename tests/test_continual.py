@@ -13,7 +13,13 @@ from gatedlora.continual import (
     learn_task,
     run_sequence,
 )
-from gatedlora.errors import IncompleteMatrix, NoFreeSubspace, SingleTask
+from gatedlora.errors import (
+    IncompleteMatrix,
+    NoFreeSubspace,
+    OrderViolation,
+    SingleTask,
+    UnknownPreset,
+)
 from gatedlora.gating import GatingModule
 from gatedlora.model import ToyBackbone, build_task_sequence
 from gatedlora.numerics import Rng
@@ -339,6 +345,18 @@ def test_run_param_count_matches_toy_preset(branch_strategy):
     result = run_sequence(model_cfg, cfg, 0)
     want = count_trainable_params(preset("toy"), branch_strategy, cfg.rank, gated=cfg.gated)
     assert result.trainable_params == want
+
+
+def test_unknown_preset_named():
+    with pytest.raises(UnknownPreset, match="unknown preset 'gpt-5'"):
+        preset("gpt-5")
+
+
+def test_task_out_of_order_rejected():
+    state, sequence = desk_state(desk_strategy("olora"))
+    with pytest.raises(OrderViolation, match="expected task 0, got 1"):
+        learn_task(state, sequence.tasks[1].train)
+    assert state.tasks_learned == 0 and len(state.bank) == 0
 
 
 def test_sigmoid_gate_fn_rejected():

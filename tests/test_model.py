@@ -3,7 +3,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gatedlora.errors import EmptyInput, IdOutOfRange, ParseError, SchemaError
+from gatedlora.errors import (
+    EmptyInput,
+    IdOutOfRange,
+    ParseError,
+    SchemaError,
+    WindowOverlap,
+)
 from gatedlora.gating import pool_embed
 from gatedlora.model import Dataset, ToyBackbone, build_task_sequence, ingest_dataset
 from gatedlora.numerics import Rng, gaussian_init
@@ -78,6 +84,22 @@ class TestGenerator:
                 assert all(lo <= tok < hi for seq in ds.tokens for tok in seq)
             train = {tuple(seq) for seq in task.train.tokens}
             assert train.isdisjoint(tuple(seq) for seq in task.test.tokens)
+
+    def test_windows_past_vocab_rejected(self):
+        embedding = gaussian_init(Rng(0).child("embed"), 40, 16, 1.0)
+        with pytest.raises(WindowOverlap, match="3 windows of 16 tokens exceed vocab 40"):
+            build_task_sequence(
+                Rng(0).child("data"),
+                n_tasks=3,
+                classes_per_task=3,
+                n_train=20,
+                n_test=10,
+                vocab_size=40,
+                window_size=16,
+                noise=0.0,
+                embedding=embedding,
+                seq_len=(2, 2),
+            )
 
     def test_same_seed_same_tasks(self):
         a, b = desk_sequence(4), desk_sequence(4)

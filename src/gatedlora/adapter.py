@@ -75,12 +75,24 @@ class AdaptedLinear:
         branch k; `stop` ends the sum before branch `stop`. A sum taken in
         such pieces is bit-identical to one taken whole. `coeffs` holds one
         coefficient per branch before `stop` (per branch when it is None).
+
+        Without `start`, W h and the leading branches that are frozen and
+        weighted by a coefficient that needs no gradient form one node
+        (`autodiff.lowrank_sum`); every later branch adds its own. Value and
+        gradients are bit-identical to adding every branch on its own.
         """
         summed = len(self.branches[:stop])
         if len(coeffs) != summed:
             raise ShapeMismatch(f"{len(coeffs)} coefficients for {summed} branches")
         if start is None:
-            start = (ad.matmul(ad.constant(self.weight), h), 0)
+            k = 0
+            while k < summed and self.branches[k].frozen and not coeffs[k].requires_grad:
+                k += 1
+            terms = [
+                (a.value, b.up.value, b.down.value)
+                for a, b in zip(coeffs[:k], self.branches)
+            ]
+            start = (ad.lowrank_sum(h, self.weight, terms), k)
         out, k = start
         for a_i, branch in zip(coeffs[k:stop], self.branches[k:stop]):
             contrib = ad.matmul(branch.up, ad.matmul(branch.down, h))

@@ -2,9 +2,11 @@
 
 The op set is small and closed: matmul, transpose, same-shape add, scalar
 multiply (by a python float, or per-column by a 1xn node), SiLU, sigmoid,
-abs, sin, clip-from-above, softmax cross-entropy, and a quadratic
-row-space penalty. Every op here is covered by finite-difference checks
-in the test suite; do not add ops without extending those checks.
+abs, sin, clip-from-above, softmax cross-entropy, a quadratic
+row-space penalty, and a frozen weight plus coefficient-weighted frozen
+low-rank terms applied to one input (`lowrank_sum`). Every op here is
+covered by finite-difference checks in the test suite; do not add ops
+without extending those checks.
 
 Each op builds its node from (parent, vjp) pairs: a vjp (vector-Jacobian
 product) maps the node's gradient to that parent's share. A node keeps
@@ -153,6 +155,37 @@ def scale_columns(s: DiffNode, a: DiffNode) -> DiffNode:
             (a, lambda g: s.value * g),
         ),
     )
+
+
+def lowrank_sum(
+    h: DiffNode,
+    weight: np.ndarray,
+    terms: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> DiffNode:
+    """weight @ h plus a * (up @ (down @ h)) for each constant (a, up, down)
+    in `terms`, added in order; only h receives a gradient.
+
+    Value and gradient are bit-identical to the same sum built from
+    matmul, scale_columns and add nodes over constants: each product and
+    each sum is written as those ops write it.
+    """
+    if h.shape[0] != weight.shape[1]:
+        raise ShapeMismatch(f"lowrank_sum weight {weight.shape} @ h {h.shape}")
+    out = weight @ h.value
+    for a, up, down in terms:
+        if up.shape != (out.shape[0], down.shape[0]) or down.shape[1] != h.shape[0]:
+            raise ShapeMismatch(f"lowrank_sum {up.shape} @ {down.shape} @ {h.shape}")
+        if a.shape != (1, h.shape[1]):
+            raise ShapeMismatch(f"lowrank_sum coefficient {a.shape} vs {out.shape}")
+        out = out + a * (up @ (down @ h.value))
+
+    def vjp(g: np.ndarray) -> np.ndarray:
+        dh = weight.T @ g
+        for a, up, down in terms:
+            dh = dh + down.T @ (up.T @ (a * g))
+        return dh
+
+    return DiffNode(out, ((h, vjp),))
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ class IdOutOfRange(GatedLoraError):
 
 
 class WindowOverlap(GatedLoraError):
-    """Configured per-task vocabulary windows intersect."""
+    """The per-task vocabulary windows do not fit in the vocabulary."""
 
 
 class NoFreeSubspace(GatedLoraError):

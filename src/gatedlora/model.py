@@ -241,9 +241,6 @@ def build_task_sequence(
 ) -> TaskSequence:
     """Lay out disjoint vocab windows and generate every task."""
     windows = [(t * window_size, (t + 1) * window_size) for t in range(n_tasks)]
-    for (a0, a1), (b0, b1) in zip(windows, windows[1:]):
-        if a1 > b0:
-            raise WindowOverlap(f"windows {(a0, a1)} and {(b0, b1)} intersect")
     if windows and windows[-1][1] > vocab_size:
         raise WindowOverlap(
             f"{n_tasks} windows of {window_size} tokens exceed vocab {vocab_size}"

@@ -57,3 +57,41 @@ def coefficient_nodes(bank, pooled):
     """Every gate module's (1, n) output node on a pooled batch, each run
     fresh."""
     return [m.forward_node(pooled)[0] for m in bank.modules]
+
+
+def branch_sum(layer, coeffs, h):
+    """W h + sum_i a_i * up_i(down_i h) over the layer's first len(coeffs)
+    branches, one matmul, scale_columns and add node per step: the
+    per-branch oracle `AdaptedLinear.forward_node` must match byte for
+    byte, value and gradients."""
+    out = ad.matmul(ad.constant(layer.weight), h)
+    for a_i, branch in zip(coeffs, layer.branches):
+        contrib = ad.matmul(branch.up, ad.matmul(branch.down, h))
+        out = ad.add(out, ad.scale_columns(a_i, contrib))
+    return out
+
+
+def oracle_forward(model, coeffs, pooled):
+    """`ToyBackbone.forward_node` with every adapted layer summed by
+    `branch_sum`: logits node and each adapted layer's input."""
+    h = pooled
+    inputs = []
+    for i, layer in enumerate(model.adapted_layers):
+        if i:
+            h = ad.silu(h)
+        inputs.append(h.value)
+        h = branch_sum(layer, coeffs, h)
+    return ad.matmul(ad.constant(model.head), h), inputs
+
+
+def graph_size(node):
+    """Number of nodes reachable from `node` through recorded parents,
+    `node` included: the nodes a backward pass from it visits."""
+    seen = set()
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if id(n) not in seen:
+            seen.add(id(n))
+            stack.extend(n.parents)
+    return len(seen)

@@ -15,7 +15,7 @@ from gatedlora.numerics import Rng, sym_eig
 from gatedlora.optim import AdamW
 from gatedlora.subspace import SubspaceBasis
 
-from conftest import assert_close_rel, finite_difference, total
+from conftest import assert_close_rel, branch_sum, finite_difference, graph_size, total
 
 
 def fresh_layer(rng, d_out=5, d_in=4):
@@ -143,6 +143,40 @@ class TestAdaptedForward:
         node = layer.forward_node([ad.constant(coeffs)], ad.constant(h))
         vals = layer.weight @ h + coeffs * (br.up.value @ (br.down.value @ h))
         assert np.allclose(node.value, vals, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "case, folded",
+        [("live_gate", 4), ("ungated", 4), ("inflora", 4), ("frozen_live_gate", 2)],
+    )
+    def test_fused_frozen_part_matches_per_branch_oracle(self, rng, case, folded):
+        # Four frozen branches, then the live one. W h and the leading
+        # frozen branches with constant coefficients form one node; value
+        # and every gradient are byte-equal to adding each branch on its own.
+        d, n, r = 16, 12, 2
+        layer = AdaptedLinear(rng.normal(d, d, 1.0))
+        for t in range(5):
+            rows = rng.normal(r, d, 1.0) if case == "inflora" and t == 4 else None
+            expand_branch(layer, r, rng.child(f"b{t}"), designed_down=rows)
+            layer.branches[-1].up.value[:] = rng.normal(d, r, 1.0)
+        if case == "ungated":
+            coeffs = [ad.constant(np.ones((1, n)))] * 5
+        else:
+            coeffs = [ad.constant(rng.uniform(n).reshape(1, n)) for _ in range(5)]
+            coeffs[4] = ad.parameter(coeffs[4].value)
+        if case == "frozen_live_gate":
+            coeffs[2] = ad.parameter(coeffs[2].value)
+        h = ad.parameter(rng.normal(d, n, 1.0))
+        params = [h] + layer.branches[4].trainable_params()
+        params += [a for a in coeffs if a.requires_grad]
+        results, sizes = [], []
+        for forward in (layer.forward_node, lambda c, x: branch_sum(layer, c, x)):
+            out = forward(coeffs, h)
+            ad.backward(total(ad.sine(out)))
+            results.append([out.value.tobytes()] + [p.grad.tobytes() for p in params])
+            sizes.append(graph_size(out))
+        assert results[0] == results[1]
+        # each folded branch saves its matmul, matmul, scale_columns and add
+        assert sizes[1] - sizes[0] == 4 * folded
 
 
 class TestOloraPenalty:

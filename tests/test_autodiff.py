@@ -136,6 +136,24 @@ class TestMechanics:
         with pytest.raises(ShapeMismatch):
             ad.softmax_cross_entropy(ad.parameter(np.ones((3, 2))), np.array([0, 3]))
 
+    @pytest.mark.parametrize(
+        "weight, term",
+        [
+            ((5, 2), ((1, 4), (5, 2), (2, 3))),  # h rows != weight columns
+            ((5, 3), ((1, 4), (5, 2), (2, 4))),  # down columns != h rows
+            ((5, 3), ((1, 4), (5, 3), (2, 3))),  # up and down ranks differ
+            ((5, 3), ((1, 4), (4, 2), (2, 3))),  # up rows != weight rows
+            ((5, 3), ((1, 3), (5, 2), (2, 3))),  # coefficient not (1, n)
+            ((5, 3), ((4, 1), (5, 2), (2, 3))),
+        ],
+        ids=["weight", "down", "rank", "up", "coeff_cols", "coeff_rows"],
+    )
+    def test_lowrank_sum_shape_checks(self, weight, term):
+        h = ad.parameter(np.ones((3, 4)))
+        ok = tuple(np.ones(s) for s in ((1, 4), (5, 2), (2, 3)))
+        with pytest.raises(ShapeMismatch):
+            ad.lowrank_sum(h, np.ones(weight), [ok, tuple(np.ones(s) for s in term)])
+
 
 def _away_from(x, bad, dist=1e-3):
     """Nudge entries off a non-differentiable point so FD is valid there."""
@@ -150,6 +168,18 @@ def _away_from(x, bad, dist=1e-3):
 _LABELS = np.array([0, 2, 1, 0, 2, 1])
 _METRIC_SEED = np.random.default_rng(7).normal(size=(4, 4))
 _METRIC = _METRIC_SEED @ _METRIC_SEED.T
+# A frozen (5, 3) weight and three frozen rank-2 terms with (1, 4)
+# coefficients, for lowrank_sum.
+_LOWRANK = np.random.default_rng(11)
+_WEIGHT = _LOWRANK.normal(size=(5, 3))
+_TERMS = [
+    (
+        _LOWRANK.uniform(size=(1, 4)),
+        _LOWRANK.normal(size=(5, 2)),
+        _LOWRANK.normal(size=(2, 3)),
+    )
+    for _ in range(3)
+]
 
 OP_CASES = {
     "matmul": (
@@ -174,6 +204,10 @@ OP_CASES = {
     "softmax_cross_entropy": (
         [(3, 6)],
         lambda a: ad.softmax_cross_entropy(a, _LABELS),
+    ),
+    "lowrank_sum": (
+        [(3, 4)],
+        lambda h: total(ad.silu(ad.lowrank_sum(ad.sine(h), _WEIGHT, _TERMS))),
     ),
     "row_space_penalty": (
         [(2, 4)],

@@ -26,7 +26,7 @@ from gatedlora.numerics import Rng
 from gatedlora.params import count_trainable_params, preset
 from gatedlora.subspace import SubspaceBasis
 
-from conftest import coefficient_nodes
+from conftest import branch_sum, coefficient_nodes, graph_size, oracle_forward
 
 # Three tasks at desk size: a run takes a fraction of a second.
 DESK_MODEL = dict(
@@ -87,12 +87,14 @@ def desk_state(cfg, seed=0):
 def fresh_forward(state, pooled):
     """Logits and adapted-layer inputs of the integrated model with every
     gate and branch run fresh on `pooled`, each branch weighted by its gate
-    or by 1 when ungated: the oracle for `ContinualState.apply`'s memo."""
+    or by 1 when ungated, and each adapted layer summed branch by branch:
+    the oracle for `ContinualState.apply`'s memo and for the fused frozen
+    part of `AdaptedLinear.forward_node`."""
     if state.cfg.gated:
         coeffs = coefficient_nodes(state.bank, pooled)
     else:
         coeffs = [ad.constant(np.ones((1, pooled.shape[1])))] * state.n_branches
-    return state.model.forward_node(coeffs, pooled)
+    return oracle_forward(state.model, coeffs, pooled)
 
 
 def task_bytes(state, k):
@@ -215,7 +217,7 @@ def test_held_memo_matches_fresh_forward(branch_strategy, gating_mode):
                 else:
                     coeffs = [ad.constant(np.ones((1, x.shape[1])))] * len(layer.branches)
                 partial, k = pool.prefix
-                prefix = layer.forward_node(coeffs[:k], x, stop=k)
+                prefix = branch_sum(layer, coeffs[:k], x)
                 logits, _ = fresh_forward(state, x)
                 held, _ = state.apply(pool)
             assert_memo_frozen(state, pool)
@@ -288,6 +290,34 @@ def test_learn_task_gate_forwards_grow_linearly(gating_mode, monkeypatch):
         learn_task(state, task.train)
         per_task.append(count[0] - before)
     assert per_task == [t - 1 + steps + trace for t in range(1, len(sequence) + 1)]
+
+
+@pytest.mark.parametrize("gating_mode", ["gain", "fixed_one"])
+def test_training_graph_stays_flat(gating_mode, monkeypatch):
+    # Every frozen branch of every adapted layer sits in one node with W h
+    # (layer 1's in the memo), so from task 2 on a training loss reaches
+    # the same number of nodes however many branches are frozen, against
+    # 4 more per frozen branch if each were its own matmul, matmul,
+    # scale_columns and add.
+    per_task = []
+    backward = ad.backward
+
+    def counting_backward(loss):
+        per_task[-1].add(graph_size(loss))
+        backward(loss)
+
+    def marking_learn_task(state, train):
+        per_task.append(set())
+        learn_task(state, train)
+
+    monkeypatch.setattr(ad, "backward", counting_backward)
+    monkeypatch.setattr(continual, "learn_task", marking_learn_task)
+    n_tasks = 6
+    model_cfg = dict(DESK_MODEL, n_tasks=n_tasks, vocab_size=n_tasks * DESK_MODEL["window_size"])
+    run_sequence(model_cfg, desk_strategy("olora", gating_mode=gating_mode, epochs=1), 0)
+    counts = [sizes.pop() for sizes in per_task if len(sizes) == 1]
+    assert len(counts) == n_tasks  # one graph size per task
+    assert counts[1:] == [counts[1]] * (n_tasks - 1), counts
 
 
 def test_evaluate_gate_forwards_grow_linearly(monkeypatch):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DiffNode
-from .errors import DimMismatch, EmptyInput, IdOutOfRange, NonFinite, ShapeMismatch
+from .errors import DimMismatch, NonFinite, ShapeMismatch
 from .numerics import Mat, Rng, gaussian_init
 from .subspace import SubspaceBasis, SubspaceMemory, project_out
 
@@ -63,32 +63,6 @@ class GateFn(enum.Enum):
         if self is GateFn.ABS_SINE:
             return ad.absval(ad.sine(ad.smul(math.pi / 2.0, b)))
         return ad.sigmoid(b)
-
-
-def _token_ids(tokens, vocab_size: int) -> np.ndarray:
-    """Token ids as an integer array, checked to lie in [0, vocab_size).
-
-    Ids of any non-integer dtype are rejected, never truncated.
-    """
-    ids = np.asarray(tokens)
-    if ids.size == 0:
-        raise EmptyInput("cannot pool an empty token sequence")
-    if ids.dtype.kind not in "iu":
-        raise IdOutOfRange(f"token ids must be integers, got dtype {ids.dtype}")
-    if ids.min() < 0 or ids.max() >= vocab_size:
-        raise IdOutOfRange(
-            f"token ids must be in [0, {vocab_size}), got [{ids.min()}, {ids.max()}]"
-        )
-    return ids
-
-
-def pool_embed(tokens, embedding: Mat) -> np.ndarray:
-    """Mean of the embedding rows indexed by a token-id sequence.
-
-    Returns a column vector (d, 1).
-    """
-    ids = _token_ids(tokens, embedding.shape[0])
-    return embedding[ids].mean(axis=0).reshape(-1, 1)
 
 
 def gating_layer_shapes(embed_dim: int, hidden: int, depth: int) -> list[tuple[int, int]]:

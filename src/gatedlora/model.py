@@ -29,8 +29,11 @@ from .errors import (
     ShapeMismatch,
     WindowOverlap,
 )
-from .gating import _token_ids, pool_embed
-from .numerics import Mat, Rng, gaussian_init
+from .numerics import Mat, Rng, _lemire, gaussian_init
+
+# Most candidates `generate_task` draws, pools and labels in one block; it
+# bounds a block's memory whatever the attempt's budget.
+_BLOCK = 512
 
 
 @dataclass
@@ -108,9 +111,8 @@ class ToyBackbone:
         """Pooled embeddings as columns: (embed_dim, n), C-contiguous.
 
         `indices` is a sequence of dataset positions (repeats allowed), all
-        of them when None. Column j is bit-identical to `pool_embed` of the
-        j-th selected sequence: rows are summed in token order, then divided
-        by the length (`np.add.reduceat` sums in another order).
+        of them when None. Column j is the mean embedding row of the j-th
+        selected sequence, as `_pool_rows` computes it.
         """
         if indices is None:
             indices = range(len(dataset))
@@ -121,13 +123,8 @@ class ToyBackbone:
         if lengths.min() == 0:
             j = int(np.argmin(lengths))
             raise EmptyInput(f"cannot pool sequence {indices[j]}: it is empty")
-        flat = _token_ids(list(itertools.chain.from_iterable(seqs)), self.vocab_size)
-        starts = np.cumsum(lengths) - lengths
-        total = np.zeros((len(seqs), self.embed_dim))
-        for k in range(lengths.max()):
-            rows = np.flatnonzero(lengths > k)
-            total[rows] += self.embedding[flat[starts[rows] + k]]
-        return np.ascontiguousarray((total / lengths[:, None]).T)
+        flat = list(itertools.chain.from_iterable(seqs))
+        return np.ascontiguousarray(_pool_rows(flat, lengths, self.embedding).T)
 
     def forward_node(
         self,
@@ -147,6 +144,128 @@ class ToyBackbone:
             inputs.append(h.value)
             h = layer.forward_node(coeffs, h, None if i else start)
         return ad.matmul(ad.constant(self.head), h), inputs
+
+
+def _token_ids(tokens, vocab_size: int) -> np.ndarray:
+    """Token ids as an integer array, checked to lie in [0, vocab_size).
+
+    Ids of any non-integer dtype are rejected, never truncated.
+    """
+    ids = np.asarray(tokens)
+    if ids.size == 0:
+        raise EmptyInput("cannot pool an empty token sequence")
+    if ids.dtype.kind not in "iu":
+        raise IdOutOfRange(f"token ids must be integers, got dtype {ids.dtype}")
+    if ids.min() < 0 or ids.max() >= vocab_size:
+        raise IdOutOfRange(
+            f"token ids must be in [0, {vocab_size}), got [{ids.min()}, {ids.max()}]"
+        )
+    return ids
+
+
+def _pool_rows(flat, lengths: np.ndarray, embedding: Mat) -> Mat:
+    """Mean embedding row of each of a batch of sequences, (n, d).
+
+    `flat` holds the sequences' token ids back to back, `lengths` their
+    lengths (all >= 1). Rows are gathered position by position and summed
+    in token order, then divided by the length, so row j is bit-identical
+    to `embedding[seq_j].mean(axis=0)` (`np.add.reduceat` sums in another
+    order).
+    """
+    ids = _token_ids(flat, embedding.shape[0])
+    # Longest first, so the sequences that reach position k are a prefix.
+    order = np.argsort(-lengths, kind="stable")
+    by_len = lengths[order]
+    starts = (np.cumsum(lengths) - lengths)[order]
+    reach = np.searchsorted(-by_len, -np.arange(by_len[0]), side="left")
+    total = np.zeros((len(lengths), embedding.shape[1]))
+    for k, n in enumerate(reach.tolist()):
+        total[:n] += embedding[ids[starts[:n] + k]]
+    rows = np.empty_like(total)
+    rows[order] = total / by_len[:, None]
+    return rows
+
+
+def _runs(
+    raw: np.ndarray, low: int, high: int, starts: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where in a block of raw 32-bit draws `Rng.integers(low, high,
+    counts[i])` takes its values when called at block position starts[i].
+
+    Returns the values the block's draws make, in block order; the index
+    among them of each call's first value; and the block position after
+    each call's last draw, -1 where the block runs out first. A range of
+    one value draws nothing.
+    """
+    if high - low == 1:
+        return np.full(counts.max(), low), np.zeros_like(starts), starts
+    values, accepted = _lemire(raw, high - low)
+    # first[i]: accepted draws before position starts[i]
+    first = np.concatenate(([0], np.cumsum(accepted)))[starts]
+    after = np.append(np.flatnonzero(accepted) + 1, -1)
+    last = np.minimum(first + counts - 1, len(after) - 1)
+    return low + values[accepted], first, after[last]
+
+
+def _split_candidates(
+    raw: np.ndarray, seq_len: tuple[int, int], window: tuple[int, int], limit: int
+) -> tuple[list[int], np.ndarray, list[int]]:
+    """Split a block of raw draws into the candidates `generate_task` draws
+    one at a time: `integers(seq_len[0], seq_len[1] + 1, 1)` for a length,
+    then `integers(*window, length)` for the tokens.
+
+    Returns, for the first (at most `limit`) candidates the block holds
+    whole: their lengths, their tokens back to back, and the raw draws
+    used through each.
+    """
+    # A candidate could start at any block position; find where each would
+    # end, then follow the chain from position 0.
+    positions = np.arange(len(raw) + 1)
+    len_values, len_first, len_after = _runs(
+        raw, seq_len[0], seq_len[1] + 1, positions, np.ones_like(positions)
+    )
+    # The appended length is read only where the block runs out.
+    lengths = np.append(len_values, seq_len[0])[len_first]
+    tok_values, tok_first, tok_after = _runs(
+        raw, *window, np.where(len_after < 0, len(raw), len_after), lengths
+    )
+    after = np.where(len_after < 0, -1, tok_after).tolist()
+    ends: list[int] = []
+    p = 0
+    while len(ends) < limit and after[p] >= 0:
+        p = after[p]
+        ends.append(p)
+    starts = np.array([0] + ends)[:-1]
+    sizes = lengths[starts]
+    # Value index of every token: each candidate's run of values from its
+    # first.
+    ranks = np.repeat(tok_first[starts] - (np.cumsum(sizes) - sizes), sizes)
+    ranks += np.arange(len(ranks))
+    return sizes.tolist(), tok_values[ranks], ends
+
+
+def _labels(teacher: Mat, pooled: Mat) -> list[int]:
+    """`argmax(teacher @ x)` of every pooled row x, as the mat-vec of each
+    row alone gives it.
+
+    One product labels the whole batch. It may round a score differently
+    from the mat-vec, but each rounds it by at most d*eps*|t||x| (d terms,
+    machine epsilon eps, any summation order), so where the top score
+    leads the next by more than four times that, both give the same
+    argmax. The rest are labeled by the mat-vec itself.
+    """
+    scores = pooled @ teacher.T
+    top2 = np.partition(scores, -2, axis=1)[:, -2:]
+    margin = top2[:, 1] - top2[:, 0]
+    bound = (
+        4 * teacher.shape[1] * np.finfo(float).eps
+        * np.linalg.norm(teacher, axis=1).max()
+        * np.linalg.norm(pooled, axis=1)
+    )
+    labels = np.argmax(scores, axis=1)
+    for j in np.flatnonzero(margin <= bound):
+        labels[j] = np.argmax(teacher @ pooled[j].reshape(-1, 1))
+    return labels.tolist()
 
 
 def generate_task(
@@ -169,12 +288,36 @@ def generate_task(
     Class counts are balanced within +-1 per split (before label noise);
     train and test never share a token sequence. Fully deterministic in
     (rng, arguments).
+
+    Each attempt draws from its own streams under `rng`: "teacher", then
+    "draw" for the candidates of both splits (train first), then "noise"
+    for the label flips. A candidate is `integers(seq_len[0], seq_len[1] +
+    1, 1)` for its length, then `integers(lo, hi, length)` for its tokens.
+    A split goes through candidates in order, taking each unseen one whose
+    class has room left, until it is full or has gone through 400 per
+    sample plus 400; then the attempt fails. Candidates are read ahead of
+    the "draw" stream, pooled and labeled in blocks, and the stream then
+    advances past exactly the candidates the split went through, so every
+    draw is the one a one-at-a-time generator would make.
+
+    Raises ValueError, before any draw, when `seq_len` is not
+    1 <= min <= max or the window holds fewer distinct sequences than
+    n_train + n_test.
     """
     if n_classes < 2:
         raise ValueError(f"need at least 2 classes, got {n_classes}")
     lo, hi = vocab_window
     if not 0 <= lo < hi <= embedding.shape[0]:
         raise IdOutOfRange(f"window {vocab_window} outside vocab")
+    if not 1 <= seq_len[0] <= seq_len[1]:
+        raise ValueError(f"seq_len {seq_len}: need 1 <= min <= max")
+    capacity = sum((hi - lo) ** n for n in range(seq_len[0], seq_len[1] + 1))
+    if capacity < n_train + n_test:
+        raise ValueError(
+            f"window of {hi - lo} tokens holds only {capacity} distinct sequences "
+            f"of {seq_len[0]}..{seq_len[1]} tokens, fewer than the "
+            f"{n_train} + {n_test} samples of task {task_id}"
+        )
     for attempt in range(max_attempts):
         gen = rng.child(f"task{task_id}-attempt{attempt}")
         teacher = gaussian_init(gen.child("teacher"), n_classes, embedding.shape[1], 1.0)
@@ -187,21 +330,36 @@ def generate_task(
                 quota[c] += 1
             tokens: list[list[int]] = []
             labels: list[int] = []
-            budget = 400 * count + 400
+            budget = start_budget = 400 * count + 400
             while budget > 0 and len(tokens) < count:
-                budget -= 1
-                length = int(draw.integers(seq_len[0], seq_len[1] + 1, 1)[0])
-                seq = tuple(int(t) for t in draw.integers(lo, hi, length))
-                if seq in seen:
-                    continue
-                pooled = pool_embed(seq, embedding)
-                label = int(np.argmax(teacher @ pooled))
-                if quota[label] == 0:
-                    continue
-                quota[label] -= 1
-                seen.add(seq)
-                tokens.append(list(seq))
-                labels.append(class_offset + label)
+                # Twice the candidates the rest takes at the acceptance rate
+                # so far, and at least 64 to spread a block's fixed cost.
+                tried, want = start_budget - budget, count - len(tokens)
+                expected = -(-want * (tried + 1) // (len(tokens) + 1))
+                block = min(_BLOCK, budget, max(64, 2 * expected))
+                n_raw = block * (seq_len[1] + 1)
+                lengths: list[int] = []
+                while not lengths:  # rejected draws left no candidate whole
+                    lengths, flat, ends = _split_candidates(
+                        draw.peek_raw(n_raw), seq_len, vocab_window, block
+                    )
+                    n_raw *= 2
+                pooled = _pool_rows(flat, np.array(lengths), embedding)
+                ids = flat.tolist()
+                start = 0
+                for length, end, label in zip(lengths, ends, _labels(teacher, pooled)):
+                    budget -= 1
+                    seq = tuple(ids[start : start + length])
+                    start += length
+                    if seq in seen or quota[label] == 0:
+                        continue
+                    quota[label] -= 1
+                    seen.add(seq)
+                    tokens.append(list(seq))
+                    labels.append(class_offset + label)
+                    if len(tokens) == count:
+                        break
+                draw.skip_raw(end)
             if len(tokens) < count:
                 return None
             return Dataset(tokens, np.array(labels), task_id)
@@ -215,10 +373,9 @@ def generate_task(
             for ds in (train, test):
                 coins = flip.uniform(len(ds))
                 shifts = flip.integers(1, n_classes, len(ds))
-                for i in range(len(ds)):
-                    if coins[i] < noise:
-                        local = ds.labels[i] - class_offset
-                        ds.labels[i] = class_offset + (local + shifts[i]) % n_classes
+                hit = coins < noise
+                local = ds.labels[hit] - class_offset
+                ds.labels[hit] = class_offset + (local + shifts[hit]) % n_classes
         return Task(train, test, (lo, hi))
     raise RuntimeError(
         f"task {task_id}: no teacher produced balanced classes in "

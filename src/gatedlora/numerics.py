@@ -50,6 +50,32 @@ class Rng:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
+    def peek_raw(self, n: int) -> np.ndarray:
+        """The stream's next n raw 32-bit draws (as uint64), left unconsumed.
+
+        `integers(low, high, k)` with 2 <= high - low <= 2**32 makes its
+        values from these draws, one or more per value (`_lemire`); with
+        high - low == 1 it draws nothing.
+        """
+        ahead = np.random.PCG64()
+        ahead.state = self._gen.bit_generator.state
+        return np.random.Generator(ahead).integers(0, 1 << 32, size=n, dtype=np.uint64)
+
+    def skip_raw(self, n: int) -> None:
+        """Consume the stream's next n raw 32-bit draws."""
+        self._gen.integers(0, 1 << 32, size=n, dtype=np.uint64)
+
+
+def _lemire(raw: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """What numpy's bounded sampler (Lemire's method) makes of each raw
+    32-bit draw for a range of 2 <= n <= 2**32 values: the value in
+    [0, n), and whether the draw is accepted. A rejected draw yields no
+    value; the sampler moves on to the next raw draw.
+    """
+    m = raw * np.uint64(n)
+    accepted = (m & np.uint64(0xFFFFFFFF)) >= np.uint64((2**32 - n) % n)
+    return (m >> np.uint64(32)).astype(np.int64), accepted
+
 
 def gaussian_init(rng: Rng, rows: int, cols: int, std: float) -> Mat:
     """i.i.d. N(0, std^2) matrix drawn from the given deterministic stream."""

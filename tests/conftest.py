@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gatedlora import autodiff as ad
+from gatedlora.model import _token_ids
 from gatedlora.numerics import Rng
 
 
@@ -51,6 +52,14 @@ def assert_close_rel(actual, expected, rel=1e-4, floor=1e-6):
     denom = np.maximum(np.abs(expected), floor)
     err = np.max(np.abs(actual - expected) / denom)
     assert err <= rel, f"max relative error {err:.3e} > {rel:.0e}"
+
+
+def pool_embed(tokens, embedding):
+    """Mean of the embedding rows indexed by a token-id sequence, as a
+    column vector (d, 1): the oracle of pooling, which the batched gather
+    in `gatedlora.model` must match byte for byte."""
+    ids = _token_ids(tokens, embedding.shape[0])
+    return embedding[ids].mean(axis=0).reshape(-1, 1)
 
 
 def coefficient_nodes(bank, pooled):

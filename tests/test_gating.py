@@ -18,13 +18,12 @@ from gatedlora.gating import (
     constrain_update,
     gating_layer_shapes,
     init_new_gating,
-    pool_embed,
 )
 from gatedlora.numerics import Rng, gaussian_init
 from gatedlora.optim import AdamW
 from gatedlora.subspace import SubspaceBasis, SubspaceMemory
 
-from conftest import coefficient_nodes, total
+from conftest import coefficient_nodes, pool_embed, total
 
 
 class TestGateFn:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gatedlora.errors import NonFinite, NonSymmetric
-from gatedlora.numerics import Rng, gaussian_init, sym_eig
+from gatedlora.numerics import Rng, _lemire, gaussian_init, sym_eig
 
 
 class TestRng:
@@ -26,6 +26,30 @@ class TestRng:
         # Pin the generator family: PCG64 must not silently change.
         v = Rng(0).normal(1, 1, 1.0)[0, 0]
         assert v == pytest.approx(0.1257302210933933, abs=1e-15)
+
+
+class TestRawDraws:
+    """`integers` calls over ranges of at most 2**32 values are Lemire's
+    method over the raw 32-bit draws that `peek_raw` shows."""
+
+    @pytest.mark.parametrize("n", [2, 9, 200, 2**31 + 1, 2**32])
+    def test_lemire_on_raw_draws_is_integers(self, n):
+        for seed in range(20):
+            stream, oracle = Rng(seed), Rng(seed)
+            for r in (stream, oracle):
+                r.integers(0, 3, 1)  # leave half a 64-bit draw buffered
+            raw = stream.peek_raw(64)
+            values, accepted = _lemire(raw, n)
+            want = oracle.integers(0, n, 20)
+            assert values[accepted][:20].tolist() == want.tolist()
+            stream.skip_raw(int(np.flatnonzero(accepted)[19]) + 1)
+            assert stream.integers(0, 1000, 5).tolist() == oracle.integers(0, 1000, 5).tolist()
+
+    def test_peek_leaves_the_stream(self):
+        a, b = Rng(3), Rng(3)
+        ahead = a.peek_raw(10)
+        assert a.peek_raw(10).tolist() == ahead.tolist()
+        assert a.normal(2, 2).tobytes() == b.normal(2, 2).tobytes()
 
 
 class TestGaussianInit:

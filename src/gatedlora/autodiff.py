@@ -1,12 +1,12 @@
 """Minimal reverse-mode differentiation over 2-D float64 arrays.
 
-The op set is small and closed: matmul, transpose, same-shape add, scalar
-multiply (by a python float, or per-column by a 1xn node), SiLU, sigmoid,
-abs, sin, clip-from-above, softmax cross-entropy, a quadratic
-row-space penalty, and a frozen weight plus coefficient-weighted frozen
-low-rank terms applied to one input (`lowrank_sum`). Every op here is
-covered by finite-difference checks in the test suite; do not add ops
-without extending those checks.
+The op set is small and closed: matmul, same-shape add, scalar multiply
+(by a python float, or per-column by a 1xn node), SiLU, sigmoid, abs,
+sin, clip-from-above, softmax cross-entropy, a quadratic row-space
+penalty, and a frozen weight plus coefficient-weighted frozen low-rank
+terms applied to one input (`lowrank_sum`). Every op here is covered by
+finite-difference checks in the test suite; do not add ops without
+extending those checks.
 
 Each op builds its node from (parent, vjp) pairs: a vjp (vector-Jacobian
 product) maps the node's gradient to that parent's share. A node keeps
@@ -68,10 +68,6 @@ class DiffNode:
     def shape(self) -> tuple[int, int]:
         return self.value.shape
 
-    @property
-    def T(self) -> "DiffNode":
-        return transpose(self)
-
 
 def parameter(value) -> DiffNode:
     """Trainable leaf."""
@@ -122,13 +118,6 @@ def matmul(a: DiffNode, b: DiffNode) -> DiffNode:
         a.value @ b.value,
         ((a, lambda g: g @ b.value.T), (b, lambda g: a.value.T @ g)),
     )
-
-
-def transpose(a: DiffNode) -> DiffNode:
-    """(m, n) -> (n, m)."""
-    # A C-ordered copy, like every other gradient: numpy reductions and
-    # BLAS products may round a Fortran-ordered operand differently.
-    return DiffNode(a.value.T, ((a, lambda g: np.ascontiguousarray(g.T)),))
 
 
 def add(a: DiffNode, b: DiffNode) -> DiffNode:

@@ -17,7 +17,7 @@ neither does a pool, so what they give on it is computed once per pool
 
 from __future__ import annotations
 
-import time
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -27,6 +27,7 @@ from . import autodiff as ad
 from .adapter import expand_branch, inflora_design, olora_gram, olora_penalty_node
 from .errors import (
     EmptyInput,
+    IdOutOfRange,
     IncompleteMatrix,
     NoFreeSubspace,
     OrderViolation,
@@ -34,7 +35,7 @@ from .errors import (
 )
 from .gating import (
     GateFn,
-    GatingBank,
+    GatingModule,
     constrain_update,
     gating_layer_shapes,
     init_new_gating,
@@ -60,9 +61,6 @@ class StrategyConfig:
     lam: float = 0.5
     eps_threshold: float = 0.99
     lr: float = 1e-3
-    weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
     epochs: int = 25
     batch_size: int = 32
     subspace_samples: int = 512
@@ -87,6 +85,10 @@ class StrategyConfig:
             raise ValueError(f"eps_threshold must be in (0, 1], got {self.eps_threshold}")
         if self.lam < 0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
+        for name in ("lr", "gate_init_std"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         for name in ("rank", "epochs", "batch_size", "gate_hidden", "subspace_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -118,11 +120,8 @@ class AccuracyMatrix:
     """Lower-triangular performance matrix: rows[j][i] is the score on
     task i (percent) after learning task j+1."""
 
-    def __init__(self, rows: Optional[list[list[float]]] = None):
+    def __init__(self):
         self.rows: list[list[float]] = []
-        if rows:
-            for row in rows:
-                self.add_row(row)
 
     def add_row(self, row) -> None:
         row = [float(x) for x in row]
@@ -192,15 +191,17 @@ class Pool:
 
 class ContinualState:
     """Everything that persists across tasks in one run: the model, the
-    gate bank, both subspace memories, the accuracy matrix and the held
-    test pools (`held`, one `Pool` per learned task, in task order)."""
+    gate modules (`gates`, one per learned task in task order when gated;
+    only the newest trains), both subspace memories, the accuracy matrix
+    and the held test pools (`held`, one `Pool` per learned task, in task
+    order)."""
 
     def __init__(self, model: ToyBackbone, cfg: StrategyConfig, rng: Rng):
         cfg.validate()
         self.model = model
         self.cfg = cfg
         self.rng = rng
-        self.bank = GatingBank()
+        self.gates: list[GatingModule] = []
         self.gate_shapes = gating_layer_shapes(
             model.embed_dim, cfg.gate_hidden, cfg.gate_layers
         )
@@ -243,7 +244,7 @@ class ContinualState:
         with ad.no_grad():
             x = ad.constant(pool.pooled)
             if self.cfg.gated:
-                for module in self.bank.modules[len(pool.gate_rows):]:
+                for module in self.gates[len(pool.gate_rows):]:
                     if not module.frozen:
                         break
                     pool.gate_rows.append(module.forward_node(x)[0].value)
@@ -263,7 +264,7 @@ class ContinualState:
         x = ad.constant(cols(pool.pooled))
         if self.cfg.gated:
             coeffs = [ad.constant(cols(r)) for r in pool.gate_rows]
-            coeffs += [m.forward_node(x)[0] for m in self.bank.modules[len(coeffs):]]
+            coeffs += [m.forward_node(x)[0] for m in self.gates[len(coeffs):]]
         else:
             coeffs = [ad.constant(np.ones((1, x.shape[1])))] * self.n_branches
         partial, k = pool.prefix
@@ -274,8 +275,8 @@ class ContinualState:
         for layer in self.model.adapted_layers:
             for branch in layer.branches:
                 params.extend(branch.trainable_params())
-        if self.cfg.gated and self.bank.modules:
-            new = self.bank.modules[-1]
+        if self.cfg.gated and self.gates:
+            new = self.gates[-1]
             params.extend(p for p in new.params if p.requires_grad)
         return params
 
@@ -321,7 +322,7 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
     if cfg.branch_strategy == "inflora":
         inputs = _collect_adapted_inputs(state, pool, rng.child("design"))
         for i, h in enumerate(inputs):
-            basis = state.grad_memory.layer(i)
+            basis = state.grad_memory.layers[i]
             try:
                 designed_rows[i] = inflora_design(h, basis, cfg.rank)
             except NoFreeSubspace as exc:
@@ -345,7 +346,7 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
 
     transforms = {}
     if cfg.gated:
-        prev = state.bank.modules[-1] if state.bank.modules else None
+        prev = state.gates[-1] if state.gates else None
         module = init_new_gating(
             prev,
             state.gate_memory,
@@ -355,10 +356,9 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
             init_std=cfg.gate_init_std,
             project_final=cfg.init_constraints,
         )
-        state.bank.add(module)
+        state.gates.append(module)
         if cfg.update_constraints:
-            bases = [state.gate_memory.layer(i) for i in range(len(module.params))]
-            for param, basis in zip(module.params, bases):
+            for param, basis in zip(module.params, state.gate_memory.layers):
                 transforms[param] = (
                     lambda delta, b=basis: constrain_update(delta, b)
                 )
@@ -372,12 +372,7 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
                 penalties.append((layer.branches[-1].down, gram))
 
     params = state.trainable_params()
-    opt = AdamW(
-        params,
-        lr=cfg.lr,
-        betas=(cfg.beta1, cfg.beta2),
-        weight_decay=cfg.weight_decay,
-    )
+    opt = AdamW(params, cfg.lr)
 
     shuffle_rng = rng.child("shuffle")
     for _ in range(cfg.epochs):
@@ -393,7 +388,7 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
 
     if cfg.gated and (cfg.init_constraints or cfg.update_constraints):
         idx = _subsample(rng.child("trace"), n, cfg.subspace_samples)
-        _, trace = state.bank.modules[-1].forward_values(pool.pooled.take(idx, axis=1))
+        _, trace = state.gates[-1].forward_values(pool.pooled.take(idx, axis=1))
         state.gate_memory.extend_all(trace)
     if cfg.branch_strategy == "inflora":
         inputs = _collect_adapted_inputs(state, pool, rng.child("grad-space"))
@@ -428,7 +423,6 @@ class RunResult:
     ap_trajectory: list[float]
     gate_samples: list[dict] = field(default_factory=list)
     trainable_params: int = 0
-    wall_clock_sec: float = 0.0
     config_echo: dict = field(default_factory=dict)
 
     def summary_dict(self) -> dict:
@@ -444,17 +438,17 @@ class RunResult:
         }
 
 
-def collect_gate_samples(state: ContinualState, cap: int = 50) -> list[dict]:
-    """Outputs of every gate module on the first `cap` samples of each held
-    test pool (`state.held`). Each runs fresh on the `cap` columns rather
-    than slicing a memoised row: BLAS may round a narrower product
+def collect_gate_samples(state: ContinualState) -> list[dict]:
+    """Outputs of every gate module on the first 50 samples of each held
+    test pool (`state.held`). Each runs fresh on those columns rather than
+    slicing a memoised row: BLAS may round a narrower product
     differently."""
     if not state.cfg.gated:
         return []
     samples = []
     for task_idx, pool in enumerate(state.held):
-        for gate_idx, module in enumerate(state.bank.modules):
-            values, _ = module.forward_values(pool.pooled[:, :cap])
+        for gate_idx, module in enumerate(state.gates):
+            values, _ = module.forward_values(pool.pooled[:, :50])
             samples.append(
                 {
                     "gate": gate_idx,
@@ -463,6 +457,24 @@ def collect_gate_samples(state: ContinualState, cap: int = 50) -> list[dict]:
                 }
             )
     return samples
+
+
+def _check_sequence(sequence: TaskSequence, n_classes: int) -> None:
+    """Task t's train and test sets carry task id t, and every label is a
+    class of the head."""
+    for t, task in enumerate(sequence):
+        for split, ds in (("train", task.train), ("test", task.test)):
+            if ds.task_id != t:
+                raise OrderViolation(
+                    f"task {t}: {split} set has task id {ds.task_id}; a sequence's "
+                    f"task ids must run 0, 1, ... in order"
+                )
+            bad = ds.labels[(ds.labels < 0) | (ds.labels >= n_classes)]
+            if bad.size:
+                raise IdOutOfRange(
+                    f"task {t}: {split} label {bad[0]} is outside the head's "
+                    f"{n_classes} classes (n_tasks x classes_per_task)"
+                )
 
 
 def run_sequence(
@@ -478,10 +490,10 @@ def run_sequence(
     model_cfg keys: vocab_size, embed_dim, hidden_dim, n_tasks,
     classes_per_task, train_per_task, test_per_task, window_size, noise,
     seq_len_min, seq_len_max. A prebuilt task sequence overrides the
-    synthetic generator (its label union must fit the head).
+    synthetic generator; its task ids must run 0, 1, ... in order and its
+    labels must fit the head, which is checked before any training.
     """
     strategy.validate()
-    t0 = time.perf_counter()
     rng = Rng(seed)
     n_classes = model_cfg["n_tasks"] * model_cfg["classes_per_task"]
     model = ToyBackbone(
@@ -504,6 +516,7 @@ def run_sequence(
             embedding=model.embedding,
             seq_len=(model_cfg["seq_len_min"], model_cfg["seq_len_max"]),
         )
+    _check_sequence(sequence, n_classes)
     state = ContinualState(model, strategy, rng.child("train"))
     ap_trajectory = []
     for task in sequence:
@@ -523,6 +536,5 @@ def run_sequence(
         ap_trajectory=ap_trajectory,
         gate_samples=gate_samples,
         trainable_params=sum(p.value.size for p in state.trainable_params()),
-        wall_clock_sec=time.perf_counter() - t0,
         config_echo=config_echo or {},
     )

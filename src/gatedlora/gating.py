@@ -2,10 +2,11 @@
 
 A gating module is a small SiLU MLP whose final layer maps to a scalar,
 squashed into [0, 1] by a gate function with f(0) = 0. The new module for
-task t starts with its first layers copied from the previous module and
-its final layer projected orthogonal to the stored input subspace, which
-pins its output to exactly 0 on anything old tasks produced. Updates are
-projected the same way so the pin survives training.
+task t starts with its first layers copied from the previous module,
+which is frozen from then on, and its final layer projected orthogonal
+to the stored input subspace, which pins its output to exactly 0 on
+anything old tasks produced. Updates are projected the same way so the
+pin survives training.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def init_new_gating(
     init_std: float = 0.02,
     project_final: bool = True,
 ) -> GatingModule:
-    """Build the gate module for a new task.
+    """Freeze the previous task's gate module and build the new task's.
 
     Hidden layers are copied from the previous module (Gaussian for the
     first task); the final row is drawn Gaussian and then, unless
@@ -159,12 +160,13 @@ def init_new_gating(
         prev_shapes = [p.value.shape for p in prev.params]
         if prev_shapes != list(shapes):
             raise DimMismatch(f"previous module shapes {prev_shapes} vs {shapes}")
+        prev.freeze()
         weights = [p.value.copy() for p in prev.params[:-1]]
     else:
         weights = [gaussian_init(rng, *s, init_std) for s in shapes[:-1]]
     final = gaussian_init(rng, *shapes[-1], init_std)
     if project_final:
-        final = project_out(memory.layer(len(shapes) - 1), final.T).T
+        final = project_out(memory.layers[-1], final.T).T
     return GatingModule(weights + [final], gate)
 
 
@@ -180,18 +182,3 @@ def constrain_update(delta: Mat, basis: SubspaceBasis) -> Mat:
             f"update has {delta.shape[1]} columns, basis dim is {basis.dim}"
         )
     return project_out(basis, delta.T).T
-
-
-class GatingBank:
-    """Ordered per-task gate modules; only the newest one is trainable."""
-
-    def __init__(self):
-        self.modules: list[GatingModule] = []
-
-    def __len__(self) -> int:
-        return len(self.modules)
-
-    def add(self, module: GatingModule) -> None:
-        for old in self.modules:
-            old.freeze()
-        self.modules.append(module)

@@ -35,6 +35,9 @@ from .numerics import Mat, Rng, _lemire, gaussian_init
 # bounds a block's memory whatever the attempt's budget.
 _BLOCK = 512
 
+# Teachers `generate_task` draws before it gives up on a task.
+_MAX_ATTEMPTS = 16
+
 
 @dataclass
 class Dataset:
@@ -107,22 +110,19 @@ class ToyBackbone:
         parts += [layer.weight for layer in self.adapted_layers]
         return b"".join(p.tobytes() for p in parts)
 
-    def pool_batch(self, dataset: Dataset, indices=None) -> Mat:
+    def pool_batch(self, dataset: Dataset) -> Mat:
         """Pooled embeddings as columns: (embed_dim, n), C-contiguous.
 
-        `indices` is a sequence of dataset positions (repeats allowed), all
-        of them when None. Column j is the mean embedding row of the j-th
-        selected sequence, as `_pool_rows` computes it.
+        Column j is the mean embedding row of sequence j, as `_pool_rows`
+        computes it.
         """
-        if indices is None:
-            indices = range(len(dataset))
-        seqs = [dataset.tokens[i] for i in indices]
+        seqs = dataset.tokens
         if not seqs:
             raise EmptyInput("cannot pool an empty batch")
         lengths = np.array([len(seq) for seq in seqs])
         if lengths.min() == 0:
             j = int(np.argmin(lengths))
-            raise EmptyInput(f"cannot pool sequence {indices[j]}: it is empty")
+            raise EmptyInput(f"cannot pool sequence {j}: it is empty")
         flat = list(itertools.chain.from_iterable(seqs))
         return np.ascontiguousarray(_pool_rows(flat, lengths, self.embedding).T)
 
@@ -280,7 +280,6 @@ def generate_task(
     embedding: Mat,
     class_offset: int,
     seq_len: tuple[int, int] = (8, 16),
-    max_attempts: int = 16,
 ) -> Task:
     """Synthetic task: sequences from a private vocab window, labeled by a
     random linear teacher over the pooled embedding.
@@ -318,7 +317,7 @@ def generate_task(
             f"of {seq_len[0]}..{seq_len[1]} tokens, fewer than the "
             f"{n_train} + {n_test} samples of task {task_id}"
         )
-    for attempt in range(max_attempts):
+    for attempt in range(_MAX_ATTEMPTS):
         gen = rng.child(f"task{task_id}-attempt{attempt}")
         teacher = gaussian_init(gen.child("teacher"), n_classes, embedding.shape[1], 1.0)
         draw = gen.child("draw")
@@ -379,7 +378,7 @@ def generate_task(
         return Task(train, test, (lo, hi))
     raise RuntimeError(
         f"task {task_id}: no teacher produced balanced classes in "
-        f"{max_attempts} attempts"
+        f"{_MAX_ATTEMPTS} attempts"
     )
 
 

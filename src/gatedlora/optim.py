@@ -1,11 +1,13 @@
 """AdamW over autodiff parameter leaves.
 
-Decoupled weight decay folds into the proposed step, and an optional
-per-parameter transform is applied to that full step before the
-parameter moves. The gating constraints hook in there: projecting the
-final delta (moments and decay included) is what actually guarantees the
-update never touches the protected subspace, since Adam steps are not
-parallel to raw gradients.
+Only the learning rate is set per optimizer. The rest is fixed: moment
+decay rates beta1 = 0.9 and beta2 = 0.999, eps = 1e-8 in the step's
+denominator and decoupled weight decay 0.01. The decay folds into the
+proposed step, and an optional per-parameter transform is applied to
+that full step before the parameter moves. The gating constraints hook
+in there: projecting the final delta (moments and decay included) is
+what actually guarantees the update never touches the protected
+subspace, since Adam steps are not parallel to raw gradients.
 """
 
 from __future__ import annotations
@@ -18,21 +20,16 @@ from .autodiff import DiffNode
 
 DeltaTransform = Callable[[np.ndarray], np.ndarray]
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+WEIGHT_DECAY = 0.01
+
 
 class AdamW:
-    def __init__(
-        self,
-        params: list[DiffNode],
-        lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.01,
-    ):
+    def __init__(self, params: list[DiffNode], lr: float):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.step_count = 0
         self._m = [np.zeros_like(p.value) for p in self.params]
         self._v = [np.zeros_like(p.value) for p in self.params]
@@ -47,18 +44,18 @@ class AdamW:
         are consumed: they are cleared after the step.
         """
         self.step_count += 1
-        bc1 = 1.0 - self.beta1 ** self.step_count
-        bc2 = 1.0 - self.beta2 ** self.step_count
+        bc1 = 1.0 - BETA1 ** self.step_count
+        bc2 = 1.0 - BETA2 ** self.step_count
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
             g = p.grad
-            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
-            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * g * g
+            self._m[i] = BETA1 * self._m[i] + (1.0 - BETA1) * g
+            self._v[i] = BETA2 * self._v[i] + (1.0 - BETA2) * g * g
             m_hat = self._m[i] / bc1
             v_hat = self._v[i] / bc2
             delta = -self.lr * (
-                m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p.value
+                m_hat / (np.sqrt(v_hat) + EPS) + WEIGHT_DECAY * p.value
             )
             if transforms and p in transforms:
                 delta = transforms[p](delta)

@@ -128,9 +128,6 @@ class SubspaceMemory:
     def layer_dims(self) -> list[int]:
         return [b.dim for b in self.layers]
 
-    def layer(self, index: int) -> SubspaceBasis:
-        return self.layers[index]
-
     def extend_all(self, inputs_per_layer: list[Mat]) -> None:
         """Grow every layer basis with that layer's observed input columns."""
         if len(inputs_per_layer) != len(self.layers):

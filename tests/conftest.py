@@ -62,10 +62,10 @@ def pool_embed(tokens, embedding):
     return embedding[ids].mean(axis=0).reshape(-1, 1)
 
 
-def coefficient_nodes(bank, pooled):
+def coefficient_nodes(gates, pooled):
     """Every gate module's (1, n) output node on a pooled batch, each run
     fresh."""
-    return [m.forward_node(pooled)[0] for m in bank.modules]
+    return [m.forward_node(pooled)[0] for m in gates]
 
 
 def branch_sum(layer, coeffs, h):

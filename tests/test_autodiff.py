@@ -87,13 +87,6 @@ class TestMechanics:
         assert np.array_equal(y.grad, np.full((1, 3), 1.0 / 3.0))
         assert np.array_equal(x.grad, np.ones((1, 3)))
 
-    def test_gradient_through_transpose_is_c_ordered(self):
-        # Every gradient is C-ordered, so how sums and products over it
-        # round does not depend on which op produced it.
-        p = ad.parameter(np.arange(6.0).reshape(2, 3))
-        ad.backward(total(ad.silu(ad.transpose(p))))
-        assert p.grad.flags.c_contiguous
-
     def test_no_grad_builds_no_graph(self):
         p = ad.parameter(np.ones((2, 2)))
         with ad.no_grad():
@@ -186,7 +179,6 @@ OP_CASES = {
         [(3, 4), (4, 2)],
         lambda a, b: total(ad.silu(ad.matmul(a, b))),
     ),
-    "transpose": ([(3, 4)], lambda a: total(ad.silu(ad.transpose(a)))),
     "add_same_shape": (
         [(3, 2), (3, 2)],
         lambda a, b: total(ad.sigmoid(ad.add(a, b))),

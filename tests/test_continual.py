@@ -14,6 +14,7 @@ from gatedlora.continual import (
     run_sequence,
 )
 from gatedlora.errors import (
+    IdOutOfRange,
     IncompleteMatrix,
     NoFreeSubspace,
     OrderViolation,
@@ -91,7 +92,7 @@ def fresh_forward(state, pooled):
     the oracle for `ContinualState.apply`'s memo and for the fused frozen
     part of `AdaptedLinear.forward_node`."""
     if state.cfg.gated:
-        coeffs = coefficient_nodes(state.bank, pooled)
+        coeffs = coefficient_nodes(state.gates, pooled)
     else:
         coeffs = [ad.constant(np.ones((1, pooled.shape[1])))] * state.n_branches
     return oracle_forward(state.model, coeffs, pooled)
@@ -103,23 +104,30 @@ def task_bytes(state, k):
     for layer in state.model.adapted_layers:
         branch = layer.branches[k]
         parts += [branch.up.value.tobytes(), branch.down.value.tobytes()]
-    return parts + [p.value.tobytes() for p in state.bank.modules[k].params]
+    return parts + [p.value.tobytes() for p in state.gates[k].params]
+
+
+def accuracy_matrix(rows):
+    m = AccuracyMatrix()
+    for row in rows:
+        m.add_row(row)
+    return m
 
 
 class TestMetrics:
     def test_hand_matrix(self):
-        m = AccuracyMatrix([[80.0], [70.0, 90.0], [60.0, 95.0, 50.0]])
+        m = accuracy_matrix([[80.0], [70.0, 90.0], [60.0, 95.0, 50.0]])
         assert compute_ap(m) == pytest.approx((60 + 95 + 50) / 3)
         # task 0 fell 80 -> 60, task 1 rose 90 -> 95
         assert compute_ft(m) == pytest.approx((20.0 - 5.0) / 2)
 
     def test_backward_transfer_gives_negative_ft(self):
-        m = AccuracyMatrix([[50.0], [60.0, 70.0], [65.0, 80.0, 90.0]])
+        m = accuracy_matrix([[50.0], [60.0, 70.0], [65.0, 80.0, 90.0]])
         # best earlier scores 60 and 70, final 65 and 80
         assert compute_ft(m) == pytest.approx(-7.5)
 
     def test_single_task_has_no_forgetting(self):
-        m = AccuracyMatrix([[75.0]])
+        m = accuracy_matrix([[75.0]])
         assert compute_ap(m) == 75.0
         with pytest.raises(SingleTask):
             compute_ft(m)
@@ -128,9 +136,9 @@ class TestMetrics:
         with pytest.raises(IncompleteMatrix):
             compute_ap(AccuracyMatrix())
         with pytest.raises(IncompleteMatrix):
-            AccuracyMatrix([[80.0], [70.0]])
+            accuracy_matrix([[80.0], [70.0]])
         with pytest.raises(IncompleteMatrix):
-            AccuracyMatrix([[80.0]]).entry(0, 1)
+            accuracy_matrix([[80.0]]).entry(0, 1)
 
 
 @pytest.mark.parametrize("branch_strategy", ["olora", "inflora"])
@@ -149,7 +157,7 @@ def test_whole_run_invariants(branch_strategy):
         assert task_bytes(state, k) == before, f"task {k} moved after it was frozen"
     # The optimizer only ever holds the newest task's params, so the bytes
     # above hold even if freezing did nothing; check the freeze itself.
-    frozen = [p for module in state.bank.modules[:-1] for p in module.params]
+    frozen = [p for module in state.gates[:-1] for p in module.params]
     for layer in state.model.adapted_layers:
         frozen += [p for b in layer.branches[:-1] for p in (b.up, b.down)]
     assert all(not p.requires_grad and p.grad is None for p in frozen)
@@ -163,9 +171,9 @@ def test_each_dataset_pooled_once(branch_strategy, monkeypatch):
     pooled = []
     pool_batch = ToyBackbone.pool_batch
 
-    def counting(self, dataset, indices=None):
+    def counting(self, dataset):
         pooled.append(dataset)
-        return pool_batch(self, dataset, indices)
+        return pool_batch(self, dataset)
 
     monkeypatch.setattr(ToyBackbone, "pool_batch", counting)
     run_sequence(DESK_MODEL, desk_strategy(branch_strategy), 0)
@@ -190,7 +198,7 @@ def bytes_of(arrays):
 def assert_memo_frozen(state, pool):
     """Only frozen gates and branches are in the pool's memo, and the newest
     gate is not."""
-    modules = state.bank.modules
+    modules = state.gates
     assert all(m.frozen for m in modules[: len(pool.gate_rows)])
     assert len(pool.gate_rows) == max(len(modules) - 1, 0)
     _, k = pool.prefix
@@ -213,7 +221,7 @@ def test_held_memo_matches_fresh_forward(branch_strategy, gating_mode):
             x = ad.constant(pool.pooled)
             with ad.no_grad():
                 if cfg.gated:
-                    coeffs = coefficient_nodes(state.bank, x)
+                    coeffs = coefficient_nodes(state.gates, x)
                 else:
                     coeffs = [ad.constant(np.ones((1, x.shape[1])))] * len(layer.branches)
                 partial, k = pool.prefix
@@ -360,7 +368,7 @@ def test_inflora_out_of_subspace_names_layer_and_settings():
     assert isinstance(info.value.__cause__, NoFreeSubspace)
     # raised before anything was expanded or added
     assert all(not layer.branches for layer in state.model.adapted_layers)
-    assert len(state.bank) == 0
+    assert not state.gates
 
 
 @pytest.mark.parametrize("branch_strategy", ["seq", "inc", "olora", "inflora"])
@@ -386,7 +394,7 @@ def test_task_out_of_order_rejected():
     state, sequence = desk_state(desk_strategy("olora"))
     with pytest.raises(OrderViolation, match="expected task 0, got 1"):
         learn_task(state, sequence.tasks[1].train)
-    assert state.tasks_learned == 0 and len(state.bank) == 0
+    assert state.tasks_learned == 0 and not state.gates
 
 
 def test_sigmoid_gate_fn_rejected():
@@ -394,3 +402,55 @@ def test_sigmoid_gate_fn_rejected():
     with pytest.raises(ValueError, match="gate_fn.*no_init.*no_constraints"):
         StrategyConfig(gate_fn="sigmoid").validate()
     StrategyConfig(gating_mode="no_init").validate()  # selects sigmoid itself
+
+
+# Every other rule of `StrategyConfig.validate`: (field, bad value, message).
+VALIDATE_CASES = [
+    ("branch_strategy", "lora", "unknown branch strategy 'lora'"),
+    ("gating_mode", "open", "unknown gating mode 'open'"),
+    ("branch_strategy", "seq", "single-branch strategy"),
+    ("eps_threshold", 0.0, "eps_threshold must be in"),
+    ("eps_threshold", 1.5, "eps_threshold must be in"),
+    ("lam", -0.1, "lam must be >= 0"),
+    ("lr", 0.0, "lr must be finite and > 0"),
+    ("lr", -1.0, "lr must be finite and > 0"),
+    ("lr", float("nan"), "lr must be finite and > 0"),
+    ("lr", float("inf"), "lr must be finite and > 0"),
+    ("gate_init_std", 0.0, "gate_init_std must be finite and > 0"),
+    ("gate_init_std", float("nan"), "gate_init_std must be finite and > 0"),
+    ("rank", 0, "rank must be >= 1"),
+    ("epochs", 0, "epochs must be >= 1"),
+    ("batch_size", 0, "batch_size must be >= 1"),
+    ("gate_hidden", 0, "gate_hidden must be >= 1"),
+    ("subspace_samples", 0, "subspace_samples must be >= 1"),
+    ("gate_layers", -2, "gate_layers must be a non-negative even"),
+    ("gate_layers", 3, "gate_layers must be a non-negative even"),
+]
+
+
+@pytest.mark.parametrize(
+    "field, value, message", VALIDATE_CASES, ids=[f"{f}={v}" for f, v, _ in VALIDATE_CASES]
+)
+def test_validate_rejects_and_names_the_field(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        StrategyConfig(**{field: value}).validate()
+
+
+@pytest.mark.parametrize("case", ["label", "task_id"])
+def test_bad_prebuilt_sequence_rejected_before_training(case, monkeypatch):
+    def no_training(state, train):
+        raise AssertionError("learn_task ran")
+
+    monkeypatch.setattr(continual, "learn_task", no_training)
+    _, sequence = desk_state(desk_strategy("olora"))
+    if case == "label":
+        # three tasks of two classes under a four-class head: task 3's
+        # labels 4 and 5 have no logit
+        model_cfg = dict(DESK_MODEL, n_tasks=2)
+        error, message = IdOutOfRange, r"task 2: train label \d is outside the head's 4 classes"
+    else:
+        sequence.tasks[1].test.task_id = 2
+        model_cfg = DESK_MODEL
+        error, message = OrderViolation, "task 1: test set has task id 2"
+    with pytest.raises(error, match=message):
+        run_sequence(model_cfg, desk_strategy("olora"), 0, sequence=sequence)

@@ -13,7 +13,6 @@ from gatedlora.errors import (
 )
 from gatedlora.gating import (
     GateFn,
-    GatingBank,
     GatingModule,
     constrain_update,
     gating_layer_shapes,
@@ -221,7 +220,7 @@ class TestInitNewGating:
             gate=GateFn.ABS_SIGMOID,
         )
         final = new.params[-1].value
-        basis = mem.layer(2).basis
+        basis = mem.layers[2].basis
         assert np.max(np.abs(basis.T @ final.T)) <= 1e-9 * max(
             np.max(np.abs(final)), 1e-30
         )
@@ -284,7 +283,7 @@ class TestInvarianceUnderConstrainedTraining:
         if constrained:
             for i, p in enumerate(module.params):
                 transforms[p] = (
-                    lambda delta, b=mem.layer(i): constrain_update(delta, b)
+                    lambda delta, b=mem.layers[i]: constrain_update(delta, b)
                 )
         for _ in range(steps):
             out, _ = module.forward_node(ad.constant(x_new))
@@ -334,30 +333,34 @@ class TestInvarianceUnderConstrainedTraining:
 
 
 class TestGatingBank:
+    """A run's gate modules, one per task: `init_new_gating` freezes the
+    previous module as it builds the next."""
+
+    def two_gates(self, rng):
+        first = make_module(rng.child("a"))
+        second = init_new_gating(
+            first, SubspaceMemory(first.input_dims, 0.99), rng.child("b"),
+            shapes=gating_layer_shapes(6, 4, 2), gate=GateFn.ABS_SIGMOID,
+        )
+        return [first, second]
+
     def test_only_last_module_trainable(self, rng):
-        bank = GatingBank()
-        bank.add(make_module(rng.child("a")))
-        bank.add(make_module(rng.child("b")))
-        assert bank.modules[0].frozen and not bank.modules[1].frozen
-        assert all(not p.requires_grad for p in bank.modules[0].params)
-        assert all(p.requires_grad for p in bank.modules[1].params)
+        gates = self.two_gates(rng)
+        assert gates[0].frozen and not gates[1].frozen
+        assert all(not p.requires_grad for p in gates[0].params)
+        assert all(p.requires_grad for p in gates[1].params)
 
     def test_frozen_weights_bit_identical_after_training(self, rng):
-        bank = GatingBank()
-        bank.add(make_module(rng.child("a")))
-        old_bytes = [p.value.tobytes() for p in bank.modules[0].params]
-        bank.add(make_module(rng.child("b")))
-        mem = SubspaceMemory(bank.modules[1].input_dims, 0.99)
+        gates = self.two_gates(rng)
+        old_bytes = [p.value.tobytes() for p in gates[0].params]
+        mem = SubspaceMemory(gates[1].input_dims, 0.99)
         x = np.random.default_rng(0).normal(size=(6, 16))
         TestInvarianceUnderConstrainedTraining().train(
-            bank.modules[1], mem, x, steps=50, constrained=False
+            gates[1], mem, x, steps=50, constrained=False
         )
-        assert [p.value.tobytes() for p in bank.modules[0].params] == old_bytes
+        assert [p.value.tobytes() for p in gates[0].params] == old_bytes
 
     def test_coefficient_values_all_modules(self, rng):
-        bank = GatingBank()
-        bank.add(make_module(rng.child("a")))
-        bank.add(make_module(rng.child("b")))
-        rows = coefficient_nodes(bank, ad.constant(np.zeros((6, 4))))
+        rows = coefficient_nodes(self.two_gates(rng), ad.constant(np.zeros((6, 4))))
         assert len(rows) == 2
         assert all(r.shape == (1, 4) for r in rows)

@@ -8,7 +8,7 @@ from gatedlora.optim import AdamW
 def first_step_setup():
     p = ad.parameter([[2.0, -1.0]])
     p.grad = np.array([[0.5, -0.25]])
-    opt = AdamW([p], lr=0.1, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01)
+    opt = AdamW([p], lr=0.1)
     return p, opt
 
 

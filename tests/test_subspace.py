@@ -170,8 +170,8 @@ class TestSubspaceMemory:
         gen = np.random.default_rng(2)
         mem = SubspaceMemory([6, 3], 1.0)
         mem.extend_all([gen.normal(size=(6, 4)), gen.normal(size=(3, 4))])
-        assert mem.layer(0).rank == 4
-        assert mem.layer(1).rank == 3
+        assert mem.layers[0].rank == 4
+        assert mem.layers[1].rank == 3
 
     def test_extend_all_requires_matching_layers(self):
         mem = SubspaceMemory([6, 3], 1.0)

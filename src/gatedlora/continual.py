@@ -423,7 +423,6 @@ class RunResult:
     ap_trajectory: list[float]
     gate_samples: list[dict] = field(default_factory=list)
     trainable_params: int = 0
-    config_echo: dict = field(default_factory=dict)
 
     def summary_dict(self) -> dict:
         """Deterministic content only (no timings)."""
@@ -434,7 +433,7 @@ class RunResult:
             "ft": self.ft,
             "ap_trajectory": self.ap_trajectory,
             "trainable_params": self.trainable_params,
-            "config": self.config_echo,
+            "config": {},  # an empty key the recorded digests include
         }
 
 
@@ -483,7 +482,6 @@ def run_sequence(
     seed: int,
     *,
     sequence: Optional[TaskSequence] = None,
-    config_echo: Optional[dict] = None,
 ) -> RunResult:
     """One full continual run for one seed.
 
@@ -536,5 +534,4 @@ def run_sequence(
         ap_trajectory=ap_trajectory,
         gate_samples=gate_samples,
         trainable_params=sum(p.value.size for p in state.trainable_params()),
-        config_echo=config_echo or {},
     )

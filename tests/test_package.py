@@ -50,15 +50,6 @@ API_ENTRY_POINTS = {
 }
 
 
-# Defaulted parameters, as (callee, parameter), that no call in the package
-# or the benchmark passes.
-OPTION_ALLOWLIST = {
-    # Echoed as summary_dict()["config"]; dropping it would change every
-    # digest recorded in bench/reference.json.
-    ("run_sequence", "config_echo"),
-}
-
-
 def parsed(*dirs):
     """Path -> AST of each Python file directly under the given directories."""
     files = [path for d in dirs for path in sorted((ROOT / d).glob("*.py"))]
@@ -150,8 +141,6 @@ def test_every_option_has_a_caller():
     unset = []
     for path, tree in parsed("src/gatedlora").items():
         for callee, param, index in defaulted_params(tree):
-            if (callee, param) in OPTION_ALLOWLIST:
-                continue
             if not any(
                 param in keywords
                 or None in keywords
@@ -165,6 +154,5 @@ def test_every_option_has_a_caller():
 def test_allowlists_name_existing_code():
     trees = parsed("src/gatedlora").values()
     defs = {qualname for tree in trees for qualname, _ in public_defs(tree)}
-    options = {(callee, param) for tree in trees for callee, param, _ in defaulted_params(tree)}
-    stale = sorted(API_ENTRY_POINTS - defs) + sorted(map(str, OPTION_ALLOWLIST - options))
+    stale = sorted(API_ENTRY_POINTS - defs)
     assert not stale, "allowlisted but not in src: " + ", ".join(stale)

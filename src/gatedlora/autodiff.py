@@ -156,7 +156,8 @@ def lowrank_sum(
 
     Value and gradient are bit-identical to the same sum built from
     matmul, scale_columns and add nodes over constants: each product and
-    each sum is written as those ops write it.
+    each sum is the one those ops take, in the same order. Both sums
+    accumulate in place into a buffer made here, so no node value moves.
     """
     if h.shape[0] != weight.shape[1]:
         raise ShapeMismatch(f"lowrank_sum weight {weight.shape} @ h {h.shape}")
@@ -166,12 +167,14 @@ def lowrank_sum(
             raise ShapeMismatch(f"lowrank_sum {up.shape} @ {down.shape} @ {h.shape}")
         if a.shape != (1, h.shape[1]):
             raise ShapeMismatch(f"lowrank_sum coefficient {a.shape} vs {out.shape}")
-        out = out + a * (up @ (down @ h.value))
+        term = up @ (down @ h.value)
+        term *= a
+        out += term
 
     def vjp(g: np.ndarray) -> np.ndarray:
         dh = weight.T @ g
         for a, up, down in terms:
-            dh = dh + down.T @ (up.T @ (a * g))
+            dh += down.T @ (up.T @ (a * g))
         return dh
 
     return DiffNode(out, ((h, vjp),))

@@ -4,15 +4,17 @@ machinery, evaluation into an accuracy matrix, and the derived metrics.
 One continual run walks the task list in order. For each task it expands
 the adapter stacks (strategy-dependent), builds the new gate module with
 its initialization constraint, trains with every gate update projected
-off the stored subspaces, then grows the subspace memories from the
-task's own activations. Evaluation always uses the single gated forward
-path with no task identity, on test pools the state holds for the whole
-run.
+off the stored subspaces, grows the subspace memories from the task's
+own activations, and then freezes the task's gate and branches.
+Evaluation always uses the single gated forward path with no task
+identity, on test pools the state holds for the whole run.
 
 Training and evaluation apply the model to a pool through one method,
 `ContinualState.apply`. Frozen gates and branches never change, and
 neither does a pool, so what they give on it is computed once per pool
 (the task's training pool, or a held test pool) and read back by column.
+A task is frozen as soon as it is learned, so a run of T tasks computes
+each (gate, held pool) product once: T^2 gate forwards in evaluation.
 """
 
 from __future__ import annotations
@@ -180,7 +182,10 @@ class Pool:
     - `prefix`, a `(partial, k)` pair, holds as a constant node the first
       adapted layer's sum W x + sum_{i<k} a_i * up_i(down_i x) over its
       first k branches, each frozen and weighted by a frozen coefficient.
-    Both grow as later tasks freeze more, in the order the forward adds.
+    Both grow as tasks freeze, in the order the forward adds. Each task
+    freezes at the end of `learn_task`, so on a held pool the memo covers
+    every gate and, unless the one branch of `seq` still trains, every
+    first-layer branch.
     """
 
     pooled: np.ndarray
@@ -212,6 +217,8 @@ class ContinualState:
             [layer.in_dim for layer in model.adapted_layers], cfg.eps_threshold
         )
         self.tasks_learned = 0
+        # Weights the latest task trained, counted before its freeze.
+        self.trained_size = 0
         self.matrix = AccuracyMatrix()
         self.held: list[Pool] = []
 
@@ -231,15 +238,35 @@ class ContinualState:
         the pool's columns `idx` (all of them when None): every branch
         weighted by its gate, or by 1 when ungated.
 
-        First the pool's memo is extended, graph-free, over the gates and
-        leading first-layer branches frozen since it was last read. Then
-        its columns `idx` are taken and only the rest runs fresh, with a
-        graph unless under `no_grad`: the unfrozen gates and branches, the
-        later adapted layers and the head. The result matches a fresh
-        forward on the C-ordered batch `pool.pooled.take(idx, axis=1)` byte
-        for byte as long as BLAS rounds an output column the same whatever
-        the product's width.
+        First the pool's memo is extended (`extend_memo`). Then its columns
+        `idx` are taken and only the rest runs fresh, with a graph unless
+        under `no_grad`: the unfrozen gate and branches of the task in
+        training, the later adapted layers and the head. On a held pool
+        every gate is frozen, and so is every first-layer branch but the
+        one of `seq`. The result matches a fresh forward on the C-ordered
+        batch `pool.pooled.take(idx, axis=1)` byte for byte as long as BLAS
+        rounds an output column the same whatever the product's width,
+        which OpenBLAS does when the batch width is a multiple of 8.
         """
+        self.extend_memo(pool)
+
+        def cols(a: np.ndarray) -> np.ndarray:
+            # `take` copies C-ordered; `a[:, idx]` is Fortran-ordered, and
+            # BLAS may round a product with it unlike the memo's columns.
+            return a if idx is None else a.take(idx, axis=1)
+
+        x = ad.constant(cols(pool.pooled))
+        if self.cfg.gated:
+            coeffs = [ad.constant(cols(r)) for r in pool.gate_rows]
+            coeffs += [m.forward_node(x)[0] for m in self.gates[len(coeffs):]]
+        else:
+            coeffs = [ad.constant(np.ones((1, x.shape[1])))] * self.n_branches
+        partial, k = pool.prefix
+        return self.model.forward_node(coeffs, x, (ad.constant(cols(partial.value)), k))
+
+    def extend_memo(self, pool: Pool) -> None:
+        """Add to the pool's memo, graph-free, the gates and leading
+        first-layer branches frozen since it was last read."""
         layer = self.model.adapted_layers[0]
         with ad.no_grad():
             x = ad.constant(pool.pooled)
@@ -255,20 +282,6 @@ class ContinualState:
             while k < len(memo) and layer.branches[k].frozen:
                 k += 1
             pool.prefix = (layer.forward_node(memo[:k], x, pool.prefix, stop=k), k)
-
-        def cols(a: np.ndarray) -> np.ndarray:
-            # `take` copies C-ordered; `a[:, idx]` is Fortran-ordered, and
-            # BLAS may round a product with it unlike the memo's columns.
-            return a if idx is None else a.take(idx, axis=1)
-
-        x = ad.constant(cols(pool.pooled))
-        if self.cfg.gated:
-            coeffs = [ad.constant(cols(r)) for r in pool.gate_rows]
-            coeffs += [m.forward_node(x)[0] for m in self.gates[len(coeffs):]]
-        else:
-            coeffs = [ad.constant(np.ones((1, x.shape[1])))] * self.n_branches
-        partial, k = pool.prefix
-        return self.model.forward_node(coeffs, x, (ad.constant(cols(partial.value)), k))
 
     def trainable_params(self) -> list[ad.DiffNode]:
         params: list[ad.DiffNode] = []
@@ -300,11 +313,14 @@ def _collect_adapted_inputs(
 
 def learn_task(state: ContinualState, train: Dataset) -> None:
     """Run one task through the full pipeline (expansion, constrained
-    initialization, training, subspace growth).
+    initialization, training, subspace growth, freeze).
 
     The task's pooled training set is one `Pool` for the whole task: every
     step reads its batch's columns of the frozen gate rows and of the
-    first adapted layer's frozen prefix from it."""
+    first adapted layer's frozen prefix from it. Once the subspace
+    memories have grown, the task's gate and (but under `seq`, whose one
+    branch trains on every task) its branches freeze, so no later forward
+    computes them fresh."""
     cfg = state.cfg
     if len(train) == 0:
         raise EmptyInput("cannot learn from an empty dataset")
@@ -372,6 +388,7 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
                 penalties.append((layer.branches[-1].down, gram))
 
     params = state.trainable_params()
+    state.trained_size = sum(p.value.size for p in params)
     opt = AdamW(params, cfg.lr)
 
     shuffle_rng = rng.child("shuffle")
@@ -393,6 +410,11 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
     if cfg.branch_strategy == "inflora":
         inputs = _collect_adapted_inputs(state, pool, rng.child("grad-space"))
         state.grad_memory.extend_all(inputs)
+    if cfg.gated:
+        state.gates[-1].freeze()
+    if cfg.branch_strategy != "seq":
+        for layer in layers:
+            layer.branches[-1].freeze()
     state.tasks_learned = t
 
 
@@ -402,8 +424,11 @@ def evaluate(state: ContinualState) -> list[float]:
 
     Logits come from `ContinualState.apply`, which reads frozen gate rows
     and the first adapted layer's frozen-branch prefix from each pool's
-    memo (see `Pool`), so a run of T tasks computes each frozen (gate,
-    pool) pair once, O(T^2) gate forwards in all rather than O(T^3).
+    memo (see `Pool`). The task just learned is frozen, so after task t
+    the memo gains its gate on the t - 1 older pools and all t gates on
+    the new one: 2t - 1 gate forwards, T^2 over a run of T tasks, each
+    (gate, pool) pair once. Only the later adapted layers and the head
+    run fresh.
     """
     row = []
     with ad.no_grad():
@@ -438,21 +463,24 @@ class RunResult:
 
 
 def collect_gate_samples(state: ContinualState) -> list[dict]:
-    """Outputs of every gate module on the first 50 samples of each held
-    test pool (`state.held`). Each runs fresh on those columns rather than
-    slicing a memoised row: BLAS may round a narrower product
-    differently."""
+    """Outputs of every frozen gate module on the first 50 samples of each
+    held test pool (`state.held`), read from the pool's memo: the first
+    50 entries of the gate's row over the whole pool, the values
+    evaluation applied. A forward on those 50 columns alone may round
+    the last two differently: OpenBLAS computes a tail of 1 to 4 columns
+    past a multiple of 8 with another kernel. After `evaluate` the memo
+    is current and no gate runs."""
     if not state.cfg.gated:
         return []
     samples = []
     for task_idx, pool in enumerate(state.held):
-        for gate_idx, module in enumerate(state.gates):
-            values, _ = module.forward_values(pool.pooled[:, :50])
+        state.extend_memo(pool)
+        for gate_idx, row in enumerate(pool.gate_rows):
             samples.append(
                 {
                     "gate": gate_idx,
                     "task": task_idx,
-                    "values": [float(v) for v in values],
+                    "values": [float(v) for v in row[0, :50]],
                 }
             )
     return samples
@@ -533,5 +561,5 @@ def run_sequence(
         ft=ft,
         ap_trajectory=ap_trajectory,
         gate_samples=gate_samples,
-        trainable_params=sum(p.value.size for p in state.trainable_params()),
+        trainable_params=state.trained_size,
     )

@@ -3,10 +3,12 @@ import pytest
 
 from gatedlora import autodiff as ad
 from gatedlora import continual
+from gatedlora.adapter import AdaptedLinear, LoraBranch
 from gatedlora.continual import (
     AccuracyMatrix,
     ContinualState,
     StrategyConfig,
+    collect_gate_samples,
     compute_ap,
     compute_ft,
     evaluate,
@@ -21,9 +23,9 @@ from gatedlora.errors import (
     SingleTask,
     UnknownPreset,
 )
-from gatedlora.gating import GatingModule
+from gatedlora.gating import GateFn, GatingModule, gating_layer_shapes
 from gatedlora.model import ToyBackbone, build_task_sequence
-from gatedlora.numerics import Rng
+from gatedlora.numerics import Rng, gaussian_init
 from gatedlora.params import count_trainable_params, preset
 from gatedlora.subspace import SubspaceBasis
 
@@ -59,9 +61,9 @@ def desk_strategy(branch_strategy, **overrides):
     return StrategyConfig(**kw)
 
 
-def desk_state(cfg, seed=0):
+def desk_state(cfg, seed=0, **model_overrides):
     """A fresh state and task sequence, built as run_sequence builds them."""
-    mc = DESK_MODEL
+    mc = dict(DESK_MODEL, **model_overrides)
     rng = Rng(seed)
     model = ToyBackbone(
         rng.child("model"),
@@ -146,21 +148,24 @@ def test_whole_run_invariants(branch_strategy):
     cfg = desk_strategy(branch_strategy)
     state, sequence = desk_state(cfg)
     fingerprint = state.model.frozen_fingerprint()
-    # Each task's branches and gate are frozen from the next task on, so
-    # their bytes at the end of their own task must survive to the end.
+    # Each task's branches and gate are frozen at the end of its own task,
+    # so their bytes then must survive to the end.
     trained = []
     for task in sequence:
         learn_task(state, task.train)
         trained.append(task_bytes(state, -1))
+        # The optimizer only ever holds the newest task's params, so the
+        # bytes hold even if freezing did nothing; check the freeze itself.
+        assert state.gates[-1].frozen
+        assert all(layer.branches[-1].frozen for layer in state.model.adapted_layers)
+        assert state.trainable_params() == []
     assert state.model.frozen_fingerprint() == fingerprint
-    for k, before in enumerate(trained[:-1]):
+    for k, before in enumerate(trained):
         assert task_bytes(state, k) == before, f"task {k} moved after it was frozen"
-    # The optimizer only ever holds the newest task's params, so the bytes
-    # above hold even if freezing did nothing; check the freeze itself.
     frozen = [p for module in state.gates[:-1] for p in module.params]
     for layer in state.model.adapted_layers:
         frozen += [p for b in layer.branches[:-1] for p in (b.up, b.down)]
-    assert all(not p.requires_grad and p.grad is None for p in frozen)
+    assert all(p.grad is None for p in frozen)
 
     first = run_sequence(DESK_MODEL, cfg, 7).summary_dict()
     assert run_sequence(DESK_MODEL, cfg, 7).summary_dict() == first
@@ -196,20 +201,23 @@ def bytes_of(arrays):
 
 
 def assert_memo_frozen(state, pool):
-    """Only frozen gates and branches are in the pool's memo, and the newest
-    gate is not."""
-    modules = state.gates
-    assert all(m.frozen for m in modules[: len(pool.gate_rows)])
-    assert len(pool.gate_rows) == max(len(modules) - 1, 0)
+    """The pool's memo holds exactly the frozen gates and first-layer
+    branches, which lead their lists."""
+    frozen = [m.frozen for m in state.gates]
+    assert len(pool.gate_rows) == sum(frozen)
+    assert all(frozen[: len(pool.gate_rows)])
     _, k = pool.prefix
-    assert all(b.frozen for b in state.model.adapted_layers[0].branches[:k])
+    branches = state.model.adapted_layers[0].branches
+    assert k == sum(b.frozen for b in branches)
+    assert all(b.frozen for b in branches[:k])
 
 
 @MEMO_CONFIGS
 def test_held_memo_matches_fresh_forward(branch_strategy, gating_mode):
     # After every task, each memoised gate row and first-layer prefix is
-    # byte-equal to a fresh forward, the newest gate and branch are not in
-    # the memo, and the logits are byte-equal to the oracle's.
+    # byte-equal to a fresh forward, the memo holds every gate and every
+    # first-layer branch but seq's one, which never freezes, and the
+    # logits are byte-equal to the oracle's.
     cfg = desk_strategy(branch_strategy, gating_mode=gating_mode)
     state, sequence = desk_state(cfg)
     layer = state.model.adapted_layers[0]
@@ -231,7 +239,8 @@ def test_held_memo_matches_fresh_forward(branch_strategy, gating_mode):
             assert_memo_frozen(state, pool)
             for row, fresh in zip(pool.gate_rows, coeffs):
                 assert row.tobytes() == fresh.value.tobytes()
-            assert k < len(layer.branches)
+            assert k == (0 if branch_strategy == "seq" else len(layer.branches))
+            assert len(pool.gate_rows) == len(state.gates)
             assert partial.value.tobytes() == prefix.value.tobytes()
             assert held.value.tobytes() == logits.value.tobytes()
 
@@ -329,10 +338,10 @@ def test_training_graph_stays_flat(gating_mode, monkeypatch):
 
 
 def test_evaluate_gate_forwards_grow_linearly(monkeypatch):
-    # Each frozen (gate, held pool) pair runs once: after task t, the newest
-    # gate runs on all t pools, the gate frozen by task t on the t - 1 older
-    # pools, and the t - 1 frozen gates on the new pool: 3t - 2 forwards,
-    # against t^2 if every gate ran on every pool.
+    # Each (gate, held pool) pair runs once: task t's gate is frozen when
+    # its task ends, so after task t it runs on the t - 1 older pools, and
+    # all t gates run on the new pool: 2t - 1 forwards, t^2 over a run,
+    # against t^2 per evaluation if every gate ran on every pool.
     count = [0]
     per_evaluate = []
     forward_node = GatingModule.forward_node
@@ -352,7 +361,96 @@ def test_evaluate_gate_forwards_grow_linearly(monkeypatch):
     n_tasks = 6
     model_cfg = dict(DESK_MODEL, n_tasks=n_tasks, vocab_size=n_tasks * DESK_MODEL["window_size"])
     run_sequence(model_cfg, desk_strategy("olora", epochs=1), 0)
-    assert per_evaluate == [3 * t - 2 for t in range(1, n_tasks + 1)]
+    assert per_evaluate == [2 * t - 1 for t in range(1, n_tasks + 1)]
+
+
+def fresh_gate_samples(state):
+    """Every gate module run fresh on the first 50 columns of each held
+    test pool: the oracle of `collect_gate_samples`' memo read."""
+    samples = []
+    for task_idx, pool in enumerate(state.held):
+        for gate_idx, module in enumerate(state.gates):
+            values, _ = module.forward_values(pool.pooled[:, :50])
+            samples.append(
+                {"gate": gate_idx, "task": task_idx, "values": [float(v) for v in values]}
+            )
+    return samples
+
+
+@pytest.mark.parametrize("test_per_task", [16, 80])
+@pytest.mark.parametrize("gating_mode", ["gain", "no_constraints"])
+@pytest.mark.parametrize("branch_strategy", ["olora", "inflora"])
+def test_gate_samples_read_from_memo(branch_strategy, gating_mode, test_per_task, monkeypatch):
+    # After a run, reading the gate samples runs no gate. Each sample is
+    # the first 50 entries of its gate's row over the whole held pool, and
+    # equals the oracle's fresh 50-column forward byte for byte, except
+    # past column 48 of a pool wider than 50: there BLAS may round the
+    # tail of a 50-wide product differently from the whole pool's (see
+    # test_narrow_forward_matches_whole_pool_columns).
+    cfg = desk_strategy(branch_strategy, gating_mode=gating_mode)
+    state, sequence = desk_state(cfg, test_per_task=test_per_task)
+    for task in sequence:
+        learn_task(state, task.train)
+        state.hold(state.model.pool_batch(task.test), task.test.labels)
+        evaluate(state)
+    want = fresh_gate_samples(state)
+    rows = [[g.forward_values(pool.pooled)[0][:50] for g in state.gates] for pool in state.held]
+
+    def no_forward(self, pooled):
+        raise AssertionError("a gate ran")
+
+    monkeypatch.setattr(GatingModule, "forward_node", no_forward)
+    got = collect_gate_samples(state)
+    exact = 50 if test_per_task <= 50 else 48
+    assert len(got) == len(want) == DESK_MODEL["n_tasks"] ** 2
+    for g, w in zip(got, want):
+        assert (g["gate"], g["task"]) == (w["gate"], w["task"])
+        values = np.array(g["values"])
+        assert values.tobytes() == rows[g["task"]][g["gate"]].tobytes()
+        assert values[:exact].tobytes() == np.array(w["values"][:exact]).tobytes()
+
+
+@pytest.mark.parametrize("m", [32, 50, 64, 128])
+def test_narrow_forward_matches_whole_pool_columns(m):
+    # The memo reads a batch's columns, or a gate sample's, out of a
+    # product over the whole pool. That equals a forward on those columns
+    # alone only as far as BLAS rounds an output column the same whatever
+    # the product's width. This states it at the bench's dims (embed 64,
+    # gate hidden 32, rank 8) for the first m of 256 columns, as a view
+    # and as a C-ordered copy: byte-equal up to the last multiple of 8.
+    # Past it, OpenBLAS's Haswell kernels round a tail of 1 to 4 columns
+    # differently (m = 50: columns 48 and 49), so only batch widths that
+    # are multiples of 8 read the memo byte-exactly.
+    rng = Rng(5)
+    d, n, r = 64, 256, 8
+    exact = m - m % 8
+    x = gaussian_init(rng.child("x"), d, n, 1.0)
+    shapes = gating_layer_shapes(d, 32, 2)
+    gate = GatingModule(
+        [gaussian_init(rng.child(f"g{i}"), *s, 0.3) for i, s in enumerate(shapes)],
+        GateFn.ABS_SIGMOID,
+    )
+    layer = AdaptedLinear(gaussian_init(rng.child("w"), d, d, 0.2))
+    for i in range(4):
+        layer.branches.append(
+            LoraBranch(
+                gaussian_init(rng.child(f"up{i}"), d, r, 0.2),
+                gaussian_init(rng.child(f"down{i}"), r, d, 0.2),
+            )
+        )
+    for branch in layer.branches[:3]:
+        branch.freeze()  # three fused by lowrank_sum, one added on its own
+    rows = [gaussian_init(rng.child(f"a{i}"), 1, n, 1.0) for i in range(4)]
+
+    with ad.no_grad():
+        whole_gate = gate.forward_values(x)[0]
+        whole = layer.forward_node([ad.constant(a) for a in rows], ad.constant(x)).value
+        for part in (x[:, :m], x[:, :m].copy()):
+            gate_row = gate.forward_values(part)[0]
+            assert gate_row[:exact].tobytes() == whole_gate[:exact].tobytes()
+            coeffs = [ad.constant(a[:, :m].copy()) for a in rows]
+            narrow = layer.forward_node(coeffs, ad.constant(part)).value
+            assert narrow[:, :exact].tobytes() == whole[:, :exact].tobytes()
 
 
 def test_inflora_out_of_subspace_names_layer_and_settings():

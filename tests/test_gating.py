@@ -332,9 +332,10 @@ class TestInvarianceUnderConstrainedTraining:
         assert after > before  # the gate can still open off the old span
 
 
-class TestGatingBank:
-    """A run's gate modules, one per task: `init_new_gating` freezes the
-    previous module as it builds the next."""
+class TestGateSequence:
+    """A run's gate modules, one per task. A run freezes each gate at the
+    end of its own task (`learn_task`); `init_new_gating` also freezes the
+    previous module as it builds the next, so only the newest trains."""
 
     def two_gates(self, rng):
         first = make_module(rng.child("a"))

@@ -9,7 +9,7 @@ Module map:
   gating     per-task gate networks and the orthogonality constraints
   adapter    expandable low-rank branches and update strategies
   model      toy frozen backbone, synthetic tasks, file ingestion
-  optim      AdamW with a per-parameter delta transform hook
+  optim      one-pass AdamW over flat moments, per-parameter delta hook
   params     trainable-parameter accounting for known architectures
   continual  per-task orchestration and metrics
 """

@@ -37,7 +37,7 @@ class LoraBranch:
     def frozen(self) -> bool:
         """True once neither half trains; read from `requires_grad`, the
         flag the optimizer and autodiff go by."""
-        return not any(p.requires_grad for p in (self.up, self.down))
+        return not (self.up.requires_grad or self.down.requires_grad)
 
     def freeze(self) -> None:
         self.up.requires_grad = False
@@ -53,6 +53,12 @@ class AdaptedLinear:
     def __init__(self, weight: Mat):
         self.weight = np.asarray(weight, dtype=np.float64)
         self.branches: list[LoraBranch] = []
+        # ups (K, m, r) and downs (K, r, d) of the first K branches, all
+        # frozen: `lowrank_sum`'s stacked form of any k <= K of them.
+        self._stacked = (
+            np.empty((0, self.out_dim, 0)),
+            np.empty((0, 0, self.in_dim)),
+        )
 
     @property
     def out_dim(self) -> int:
@@ -61,6 +67,23 @@ class AdaptedLinear:
     @property
     def in_dim(self) -> int:
         return self.weight.shape[1]
+
+    def _frozen_stack(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """ups (k, m, r) and downs (k, r, d) of the first k branches, which
+        must be frozen and of one rank. Frozen values never change and
+        branches are only appended, so the stack is rebuilt only when k
+        outgrows it. The stack then holds those values: each branch's up
+        and down are rebound to their slices, equal byte for byte, so the
+        layer does not keep them twice."""
+        ups, downs = self._stacked
+        if k > len(ups):
+            lead = self.branches[:k]
+            ups = np.stack([b.up.value for b in lead])
+            downs = np.stack([b.down.value for b in lead])
+            for b, up, down in zip(lead, ups, downs):
+                b.up.value, b.down.value = up, down
+            self._stacked = (ups, downs)
+        return ups[:k], downs[:k]
 
     def forward_node(
         self,
@@ -76,9 +99,10 @@ class AdaptedLinear:
         such pieces is bit-identical to one taken whole. `coeffs` holds one
         coefficient per branch before `stop` (per branch when it is None).
 
-        Without `start`, W h and the leading branches that are frozen and
-        weighted by a coefficient that needs no gradient form one node
-        (`autodiff.lowrank_sum`); every later branch adds its own. Value and
+        Without `start`, W h and the leading branches that are frozen, of
+        the first branch's rank and weighted by a coefficient that needs no
+        gradient form one node (`autodiff.lowrank_sum`, over
+        `_frozen_stack`); every later branch adds its own. Value and
         gradients are bit-identical to adding every branch on its own.
         """
         summed = len(self.branches[:stop])
@@ -86,13 +110,19 @@ class AdaptedLinear:
             raise ShapeMismatch(f"{len(coeffs)} coefficients for {summed} branches")
         if start is None:
             k = 0
-            while k < summed and self.branches[k].frozen and not coeffs[k].requires_grad:
+            rank = self.branches[0].rank if summed else 0
+            while (
+                k < summed
+                and self.branches[k].frozen
+                and self.branches[k].rank == rank
+                and not coeffs[k].requires_grad
+            ):
                 k += 1
-            terms = [
-                (a.value, b.up.value, b.down.value)
-                for a, b in zip(coeffs[:k], self.branches)
-            ]
-            start = (ad.lowrank_sum(h, self.weight, terms), k)
+            if k:
+                a = np.array([c.value for c in coeffs[:k]])
+            else:
+                a = np.empty((0, 1, h.shape[1]))
+            start = (ad.lowrank_sum(h, self.weight, a, *self._frozen_stack(k)), k)
         out, k = start
         for a_i, branch in zip(coeffs[k:stop], self.branches[k:stop]):
             contrib = ad.matmul(branch.up, ad.matmul(branch.down, h))

@@ -3,8 +3,9 @@
 The op set is small and closed: matmul, same-shape add, scalar multiply
 (by a python float, or per-column by a 1xn node), SiLU, sigmoid, abs,
 sin, clip-from-above, softmax cross-entropy, a quadratic row-space
-penalty, and a frozen weight plus coefficient-weighted frozen low-rank
-terms applied to one input (`lowrank_sum`). Every op here is covered by
+penalty, and a frozen weight plus k coefficient-weighted frozen low-rank
+terms applied to one input (`lowrank_sum`), the terms passed as stacked
+(k, ...) arrays so their products batch. Every op here is covered by
 finite-difference checks in the test suite; do not add ops without
 extending those checks.
 
@@ -149,32 +150,46 @@ def scale_columns(s: DiffNode, a: DiffNode) -> DiffNode:
 def lowrank_sum(
     h: DiffNode,
     weight: np.ndarray,
-    terms: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    coeffs: np.ndarray,
+    ups: np.ndarray,
+    downs: np.ndarray,
 ) -> DiffNode:
-    """weight @ h plus a * (up @ (down @ h)) for each constant (a, up, down)
-    in `terms`, added in order; only h receives a gradient.
+    """weight @ h plus coeffs[i] * (ups[i] @ (downs[i] @ h)) for each of k
+    stacked constant terms, added in order: coeffs is (k, 1, n), ups is
+    (k, m, r) and downs is (k, r, d). Only h receives a gradient.
 
     Value and gradient are bit-identical to the same sum built from
     matmul, scale_columns and add nodes over constants: each product and
-    each sum is the one those ops take, in the same order. Both sums
-    accumulate in place into a buffer made here, so no node value moves.
+    each sum is the one those ops take, in the same order. One batched
+    matmul takes every downs[i] @ h (and, in the gradient, every product
+    with ups[i].T and with downs[i].T); numpy runs each slice of it as the
+    2-D product it stands for. Both sums accumulate in place into a
+    buffer made here, so no node value moves.
     """
     if h.shape[0] != weight.shape[1]:
         raise ShapeMismatch(f"lowrank_sum weight {weight.shape} @ h {h.shape}")
+    k = len(ups)
+    if (
+        ups.ndim != 3
+        or downs.shape != (k, ups.shape[2], h.shape[0])
+        or ups.shape[1] != weight.shape[0]
+    ):
+        raise ShapeMismatch(f"lowrank_sum {ups.shape} @ {downs.shape} @ {h.shape}")
+    if coeffs.shape != (k, 1, h.shape[1]):
+        raise ShapeMismatch(
+            f"lowrank_sum coefficients {coeffs.shape} for {k} terms on {h.shape}"
+        )
     out = weight @ h.value
-    for a, up, down in terms:
-        if up.shape != (out.shape[0], down.shape[0]) or down.shape[1] != h.shape[0]:
-            raise ShapeMismatch(f"lowrank_sum {up.shape} @ {down.shape} @ {h.shape}")
-        if a.shape != (1, h.shape[1]):
-            raise ShapeMismatch(f"lowrank_sum coefficient {a.shape} vs {out.shape}")
-        term = up @ (down @ h.value)
+    for a, up, z in zip(coeffs, ups, np.matmul(downs, h.value)):
+        term = up @ z
         term *= a
         out += term
 
     def vjp(g: np.ndarray) -> np.ndarray:
         dh = weight.T @ g
-        for a, up, down in terms:
-            dh += down.T @ (up.T @ (a * g))
+        pulled = np.matmul(ups.transpose(0, 2, 1), coeffs * g)
+        for term in np.matmul(downs.transpose(0, 2, 1), pulled):
+            dh += term
         return dh
 
     return DiffNode(out, ((h, vjp),))
@@ -230,9 +245,10 @@ def softmax_cross_entropy(logits: DiffNode, labels: np.ndarray) -> DiffNode:
         raise ShapeMismatch("label id outside logit range")
     shifted = logits.value - logits.value.max(axis=0, keepdims=True)
     expv = np.exp(shifted)
-    probs = expv / expv.sum(axis=0, keepdims=True)
+    denom = expv.sum(axis=0, keepdims=True)
+    probs = expv / denom
     cols = np.arange(n)
-    nll = -(shifted[labels, cols] - np.log(expv.sum(axis=0)))
+    nll = -(shifted[labels, cols] - np.log(denom[0]))
 
     def vjp(g: np.ndarray) -> np.ndarray:
         dprobs = probs.copy()

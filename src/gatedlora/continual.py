@@ -266,19 +266,29 @@ class ContinualState:
 
     def extend_memo(self, pool: Pool) -> None:
         """Add to the pool's memo, graph-free, the gates and leading
-        first-layer branches frozen since it was last read."""
+        first-layer branches frozen since it was last read; return at once
+        when nothing has frozen since, as on every training step after a
+        task's first."""
         layer = self.model.adapted_layers[0]
+        gated = self.cfg.gated
+        rows = len(pool.gate_rows) if gated else self.n_branches
+        k = pool.prefix[1] if pool.prefix else 0
+        if (
+            pool.prefix
+            and not (gated and rows < len(self.gates) and self.gates[rows].frozen)
+            and not (k < rows and layer.branches[k].frozen)
+        ):
+            return
         with ad.no_grad():
             x = ad.constant(pool.pooled)
-            if self.cfg.gated:
-                for module in self.gates[len(pool.gate_rows):]:
+            if gated:
+                for module in self.gates[rows:]:
                     if not module.frozen:
                         break
                     pool.gate_rows.append(module.forward_node(x)[0].value)
                 memo = [ad.constant(r) for r in pool.gate_rows]
             else:
-                memo = [ad.constant(np.ones((1, x.shape[1])))] * self.n_branches
-            k = pool.prefix[1] if pool.prefix else 0
+                memo = [ad.constant(np.ones((1, x.shape[1])))] * rows
             while k < len(memo) and layer.branches[k].frozen:
                 k += 1
             pool.prefix = (layer.forward_node(memo[:k], x, pool.prefix, stop=k), k)
@@ -391,16 +401,20 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
     state.trained_size = sum(p.value.size for p in params)
     opt = AdamW(params, cfg.lr)
 
+    def batch_loss(idx: np.ndarray) -> ad.DiffNode:
+        logits, _ = state.apply(pool, idx)
+        loss = ad.softmax_cross_entropy(logits, pool.labels[idx])
+        for down, gram in penalties:
+            loss = ad.add(loss, olora_penalty_node(down, gram, cfg.lam))
+        return loss
+
+    # The batch's graph is referenced only while backward runs, so it is
+    # freed before the optimizer step allocates.
     shuffle_rng = rng.child("shuffle")
     for _ in range(cfg.epochs):
         order = shuffle_rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            logits, _ = state.apply(pool, idx)
-            loss = ad.softmax_cross_entropy(logits, pool.labels[idx])
-            for down, gram in penalties:
-                loss = ad.add(loss, olora_penalty_node(down, gram, cfg.lam))
-            ad.backward(loss)
+            ad.backward(batch_loss(order[start : start + cfg.batch_size]))
             opt.step(transforms)
 
     if cfg.gated and (cfg.init_constraints or cfg.update_constraints):
@@ -433,8 +447,9 @@ def evaluate(state: ContinualState) -> list[float]:
     row = []
     with ad.no_grad():
         for pool in state.held:
-            logits, _ = state.apply(pool)
-            pred = np.argmax(logits.value, axis=0)
+            # One pool's logits and layer inputs are freed before the next
+            # pool's forward.
+            pred = np.argmax(state.apply(pool)[0].value, axis=0)
             row.append(100.0 * float(np.mean(pred == pool.labels)))
     return row
 

@@ -1,4 +1,4 @@
-"""AdamW over autodiff parameter leaves.
+"""AdamW over autodiff parameter leaves, in one pass over flat vectors.
 
 Only the learning rate is set per optimizer. The rest is fixed: moment
 decay rates beta1 = 0.9 and beta2 = 0.999, eps = 1e-8 in the step's
@@ -8,6 +8,15 @@ that full step before the parameter moves. The gating constraints hook
 in there: projecting the final delta (moments and decay included) is
 what actually guarantees the update never touches the protected
 subspace, since Adam steps are not parallel to raw gradients.
+
+The moments of all parameters live in two flat vectors. A step gathers
+the gradients and values once and applies each elementwise operation to
+every parameter at the same time; elementwise IEEE arithmetic rounds
+each entry on its own, so the result is bit-identical to updating the
+parameters one at a time. Each parameter then moves by its slice of the
+flat delta into a new array of its own: no value is written in place,
+because graphs and the pool memo hold node values, and no parameter's
+value keeps another's storage alive once it is frozen.
 """
 
 from __future__ import annotations
@@ -31,8 +40,10 @@ class AdamW:
         self.params = list(params)
         self.lr = lr
         self.step_count = 0
-        self._m = [np.zeros_like(p.value) for p in self.params]
-        self._v = [np.zeros_like(p.value) for p in self.params]
+        sizes = [p.value.size for p in self.params]
+        self._spans = [slice(e - n, e) for n, e in zip(sizes, np.cumsum(sizes))]
+        self._m = np.zeros(sum(sizes))
+        self._v = np.zeros(sum(sizes))
 
     def step(
         self, transforms: Optional[dict[DiffNode, DeltaTransform]] = None
@@ -40,24 +51,47 @@ class AdamW:
         """Apply one update from the gradients currently on the params.
 
         transforms maps a param node to a callable reshaping that param's
-        proposed delta (projection constraints plug in here). Gradients
-        are consumed: they are cleared after the step.
+        proposed delta (projection constraints plug in here). A param
+        without a gradient is skipped: neither it nor its moments move.
+        Gradients are consumed: they are cleared after the step.
         """
         self.step_count += 1
         bc1 = 1.0 - BETA1 ** self.step_count
         bc2 = 1.0 - BETA2 ** self.step_count
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            g = p.grad
-            self._m[i] = BETA1 * self._m[i] + (1.0 - BETA1) * g
-            self._v[i] = BETA2 * self._v[i] + (1.0 - BETA2) * g * g
-            m_hat = self._m[i] / bc1
-            v_hat = self._v[i] / bc2
-            delta = -self.lr * (
-                m_hat / (np.sqrt(v_hat) + EPS) + WEIGHT_DECAY * p.value
-            )
+        live = [i for i, p in enumerate(self.params) if p.grad is not None]
+        if not live:
+            return
+        params = [self.params[i] for i in live]
+        if len(live) == len(self.params):
+            rows = slice(None)
+        else:
+            rows = np.r_[tuple(self._spans[i] for i in live)]
+        g = np.concatenate([p.grad.ravel() for p in params])
+        value = np.concatenate([p.value.ravel() for p in params])
+        # The per-parameter update's operations in its order, in place on
+        # fresh flat arrays: m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g
+        # and delta = -lr ((m / bc1) / (sqrt(v / bc2) + eps) + decay value).
+        m = BETA1 * self._m[rows]
+        m += (1.0 - BETA1) * g
+        v = BETA2 * self._v[rows]
+        v += (1.0 - BETA2) * g * g
+        self._m[rows] = m
+        self._v[rows] = v
+        v /= bc2
+        np.sqrt(v, out=v)
+        v += EPS
+        delta = m
+        delta /= bc1
+        delta /= v
+        value *= WEIGHT_DECAY
+        delta += value
+        delta *= -self.lr
+        start = 0
+        for p in params:
+            end = start + p.value.size
+            step = delta[start:end].reshape(p.value.shape)
             if transforms and p in transforms:
-                delta = transforms[p](delta)
-            p.value = p.value + delta
+                step = transforms[p](step)
+            p.value = p.value + step
             p.grad = None
+            start = end

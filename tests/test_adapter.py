@@ -146,15 +146,23 @@ class TestAdaptedForward:
 
     @pytest.mark.parametrize(
         "case, folded",
-        [("live_gate", 4), ("ungated", 4), ("inflora", 4), ("frozen_live_gate", 2)],
+        [
+            ("live_gate", 4),
+            ("ungated", 4),
+            ("inflora", 4),
+            ("frozen_live_gate", 2),
+            ("mixed_rank", 2),
+        ],
     )
     def test_fused_frozen_part_matches_per_branch_oracle(self, rng, case, folded):
         # Four frozen branches, then the live one. W h and the leading
-        # frozen branches with constant coefficients form one node; value
-        # and every gradient are byte-equal to adding each branch on its own.
-        d, n, r = 16, 12, 2
+        # frozen branches of the first one's rank with constant coefficients
+        # form one node; value and every gradient are byte-equal to adding
+        # each branch on its own.
+        d, n = 16, 12
         layer = AdaptedLinear(rng.normal(d, d, 1.0))
         for t in range(5):
+            r = 3 if case == "mixed_rank" and t == 2 else 2
             rows = rng.normal(r, d, 1.0) if case == "inflora" and t == 4 else None
             expand_branch(layer, r, rng.child(f"b{t}"), designed_down=rows)
             layer.branches[-1].up.value[:] = rng.normal(d, r, 1.0)

@@ -142,10 +142,45 @@ class TestMechanics:
         ids=["weight", "down", "rank", "up", "coeff_cols", "coeff_rows"],
     )
     def test_lowrank_sum_shape_checks(self, weight, term):
+        # Two stacked terms of the shapes given: (2, 1, 4), (2, 5, 2), (2, 2, 3)
+        # when well formed.
         h = ad.parameter(np.ones((3, 4)))
-        ok = tuple(np.ones(s) for s in ((1, 4), (5, 2), (2, 3)))
         with pytest.raises(ShapeMismatch):
-            ad.lowrank_sum(h, np.ones(weight), [ok, tuple(np.ones(s) for s in term)])
+            ad.lowrank_sum(h, np.ones(weight), *(np.ones((2,) + s) for s in term))
+
+    @pytest.mark.parametrize("stack", [0, 1, 2])
+    def test_lowrank_sum_stacks_must_agree_in_depth(self, stack):
+        h = ad.parameter(np.ones((3, 4)))
+        stacks = [np.ones((2, 1, 4)), np.ones((2, 5, 2)), np.ones((2, 2, 3))]
+        stacks[stack] = stacks[stack][:1]
+        with pytest.raises(ShapeMismatch):
+            ad.lowrank_sum(h, np.ones((5, 3)), *stacks)
+
+    @pytest.mark.parametrize("n", [16, 32, 256])
+    @pytest.mark.parametrize("k", [0, 1, 14])
+    def test_lowrank_sum_matches_per_term_chain(self, k, n):
+        # At the bench's dims (64 wide, rank 8): value and h-gradient equal
+        # the matmul / scale_columns / add chain over constants byte for byte.
+        gen = np.random.default_rng(k * 1000 + n)
+        d, r = 64, 8
+        weight = gen.normal(size=(d, d))
+        coeffs = gen.uniform(size=(k, 1, n))
+        ups = gen.normal(size=(k, d, r))
+        downs = gen.normal(size=(k, r, d))
+        h_value = gen.normal(size=(d, n))
+        results = []
+        for fused in (True, False):
+            h = ad.parameter(h_value)
+            if fused:
+                out = ad.lowrank_sum(h, weight, coeffs, ups, downs)
+            else:
+                out = ad.matmul(ad.constant(weight), h)
+                for a, up, down in zip(coeffs, ups, downs):
+                    term = ad.matmul(ad.constant(up), ad.matmul(ad.constant(down), h))
+                    out = ad.add(out, ad.scale_columns(ad.constant(a), term))
+            ad.backward(total(ad.sine(out)))
+            results.append((out.value.tobytes(), h.grad.tobytes()))
+        assert results[0] == results[1]
 
 
 def _away_from(x, bad, dist=1e-3):
@@ -162,16 +197,22 @@ _LABELS = np.array([0, 2, 1, 0, 2, 1])
 _METRIC_SEED = np.random.default_rng(7).normal(size=(4, 4))
 _METRIC = _METRIC_SEED @ _METRIC_SEED.T
 # A frozen (5, 3) weight and three frozen rank-2 terms with (1, 4)
-# coefficients, for lowrank_sum.
+# coefficients, for lowrank_sum: stacked coefficients (3, 1, 4), ups
+# (3, 5, 2) and downs (3, 2, 3).
 _LOWRANK = np.random.default_rng(11)
 _WEIGHT = _LOWRANK.normal(size=(5, 3))
 _TERMS = [
-    (
-        _LOWRANK.uniform(size=(1, 4)),
-        _LOWRANK.normal(size=(5, 2)),
-        _LOWRANK.normal(size=(2, 3)),
+    np.stack(part)
+    for part in zip(
+        *[
+            (
+                _LOWRANK.uniform(size=(1, 4)),
+                _LOWRANK.normal(size=(5, 2)),
+                _LOWRANK.normal(size=(2, 3)),
+            )
+            for _ in range(3)
+        ]
     )
-    for _ in range(3)
 ]
 
 OP_CASES = {
@@ -199,7 +240,7 @@ OP_CASES = {
     ),
     "lowrank_sum": (
         [(3, 4)],
-        lambda h: total(ad.silu(ad.lowrank_sum(ad.sine(h), _WEIGHT, _TERMS))),
+        lambda h: total(ad.silu(ad.lowrank_sum(ad.sine(h), _WEIGHT, *_TERMS))),
     ),
     "row_space_penalty": (
         [(2, 4)],

@@ -26,6 +26,7 @@ from gatedlora.errors import (
 from gatedlora.gating import GateFn, GatingModule, gating_layer_shapes
 from gatedlora.model import ToyBackbone, build_task_sequence
 from gatedlora.numerics import Rng, gaussian_init
+from gatedlora.optim import AdamW
 from gatedlora.params import count_trainable_params, preset
 from gatedlora.subspace import SubspaceBasis
 
@@ -307,6 +308,49 @@ def test_learn_task_gate_forwards_grow_linearly(gating_mode, monkeypatch):
         learn_task(state, task.train)
         per_task.append(count[0] - before)
     assert per_task == [t - 1 + steps + trace for t in range(1, len(sequence) + 1)]
+
+
+@MEMO_CONFIGS
+def test_training_step_after_the_first_skips_the_memo(
+    branch_strategy, gating_mode, monkeypatch
+):
+    # Nothing freezes while a task trains, so once its first step has
+    # read the training pool's memo, `extend_memo` returns at once: each
+    # later step runs only the live gate (none when ungated) and no memo
+    # forward, the one caller of `AdaptedLinear.forward_node` with `stop`.
+    calls = {"gate": 0, "memo": 0}
+    gate_forward = GatingModule.forward_node
+    layer_forward = AdaptedLinear.forward_node
+    step = AdamW.step
+    seen = []  # (optimizer, calls so far) at each step
+
+    def counting_gate(self, pooled):
+        calls["gate"] += 1
+        return gate_forward(self, pooled)
+
+    def counting_layer(self, coeffs, h, start=None, stop=None):
+        calls["memo"] += stop is not None
+        return layer_forward(self, coeffs, h, start, stop)
+
+    def marking_step(self, transforms=None):
+        seen.append((self, dict(calls)))
+        step(self, transforms)
+
+    monkeypatch.setattr(GatingModule, "forward_node", counting_gate)
+    monkeypatch.setattr(AdaptedLinear, "forward_node", counting_layer)
+    monkeypatch.setattr(AdamW, "step", marking_step)
+    cfg = desk_strategy(branch_strategy, gating_mode=gating_mode)
+    state, sequence = desk_state(cfg)
+    for task in sequence:
+        learn_task(state, task.train)
+    steps = cfg.epochs * -(-DESK_MODEL["train_per_task"] // cfg.batch_size)
+    assert len(seen) == steps * len(sequence)
+    pairs = [(a, b) for (opt_a, a), (opt_b, b) in zip(seen, seen[1:]) if opt_a is opt_b]
+    assert len(pairs) == (steps - 1) * len(sequence)
+    for before, after in pairs:
+        assert after["gate"] - before["gate"] == int(cfg.gated)
+        assert after["memo"] == before["memo"]
+    assert calls["memo"] >= len(sequence)  # each task's first step read it
 
 
 @pytest.mark.parametrize("gating_mode", ["gain", "fixed_one"])

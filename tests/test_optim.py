@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gatedlora import autodiff as ad
-from gatedlora.optim import AdamW
+from gatedlora.optim import BETA1, BETA2, EPS, WEIGHT_DECAY, AdamW
 
 
 def first_step_setup():
@@ -45,3 +45,79 @@ def test_param_without_gradient_is_skipped():
     p = ad.parameter([[1.0]])
     AdamW([p], lr=0.1).step()
     assert np.array_equal(p.value, [[1.0]])
+
+
+def reference_adamw_step(params, m, v, step_count, lr, transforms=None):
+    """AdamW step number `step_count` (from 1), one parameter at a time,
+    with each parameter's moments in the lists `m` and `v` (updated in
+    place): the oracle `AdamW.step` must match byte for byte."""
+    bc1 = 1.0 - BETA1**step_count
+    bc2 = 1.0 - BETA2**step_count
+    for i, p in enumerate(params):
+        if p.grad is None:
+            continue
+        g = p.grad
+        m[i] = BETA1 * m[i] + (1.0 - BETA1) * g
+        v[i] = BETA2 * v[i] + (1.0 - BETA2) * g * g
+        m_hat = m[i] / bc1
+        v_hat = v[i] / bc2
+        delta = -lr * (m_hat / (np.sqrt(v_hat) + EPS) + WEIGHT_DECAY * p.value)
+        if transforms and p in transforms:
+            delta = transforms[p](delta)
+        p.value = p.value + delta
+        p.grad = None
+
+
+SHAPES = [(3, 4), (1, 5), (6, 2), (4, 1)]
+SKIPPED = {1: (2, 4), 3: (1,)}  # param index -> steps without a gradient
+
+
+def test_one_pass_step_matches_per_parameter_loop():
+    # Mixed shapes, a projecting transform on param 0, params 1 and 3
+    # without a gradient on some steps and one Fortran-ordered gradient:
+    # values and the transform's inputs are byte-equal to the loop's on
+    # every step, and no step writes a value in place.
+    gen = np.random.default_rng(3)
+    start = [gen.normal(size=s) for s in SHAPES]
+    u = gen.normal(size=(4, 1))
+    u /= np.linalg.norm(u)
+    ours = [ad.parameter(a) for a in start]
+    theirs = [ad.parameter(a) for a in start]
+    seen = {"ours": [], "theirs": []}
+
+    def project(key):
+        def transform(delta):
+            seen[key].append(delta.tobytes())
+            return delta - (delta @ u) @ u.T
+
+        return transform
+
+    opt = AdamW(ours, lr=0.05)
+    m = [np.zeros(s) for s in SHAPES]
+    v = [np.zeros(s) for s in SHAPES]
+    for step in range(1, 7):
+        for i, s in enumerate(SHAPES):
+            g = gen.normal(size=s)
+            if step in SKIPPED.get(i, ()):
+                continue
+            if i == 2 and step == 3:
+                g = np.asfortranarray(g)
+            ours[i].grad, theirs[i].grad = g, g.copy()
+        before = [(p.value, p.value.tobytes()) for p in ours]
+        opt.step({ours[0]: project("ours")})
+        reference_adamw_step(theirs, m, v, step, 0.05, {theirs[0]: project("theirs")})
+        for i, (a, b) in enumerate(zip(ours, theirs)):
+            assert a.value.tobytes() == b.value.tobytes(), f"param {i}, step {step}"
+            assert a.value.shape == b.value.shape and a.grad is None
+        for value, old in before:
+            assert value.tobytes() == old
+        assert seen["ours"] == seen["theirs"]
+    assert len(seen["ours"]) == 6
+    assert opt.step_count == 6
+
+
+def test_empty_parameter_list():
+    opt = AdamW([], lr=0.1)
+    opt.step()
+    opt.step({})
+    assert opt.step_count == 2

@@ -31,8 +31,8 @@ from .errors import (
 )
 from .numerics import Mat, Rng, _lemire, gaussian_init
 
-# Most candidates `generate_task` draws, pools and labels in one block; it
-# bounds a block's memory whatever the attempt's budget.
+# Most candidates `generate_task` draws and labels in one block; it bounds a
+# block's memory whatever the attempt's budget.
 _BLOCK = 512
 
 # Teachers `generate_task` draws before it gives up on a task.
@@ -244,28 +244,58 @@ def _split_candidates(
     return sizes.tolist(), tok_values[ranks], ends
 
 
-def _labels(teacher: Mat, pooled: Mat) -> list[int]:
-    """`argmax(teacher @ x)` of every pooled row x, as the mat-vec of each
-    row alone gives it.
+def _labeller(teacher: Mat, embedding: Mat, window: tuple[int, int]):
+    """`label(lengths, flat)`: for each of a block of candidates from
+    `window` (lengths, token ids back to back), `argmax(teacher @ x)` of
+    its pooled mean x, as `_pool_rows` and the mat-vec of x alone give it,
+    without pooling most of them.
 
-    One product labels the whole batch. It may round a score differently
-    from the mat-vec, but each rounds it by at most d*eps*|t||x| (d terms,
-    machine epsilon eps, any summation order), so where the top score
-    leads the next by more than four times that, both give the same
-    argmax. The rest are labeled by the mat-vec itself.
+    Builds the table S = E @ teacher.T of the window's embedding rows E
+    once; a candidate's class scores s_c are sums of its tokens' rows of
+    S. Why their argmax is the mat-vec's, to first order in machine
+    epsilon eps, with g(k) = k eps / (1 - k eps), d dims, a candidate of
+    L tokens t, N = sum_t |E_t| and a class row T_c (any summation order;
+    |sum_i a_i b_i| <= |a||b| bounds every rounding below):
+      - s_c: each S[t, c] is within g(d) |E_t||T_c| of E_t . T_c, and
+        summing L of them adds at most g(L) sum_t |S[t, c]|, so
+        |s_c - T_c . sum_t E_t| <= (g(d) + g(L)) |T_c| N.
+      - the mat-vec: summing the rows is within g(L) N of sum_t E_t and
+        the division by L adds eps N, so |L x - sum_t E_t| <= (g(L) +
+        eps) N; its score o_c is within g(d) |T_c||x| <= g(d) |T_c| N / L
+        of T_c . x, so |L o_c - T_c . sum_t E_t| <= (g(d) + g(L) + eps)
+        |T_c| N.
+    So |s_c - L o_c| <= B = (2 g(d) + 2 g(L) + eps) max_c |T_c| N. Where
+    the top s leads the next by more than 2B, L o (L > 0) has the same
+    strict argmax. The test uses 2 * 4B, a factor of 4 for the
+    second-order terms and the rounding of N and B; candidates whose
+    margin is no larger are pooled and labeled by the mat-vec itself.
     """
-    scores = pooled @ teacher.T
-    top2 = np.partition(scores, -2, axis=1)[:, -2:]
-    margin = top2[:, 1] - top2[:, 0]
-    bound = (
-        4 * teacher.shape[1] * np.finfo(float).eps
-        * np.linalg.norm(teacher, axis=1).max()
-        * np.linalg.norm(pooled, axis=1)
-    )
-    labels = np.argmax(scores, axis=1)
-    for j in np.flatnonzero(margin <= bound):
-        labels[j] = np.argmax(teacher @ pooled[j].reshape(-1, 1))
-    return labels.tolist()
+    lo, hi = window
+    rows = embedding[lo:hi]
+    table = rows @ teacher.T
+    norms = np.linalg.norm(rows, axis=1)
+    eps = np.finfo(float).eps
+    d = embedding.shape[1]
+    g_d = d * eps / (1 - d * eps)
+    t_max = np.linalg.norm(teacher, axis=1).max()
+
+    def label(lengths: np.ndarray, flat: np.ndarray) -> list[int]:
+        starts = np.cumsum(lengths) - lengths
+        local = flat - lo
+        scores = np.add.reduceat(table[local], starts)
+        g_l = lengths * eps / (1 - lengths * eps)
+        bound = (2 * g_d + 2 * g_l + eps) * t_max * np.add.reduceat(norms[local], starts)
+        top2 = np.partition(scores, -2, axis=1)[:, -2:]
+        labels = np.argmax(scores, axis=1)
+        close = np.flatnonzero(top2[:, 1] - top2[:, 0] <= 2 * 4 * bound)
+        if close.size:
+            picked = [flat[starts[j] : starts[j] + lengths[j]] for j in close]
+            pooled = _pool_rows(np.concatenate(picked), lengths[close], embedding)
+            for j, row in zip(close, pooled):
+                labels[j] = np.argmax(teacher @ row.reshape(-1, 1))
+        return labels.tolist()
+
+    return label
 
 
 def generate_task(
@@ -295,9 +325,10 @@ def generate_task(
     A split goes through candidates in order, taking each unseen one whose
     class has room left, until it is full or has gone through 400 per
     sample plus 400; then the attempt fails. Candidates are read ahead of
-    the "draw" stream, pooled and labeled in blocks, and the stream then
+    the "draw" stream and labeled in blocks, from a table of the teacher's
+    scores of each window token (`_labeller`), and the stream then
     advances past exactly the candidates the split went through, so every
-    draw is the one a one-at-a-time generator would make.
+    draw and label is the one a one-at-a-time generator would make.
 
     Raises ValueError, before any draw, when `seq_len` is not
     1 <= min <= max or the window holds fewer distinct sequences than
@@ -320,6 +351,7 @@ def generate_task(
     for attempt in range(_MAX_ATTEMPTS):
         gen = rng.child(f"task{task_id}-attempt{attempt}")
         teacher = gaussian_init(gen.child("teacher"), n_classes, embedding.shape[1], 1.0)
+        labeller = _labeller(teacher, embedding, vocab_window)
         draw = gen.child("draw")
         seen: set[tuple[int, ...]] = set()
 
@@ -343,14 +375,15 @@ def generate_task(
                         draw.peek_raw(n_raw), seq_len, vocab_window, block
                     )
                     n_raw *= 2
-                pooled = _pool_rows(flat, np.array(lengths), embedding)
+                classes = labeller(np.array(lengths), flat)
                 ids = flat.tolist()
-                start = 0
-                for length, end, label in zip(lengths, ends, _labels(teacher, pooled)):
+                starts = itertools.accumulate(lengths, initial=0)
+                for start, length, end, label in zip(starts, lengths, ends, classes):
                     budget -= 1
+                    if quota[label] == 0:
+                        continue
                     seq = tuple(ids[start : start + length])
-                    start += length
-                    if seq in seen or quota[label] == 0:
+                    if seq in seen:
                         continue
                     quota[label] -= 1
                     seen.add(seq)

@@ -30,6 +30,7 @@ class Rng:
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
+        self._ahead: np.random.Generator | None = None  # made by the first peek
 
     def child(self, tag: str) -> "Rng":
         digest = hashlib.blake2b(
@@ -57,9 +58,11 @@ class Rng:
         values from these draws, one or more per value (`_lemire`); with
         high - low == 1 it draws nothing.
         """
-        ahead = np.random.PCG64()
-        ahead.state = self._gen.bit_generator.state
-        return np.random.Generator(ahead).integers(0, 1 << 32, size=n, dtype=np.uint64)
+        if self._ahead is None:
+            # Any seed: every peek overwrites the state.
+            self._ahead = np.random.Generator(np.random.PCG64(0))
+        self._ahead.bit_generator.state = self._gen.bit_generator.state
+        return self._ahead.integers(0, 1 << 32, size=n, dtype=np.uint64)
 
     def skip_raw(self, n: int) -> None:
         """Consume the stream's next n raw 32-bit draws."""

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gatedlora import model
+from gatedlora import model, numerics
 from gatedlora.errors import (
     EmptyInput,
     IdOutOfRange,
@@ -15,7 +15,7 @@ from gatedlora.model import (
     Dataset,
     Task,
     ToyBackbone,
-    _labels,
+    _labeller,
     _split_candidates,
     build_task_sequence,
     generate_task,
@@ -246,6 +246,56 @@ class TestGeneratorOracle:
                 generate_task(*args, **kwargs)
         assert_same_task(generate_task(*args, **kwargs), sequential_generate_task(*args, **kwargs))
 
+    @pytest.mark.parametrize("case", ["desk-lengths", "gpm-like"])
+    def test_matches_when_candidates_fall_back(self, case, monkeypatch):
+        # Teacher rows 0 and 1 one ulp apart tie every candidate whose top
+        # class is either, so about a quarter of them here are pooled and
+        # labeled by the mat-vec.
+        def tied_teacher(rng, rows, cols, std):
+            teacher = numerics.gaussian_init(rng, rows, cols, std)
+            teacher[1] = np.nextafter(teacher[0], np.inf)
+            return teacher
+
+        args, kwargs = generator_args(case, 0)
+        monkeypatch.setattr(model, "gaussian_init", tied_teacher)
+        monkeypatch.setitem(globals(), "gaussian_init", tied_teacher)
+        want = sequential_generate_task(*args, **kwargs)
+        counts = count_labelling(monkeypatch)
+        assert_same_task(generate_task(*args, **kwargs), want)
+        assert 0.1 * counts["labelled"] < counts["pooled"] < 0.9 * counts["labelled"]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_pools_almost_no_candidate(self, seed, monkeypatch):
+        counts = count_labelling(monkeypatch)
+        args, kwargs = generator_args("gpm-like", seed)
+        generate_task(*args, **kwargs)
+        assert counts["labelled"] > 100
+        assert counts["pooled"] <= 0.01 * counts["labelled"]
+
+
+def count_labelling(monkeypatch) -> Counter:
+    """Counts, from now on, of the candidates `generate_task` labels and
+    of the sequences it pools."""
+    counts: Counter = Counter()
+    labeller, pool_rows = model._labeller, model._pool_rows
+
+    def counting_labeller(*args):
+        label = labeller(*args)
+
+        def counted(lengths, flat):
+            counts["labelled"] += len(lengths)
+            return label(lengths, flat)
+
+        return counted
+
+    def counting_pool_rows(flat, lengths, embedding):
+        counts["pooled"] += len(lengths)
+        return pool_rows(flat, lengths, embedding)
+
+    monkeypatch.setattr(model, "_labeller", counting_labeller)
+    monkeypatch.setattr(model, "_pool_rows", counting_pool_rows)
+    return counts
+
 
 def sequential_candidates(rng, seq_len, window, count):
     """`count` candidates drawn one at a time, as `generate_task` draws them."""
@@ -298,12 +348,22 @@ class TestSplitCandidates:
 
 def test_labels_match_per_row_products_on_ties():
     gen = np.random.default_rng(0)
-    teacher = gen.normal(size=(4, 64))
+    embedding = gen.normal(size=(40, 64))
+    teacher = gen.normal(size=(6, 64))
     teacher[2] = teacher[0]  # exact ties, decided by the first index
     teacher[3] = np.nextafter(teacher[1], np.inf)  # ties to within rounding
-    pooled = gen.normal(size=(300, 64))
-    want = [int(np.argmax(teacher @ row.reshape(-1, 1))) for row in pooled]
-    assert _labels(teacher, pooled) == want
+    window = (10, 30)
+    lengths = np.tile(np.arange(1, 17), 20)
+    gen.shuffle(lengths)
+    flat = gen.integers(*window, size=lengths.sum())
+    starts = np.cumsum(lengths) - lengths
+    want = [
+        int(np.argmax(teacher @ pool_embed(flat[s : s + n], embedding)))
+        for s, n in zip(starts, lengths)
+    ]
+    # Rows 4 and 5 are labeled from the table, the tied pairs by the fallback.
+    assert {0, 1, 3} <= set(want) and {4, 5} <= set(want)
+    assert _labeller(teacher, embedding, window)(lengths, flat) == want
 
 
 def pooling_case(vocab=30):

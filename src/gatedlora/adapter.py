@@ -87,44 +87,47 @@ class AdaptedLinear:
 
     def forward_node(
         self,
-        coeffs: list[DiffNode],
+        fixed: np.ndarray,
+        live: DiffNode | None,
         h: DiffNode,
         start: tuple[DiffNode, int] | None = None,
         stop: int | None = None,
     ) -> DiffNode:
         """W h + sum_i a_i * up_i(down_i h), adding the branches in stack order.
 
+        `fixed`, a (j, 1, n) array, holds the coefficients of the first j
+        branches, which need no gradient; `live`, unless None, is the
+        coefficient node of branch j, the one that trains. Together they
+        weight every branch before `stop` (every branch when it is None).
+
         `start`, a `(partial, k)` pair, resumes from `partial`, the sum before
         branch k; `stop` ends the sum before branch `stop`. A sum taken in
-        such pieces is bit-identical to one taken whole. `coeffs` holds one
-        coefficient per branch before `stop` (per branch when it is None).
+        such pieces is bit-identical to one taken whole.
 
         Without `start`, W h and the leading branches that are frozen, of
-        the first branch's rank and weighted by a coefficient that needs no
-        gradient form one node (`autodiff.lowrank_sum`, over
-        `_frozen_stack`); every later branch adds its own. Value and
-        gradients are bit-identical to adding every branch on its own.
+        the first branch's rank and weighted by a row of `fixed` form one
+        node (`autodiff.lowrank_sum` over `fixed[:k]` and `_frozen_stack`);
+        every later branch adds its own. Value and gradients are
+        bit-identical to adding every branch on its own.
         """
         summed = len(self.branches[:stop])
-        if len(coeffs) != summed:
-            raise ShapeMismatch(f"{len(coeffs)} coefficients for {summed} branches")
+        n_coeffs = len(fixed) + (live is not None)
+        if n_coeffs != summed:
+            raise ShapeMismatch(f"{n_coeffs} coefficients for {summed} branches")
         if start is None:
             k = 0
-            rank = self.branches[0].rank if summed else 0
             while (
-                k < summed
+                k < len(fixed)
                 and self.branches[k].frozen
-                and self.branches[k].rank == rank
-                and not coeffs[k].requires_grad
+                and self.branches[k].rank == self.branches[0].rank
             ):
                 k += 1
-            if k:
-                a = np.array([c.value for c in coeffs[:k]])
-            else:
-                a = np.empty((0, 1, h.shape[1]))
-            start = (ad.lowrank_sum(h, self.weight, a, *self._frozen_stack(k)), k)
+            start = (ad.lowrank_sum(h, self.weight, fixed[:k], *self._frozen_stack(k)), k)
         out, k = start
-        for a_i, branch in zip(coeffs[k:stop], self.branches[k:stop]):
+        coeffs = [ad.constant(a) for a in fixed[k:]]
+        if live is not None:
+            coeffs.append(live)
+        for a_i, branch in zip(coeffs, self.branches[k:stop]):
             contrib = ad.matmul(branch.up, ad.matmul(branch.down, h))
             out = ad.add(out, ad.scale_columns(a_i, contrib))
         return out

@@ -12,13 +12,16 @@ identity, on test pools the state holds for the whole run.
 Training and evaluation apply the model to a pool through one method,
 `ContinualState.apply`. Frozen gates and branches never change, and
 neither does a pool, so what they give on it is computed once per pool
-(the task's training pool, or a held test pool) and read back by column.
-A task is frozen as soon as it is learned, so a run of T tasks computes
-each (gate, held pool) product once: T^2 gate forwards in evaluation.
+(the task's training pool, or a held test pool) and read back by column:
+every coefficient but the training gate's as one (j, 1, n) array, and the
+first adapted layer's frozen-branch sum. A task is frozen as soon as it
+is learned, so a run of T tasks computes each (gate, held pool) product
+once: T^2 gate forwards in evaluation.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -57,7 +60,6 @@ class StrategyConfig:
     gating_mode: str = "gain"
     gate_fn: str = "abs_sigmoid"
     gate_hidden: int = 32
-    gate_layers: int = 2
     gate_init_std: float = 0.02
     rank: int = 8
     lam: float = 0.5
@@ -94,8 +96,6 @@ class StrategyConfig:
         for name in ("rank", "epochs", "batch_size", "gate_hidden", "subspace_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.gate_layers < 0 or self.gate_layers % 2 != 0:
-            raise ValueError("gate_layers must be a non-negative even number")
 
     @property
     def gated(self) -> bool:
@@ -178,10 +178,12 @@ class Pool:
 
     The pool never changes, and neither does a frozen gate or branch, so
     each is applied to the whole pool once:
-    - `gate_rows[j]` is frozen gate j's (1, n) output;
+    - `coeffs`, a (j, 1, n) array, holds the coefficients of the first j
+      branches: frozen gate i's output row, or a row of ones for an
+      ungated branch, whose coefficient is a frozen 1;
     - `prefix`, a `(partial, k)` pair, holds as a constant node the first
       adapted layer's sum W x + sum_{i<k} a_i * up_i(down_i x) over its
-      first k branches, each frozen and weighted by a frozen coefficient.
+      first k branches, each frozen, with a_i from `coeffs`.
     Both grow as tasks freeze, in the order the forward adds. Each task
     freezes at the end of `learn_task`, so on a held pool the memo covers
     every gate and, unless the one branch of `seq` still trains, every
@@ -190,8 +192,11 @@ class Pool:
 
     pooled: np.ndarray
     labels: np.ndarray
-    gate_rows: list[np.ndarray] = field(default_factory=list)
-    prefix: Optional[tuple[ad.DiffNode, int]] = None
+    coeffs: np.ndarray = field(init=False)
+    prefix: Optional[tuple[ad.DiffNode, int]] = field(init=False, default=None)
+
+    def __post_init__(self):
+        self.coeffs = np.empty((0, 1, self.pooled.shape[1]))
 
 
 class ContinualState:
@@ -207,9 +212,7 @@ class ContinualState:
         self.cfg = cfg
         self.rng = rng
         self.gates: list[GatingModule] = []
-        self.gate_shapes = gating_layer_shapes(
-            model.embed_dim, cfg.gate_hidden, cfg.gate_layers
-        )
+        self.gate_shapes = gating_layer_shapes(model.embed_dim, cfg.gate_hidden)
         self.gate_memory = SubspaceMemory(
             [s[1] for s in self.gate_shapes], cfg.eps_threshold
         )
@@ -239,59 +242,57 @@ class ContinualState:
         weighted by its gate, or by 1 when ungated.
 
         First the pool's memo is extended (`extend_memo`). Then its columns
-        `idx` are taken and only the rest runs fresh, with a graph unless
-        under `no_grad`: the unfrozen gate and branches of the task in
-        training, the later adapted layers and the head. On a held pool
-        every gate is frozen, and so is every first-layer branch but the
-        one of `seq`. The result matches a fresh forward on the C-ordered
-        batch `pool.pooled.take(idx, axis=1)` byte for byte as long as BLAS
-        rounds an output column the same whatever the product's width,
-        which OpenBLAS does when the batch width is a multiple of 8.
+        `idx` are taken, the coefficients in one `take`, and only the rest
+        runs fresh, with a graph unless under `no_grad`: the newest gate
+        when the memo lacks its row, the unfrozen branches, the later
+        adapted layers and the head. On a held pool every gate is frozen,
+        and so is every first-layer branch but the one of `seq`. The result
+        matches a fresh forward on the C-ordered batch
+        `pool.pooled.take(idx, axis=1)` byte for byte as long as BLAS rounds
+        an output column the same whatever the product's width, which
+        OpenBLAS does when the batch width is a multiple of 8.
         """
         self.extend_memo(pool)
 
-        def cols(a: np.ndarray) -> np.ndarray:
+        def cols(a: np.ndarray, axis: int = 1) -> np.ndarray:
             # `take` copies C-ordered; `a[:, idx]` is Fortran-ordered, and
             # BLAS may round a product with it unlike the memo's columns.
-            return a if idx is None else a.take(idx, axis=1)
+            return a if idx is None else a.take(idx, axis=axis)
 
         x = ad.constant(cols(pool.pooled))
-        if self.cfg.gated:
-            coeffs = [ad.constant(cols(r)) for r in pool.gate_rows]
-            coeffs += [m.forward_node(x)[0] for m in self.gates[len(coeffs):]]
-        else:
-            coeffs = [ad.constant(np.ones((1, x.shape[1])))] * self.n_branches
+        fixed = cols(pool.coeffs, axis=2)
+        live = self.gates[-1].forward_node(x)[0] if len(fixed) < self.n_branches else None
         partial, k = pool.prefix
-        return self.model.forward_node(coeffs, x, (ad.constant(cols(partial.value)), k))
+        start = (ad.constant(cols(partial.value)), k)
+        return self.model.forward_node(fixed, live, x, start)
 
     def extend_memo(self, pool: Pool) -> None:
-        """Add to the pool's memo, graph-free, the gates and leading
-        first-layer branches frozen since it was last read; return at once
-        when nothing has frozen since, as on every training step after a
-        task's first."""
+        """Add to the pool's memo, graph-free, the rows of the gates frozen
+        since it was last read (ungated, a row of ones per new branch) and
+        the leading first-layer branches frozen since; return at once when
+        nothing has changed, as on every training step after a task's first."""
         layer = self.model.adapted_layers[0]
-        gated = self.cfg.gated
-        rows = len(pool.gate_rows) if gated else self.n_branches
+        j = len(pool.coeffs)
         k = pool.prefix[1] if pool.prefix else 0
-        if (
-            pool.prefix
-            and not (gated and rows < len(self.gates) and self.gates[rows].frozen)
-            and not (k < rows and layer.branches[k].frozen)
-        ):
+        if self.cfg.gated:
+            grows = j < len(self.gates) and self.gates[j].frozen
+        else:
+            grows = j < self.n_branches
+        if pool.prefix and not grows and not (k < j and layer.branches[k].frozen):
             return
+        n = pool.pooled.shape[1]
         with ad.no_grad():
             x = ad.constant(pool.pooled)
-            if gated:
-                for module in self.gates[rows:]:
-                    if not module.frozen:
-                        break
-                    pool.gate_rows.append(module.forward_node(x)[0].value)
-                memo = [ad.constant(r) for r in pool.gate_rows]
+            if self.cfg.gated:
+                frozen = itertools.takewhile(lambda m: m.frozen, self.gates[j:])
+                rows = [module.forward_node(x)[0].value for module in frozen]
             else:
-                memo = [ad.constant(np.ones((1, x.shape[1])))] * rows
-            while k < len(memo) and layer.branches[k].frozen:
+                rows = [np.ones((1, n))] * (self.n_branches - j)
+            pool.coeffs = np.concatenate([pool.coeffs, np.reshape(rows, (-1, 1, n))])
+            while k < len(pool.coeffs) and layer.branches[k].frozen:
                 k += 1
-            pool.prefix = (layer.forward_node(memo[:k], x, pool.prefix, stop=k), k)
+            partial = layer.forward_node(pool.coeffs[:k], None, x, pool.prefix, stop=k)
+            pool.prefix = (partial, k)
 
     def trainable_params(self) -> list[ad.DiffNode]:
         params: list[ad.DiffNode] = []
@@ -490,7 +491,7 @@ def collect_gate_samples(state: ContinualState) -> list[dict]:
     samples = []
     for task_idx, pool in enumerate(state.held):
         state.extend_memo(pool)
-        for gate_idx, row in enumerate(pool.gate_rows):
+        for gate_idx, row in enumerate(pool.coeffs):
             samples.append(
                 {
                     "gate": gate_idx,

@@ -66,20 +66,10 @@ class GateFn(enum.Enum):
         return ad.sigmoid(b)
 
 
-def gating_layer_shapes(embed_dim: int, hidden: int, depth: int) -> list[tuple[int, int]]:
-    """Weight shapes for a gate MLP with `depth` hidden layers.
-
-    Hidden layers alternate (hidden x d) and (d x hidden); the final layer
-    is a row vector over whatever the last hidden layer emits.
-    """
-    shapes = []
-    in_dim = embed_dim
-    for layer in range(depth):
-        out_dim = hidden if layer % 2 == 0 else embed_dim
-        shapes.append((out_dim, in_dim))
-        in_dim = out_dim
-    shapes.append((1, in_dim))
-    return shapes
+def gating_layer_shapes(embed_dim: int, hidden: int) -> list[tuple[int, int]]:
+    """Weight shapes of a gate MLP: a (hidden x d) and a (d x hidden)
+    hidden layer, then the final row vector over d."""
+    return [(hidden, embed_dim), (embed_dim, hidden), (1, embed_dim)]
 
 
 class GatingModule:

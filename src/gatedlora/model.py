@@ -128,21 +128,24 @@ class ToyBackbone:
 
     def forward_node(
         self,
-        coeffs: list[DiffNode],
+        fixed: np.ndarray,
+        live: DiffNode | None,
         pooled: DiffNode,
         start: tuple[DiffNode, int] | None = None,
     ) -> tuple[DiffNode, list[Mat]]:
         """Class logits node for a pooled batch; also returns the inputs
-        seen by each adapted layer (for subspace collection). `start`
-        resumes the first adapted layer's branch sum, as in
-        `AdaptedLinear.forward_node`."""
+        seen by each adapted layer (for subspace collection). Every adapted
+        layer weights its branches by the same coefficients: the (j, 1, n)
+        rows `fixed` of the first j branches, then the node `live` of the
+        one that trains, if any. `start` resumes the first adapted layer's
+        branch sum. Both as in `AdaptedLinear.forward_node`."""
         h = pooled
         inputs = []
         for i, layer in enumerate(self.adapted_layers):
             if i:
                 h = ad.silu(h)
             inputs.append(h.value)
-            h = layer.forward_node(coeffs, h, None if i else start)
+            h = layer.forward_node(fixed, live, h, None if i else start)
         return ad.matmul(ad.constant(self.head), h), inputs
 
 

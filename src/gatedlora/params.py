@@ -24,7 +24,6 @@ class ArchSpec:
     sites: tuple[tuple[int, int, int], ...]
     embed_dim: int
     gate_hidden: int
-    gate_layers: int = 2
 
 
 PRESETS: dict[str, ArchSpec] = {
@@ -48,7 +47,7 @@ PRESETS: dict[str, ArchSpec] = {
 def gate_param_count(arch: ArchSpec) -> int:
     from .gating import gating_layer_shapes
 
-    shapes = gating_layer_shapes(arch.embed_dim, arch.gate_hidden, arch.gate_layers)
+    shapes = gating_layer_shapes(arch.embed_dim, arch.gate_hidden)
     return sum(rows * cols for rows, cols in shapes)
 
 

@@ -49,9 +49,9 @@ def integrate(branches, coeffs):
 
 def adapted_forward(layer, coeffs, h):
     """W h plus the coefficient-weighted branch contributions."""
-    rows = [ad.constant(np.full((1, h.shape[1]), a)) for a in coeffs]
+    fixed = np.array([np.full((1, h.shape[1]), a) for a in coeffs])
     with ad.no_grad():
-        out = layer.forward_node(rows, ad.constant(h))
+        out = layer.forward_node(fixed, None, ad.constant(h))
     return out.value
 
 
@@ -140,7 +140,7 @@ class TestAdaptedForward:
         br.up.value[:] = rng.normal(5, 2, 1.0)
         h = rng.normal(4, 3, 1.0)
         coeffs = rng.uniform(3).reshape(1, 3)
-        node = layer.forward_node([ad.constant(coeffs)], ad.constant(h))
+        node = layer.forward_node(np.empty((0, 1, 3)), ad.constant(coeffs), ad.constant(h))
         vals = layer.weight @ h + coeffs * (br.up.value @ (br.down.value @ h))
         assert np.allclose(node.value, vals, atol=1e-14)
 
@@ -150,15 +150,15 @@ class TestAdaptedForward:
             ("live_gate", 4),
             ("ungated", 4),
             ("inflora", 4),
-            ("frozen_live_gate", 2),
             ("mixed_rank", 2),
         ],
     )
     def test_fused_frozen_part_matches_per_branch_oracle(self, rng, case, folded):
         # Four frozen branches, then the live one. W h and the leading
-        # frozen branches of the first one's rank with constant coefficients
+        # frozen branches of the first one's rank with fixed coefficients
         # form one node; value and every gradient are byte-equal to adding
-        # each branch on its own.
+        # each branch on its own. Gated, the live branch's coefficient is
+        # a trainable node; ungated, every coefficient is a fixed 1.
         d, n = 16, 12
         layer = AdaptedLinear(rng.normal(d, d, 1.0))
         for t in range(5):
@@ -167,18 +167,21 @@ class TestAdaptedForward:
             expand_branch(layer, r, rng.child(f"b{t}"), designed_down=rows)
             layer.branches[-1].up.value[:] = rng.normal(d, r, 1.0)
         if case == "ungated":
-            coeffs = [ad.constant(np.ones((1, n)))] * 5
+            fixed, live = np.ones((5, 1, n)), None
+            coeffs = [ad.constant(a) for a in fixed]
         else:
-            coeffs = [ad.constant(rng.uniform(n).reshape(1, n)) for _ in range(5)]
-            coeffs[4] = ad.parameter(coeffs[4].value)
-        if case == "frozen_live_gate":
-            coeffs[2] = ad.parameter(coeffs[2].value)
+            rows = np.array([rng.uniform(n).reshape(1, n) for _ in range(5)])
+            fixed, live = rows[:4], ad.parameter(rows[4])
+            coeffs = [ad.constant(a) for a in fixed] + [live]
         h = ad.parameter(rng.normal(d, n, 1.0))
         params = [h] + layer.branches[4].trainable_params()
         params += [a for a in coeffs if a.requires_grad]
         results, sizes = [], []
-        for forward in (layer.forward_node, lambda c, x: branch_sum(layer, c, x)):
-            out = forward(coeffs, h)
+        for forward in (
+            lambda: layer.forward_node(fixed, live, h),
+            lambda: branch_sum(layer, coeffs, h),
+        ):
+            out = forward()
             ad.backward(total(ad.sine(out)))
             results.append([out.value.tobytes()] + [p.grad.tobytes() for p in params])
             sizes.append(graph_size(out))
@@ -305,10 +308,9 @@ class TestExpandBranch:
         br = expand_branch(layer, 2, rng.child("a"))
         br.up.value[:] = rng.normal(5, 2, 1.0)
         h = ad.constant(rng.normal(4, 3, 1.0))
-        before = layer.forward_node([ad.constant(np.full((1, 3), 0.7))], h)
+        before = layer.forward_node(np.full((1, 1, 3), 0.7), None, h)
         expand_branch(layer, 2, rng.child("b"))
-        coeffs = [ad.constant(np.full((1, 3), a)) for a in (0.7, 1.0)]
-        after = layer.forward_node(coeffs, h)
+        after = layer.forward_node(np.full((1, 1, 3), 0.7), ad.constant(np.ones((1, 3))), h)
         assert np.array_equal(before.value, after.value)
 
     def test_previous_branches_frozen(self, rng):
@@ -339,9 +341,9 @@ class TestExpandBranch:
         second = expand_branch(layer, 2, rng.child("b"))
         opt = AdamW(second.trainable_params(), lr=1e-2)
         h = rng.normal(4, 6, 1.0)
-        ones = ad.constant(np.ones((1, 6)))
+        ones = np.ones((2, 1, 6))
         for _ in range(25):
-            out = layer.forward_node([ones, ones], ad.constant(h))
+            out = layer.forward_node(ones, None, ad.constant(h))
             ad.backward(total(ad.silu(out)))
             opt.step()
         assert (first.up.value.tobytes(), first.down.value.tobytes()) == frozen_bytes
@@ -353,7 +355,7 @@ class TestExpandBranch:
         br = expand_branch(layer, 2, rng.child("a"), designed_down=rows)
         opt = AdamW(br.trainable_params(), lr=1e-2)
         for _ in range(25):
-            out = layer.forward_node([ad.constant(np.ones((1, 20)))], ad.constant(h_new))
+            out = layer.forward_node(np.ones((1, 1, 20)), None, ad.constant(h_new))
             ad.backward(total(ad.silu(out)))
             opt.step()
         assert np.array_equal(br.down.value, rows)

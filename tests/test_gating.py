@@ -103,8 +103,8 @@ class TestPoolEmbed:
             pool_embed([1.7, 2.2], np.ones((3, 2)))
 
 
-def make_module(rng, d=6, w=4, depth=2, gate=GateFn.ABS_SIGMOID, std=0.5):
-    shapes = gating_layer_shapes(d, w, depth)
+def make_module(rng, d=6, w=4, gate=GateFn.ABS_SIGMOID, std=0.5):
+    shapes = gating_layer_shapes(d, w)
     weights = [gaussian_init(rng.child(f"w{i}"), *s, std) for i, s in enumerate(shapes)]
     return GatingModule(weights, gate)
 
@@ -129,7 +129,7 @@ class TestGatingForward:
         assert abs(out[0]) <= 1e-9
 
     def test_trace_shapes(self, rng):
-        mod = make_module(rng, d=6, w=4, depth=2)
+        mod = make_module(rng, d=6, w=4)
         out, trace = mod.forward_values(np.zeros((6, 3)))
         assert [t.shape[0] for t in trace] == [6, 4, 6]
         assert all(t.shape[1] == 3 for t in trace)
@@ -171,7 +171,7 @@ def memory_from_module(module, inputs, eps=1.0):
 
 class TestInitNewGating:
     def test_first_task_projection_is_noop(self, rng):
-        shapes = gating_layer_shapes(6, 4, 2)
+        shapes = gating_layer_shapes(6, 4)
         mem = SubspaceMemory([s[1] for s in shapes], 0.99)
         mod = init_new_gating(
             None, mem, Rng(3), shapes=shapes, gate=GateFn.ABS_SIGMOID
@@ -192,7 +192,7 @@ class TestInitNewGating:
         prev = make_module(rng)
         mem = SubspaceMemory(prev.input_dims, 0.99)
         new = init_new_gating(
-            prev, mem, Rng(5), shapes=gating_layer_shapes(6, 4, 2),
+            prev, mem, Rng(5), shapes=gating_layer_shapes(6, 4),
             gate=GateFn.ABS_SIGMOID,
         )
         for a, b in zip(new.params[:-1], prev.params[:-1]):
@@ -203,7 +203,7 @@ class TestInitNewGating:
         mem = SubspaceMemory(prev.input_dims, 1.0)
         mem.layers[-1] = SubspaceBasis(6, np.eye(6))
         new = init_new_gating(
-            prev, mem, Rng(7), shapes=gating_layer_shapes(6, 4, 2),
+            prev, mem, Rng(7), shapes=gating_layer_shapes(6, 4),
             gate=GateFn.ABS_SIGMOID,
         )
         assert np.max(np.abs(new.params[-1].value)) <= 1e-12
@@ -216,7 +216,7 @@ class TestInitNewGating:
         x = np.random.default_rng(4).normal(size=(6, 3))
         mem = memory_from_module(prev, x)
         new = init_new_gating(
-            prev, mem, Rng(11), shapes=gating_layer_shapes(6, 4, 2),
+            prev, mem, Rng(11), shapes=gating_layer_shapes(6, 4),
             gate=GateFn.ABS_SIGMOID,
         )
         final = new.params[-1].value
@@ -230,7 +230,7 @@ class TestInitNewGating:
         x = np.random.default_rng(8).normal(size=(6, 10))
         mem = memory_from_module(prev, x)
         new = init_new_gating(
-            prev, mem, Rng(13), shapes=gating_layer_shapes(6, 4, 2),
+            prev, mem, Rng(13), shapes=gating_layer_shapes(6, 4),
             gate=GateFn.ABS_SIGMOID,
         )
         out, _ = new.forward_values(x)
@@ -240,7 +240,7 @@ class TestInitNewGating:
         mem = SubspaceMemory([5, 4, 6], 0.99)
         with pytest.raises(DimMismatch):
             init_new_gating(
-                None, mem, Rng(1), shapes=gating_layer_shapes(6, 4, 2),
+                None, mem, Rng(1), shapes=gating_layer_shapes(6, 4),
                 gate=GateFn.ABS_SIGMOID,
             )
 
@@ -300,7 +300,7 @@ class TestInvarianceUnderConstrainedTraining:
         x_old = gen.normal(size=(6, 4))
         mem = memory_from_module(prev, x_old)
         new = init_new_gating(
-            prev, mem, rng.child("new"), shapes=gating_layer_shapes(6, 4, 2),
+            prev, mem, rng.child("new"), shapes=gating_layer_shapes(6, 4),
             gate=GateFn.ABS_SIGMOID,
         )
         # new-task inputs deliberately overlap the old span so unconstrained
@@ -341,7 +341,7 @@ class TestGateSequence:
         first = make_module(rng.child("a"))
         second = init_new_gating(
             first, SubspaceMemory(first.input_dims, 0.99), rng.child("b"),
-            shapes=gating_layer_shapes(6, 4, 2), gate=GateFn.ABS_SIGMOID,
+            shapes=gating_layer_shapes(6, 4), gate=GateFn.ABS_SIGMOID,
         )
         return [first, second]
 

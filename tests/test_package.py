@@ -1,6 +1,6 @@
 """The package advertises only modules and entry points that exist, and
 holds no public function or method that nothing calls, nor a defaulted
-parameter that no call passes."""
+parameter or dataclass field that no call passes."""
 
 import ast
 import importlib
@@ -47,6 +47,20 @@ API_ENTRY_POINTS = {
     "count_trainable_params",
     "AccuracyMatrix.entry",
     "ToyBackbone.frozen_fingerprint",  # the never-changes check on a run
+}
+
+
+# Defaulted `StrategyConfig` fields that only tests set: each is a knob of
+# the method that ROADMAP plans a caller for.
+TEST_ONLY_OPTIONS = {
+    "StrategyConfig(gate_fn)": "the gate squash; item 7's CLI config",
+    "StrategyConfig(gate_hidden)": "the gate width; item 7's CLI config",
+    "StrategyConfig(gate_init_std)": "item 4's plasticity sweep (0.3 there)",
+    "StrategyConfig(rank)": "branch rank; item 2 sizes it so InfLoRA's subspace lasts",
+    "StrategyConfig(lam)": "the O-LoRA penalty weight; item 7's CLI config",
+    "StrategyConfig(eps_threshold)": "item 1's claim config (0.8) and bench workload",
+    "StrategyConfig(batch_size)": "item 7's CLI config",
+    "StrategyConfig(subspace_samples)": "item 7's CLI config",
 }
 
 
@@ -98,17 +112,47 @@ def test_no_dead_helpers():
     assert not dead, "no caller: " + ", ".join(dead)
 
 
+def is_dataclass(node):
+    return any(
+        getattr(d, "id", None) == "dataclass" or getattr(d.func, "id", None) == "dataclass"
+        for d in node.decorator_list
+        if isinstance(d, (ast.Name, ast.Call))
+    )
+
+
+def dataclass_fields(node):
+    """(name, has default) of each field of a dataclass that its generated
+    `__init__` takes, in order: a field set `field(init=False)` is not
+    one."""
+    for item in node.body:
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            value = item.value
+            if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+                keywords = {k.arg: k.value for k in value.keywords}
+                init = keywords.get("init")
+                if isinstance(init, ast.Constant) and init.value is False:
+                    continue
+                yield item.target.id, bool({"default", "default_factory"} & set(keywords))
+            else:
+                yield item.target.id, value is not None
+
+
 def defaulted_params(tree):
     """(callee, parameter, positional index) of each defaulted parameter of
     a public module function, or of a public method or `__init__` of a
-    module-level class. The callee is the name a call uses: the class for
-    `__init__`. The index counts from the first argument a call passes and
-    is None for a keyword-only parameter."""
+    module-level class, a dataclass's defaulted fields included. The
+    callee is the name a call uses: the class for `__init__`. The index
+    counts from the first argument a call passes and is None for a
+    keyword-only parameter."""
     defs = []
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             defs.append((node.name, node, 0))
         elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            if is_dataclass(node):
+                for i, (name, defaulted) in enumerate(dataclass_fields(node)):
+                    if defaulted:
+                        yield node.name, name, i
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
                     callee = node.name if item.name == "__init__" else item.name
@@ -129,7 +173,8 @@ def test_every_option_has_a_caller():
     """A call passes a parameter by keyword, or by position when it has more
     positional arguments than the parameter's index; `*args` and `**kwargs`
     pass everything. Calls are matched to a definition by callee name
-    only, as in `test_no_dead_helpers`."""
+    only, as in `test_no_dead_helpers`. Only the fields in
+    `TEST_ONLY_OPTIONS` may go unset."""
     calls = defaultdict(list)  # callee -> (positional count, starred, keywords)
     for tree in parsed("src/gatedlora", "bench").values():
         for node in ast.walk(tree):
@@ -141,6 +186,8 @@ def test_every_option_has_a_caller():
     unset = []
     for path, tree in parsed("src/gatedlora").items():
         for callee, param, index in defaulted_params(tree):
+            if f"{callee}({param})" in TEST_ONLY_OPTIONS:
+                continue
             if not any(
                 param in keywords
                 or None in keywords
@@ -154,5 +201,8 @@ def test_every_option_has_a_caller():
 def test_allowlists_name_existing_code():
     trees = parsed("src/gatedlora").values()
     defs = {qualname for tree in trees for qualname, _ in public_defs(tree)}
-    stale = sorted(API_ENTRY_POINTS - defs)
+    options = {
+        f"{callee}({param})" for tree in trees for callee, param, _ in defaulted_params(tree)
+    }
+    stale = sorted(API_ENTRY_POINTS - defs) + sorted(set(TEST_ONLY_OPTIONS) - options)
     assert not stale, "allowlisted but not in src: " + ", ".join(stale)

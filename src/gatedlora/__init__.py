@@ -8,7 +8,7 @@ Module map:
   subspace   gradient projection memory (orthonormal input bases)
   gating     per-task gate networks and the orthogonality constraints
   adapter    expandable low-rank branches and update strategies
-  model      toy frozen backbone, synthetic tasks, file ingestion
+  model      toy frozen backbone, synthetic tasks
   optim      one-pass AdamW over flat moments, per-parameter delta hook
   params     trainable-parameter accounting for known architectures
   continual  per-task orchestration and metrics

@@ -2,10 +2,10 @@
 
 The op set is small and closed: matmul, same-shape add, scalar multiply
 (by a python float, or per-column by a 1xn node), SiLU, sigmoid, abs,
-sin, clip-from-above, softmax cross-entropy, a quadratic row-space
-penalty, and a frozen weight plus k coefficient-weighted frozen low-rank
-terms applied to one input (`lowrank_sum`), the terms passed as stacked
-(k, ...) arrays so their products batch. Every op here is covered by
+softmax cross-entropy, a quadratic row-space penalty, and a frozen
+weight plus k coefficient-weighted frozen low-rank terms applied to one
+input (`lowrank_sum`), the terms passed as stacked (k, ...) arrays so
+their products batch. Every op here is covered by
 finite-difference checks in the test suite; do not add ops without
 extending those checks.
 
@@ -217,17 +217,6 @@ def silu(a: DiffNode) -> DiffNode:
 
 def absval(a: DiffNode) -> DiffNode:
     return DiffNode(np.abs(a.value), ((a, lambda g: g * np.sign(a.value)),))
-
-
-def sine(a: DiffNode) -> DiffNode:
-    return DiffNode(np.sin(a.value), ((a, lambda g: g * np.cos(a.value)),))
-
-
-def clip_upper(a: DiffNode, hi: float) -> DiffNode:
-    """min(a, hi) elementwise; gradient passes only where a < hi."""
-    hi = float(hi)
-    mask = a.value < hi
-    return DiffNode(np.minimum(a.value, hi), ((a, lambda g: g * mask),))
 
 
 def softmax_cross_entropy(logits: DiffNode, labels: np.ndarray) -> DiffNode:

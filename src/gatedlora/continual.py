@@ -53,21 +53,25 @@ from .subspace import SubspaceMemory
 
 GATING_MODES = ("gain", "fixed_one", "no_init", "no_update", "no_constraints")
 
+# Weight of the O-LoRA orthogonality penalty on each adapted layer.
+OLORA_LAMBDA = 0.5
+
+# Most pooled training columns a task's subspace growth and InfLoRA design
+# read; a larger training set is subsampled to this many.
+SUBSPACE_SAMPLES = 512
+
 
 @dataclass
 class StrategyConfig:
     branch_strategy: str = "olora"
     gating_mode: str = "gain"
-    gate_fn: str = "abs_sigmoid"
     gate_hidden: int = 32
     gate_init_std: float = 0.02
     rank: int = 8
-    lam: float = 0.5
     eps_threshold: float = 0.99
     lr: float = 1e-3
     epochs: int = 25
     batch_size: int = 32
-    subspace_samples: int = 512
 
     def validate(self) -> None:
         if self.branch_strategy not in BRANCH_STRATEGIES:
@@ -79,21 +83,13 @@ class StrategyConfig:
                 "the single-branch strategy has no per-task branch to gate; "
                 "use gating_mode='fixed_one'"
             )
-        if GateFn(self.gate_fn) is GateFn.SIGMOID:
-            raise ValueError(
-                "gate_fn='sigmoid' has f(0) = 0.5, so it breaks the zero-output "
-                "pin on old-task inputs; only the no_init and no_constraints "
-                "ablations use it, and they select it themselves"
-            )
         if not 0.0 < self.eps_threshold <= 1.0:
             raise ValueError(f"eps_threshold must be in (0, 1], got {self.eps_threshold}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
         for name in ("lr", "gate_init_std"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
-        for name in ("rank", "epochs", "batch_size", "gate_hidden", "subspace_samples"):
+        for name in ("rank", "epochs", "batch_size", "gate_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
@@ -115,7 +111,7 @@ class StrategyConfig:
         # squash for a plain sigmoid (which has f(0) != 0).
         if self.gating_mode in ("no_init", "no_constraints"):
             return GateFn.SIGMOID
-        return GateFn(self.gate_fn)
+        return GateFn.ABS_SIGMOID
 
 
 class AccuracyMatrix:
@@ -316,7 +312,7 @@ def _collect_adapted_inputs(
 ) -> list[np.ndarray]:
     """Inputs seen by each adapted layer on a sample of the pool's columns,
     read through the pool's memo (`ContinualState.apply`)."""
-    idx = _subsample(rng, pool.pooled.shape[1], state.cfg.subspace_samples)
+    idx = _subsample(rng, pool.pooled.shape[1], SUBSPACE_SAMPLES)
     with ad.no_grad():
         _, inputs = state.apply(pool, idx)
     return inputs
@@ -360,11 +356,7 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
                     f"{cfg.eps_threshold}; lowering either leaves more)"
                 ) from exc
 
-    if cfg.branch_strategy == "seq":
-        if t == 1:
-            for i, layer in enumerate(layers):
-                expand_branch(layer, cfg.rank, rng.child(f"branch{i}"))
-    else:
+    if cfg.branch_strategy != "seq" or t == 1:
         for i, layer in enumerate(layers):
             expand_branch(
                 layer, cfg.rank, rng.child(f"branch{i}"),
@@ -392,7 +384,7 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
 
     # The older branches stay frozen through the task: one Gram per layer.
     penalties = []
-    if cfg.branch_strategy == "olora" and cfg.lam != 0.0:
+    if cfg.branch_strategy == "olora":
         for layer in layers:
             gram = olora_gram(layer.branches)
             if gram is not None:
@@ -406,7 +398,7 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
         logits, _ = state.apply(pool, idx)
         loss = ad.softmax_cross_entropy(logits, pool.labels[idx])
         for down, gram in penalties:
-            loss = ad.add(loss, olora_penalty_node(down, gram, cfg.lam))
+            loss = ad.add(loss, olora_penalty_node(down, gram, OLORA_LAMBDA))
         return loss
 
     # The batch's graph is referenced only while backward runs, so it is
@@ -419,7 +411,7 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
             opt.step(transforms)
 
     if cfg.gated and (cfg.init_constraints or cfg.update_constraints):
-        idx = _subsample(rng.child("trace"), n, cfg.subspace_samples)
+        idx = _subsample(rng.child("trace"), n, SUBSPACE_SAMPLES)
         _, trace = state.gates[-1].forward_values(pool.pooled.take(idx, axis=1))
         state.gate_memory.extend_all(trace)
     if cfg.branch_strategy == "inflora":

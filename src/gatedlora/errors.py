@@ -60,17 +60,3 @@ class SingleTask(GatedLoraError):
 class UnknownPreset(GatedLoraError):
     """Unrecognized architecture preset name."""
 
-
-class ParseError(GatedLoraError):
-    """A dataset file failed to parse.
-
-    Carries the 1-based line number of the offending record.
-    """
-
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-
-
-class SchemaError(GatedLoraError):
-    """A dataset record parsed but violates the expected schema."""

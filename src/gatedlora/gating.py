@@ -26,13 +26,11 @@ from .subspace import SubspaceBasis, SubspaceMemory, project_out
 class GateFn(enum.Enum):
     """Scalar squashing functions R -> [0, 1].
 
-    All but SIGMOID satisfy f(0) = 0; SIGMOID exists only for the ablation
-    that removes the initialization constraints.
+    ABS_SIGMOID satisfies f(0) = 0; SIGMOID exists only for the ablations
+    that remove the initialization constraints.
     """
 
     ABS_SIGMOID = "abs_sigmoid"  # |2*sigmoid(b) - 1|
-    CLAMP_ABS = "clamp_abs"      # min(|b|, 1)
-    ABS_SINE = "abs_sine"        # |sin(pi*b/2)|
     SIGMOID = "sigmoid"          # ablation only; f(0) = 0.5
 
     def scalar(self, b: float) -> float:
@@ -44,10 +42,6 @@ class GateFn(enum.Enum):
             # symmetry holds bit-exactly.
             e = math.exp(-abs(b))
             return (1.0 - e) / (1.0 + e)
-        if self is GateFn.CLAMP_ABS:
-            return min(abs(b), 1.0)
-        if self is GateFn.ABS_SINE:
-            return abs(math.sin(math.pi * b / 2.0))
         # Two branches so that exp never overflows.
         if b < 0:
             e = math.exp(b)
@@ -59,10 +53,6 @@ class GateFn(enum.Enum):
         if self is GateFn.ABS_SIGMOID:
             ones = ad.constant(np.ones(b.shape))
             return ad.absval(ad.add(ad.smul(2.0, ad.sigmoid(b)), ad.smul(-1.0, ones)))
-        if self is GateFn.CLAMP_ABS:
-            return ad.clip_upper(ad.absval(b), 1.0)
-        if self is GateFn.ABS_SINE:
-            return ad.absval(ad.sine(ad.smul(math.pi / 2.0, b)))
         return ad.sigmoid(b)
 
 

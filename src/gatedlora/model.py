@@ -1,4 +1,4 @@
-"""Desk-scale frozen backbone, synthetic task generation and file ingestion.
+"""Desk-scale frozen backbone and synthetic task generation.
 
 The backbone is a stand-in for a large pre-trained network: a frozen
 embedding table, a list of adapted hidden linear layers with SiLU between
@@ -10,10 +10,7 @@ exposing task identity at inference.
 
 from __future__ import annotations
 
-import csv
 import itertools
-import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +21,6 @@ from .autodiff import DiffNode
 from .errors import (
     EmptyInput,
     IdOutOfRange,
-    ParseError,
-    SchemaError,
     ShapeMismatch,
     WindowOverlap,
 )
@@ -454,84 +449,3 @@ def build_task_sequence(
     ]
     return TaskSequence(tasks)
 
-
-def ingest_dataset(
-    path, fmt: str, *, vocab_size: int, n_classes: int
-) -> Dataset:
-    """Load a dataset file: JSONL ({tokens, label, task_id} per line) or
-    CSV (columns tokens/label/task_id, tokens space-separated).
-
-    Order is file order. A file holds exactly one task.
-    """
-    if fmt not in ("jsonl", "csv"):
-        raise SchemaError(f"unknown format {fmt!r}, expected 'jsonl' or 'csv'")
-    rows: list[tuple[list[int], int, int]] = []
-    if fmt == "jsonl":
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(str(exc), lineno) from exc
-                rows.append(_validate_record(rec, lineno, vocab_size, n_classes))
-    else:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is not None:
-                missing = {"tokens", "label", "task_id"} - set(reader.fieldnames)
-                if missing:
-                    raise SchemaError(f"missing CSV columns: {sorted(missing)}")
-            for rec in reader:
-                # Physical line of the record: DictReader skips blank lines.
-                lineno = reader.line_num
-                try:
-                    parsed = {
-                        "tokens": [int(t) for t in rec["tokens"].split()],
-                        "label": int(rec["label"]),
-                        "task_id": int(rec["task_id"]),
-                    }
-                except (ValueError, AttributeError, KeyError) as exc:
-                    raise ParseError(str(exc), lineno) from exc
-                rows.append(_validate_record(parsed, lineno, vocab_size, n_classes))
-    if not rows:
-        warnings.warn(f"{path}: empty dataset file", stacklevel=2)
-        return Dataset([], np.zeros(0, dtype=np.int64), 0)
-    task_ids = {r[2] for r in rows}
-    if len(task_ids) != 1:
-        raise SchemaError(f"one file must hold one task, found ids {sorted(task_ids)}")
-    return Dataset(
-        [r[0] for r in rows],
-        np.array([r[1] for r in rows]),
-        rows[0][2],
-    )
-
-
-def _validate_record(
-    rec, lineno: int, vocab_size: int, n_classes: int
-) -> tuple[list[int], int, int]:
-    if not isinstance(rec, dict):
-        raise SchemaError(f"line {lineno}: record is not an object")
-    for key in ("tokens", "label", "task_id"):
-        if key not in rec:
-            raise SchemaError(f"line {lineno}: missing field {key!r}")
-    tokens = rec["tokens"]
-    if not isinstance(tokens, list) or not all(
-        isinstance(t, int) and not isinstance(t, bool) for t in tokens
-    ):
-        raise SchemaError(f"line {lineno}: tokens must be a list of ints")
-    if not tokens:
-        raise SchemaError(f"line {lineno}: empty token sequence")
-    label, task_id = rec["label"], rec["task_id"]
-    if not isinstance(label, int) or isinstance(label, bool):
-        raise SchemaError(f"line {lineno}: label must be an int")
-    if not isinstance(task_id, int) or isinstance(task_id, bool):
-        raise SchemaError(f"line {lineno}: task_id must be an int")
-    if not 0 <= label < n_classes:
-        raise SchemaError(
-            f"line {lineno}: label {label} outside union of {n_classes} classes"
-        )
-    if any(t < 0 or t >= vocab_size for t in tokens):
-        raise IdOutOfRange(f"line {lineno}: token id outside vocab {vocab_size}")
-    return list(tokens), label, task_id

@@ -182,7 +182,7 @@ class TestAdaptedForward:
             lambda: branch_sum(layer, coeffs, h),
         ):
             out = forward()
-            ad.backward(total(ad.sine(out)))
+            ad.backward(total(ad.sigmoid(out)))
             results.append([out.value.tobytes()] + [p.grad.tobytes() for p in params])
             sizes.append(graph_size(out))
         assert results[0] == results[1]

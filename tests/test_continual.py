@@ -28,7 +28,7 @@ from gatedlora.model import ToyBackbone, build_task_sequence
 from gatedlora.numerics import Rng, gaussian_init
 from gatedlora.optim import AdamW
 from gatedlora.params import count_trainable_params, preset
-from gatedlora.subspace import SubspaceBasis
+from gatedlora.subspace import SubspaceBasis, SubspaceMemory
 
 from conftest import branch_sum, coefficient_nodes, graph_size, oracle_forward
 
@@ -144,9 +144,10 @@ class TestMetrics:
             accuracy_matrix([[80.0]]).entry(0, 1)
 
 
-@pytest.mark.parametrize("branch_strategy", ["olora", "inflora"])
-def test_whole_run_invariants(branch_strategy):
-    cfg = desk_strategy(branch_strategy)
+def assert_run_invariants(cfg, after_task=lambda state, task: None):
+    """Learn the desk sequence task by task, calling `after_task` after
+    each, and check that the backbone, every frozen task and a seeded
+    summary hold."""
     state, sequence = desk_state(cfg)
     fingerprint = state.model.frozen_fingerprint()
     # Each task's branches and gate are frozen at the end of its own task,
@@ -154,6 +155,7 @@ def test_whole_run_invariants(branch_strategy):
     trained = []
     for task in sequence:
         learn_task(state, task.train)
+        after_task(state, task)
         trained.append(task_bytes(state, -1))
         # The optimizer only ever holds the newest task's params, so the
         # bytes hold even if freezing did nothing; check the freeze itself.
@@ -170,6 +172,49 @@ def test_whole_run_invariants(branch_strategy):
 
     first = run_sequence(DESK_MODEL, cfg, 7).summary_dict()
     assert run_sequence(DESK_MODEL, cfg, 7).summary_dict() == first
+
+
+@pytest.mark.parametrize("branch_strategy", ["olora", "inflora"])
+def test_whole_run_invariants(branch_strategy):
+    assert_run_invariants(desk_strategy(branch_strategy))
+
+
+def test_subspace_reads_subsample_past_the_cap(monkeypatch):
+    # No workload trains on more than SUBSPACE_SAMPLES columns; a cap of 16
+    # under the desk's 48 makes every subspace read draw a sample.
+    cap = 16
+    monkeypatch.setattr(continual, "SUBSPACE_SAMPLES", cap)
+    reads = []  # (what, per-layer inputs) in call order
+    design, extend_all = continual.inflora_design, SubspaceMemory.extend_all
+
+    def recording_design(h, basis, rank):
+        reads.append(("design", [h]))
+        return design(h, basis, rank)
+
+    def recording_extend_all(self, inputs):
+        reads.append(("extend_all", list(inputs)))
+        extend_all(self, inputs)
+
+    monkeypatch.setattr(continual, "inflora_design", recording_design)
+    monkeypatch.setattr(SubspaceMemory, "extend_all", recording_extend_all)
+
+    def check_task(state, task):
+        pooled = state.model.pool_batch(task.train)
+        # The design runs once per adapted layer on one sample; then the
+        # gate trace and the grad space each read a sample of their own.
+        kinds = [kind for kind, _ in reads]
+        assert kinds == ["design", "design", "extend_all", "extend_all"]
+        assert all(h.shape[1] == cap for _, inputs in reads for h in inputs)
+        for _, inputs in (reads[0], reads[2], reads[3]):
+            # the first input of each read is the pooled columns it took
+            idx = [
+                int(np.flatnonzero((pooled == col[:, None]).all(axis=0)).item())
+                for col in inputs[0].T
+            ]
+            assert np.all(np.diff(idx) > 0), idx
+        reads.clear()
+
+    assert_run_invariants(desk_strategy("inflora"), check_task)
 
 
 @pytest.mark.parametrize("branch_strategy", ["olora", "inflora"])
@@ -623,21 +668,23 @@ def test_task_out_of_order_rejected():
     assert state.tasks_learned == 0 and not state.gates
 
 
-def test_sigmoid_gate_fn_rejected():
-    # f(0) = 0.5 would break the pin on old-task inputs under "gain"
-    with pytest.raises(ValueError, match="gate_fn.*no_init.*no_constraints"):
-        StrategyConfig(gate_fn="sigmoid").validate()
-    StrategyConfig(gating_mode="no_init").validate()  # selects sigmoid itself
+@pytest.mark.parametrize("gating_mode", continual.GATING_MODES)
+def test_gate_fn_follows_gating_mode(gating_mode):
+    # The ablations that drop the initialization constraints also drop
+    # f(0) = 0; every other mode squashes with |2 sigmoid(b) - 1|.
+    cfg = StrategyConfig(gating_mode=gating_mode)
+    cfg.validate()
+    plain = gating_mode in ("no_init", "no_constraints")
+    assert cfg.effective_gate_fn is (GateFn.SIGMOID if plain else GateFn.ABS_SIGMOID)
 
 
-# Every other rule of `StrategyConfig.validate`: (field, bad value, message).
+# Every rule of `StrategyConfig.validate`: (field, bad value, message).
 VALIDATE_CASES = [
     ("branch_strategy", "lora", "unknown branch strategy 'lora'"),
     ("gating_mode", "open", "unknown gating mode 'open'"),
     ("branch_strategy", "seq", "single-branch strategy"),
     ("eps_threshold", 0.0, "eps_threshold must be in"),
     ("eps_threshold", 1.5, "eps_threshold must be in"),
-    ("lam", -0.1, "lam must be >= 0"),
     ("lr", 0.0, "lr must be finite and > 0"),
     ("lr", -1.0, "lr must be finite and > 0"),
     ("lr", float("nan"), "lr must be finite and > 0"),
@@ -648,7 +695,6 @@ VALIDATE_CASES = [
     ("epochs", 0, "epochs must be >= 1"),
     ("batch_size", 0, "batch_size must be >= 1"),
     ("gate_hidden", 0, "gate_hidden must be >= 1"),
-    ("subspace_samples", 0, "subspace_samples must be >= 1"),
 ]
 
 

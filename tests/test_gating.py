@@ -27,21 +27,11 @@ from conftest import coefficient_nodes, pool_embed, total
 
 class TestGateFn:
     def test_zero_maps_to_zero(self):
-        for variant in (GateFn.ABS_SIGMOID, GateFn.CLAMP_ABS, GateFn.ABS_SINE):
-            assert variant.scalar(0.0) == 0.0
+        assert GateFn.ABS_SIGMOID.scalar(0.0) == 0.0
 
     def test_abs_sigmoid_closed_form(self):
         # sigmoid(ln 3) = 0.75, so |2*0.75 - 1| = 0.5
         assert GateFn.ABS_SIGMOID.scalar(math.log(3)) == pytest.approx(0.5, abs=1e-12)
-
-    def test_clamp_abs(self):
-        assert GateFn.CLAMP_ABS.scalar(2.0) == 1.0
-        assert GateFn.CLAMP_ABS.scalar(0.3) == pytest.approx(0.3)
-        assert GateFn.CLAMP_ABS.scalar(-0.3) == pytest.approx(0.3)
-
-    def test_abs_sine(self):
-        assert GateFn.ABS_SINE.scalar(1.0) == pytest.approx(1.0)
-        assert GateFn.ABS_SINE.scalar(-0.5) == pytest.approx(math.sin(math.pi / 4))
 
     def test_range(self):
         gen = np.random.default_rng(0)

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from gatedlora import model, numerics
-from gatedlora.errors import (
-    EmptyInput,
-    IdOutOfRange,
-    ParseError,
-    SchemaError,
-    WindowOverlap,
-)
+from gatedlora.errors import EmptyInput, IdOutOfRange, WindowOverlap
 from gatedlora.model import (
     Dataset,
     Task,
@@ -19,47 +13,10 @@ from gatedlora.model import (
     _split_candidates,
     build_task_sequence,
     generate_task,
-    ingest_dataset,
 )
 from gatedlora.numerics import Rng, _lemire, gaussian_init
 
 from conftest import pool_embed
-
-
-class TestIngestLineNumbers:
-    """Errors name the physical line of the bad record, blank lines included."""
-
-    def test_csv_parse_error_counts_blank_lines(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text("tokens,label,task_id\n1 2,0,0\n\n\n3 x,1,0\n")
-        with pytest.raises(ParseError) as info:
-            ingest_dataset(path, "csv", vocab_size=10, n_classes=4)
-        assert info.value.line == 5
-
-    def test_jsonl_parse_error_counts_blank_lines(self, tmp_path):
-        path = tmp_path / "d.jsonl"
-        path.write_text('{"tokens": [1, 2], "label": 0, "task_id": 0}\n\n\n{bad\n')
-        with pytest.raises(ParseError) as info:
-            ingest_dataset(path, "jsonl", vocab_size=10, n_classes=4)
-        assert info.value.line == 4
-
-    @pytest.mark.parametrize(
-        "fmt, text",
-        [
-            (
-                "jsonl",
-                '{"tokens": [1, 2], "label": 0, "task_id": 0}\n\n\n'
-                '{"tokens": [3], "label": 9, "task_id": 0}\n',
-            ),
-            ("csv", "tokens,label,task_id\n1 2,0,0\n\n3,9,0\n"),
-        ],
-        ids=["jsonl", "csv"],
-    )
-    def test_schema_error_names_the_line(self, tmp_path, fmt, text):
-        path = tmp_path / f"d.{fmt}"
-        path.write_text(text)
-        with pytest.raises(SchemaError, match=r"^line 4: label 9 outside"):
-            ingest_dataset(path, fmt, vocab_size=10, n_classes=4)
 
 
 def desk_sequence(seed):

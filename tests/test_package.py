@@ -1,6 +1,7 @@
 """The package advertises only modules and entry points that exist, and
-holds no public function or method that nothing calls, nor a defaulted
-parameter or dataclass field that no call passes."""
+holds no public function or method that nothing calls, no defaulted
+parameter or dataclass field that no call passes, and no exception class
+that nothing raises."""
 
 import ast
 import importlib
@@ -42,7 +43,6 @@ def test_script_targets_resolve():
 # Public API with no caller inside the package or the benchmark: entry
 # points for users of the library.
 API_ENTRY_POINTS = {
-    "ingest_dataset",  # loads a task from a JSONL or CSV file
     "preset",  # parameter counts of the published backbones
     "count_trainable_params",
     "AccuracyMatrix.entry",
@@ -53,14 +53,11 @@ API_ENTRY_POINTS = {
 # Defaulted `StrategyConfig` fields that only tests set: each is a knob of
 # the method that ROADMAP plans a caller for.
 TEST_ONLY_OPTIONS = {
-    "StrategyConfig(gate_fn)": "the gate squash; item 7's CLI config",
     "StrategyConfig(gate_hidden)": "the gate width; item 7's CLI config",
     "StrategyConfig(gate_init_std)": "item 4's plasticity sweep (0.3 there)",
     "StrategyConfig(rank)": "branch rank; item 2 sizes it so InfLoRA's subspace lasts",
-    "StrategyConfig(lam)": "the O-LoRA penalty weight; item 7's CLI config",
     "StrategyConfig(eps_threshold)": "item 1's claim config (0.8) and bench workload",
     "StrategyConfig(batch_size)": "item 7's CLI config",
-    "StrategyConfig(subspace_samples)": "item 7's CLI config",
 }
 
 
@@ -110,6 +107,21 @@ def test_no_dead_helpers():
             if name not in callers:
                 dead.append(f"{path.relative_to(ROOT)}: {qualname}")
     assert not dead, "no caller: " + ", ".join(dead)
+
+
+def test_every_error_is_raised():
+    """Every exception class but the base is named by some `raise` in src,
+    called or not, by its name or as a module attribute."""
+    errors = ast.parse((ROOT / "src/gatedlora/errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for tree in parsed("src/gatedlora").values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    unraised = sorted(classes - {"GatedLoraError"} - raised)
+    assert not unraised, "never raised in src: " + ", ".join(unraised)
 
 
 def is_dataclass(node):

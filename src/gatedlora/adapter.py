@@ -107,15 +107,17 @@ class AdaptedLinear:
         Without `start`, W h and the leading branches that are frozen, of
         the first branch's rank and weighted by a row of `fixed` form one
         node (`autodiff.lowrank_sum` over `fixed[:k]` and `_frozen_stack`);
-        every later branch adds its own. Value and gradients are
-        bit-identical to adding every branch on its own.
+        the search for them starts past the branches already stacked. Every
+        later branch is one `autodiff.add_branch` node, its coefficient a
+        row of `fixed` or `live`. Value and gradients are bit-identical to
+        adding every branch on its own.
         """
         summed = len(self.branches[:stop])
         n_coeffs = len(fixed) + (live is not None)
         if n_coeffs != summed:
             raise ShapeMismatch(f"{n_coeffs} coefficients for {summed} branches")
         if start is None:
-            k = 0
+            k = min(len(self._stacked[0]), len(fixed))
             while (
                 k < len(fixed)
                 and self.branches[k].frozen
@@ -124,12 +126,9 @@ class AdaptedLinear:
                 k += 1
             start = (ad.lowrank_sum(h, self.weight, fixed[:k], *self._frozen_stack(k)), k)
         out, k = start
-        coeffs = [ad.constant(a) for a in fixed[k:]]
-        if live is not None:
-            coeffs.append(live)
+        coeffs = list(fixed[k:]) + ([] if live is None else [live])
         for a_i, branch in zip(coeffs, self.branches[k:stop]):
-            contrib = ad.matmul(branch.up, ad.matmul(branch.down, h))
-            out = ad.add(out, ad.scale_columns(a_i, contrib))
+            out = ad.add_branch(out, a_i, branch.up, branch.down, h)
         return out
 
 
@@ -148,8 +147,9 @@ def olora_gram(branches: list[LoraBranch]) -> Mat | None:
 def olora_penalty_node(down: DiffNode, gram: Mat, lam: float) -> DiffNode:
     """lam * sum of squared overlaps of the rows of `down` with the frozen
     rows whose Gram matrix is `gram` (see `olora_gram`), as a node; zero
-    when the row spaces are mutually orthogonal."""
-    return ad.smul(lam, ad.row_space_penalty(down, gram))
+    when the row spaces are mutually orthogonal. One node
+    (`autodiff.row_space_penalty`)."""
+    return ad.row_space_penalty(down, gram, lam)
 
 
 def inflora_design(h_new: Mat, grad_space: SubspaceBasis, r: int) -> Mat:

@@ -1,13 +1,18 @@
 """Minimal reverse-mode differentiation over 2-D float64 arrays.
 
-The op set is small and closed: matmul, same-shape add, scalar multiply
-(by a python float, or per-column by a 1xn node), SiLU, sigmoid, abs,
-softmax cross-entropy, a quadratic row-space penalty, and a frozen
-weight plus k coefficient-weighted frozen low-rank terms applied to one
-input (`lowrank_sum`), the terms passed as stacked (k, ...) arrays so
-their products batch. Every op here is covered by
-finite-difference checks in the test suite; do not add ops without
-extending those checks.
+The op set is small and closed: matmul, same-shape add, SiLU, softmax
+cross-entropy, a weighted quadratic row-space penalty, a whole gate
+network (`gate_mlp`), one coefficient-weighted low-rank branch added to a
+running sum (`add_branch`), and a frozen weight plus k
+coefficient-weighted frozen low-rank terms applied to one input
+(`lowrank_sum`), the terms passed as stacked (k, ...) arrays so their
+products batch. Every op here is covered by finite-difference checks in
+the test suite; do not add ops without extending those checks.
+
+The three fused ops each stand for a chain of elementwise and matmul
+steps. Their values and gradients replay, in the same order, the IEEE
+operations of that chain, so a model built from them gives the same
+bytes as one built step by step; the tests hold each to such a chain.
 
 Each op builds its node from (parent, vjp) pairs: a vjp (vector-Jacobian
 product) maps the node's gradient to that parent's share. A node keeps
@@ -25,7 +30,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import NonScalarLoss, ShapeMismatch
+from .errors import NonFinite, NonScalarLoss, ShapeMismatch
 
 _grad_enabled = True
 
@@ -128,23 +133,23 @@ def add(a: DiffNode, b: DiffNode) -> DiffNode:
     return DiffNode(a.value + b.value, ((a, lambda g: g), (b, lambda g: g)))
 
 
-def smul(c: float, a: DiffNode) -> DiffNode:
-    """Multiply by a python float."""
-    c = float(c)
-    return DiffNode(c * a.value, ((a, lambda g: c * g),))
+def _once(chain):
+    """`chain(g)` computed once per upstream gradient: a fused node's vjps
+    each read their parent's share of one backward pass through its chain
+    (backward() hands every vjp of a node the same array)."""
+    last: list = [None, None]
+
+    def shares(g: np.ndarray):
+        if last[0] is not g:
+            last[:] = g, chain(g)
+        return last[1]
+
+    return shares
 
 
-def scale_columns(s: DiffNode, a: DiffNode) -> DiffNode:
-    """Column j of a scaled by s[0, j]; both receive gradients."""
-    if s.shape != (1, a.shape[1]):
-        raise ShapeMismatch(f"scale_columns {s.shape} * {a.shape}")
-    return DiffNode(
-        s.value * a.value,
-        (
-            (s, lambda g: np.sum(g * a.value, axis=0, keepdims=True)),
-            (a, lambda g: s.value * g),
-        ),
-    )
+# Most bytes of one of `lowrank_sum`'s batched (c, rows, n) temporaries:
+# 8 terms of a 64-row layer at 32 columns, 1 at 256.
+_CHUNK_BYTES = 128 * 1024
 
 
 def lowrank_sum(
@@ -159,12 +164,14 @@ def lowrank_sum(
     (k, m, r) and downs is (k, r, d). Only h receives a gradient.
 
     Value and gradient are bit-identical to the same sum built from
-    matmul, scale_columns and add nodes over constants: each product and
-    each sum is the one those ops take, in the same order. One batched
-    matmul takes every downs[i] @ h (and, in the gradient, every product
-    with ups[i].T and with downs[i].T); numpy runs each slice of it as the
-    2-D product it stands for. Both sums accumulate in place into a
-    buffer made here, so no node value moves.
+    `add_branch` nodes over constants: each product and each sum is the
+    one those take, in the same order. One batched matmul takes every
+    downs[i] @ h. The wider products go in chunks of c terms, as many as
+    keep a (c, max(m, d), n) array within `_CHUNK_BYTES`: one batched
+    matmul takes a chunk's ups[i] @ (...) (and, in the gradient, its
+    products with ups[i].T and with downs[i].T). numpy runs each slice of
+    a batched matmul as the 2-D product it stands for. Both sums
+    accumulate in place into a buffer made here, so no node value moves.
     """
     if h.shape[0] != weight.shape[1]:
         raise ShapeMismatch(f"lowrank_sum weight {weight.shape} @ h {h.shape}")
@@ -179,44 +186,145 @@ def lowrank_sum(
         raise ShapeMismatch(
             f"lowrank_sum coefficients {coeffs.shape} for {k} terms on {h.shape}"
         )
+    step = max(1, _CHUNK_BYTES // (8 * max(weight.shape) * max(h.shape[1], 1)))
+    chunks = [slice(lo, lo + step) for lo in range(0, k, step)]
     out = weight @ h.value
-    for a, up, z in zip(coeffs, ups, np.matmul(downs, h.value)):
-        term = up @ z
-        term *= a
-        out += term
+    zs = np.matmul(downs, h.value)
+    for part in chunks:
+        terms = np.matmul(ups[part], zs[part])
+        terms *= coeffs[part]
+        for term in terms:
+            out += term
 
     def vjp(g: np.ndarray) -> np.ndarray:
         dh = weight.T @ g
-        pulled = np.matmul(ups.transpose(0, 2, 1), coeffs * g)
-        for term in np.matmul(downs.transpose(0, 2, 1), pulled):
-            dh += term
+        for part in chunks:
+            pulled = np.matmul(ups[part].transpose(0, 2, 1), coeffs[part] * g)
+            for term in np.matmul(downs[part].transpose(0, 2, 1), pulled):
+                dh += term
         return dh
 
     return DiffNode(out, ((h, vjp),))
 
 
+def add_branch(
+    out: DiffNode,
+    coeff: DiffNode | np.ndarray,
+    up: DiffNode,
+    down: DiffNode,
+    h: DiffNode,
+) -> DiffNode:
+    """out + coeff * (up @ (down @ h)), coeff (1, n) scaling each column:
+    one low-rank branch added to a running sum. `coeff` is a node, or an
+    array when it needs no gradient.
+
+    Value and gradients are bit-identical to add(out, coeff * up(down h))
+    built from matmul, per-column scale and add nodes: the same products,
+    the same elementwise steps, in that chain's order. The products its
+    backward pass shares (coeff * g and up.T @ (coeff * g)) are taken once.
+    """
+    a = coeff.value if isinstance(coeff, DiffNode) else np.asarray(coeff)
+    if (
+        down.shape[1] != h.shape[0]
+        or up.shape[1] != down.shape[0]
+        or out.shape != (up.shape[0], h.shape[1])
+        or a.shape != (1, h.shape[1])
+    ):
+        raise ShapeMismatch(
+            f"add_branch {out.shape} + {a.shape} * {up.shape} @ {down.shape} @ {h.shape}"
+        )
+    z = down.value @ h.value
+    contrib = up.value @ z
+    value = a * contrib
+    value += out.value
+
+    def chain(g: np.ndarray) -> tuple:
+        scaled = a * g
+        return scaled, up.value.T @ scaled
+
+    shares = _once(chain)
+    inputs = [(out, lambda g: g)]
+    if isinstance(coeff, DiffNode):
+        inputs.append((coeff, lambda g: np.sum(g * contrib, axis=0, keepdims=True)))
+    inputs += [
+        (up, lambda g: shares(g)[0] @ z.T),
+        (down, lambda g: shares(g)[1] @ h.value.T),
+        (h, lambda g: down.value.T @ shares(g)[1]),
+    ]
+    return DiffNode(value, inputs)
+
+
 def _logistic(x: np.ndarray) -> np.ndarray:
-    # exp(-x) overflows to inf for x below about -709, which gives the
-    # right limit 0; only the warning is silenced.
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
-
-
-def sigmoid(a: DiffNode) -> DiffNode:
-    v = _logistic(a.value)
-    return DiffNode(v, ((a, lambda g: g * v * (1.0 - v)),))
+    # Callers silence overflow: exp(-x) overflows to inf for x below about
+    # -709, which gives the right limit 0.
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def silu(a: DiffNode) -> DiffNode:
-    sig = _logistic(a.value)
+    with np.errstate(over="ignore"):
+        sig = _logistic(a.value)
     # d/dx x*sigma(x) = sigma(x) (1 + x (1 - sigma(x)))
     return DiffNode(
         a.value * sig, ((a, lambda g: g * sig * (1.0 + a.value * (1.0 - sig))),)
     )
 
 
-def absval(a: DiffNode) -> DiffNode:
-    return DiffNode(np.abs(a.value), ((a, lambda g: g * np.sign(a.value)),))
+def gate_mlp(
+    x: DiffNode, weights: list[DiffNode], absolute: bool
+) -> tuple[DiffNode, list[np.ndarray]]:
+    """A gate network on x as one (1, n) node, plus the input of each of
+    its layers: every weight but the last a SiLU layer, then the (1, d)
+    final row and the squash, |2 sigmoid(b) - 1| when `absolute`, else
+    sigmoid(b). NonFinite if the final row's output b has NaN or Inf
+    entries.
+
+    Value and gradients are bit-identical to the network built from
+    matmul, SiLU, sigmoid, scalar-multiply, add and abs nodes, where
+    2 sigmoid(b) - 1 is the sum of 2 sigmoid(b) and a row of -1: the same
+    products and elementwise steps, in that chain's order. The chain's
+    backward pass runs once and serves every weight, and x when it needs
+    a gradient.
+    """
+    rows = x.shape[0]
+    for w in weights:
+        if w.shape[1] != rows:
+            raise ShapeMismatch(f"gate layer {w.shape} on inputs of dim {rows}")
+        rows = w.shape[0]
+    if rows != 1:
+        raise ShapeMismatch(f"gate's final layer maps to {rows} rows, not 1")
+    trace = [x.value]
+    acts = []  # (pre-activation, its sigmoid) of each SiLU layer
+    with np.errstate(over="ignore"):
+        for w in weights[:-1]:
+            z = w.value @ trace[-1]
+            sig = _logistic(z)
+            acts.append((z, sig))
+            trace.append(z * sig)
+        pre = weights[-1].value @ trace[-1]
+        if not np.isfinite(pre).all():
+            raise NonFinite("gate input has NaN or Inf entries")
+        v = _logistic(pre)
+        u = 2.0 * v - 1.0 if absolute else None
+
+    def chain(g: np.ndarray) -> list:
+        if absolute:
+            g = 2.0 * (g * np.sign(u))
+        g = g * v * (1.0 - v)
+        grads = [None] * (len(weights) + 1)  # x's, then each weight's
+        for i in range(len(weights) - 1, -1, -1):
+            grads[i + 1] = g @ trace[i].T
+            if i:
+                z, sig = acts[i - 1]
+                g = weights[i].value.T @ g
+                g = g * sig * (1.0 + z * (1.0 - sig))
+            elif x.requires_grad:
+                grads[0] = weights[0].value.T @ g
+        return grads
+
+    shares = _once(chain)
+    inputs = [(x, lambda g: shares(g)[0])]
+    inputs += [(w, lambda g, i=i: shares(g)[i]) for i, w in enumerate(weights, 1)]
+    return DiffNode(np.abs(u) if absolute else v, inputs), trace
 
 
 def softmax_cross_entropy(logits: DiffNode, labels: np.ndarray) -> DiffNode:
@@ -247,15 +355,19 @@ def softmax_cross_entropy(logits: DiffNode, labels: np.ndarray) -> DiffNode:
     return DiffNode(np.array([[nll.mean()]]), ((logits, vjp),))
 
 
-def row_space_penalty(x: DiffNode, s: np.ndarray) -> DiffNode:
-    """tr(X S X^T) for a constant symmetric PSD S; gradient is 2 X S.
+def row_space_penalty(x: DiffNode, s: np.ndarray, lam: float) -> DiffNode:
+    """lam * tr(X S X^T) for a constant symmetric PSD S; gradient 2 lam X S.
 
-    With S the summed Gram matrix of old adapter rows, this is the squared
-    Frobenius overlap between the rows of X and every old row space.
+    With S the summed Gram matrix of old adapter rows, tr(X S X^T) is the
+    squared Frobenius overlap between the rows of X and every old row
+    space. Value and gradient are bit-identical to lam times the unweighted
+    penalty as a scalar-multiply node: the gradient is (lam g) 2 X S, in
+    that order.
     """
+    lam = float(lam)
     s = np.asarray(s, dtype=np.float64)
     if s.shape != (x.shape[1], x.shape[1]):
         raise ShapeMismatch(f"penalty metric {s.shape} vs rows of dim {x.shape[1]}")
     xs = x.value @ s
-    value = np.array([[float(np.sum(xs * x.value))]])
-    return DiffNode(value, ((x, lambda g: g[0, 0] * 2.0 * xs),))
+    value = lam * np.array([[float(np.sum(xs * x.value))]])
+    return DiffNode(value, ((x, lambda g: (lam * g)[0, 0] * 2.0 * xs),))

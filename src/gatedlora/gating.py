@@ -34,7 +34,8 @@ class GateFn(enum.Enum):
     SIGMOID = "sigmoid"          # ablation only; f(0) = 0.5
 
     def scalar(self, b: float) -> float:
-        """Scalar reference form of `apply`, kept for tests to compare against."""
+        """Scalar reference form of the squash `GatingModule.forward_node`
+        applies, kept for tests to compare against."""
         if not math.isfinite(b):
             raise NonFinite(f"gate input {b!r}")
         if self is GateFn.ABS_SIGMOID:
@@ -47,13 +48,6 @@ class GateFn(enum.Enum):
             e = math.exp(b)
             return e / (1.0 + e)
         return 1.0 / (1.0 + math.exp(-b))
-
-    def apply(self, b: DiffNode) -> DiffNode:
-        """Differentiable application to a (1, n) pre-gate node."""
-        if self is GateFn.ABS_SIGMOID:
-            ones = ad.constant(np.ones(b.shape))
-            return ad.absval(ad.add(ad.smul(2.0, ad.sigmoid(b)), ad.smul(-1.0, ones)))
-        return ad.sigmoid(b)
 
 
 def gating_layer_shapes(embed_dim: int, hidden: int) -> list[tuple[int, int]]:
@@ -92,20 +86,14 @@ class GatingModule:
             p.requires_grad = False
 
     def forward_node(self, pooled: DiffNode) -> tuple[DiffNode, list[Mat]]:
-        """Gate output (1, n) node plus the input trace of every layer."""
+        """Gate output (1, n) node plus the input trace of every layer. The
+        whole module, SiLU layers, final row and squash, is one node
+        (`autodiff.gate_mlp`), whose backward pass serves every weight."""
         if pooled.shape[0] != self.input_dims[0]:
             raise ShapeMismatch(
                 f"pooled input dim {pooled.shape[0]} vs {self.input_dims[0]}"
             )
-        h = pooled
-        trace = [h.value]
-        for p in self.params[:-1]:
-            h = ad.silu(ad.matmul(p, h))
-            trace.append(h.value)
-        pre = ad.matmul(self.params[-1], h)
-        if not np.isfinite(pre.value).all():
-            raise NonFinite("gate input has NaN or Inf entries")
-        return self.gate.apply(pre), trace
+        return ad.gate_mlp(pooled, self.params, self.gate is GateFn.ABS_SIGMOID)
 
     def forward_values(self, pooled: Mat) -> tuple[np.ndarray, list[Mat]]:
         """Graph-free forward; returns the (n,) gate row and the trace."""

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gatedlora import autodiff as ad
+from gatedlora.gating import GateFn
 from gatedlora.model import _token_ids
 from gatedlora.numerics import Rng
 
@@ -62,21 +63,92 @@ def pool_embed(tokens, embedding):
     return embedding[ids].mean(axis=0).reshape(-1, 1)
 
 
+# The chains of elementary nodes that the fused ops of `gatedlora.autodiff`
+# stand for: `gate_mlp` (`gate_chain`), `add_branch` (`branch_chain`) and
+# `row_space_penalty` (`penalty_chain`). Each fused node's value and
+# gradients must equal its chain's byte for byte. The elementary ops the
+# package no longer has are built here as nodes.
+
+
+def _logistic(x):
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def sigmoid(a):
+    v = _logistic(a.value)
+    return ad.DiffNode(v, ((a, lambda g: g * v * (1.0 - v)),))
+
+
+def absval(a):
+    return ad.DiffNode(np.abs(a.value), ((a, lambda g: g * np.sign(a.value)),))
+
+
+def smul(c, a):
+    """Multiply by a python float."""
+    c = float(c)
+    return ad.DiffNode(c * a.value, ((a, lambda g: c * g),))
+
+
+def scale_columns(s, a):
+    """Column j of a scaled by s[0, j]; both receive gradients."""
+    return ad.DiffNode(
+        s.value * a.value,
+        (
+            (s, lambda g: np.sum(g * a.value, axis=0, keepdims=True)),
+            (a, lambda g: s.value * g),
+        ),
+    )
+
+
+def gate_chain(x, weights, absolute):
+    """A gate network node by node: SiLU layers, the final row, then
+    |2 sigmoid(b) - 1| as abs(2 sigmoid(b) + (-1) * ones) when `absolute`,
+    else sigmoid(b). Returns the output node and every layer's input."""
+    h = x
+    trace = [h.value]
+    for w in weights[:-1]:
+        h = ad.silu(ad.matmul(w, h))
+        trace.append(h.value)
+    pre = ad.matmul(weights[-1], h)
+    if not absolute:
+        return sigmoid(pre), trace
+    ones = ad.constant(np.ones(pre.shape))
+    return absval(ad.add(smul(2.0, sigmoid(pre)), smul(-1.0, ones))), trace
+
+
 def coefficient_nodes(gates, pooled):
     """Every gate module's (1, n) output node on a pooled batch, each run
-    fresh."""
-    return [m.forward_node(pooled)[0] for m in gates]
+    fresh and node by node (`gate_chain`)."""
+    return [
+        gate_chain(pooled, m.params, m.gate is GateFn.ABS_SIGMOID)[0] for m in gates
+    ]
+
+
+def branch_chain(out, coeff, up, down, h):
+    """out + coeff * (up @ (down @ h)) as matmul, matmul, scale_columns and
+    add nodes; an array coefficient becomes a constant node."""
+    if not isinstance(coeff, ad.DiffNode):
+        coeff = ad.constant(coeff)
+    return ad.add(out, scale_columns(coeff, ad.matmul(up, ad.matmul(down, h))))
+
+
+def penalty_chain(x, s, lam):
+    """lam * tr(X S X^T) as a scalar multiply of the unweighted penalty
+    node, whose gradient is 2 X S."""
+    xs = x.value @ s
+    value = np.array([[float(np.sum(xs * x.value))]])
+    return smul(lam, ad.DiffNode(value, ((x, lambda g: g[0, 0] * 2.0 * xs),)))
 
 
 def branch_sum(layer, coeffs, h):
     """W h + sum_i a_i * up_i(down_i h) over the layer's first len(coeffs)
-    branches, one matmul, scale_columns and add node per step: the
-    per-branch oracle `AdaptedLinear.forward_node` must match byte for
-    byte, value and gradients."""
+    branches, one `branch_chain` per branch: the per-branch oracle
+    `AdaptedLinear.forward_node` must match byte for byte, value and
+    gradients."""
     out = ad.matmul(ad.constant(layer.weight), h)
     for a_i, branch in zip(coeffs, layer.branches):
-        contrib = ad.matmul(branch.up, ad.matmul(branch.down, h))
-        out = ad.add(out, ad.scale_columns(a_i, contrib))
+        out = branch_chain(out, a_i, branch.up, branch.down, h)
     return out
 
 
@@ -93,14 +165,19 @@ def oracle_forward(model, coeffs, pooled):
     return ad.matmul(ad.constant(model.head), h), inputs
 
 
-def graph_size(node):
-    """Number of nodes reachable from `node` through recorded parents,
-    `node` included: the nodes a backward pass from it visits."""
-    seen = set()
+def graph_nodes(node):
+    """Every node reachable from `node` through recorded parents, `node`
+    included: the nodes a backward pass from it visits."""
+    seen = {}
     stack = [node]
     while stack:
         n = stack.pop()
         if id(n) not in seen:
-            seen.add(id(n))
+            seen[id(n)] = n
             stack.extend(n.parents)
-    return len(seen)
+    return list(seen.values())
+
+
+def graph_size(node):
+    """How many nodes a backward pass from `node` visits."""
+    return len(graph_nodes(node))

@@ -7,17 +7,33 @@ import pytest
 from gatedlora import autodiff as ad
 from gatedlora.errors import NonScalarLoss, ShapeMismatch
 
-from conftest import assert_close_rel, finite_difference, total
+from conftest import (
+    assert_close_rel,
+    branch_chain,
+    finite_difference,
+    gate_chain,
+    graph_nodes,
+    penalty_chain,
+    sigmoid,
+    smul,
+    total,
+)
 
 
 def scalar_sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def squash(absolute):
+    """The gate's squash alone: a depth-0 gate whose final row is [[1.0]],
+    so its pre-gate is its (1, n) input exactly."""
+    return lambda b: ad.gate_mlp(b, [ad.constant([[1.0]])], absolute)[0]
+
+
 class TestClosedForms:
     def test_sigmoid_gradient_at_zero(self):
         b = ad.parameter([[0.0]])
-        ad.backward(ad.sigmoid(b))
+        ad.backward(squash(False)(b))
         # sigma'(0) = sigma(0) (1 - sigma(0)) = 0.25
         assert b.grad[0, 0] == pytest.approx(0.25, abs=1e-12)
 
@@ -35,8 +51,12 @@ class TestClosedForms:
 
     @pytest.mark.parametrize(
         "op, value, slope",
-        [(ad.sigmoid, [0.0, 1.0], [0.0, 0.0]), (ad.silu, [0.0, 1000.0], [0.0, 1.0])],
-        ids=["sigmoid", "silu"],
+        [
+            (squash(False), [0.0, 1.0], [0.0, 0.0]),
+            (squash(True), [1.0, 1.0], [0.0, 0.0]),
+            (ad.silu, [0.0, 1000.0], [0.0, 1.0]),
+        ],
+        ids=["sigmoid", "abs_sigmoid", "silu"],
     )
     def test_saturates_without_overflow(self, op, value, slope):
         # exp(1000) overflows; under filterwarnings=error a warning fails here
@@ -84,7 +104,7 @@ class TestMechanics:
         # contribution must not write through it into y's gradient.
         x = ad.parameter([[1.0, 2.0, 3.0]])
         y = ad.parameter([[4.0, 5.0, 6.0]])
-        ad.backward(total(ad.add(ad.add(x, y), ad.smul(2.0, x))))
+        ad.backward(total(ad.add(ad.add(x, y), ad.add(x, x))))
         assert np.array_equal(y.grad, np.full((1, 3), 1.0 / 3.0))
         assert np.array_equal(x.grad, np.ones((1, 3)))
 
@@ -125,8 +145,10 @@ class TestMechanics:
             ad.add(a, ad.parameter(np.ones((2, 1))))
         with pytest.raises(ShapeMismatch):
             ad.matmul(a, a)
-        with pytest.raises(ShapeMismatch):
-            ad.scale_columns(ad.parameter(np.ones((1, 2))), a)
+        with pytest.raises(ShapeMismatch):  # coefficient not (1, n)
+            ad.add_branch(b, np.ones((1, 3)), b, b, b)
+        with pytest.raises(ShapeMismatch):  # final gate row maps to 2 rows
+            ad.gate_mlp(a, [ad.parameter(np.ones((2, 2)))], True)
         with pytest.raises(ShapeMismatch):
             ad.softmax_cross_entropy(ad.parameter(np.ones((3, 2))), np.array([0, 3]))
 
@@ -158,10 +180,13 @@ class TestMechanics:
             ad.lowrank_sum(h, np.ones((5, 3)), *stacks)
 
     @pytest.mark.parametrize("n", [16, 32, 256])
-    @pytest.mark.parametrize("k", [0, 1, 14])
+    @pytest.mark.parametrize("k", [0, 1, 2, 9, 14, 17])
     def test_lowrank_sum_matches_per_term_chain(self, k, n):
         # At the bench's dims (64 wide, rank 8): value and h-gradient equal
-        # the matmul / scale_columns / add chain over constants byte for byte.
+        # the per-branch chain over constants byte for byte. The terms go
+        # in chunks of 16 at 16 columns, 8 at 32 and 1 at 256, so k = 9,
+        # 14 and 17 span two or three chunks at 32 columns, and k >= 2 two
+        # or more at 256.
         gen = np.random.default_rng(k * 1000 + n)
         d, r = 64, 8
         weight = gen.normal(size=(d, d))
@@ -177,10 +202,9 @@ class TestMechanics:
             else:
                 out = ad.matmul(ad.constant(weight), h)
                 for a, up, down in zip(coeffs, ups, downs):
-                    term = ad.matmul(ad.constant(up), ad.matmul(ad.constant(down), h))
-                    out = ad.add(out, ad.scale_columns(ad.constant(a), term))
+                    out = branch_chain(out, a, ad.constant(up), ad.constant(down), h)
             # scaled so that no entry saturates the sigmoid to a 0 gradient
-            ad.backward(total(ad.sigmoid(ad.smul(0.05, out))))
+            ad.backward(total(sigmoid(smul(0.05, out))))
             results.append((out.value.tobytes(), h.grad.tobytes()))
         assert results[0] == results[1]
 
@@ -224,31 +248,39 @@ OP_CASES = {
     ),
     "add": (
         [(3, 2), (3, 2)],
-        lambda a, b: total(ad.sigmoid(ad.add(a, b))),
+        lambda a, b: total(ad.silu(ad.add(a, b))),
     ),
-    "smul": ([(2, 3)], lambda a: total(ad.smul(-1.7, ad.silu(a)))),
-    "scale_columns": (
-        [(1, 4), (3, 4)],
-        lambda s, a: total(ad.scale_columns(ad.sigmoid(s), a)),
-    ),
-    "sigmoid": ([(3, 3)], lambda a: total(ad.sigmoid(a))),
     "silu": ([(3, 3)], lambda a: total(ad.silu(a))),
-    "absval": ([(3, 3)], lambda a: total(ad.absval(a))),
     "softmax_cross_entropy": (
         [(3, 6)],
         lambda a: ad.softmax_cross_entropy(a, _LABELS),
     ),
     "lowrank_sum": (
         [(3, 4)],
-        lambda h: total(ad.silu(ad.lowrank_sum(ad.sigmoid(h), _WEIGHT, *_TERMS))),
+        lambda h: total(ad.silu(ad.lowrank_sum(ad.silu(h), _WEIGHT, *_TERMS))),
     ),
     "row_space_penalty": (
         [(2, 4)],
-        lambda a: ad.row_space_penalty(a, _METRIC),
+        lambda a: ad.row_space_penalty(a, _METRIC, 0.7),
+    ),
+    # The plain-sigmoid gate through two SiLU layers, plus the ABS gate at
+    # depth 0 on a (1, 1) row c, whose pre-gate c * x is 0 only where c or
+    # x is (see _KINKS).
+    "gate_mlp": (
+        [(1, 4), (3, 1), (3, 3), (1, 3), (1, 1)],
+        lambda x, w0, w1, w2, c: total(
+            ad.add(ad.gate_mlp(x, [w0, w1, w2], False)[0], ad.gate_mlp(x, [c], True)[0])
+        ),
+    ),
+    "add_branch": (
+        [(5, 4), (1, 4), (5, 2), (2, 3), (3, 4)],
+        lambda out, a, up, down, h: total(
+            ad.silu(ad.add_branch(out, a, up, down, ad.silu(h)))
+        ),
     ),
 }
 
-_KINKS = {"absval": 0.0}
+_KINKS = {"gate_mlp": 0.0}
 
 
 def test_op_cases_cover_exactly_the_ops():
@@ -284,6 +316,28 @@ def test_finite_difference_per_op(name):
             assert_close_rel(got, want, rel=1e-4, floor=1e-5)
 
 
+@pytest.mark.parametrize("name", sorted(OP_CASES))
+def test_vjps_leave_the_upstream_gradient_alone(name):
+    # backward() hands a node's gradient to all of its vjps, and add's vjp
+    # passes it on as is, so a vjp that wrote to it would change what the
+    # node's other parents (or another node's) receive. Every vjp of every
+    # node in the op's case runs on a read-only gradient, where numpy
+    # refuses any write.
+    shapes, builder = OP_CASES[name]
+    gen = np.random.default_rng(zlib.crc32(name.encode()) + 1)
+    loss = builder(*[ad.parameter(gen.normal(size=s)) for s in shapes])
+    ops = set()
+    for node in graph_nodes(loss):
+        g = gen.normal(size=node.shape)
+        g.flags.writeable = False
+        before = g.tobytes()
+        for vjp in node.vjps:
+            vjp(g)
+            ops.add(vjp.__qualname__.split(".")[0])
+        assert g.tobytes() == before
+    assert name in ops  # the op under test is in its case's graph
+
+
 def test_finite_difference_random_compositions():
     """Random gated-forward shaped graphs over the whole op set."""
     gen = np.random.default_rng(42)
@@ -291,16 +345,18 @@ def test_finite_difference_random_compositions():
         x = gen.normal(size=(3, 5))
         head = gen.normal(size=(2, 4))
         labels = gen.integers(0, 2, size=5)
+        up = gen.normal(size=(4, 2))
+        down = gen.normal(size=(2, 4))
         w1 = gen.normal(size=(4, 3))
         w2 = gen.normal(size=(1, 4))
 
         def graph(a, b):
+            # a is both a gate layer and the backbone layer before the
+            # gated branch, which reads and adds to h
             h = ad.silu(ad.matmul(a, ad.constant(x)))
-            pre = ad.matmul(b, h)
-            gate = ad.absval(
-                ad.add(ad.smul(2.0, ad.sigmoid(pre)), ad.constant(-np.ones((1, 5))))
-            )
-            logits = ad.matmul(ad.constant(head), ad.scale_columns(gate, h))
+            gate, _ = ad.gate_mlp(ad.constant(x), [a, b], True)
+            out = ad.add_branch(h, gate, ad.constant(up), ad.constant(down), h)
+            logits = ad.matmul(ad.constant(head), out)
             return ad.softmax_cross_entropy(logits, labels)
 
         a_node, b_node = ad.parameter(w1), ad.parameter(w2)
@@ -311,3 +367,111 @@ def test_finite_difference_random_compositions():
         )
         assert_close_rel(a_node.grad, numeric[0], rel=1e-4, floor=1e-5)
         assert_close_rel(b_node.grad, numeric[1], rel=1e-4, floor=1e-5)
+
+
+def _weighted_total(node, gen):
+    """A random weighting of the node's entries as a 1x1 node, so that its
+    upstream gradient is a dense random (m, n) array."""
+    m, n = node.shape
+    rows = ad.constant(gen.normal(size=(1, m)))
+    cols = ad.constant(gen.normal(size=(n, 1)))
+    return ad.matmul(ad.matmul(rows, node), cols)
+
+
+def _fused_and_chain(build_fused, build_chain, arrays, trainable, seed):
+    """Build each form on fresh leaves (parameters where `trainable`,
+    constants elsewhere), run backward from one random weighting, and
+    return each form's value, extra outputs and leaf gradients as bytes."""
+    results = []
+    for build in (build_fused, build_chain):
+        leaves = [
+            ad.parameter(a) if t else ad.constant(a) for a, t in zip(arrays, trainable)
+        ]
+        out, extra = build(*leaves)
+        ad.backward(_weighted_total(out, np.random.default_rng(seed)))
+        results.append(
+            [out.value.tobytes()]
+            + [e.tobytes() for e in extra]
+            + [None if leaf.grad is None else leaf.grad.tobytes() for leaf in leaves]
+        )
+    return results
+
+
+class TestFusedOpsMatchTheirChains:
+    """Each fused op against the chain of elementary nodes it stands for
+    (`conftest.gate_chain`, `branch_chain`, `penalty_chain`): value, every
+    extra output and every leaf's gradient, byte for byte."""
+
+    @pytest.mark.parametrize("n", [16, 32, 256])
+    @pytest.mark.parametrize("depth", [0, 2])
+    @pytest.mark.parametrize("absolute", [True, False], ids=["abs_sigmoid", "sigmoid"])
+    @pytest.mark.parametrize("x_grad", [False, True], ids=["x_const", "x_param"])
+    def test_gate_mlp(self, absolute, depth, n, x_grad):
+        # The bench's gate dims (64 in, 32 hidden). Column 3 of x is 0, so
+        # its pre-gate is exactly 0: the ABS gate's kink, where both forms
+        # give a zero gradient.
+        gen = np.random.default_rng(depth * 1000 + n + absolute)
+        shapes = [(32, 64), (64, 32), (1, 64)][2 - depth :]
+        x = gen.normal(size=(64, n))
+        x[:, 3] = 0.0
+        weights = [gen.normal(scale=0.3, size=s) for s in shapes]
+        m = len(weights)
+        results = _fused_and_chain(
+            lambda x, *w: ad.gate_mlp(x, list(w), absolute),
+            lambda x, *w: gate_chain(x, list(w), absolute),
+            [x] + weights,
+            [x_grad] + [True] * m,
+            seed=n,
+        )
+        assert results[0] == results[1]
+        if absolute:
+            out = ad.gate_mlp(ad.constant(x), [ad.constant(w) for w in weights], True)[0]
+            assert out.value[0, 3] == 0.0
+
+    @pytest.mark.parametrize("n", [16, 32, 256])
+    @pytest.mark.parametrize(
+        "coeff, trainable",
+        [
+            # trainable: out, up, down, h
+            ("node", (True, True, True, True)),
+            ("const_node", (True, True, True, True)),
+            ("row", (False, True, True, False)),  # a training step's layer 1
+            ("row", (True, True, False, True)),  # InfLoRA's layer 2: down fixed
+        ],
+        ids=["node", "const_node", "row", "row_down_fixed"],
+    )
+    def test_add_branch(self, coeff, trainable, n):
+        # The coefficient is a trainable node, a constant node or a row array.
+        gen = np.random.default_rng(n + len(coeff) + sum(trainable))
+        d, r = 64, 8
+        row = gen.uniform(size=(1, n))
+        arrays = [
+            gen.normal(size=(d, n)),
+            gen.normal(size=(d, r)),
+            gen.normal(size=(r, d)),
+            gen.normal(size=(d, n)),
+        ]
+        if coeff == "row":
+            fused = lambda out, *rest: (ad.add_branch(out, row, *rest), [])
+            chain = lambda out, *rest: (branch_chain(out, row, *rest), [])
+        else:
+            arrays.insert(1, row)
+            trainable = trainable[:1] + (coeff == "node",) + trainable[1:]
+            fused = lambda *leaves: (ad.add_branch(*leaves), [])
+            chain = lambda *leaves: (branch_chain(*leaves), [])
+        results = _fused_and_chain(fused, chain, arrays, trainable, seed=n)
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("lam", [0.5, 0.7, 3.0])
+    def test_row_space_penalty(self, lam):
+        gen = np.random.default_rng(int(lam * 10))
+        old = gen.normal(size=(24, 64))
+        s = old.T @ old
+        results = _fused_and_chain(
+            lambda x: (ad.row_space_penalty(x, s, lam), []),
+            lambda x: (penalty_chain(x, s, lam), []),
+            [gen.normal(size=(8, 64))],
+            [True],
+            seed=3,
+        )
+        assert results[0] == results[1]

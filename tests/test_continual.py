@@ -447,6 +447,19 @@ def test_training_step_after_the_first_skips_the_memo(
     assert calls["memo"] >= len(sequence)  # each task's first step read it
 
 
+# Nodes a training step builds from task 2 on. Each step: the batch's
+# columns and layer 1's memoised prefix (2 constants), the live gate (1, none
+# ungated), layer 1's live branch (1), the SiLU (1), layer 2's fused frozen
+# part and live branch (2), the head (a constant and a matmul) and the
+# cross-entropy (1); O-LoRA adds a penalty and an add per adapted layer (4).
+STEP_NODES = {
+    ("olora", "gain"): 14,
+    ("inflora", "gain"): 10,
+    ("seq", "fixed_one"): 9,
+    ("olora", "fixed_one"): 13,
+}
+
+
 @MEMO_CONFIGS
 def test_training_step_nodes_do_not_grow_with_tasks(
     branch_strategy, gating_mode, monkeypatch
@@ -454,8 +467,9 @@ def test_training_step_nodes_do_not_grow_with_tasks(
     # Every node a training step builds, constants included, counted
     # between consecutive steps of one optimizer: from task 2 on, each
     # step builds as many as any other, however many gates and branches
-    # are frozen. The frozen gates' coefficients reach the forward as one
-    # array, not as one constant node per frozen gate.
+    # are frozen (`STEP_NODES`). The frozen gates' coefficients reach the
+    # forward as one array, not as one constant node per frozen gate, and
+    # an ungated step's live row of ones as a row, not as a node.
     count = [0]
     init = ad.DiffNode.__init__
     step = AdamW.step
@@ -480,7 +494,8 @@ def test_training_step_nodes_do_not_grow_with_tasks(
             per_task.setdefault(id(opt_a), set()).add(b - a)
     counts = [sizes.pop() for sizes in per_task.values() if len(sizes) == 1]
     assert len(counts) == len(sequence)  # one count per task
-    assert counts[1:] == [counts[1]] * (len(sequence) - 1), counts
+    want = STEP_NODES[branch_strategy, gating_mode]
+    assert counts[1:] == [want] * (len(sequence) - 1), counts
 
 
 @pytest.mark.parametrize("gating_mode", ["gain", "fixed_one"])
@@ -488,8 +503,7 @@ def test_training_graph_stays_flat(gating_mode, monkeypatch):
     # Every frozen branch of every adapted layer sits in one node with W h
     # (layer 1's in the memo), so from task 2 on a training loss reaches
     # the same number of nodes however many branches are frozen, against
-    # 4 more per frozen branch if each were its own matmul, matmul,
-    # scale_columns and add.
+    # 1 more per frozen branch if each were its own `add_branch` node.
     per_task = []
     backward = ad.backward
 

@@ -22,7 +22,7 @@ from gatedlora.numerics import Rng, gaussian_init
 from gatedlora.optim import AdamW
 from gatedlora.subspace import SubspaceBasis, SubspaceMemory
 
-from conftest import coefficient_nodes, pool_embed, total
+from conftest import coefficient_nodes, pool_embed, smul, total
 
 
 class TestGateFn:
@@ -58,9 +58,10 @@ class TestGateFn:
         gen = np.random.default_rng(2)
         b = gen.normal(scale=2.0, size=(1, 50))
         for variant in GateFn:
-            node = variant.apply(ad.constant(b))
+            # depth 0 with final row [[1.0]]: the pre-gate is b itself
+            out, _ = GatingModule([np.array([[1.0]])], variant).forward_values(b)
             want = [variant.scalar(float(x)) for x in b[0]]
-            assert np.allclose(node.value[0], want, atol=1e-12)
+            assert np.allclose(out, want, atol=1e-12)
 
 
 class TestPoolEmbed:
@@ -277,7 +278,7 @@ class TestInvarianceUnderConstrainedTraining:
                 )
         for _ in range(steps):
             out, _ = module.forward_node(ad.constant(x_new))
-            ad.backward(ad.smul(-1.0, total(out)))
+            ad.backward(smul(-1.0, total(out)))
             opt.step(transforms)
 
     def setup_pair(self, seed):

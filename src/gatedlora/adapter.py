@@ -110,7 +110,10 @@ class AdaptedLinear:
         the search for them starts past the branches already stacked. Every
         later branch is one `autodiff.add_branch` node, its coefficient a
         row of `fixed` or `live`. Value and gradients are bit-identical to
-        adding every branch on its own.
+        adding every branch on its own: backward() reaches a chain of branch
+        nodes newest first, so each branch past the first takes down @ h
+        from a matmul node of its own, which backward() reaches after the
+        chain, and h gets its gradient shares oldest first.
         """
         summed = len(self.branches[:stop])
         n_coeffs = len(fixed) + (live is not None)
@@ -127,8 +130,12 @@ class AdaptedLinear:
             start = (ad.lowrank_sum(h, self.weight, fixed[:k], *self._frozen_stack(k)), k)
         out, k = start
         coeffs = list(fixed[k:]) + ([] if live is None else [live])
-        for a_i, branch in zip(coeffs, self.branches[k:stop]):
-            out = ad.add_branch(out, a_i, branch.up, branch.down, h)
+        for i, (a_i, branch) in enumerate(zip(coeffs, self.branches[k:stop])):
+            if i == 0:
+                out = ad.add_branch(out, a_i, branch.up, branch.down, h)
+            else:
+                z = ad.matmul(branch.down, h)
+                out = ad.add_branch(out, a_i, branch.up, None, z)
         return out
 
 

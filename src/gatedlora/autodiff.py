@@ -2,12 +2,13 @@
 
 The op set is small and closed: matmul, same-shape add, SiLU, softmax
 cross-entropy, a weighted quadratic row-space penalty, a whole gate
-network (`gate_mlp`), one coefficient-weighted low-rank branch added to a
-running sum (`add_branch`), and a frozen weight plus k
-coefficient-weighted frozen low-rank terms applied to one input
-(`lowrank_sum`), the terms passed as stacked (k, ...) arrays so their
-products batch. Every op here is covered by finite-difference checks in
-the test suite; do not add ops without extending those checks.
+network with its squash given by the caller (`gate_mlp`), one
+coefficient-weighted low-rank branch added to a running sum
+(`add_branch`), and a frozen weight plus k coefficient-weighted frozen
+low-rank terms applied to one input (`lowrank_sum`), the terms passed as
+stacked (k, ...) arrays so their products batch. Every op here is
+covered by finite-difference checks in the test suite; do not add ops
+without extending those checks.
 
 The three fused ops each stand for a chain of elementwise and matmul
 steps. Their values and gradients replay, in the same order, the IEEE
@@ -152,6 +153,16 @@ def _once(chain):
 _CHUNK_BYTES = 128 * 1024
 
 
+def _accumulate(total: np.ndarray, terms: np.ndarray) -> None:
+    """total += each term of a (c, m, n) stack in order, or += one (m, n)
+    term."""
+    if terms.ndim == 2:
+        total += terms
+    else:
+        for term in terms:
+            total += term
+
+
 def lowrank_sum(
     h: DiffNode,
     weight: np.ndarray,
@@ -169,9 +180,11 @@ def lowrank_sum(
     downs[i] @ h. The wider products go in chunks of c terms, as many as
     keep a (c, max(m, d), n) array within `_CHUNK_BYTES`: one batched
     matmul takes a chunk's ups[i] @ (...) (and, in the gradient, its
-    products with ups[i].T and with downs[i].T). numpy runs each slice of
-    a batched matmul as the 2-D product it stands for. Both sums
-    accumulate in place into a buffer made here, so no node value moves.
+    products with ups[i].T and with downs[i].T); a chunk of one term, as
+    at 256 columns, takes the plain 2-D products of a per-term loop. numpy
+    runs each slice of a batched matmul as the 2-D product it stands for,
+    so every chunk size gives the same bytes. Both sums accumulate in
+    place into a buffer made here, so no node value moves.
     """
     if h.shape[0] != weight.shape[1]:
         raise ShapeMismatch(f"lowrank_sum weight {weight.shape} @ h {h.shape}")
@@ -187,21 +200,21 @@ def lowrank_sum(
             f"lowrank_sum coefficients {coeffs.shape} for {k} terms on {h.shape}"
         )
     step = max(1, _CHUNK_BYTES // (8 * max(weight.shape) * max(h.shape[1], 1)))
-    chunks = [slice(lo, lo + step) for lo in range(0, k, step)]
+    # Chunks of one term index 2-D terms: plain products, without the
+    # batched call's overhead.
+    chunks = range(k) if step == 1 else [slice(i, i + step) for i in range(0, k, step)]
     out = weight @ h.value
     zs = np.matmul(downs, h.value)
     for part in chunks:
         terms = np.matmul(ups[part], zs[part])
         terms *= coeffs[part]
-        for term in terms:
-            out += term
+        _accumulate(out, terms)
 
     def vjp(g: np.ndarray) -> np.ndarray:
         dh = weight.T @ g
         for part in chunks:
-            pulled = np.matmul(ups[part].transpose(0, 2, 1), coeffs[part] * g)
-            for term in np.matmul(downs[part].transpose(0, 2, 1), pulled):
-                dh += term
+            pulled = np.matmul(ups[part].swapaxes(-1, -2), coeffs[part] * g)
+            _accumulate(dh, np.matmul(downs[part].swapaxes(-1, -2), pulled))
         return dh
 
     return DiffNode(out, ((h, vjp),))
@@ -211,46 +224,53 @@ def add_branch(
     out: DiffNode,
     coeff: DiffNode | np.ndarray,
     up: DiffNode,
-    down: DiffNode,
+    down: DiffNode | None,
     h: DiffNode,
 ) -> DiffNode:
     """out + coeff * (up @ (down @ h)), coeff (1, n) scaling each column:
     one low-rank branch added to a running sum. `coeff` is a node, or an
-    array when it needs no gradient.
+    array when it needs no gradient. With `down` None, h is the branch's
+    down-product itself, a node of its own.
 
     Value and gradients are bit-identical to add(out, coeff * up(down h))
     built from matmul, per-column scale and add nodes: the same products,
     the same elementwise steps, in that chain's order. The products its
-    backward pass shares (coeff * g and up.T @ (coeff * g)) are taken once.
+    backward pass shares (coeff * g and up.T @ (coeff * g)) are taken once,
+    the second only when down or h needs a gradient.
     """
     a = coeff.value if isinstance(coeff, DiffNode) else np.asarray(coeff)
+    rank = h.shape[0] if down is None else down.shape[0]
     if (
-        down.shape[1] != h.shape[0]
-        or up.shape[1] != down.shape[0]
+        (down is not None and down.shape[1] != h.shape[0])
+        or up.shape[1] != rank
         or out.shape != (up.shape[0], h.shape[1])
         or a.shape != (1, h.shape[1])
     ):
-        raise ShapeMismatch(
-            f"add_branch {out.shape} + {a.shape} * {up.shape} @ {down.shape} @ {h.shape}"
-        )
-    z = down.value @ h.value
+        inner = f"{h.shape}" if down is None else f"{down.shape} @ {h.shape}"
+        raise ShapeMismatch(f"add_branch {out.shape} + {a.shape} * {up.shape} @ {inner}")
+    z = h.value if down is None else down.value @ h.value
     contrib = up.value @ z
     value = a * contrib
     value += out.value
 
+    pull = h.requires_grad or (down is not None and down.requires_grad)
+
     def chain(g: np.ndarray) -> tuple:
         scaled = a * g
-        return scaled, up.value.T @ scaled
+        return scaled, up.value.T @ scaled if pull else None
 
     shares = _once(chain)
     inputs = [(out, lambda g: g)]
     if isinstance(coeff, DiffNode):
         inputs.append((coeff, lambda g: np.sum(g * contrib, axis=0, keepdims=True)))
-    inputs += [
-        (up, lambda g: shares(g)[0] @ z.T),
-        (down, lambda g: shares(g)[1] @ h.value.T),
-        (h, lambda g: down.value.T @ shares(g)[1]),
-    ]
+    inputs.append((up, lambda g: shares(g)[0] @ z.T))
+    if down is None:
+        inputs.append((h, lambda g: shares(g)[1]))
+    else:
+        inputs += [
+            (down, lambda g: shares(g)[1] @ h.value.T),
+            (h, lambda g: down.value.T @ shares(g)[1]),
+        ]
     return DiffNode(value, inputs)
 
 
@@ -270,20 +290,19 @@ def silu(a: DiffNode) -> DiffNode:
 
 
 def gate_mlp(
-    x: DiffNode, weights: list[DiffNode], absolute: bool
+    x: DiffNode, weights: list[DiffNode], squash
 ) -> tuple[DiffNode, list[np.ndarray]]:
     """A gate network on x as one (1, n) node, plus the input of each of
     its layers: every weight but the last a SiLU layer, then the (1, d)
-    final row and the squash, |2 sigmoid(b) - 1| when `absolute`, else
-    sigmoid(b). NonFinite if the final row's output b has NaN or Inf
-    entries.
+    final row, its sigmoid v and `squash(v)`, which returns the gate row
+    and the map of the row's gradient back to v (see `GateFn.squash`).
+    NonFinite if the final row's output has NaN or Inf entries.
 
     Value and gradients are bit-identical to the network built from
-    matmul, SiLU, sigmoid, scalar-multiply, add and abs nodes, where
-    2 sigmoid(b) - 1 is the sum of 2 sigmoid(b) and a row of -1: the same
+    matmul, SiLU and sigmoid nodes and the squash's own nodes: the same
     products and elementwise steps, in that chain's order. The chain's
-    backward pass runs once and serves every weight, and x when it needs
-    a gradient.
+    backward pass runs once, serves every weight that trains, and x when
+    it needs a gradient, and stops below the lowest of them.
     """
     rows = x.shape[0]
     for w in weights:
@@ -304,27 +323,30 @@ def gate_mlp(
         if not np.isfinite(pre).all():
             raise NonFinite("gate input has NaN or Inf entries")
         v = _logistic(pre)
-        u = 2.0 * v - 1.0 if absolute else None
+        gate, squash_vjp = squash(v)
+    needs = [p.requires_grad for p in (x, *weights)]
 
     def chain(g: np.ndarray) -> list:
-        if absolute:
-            g = 2.0 * (g * np.sign(u))
+        g = squash_vjp(g)
         g = g * v * (1.0 - v)
-        grads = [None] * (len(weights) + 1)  # x's, then each weight's
+        grads = [None] * len(needs)  # x's, then each weight's
         for i in range(len(weights) - 1, -1, -1):
-            grads[i + 1] = g @ trace[i].T
+            if needs[i + 1]:
+                grads[i + 1] = g @ trace[i].T
+            if not any(needs[: i + 1]):
+                break
+            g = weights[i].value.T @ g
             if i:
                 z, sig = acts[i - 1]
-                g = weights[i].value.T @ g
                 g = g * sig * (1.0 + z * (1.0 - sig))
-            elif x.requires_grad:
-                grads[0] = weights[0].value.T @ g
+        else:
+            grads[0] = g
         return grads
 
     shares = _once(chain)
     inputs = [(x, lambda g: shares(g)[0])]
     inputs += [(w, lambda g, i=i: shares(g)[i]) for i, w in enumerate(weights, 1)]
-    return DiffNode(np.abs(u) if absolute else v, inputs), trace
+    return DiffNode(gate, inputs), trace
 
 
 def softmax_cross_entropy(logits: DiffNode, labels: np.ndarray) -> DiffNode:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -32,6 +33,16 @@ class GateFn(enum.Enum):
 
     ABS_SIGMOID = "abs_sigmoid"  # |2*sigmoid(b) - 1|
     SIGMOID = "sigmoid"          # ablation only; f(0) = 0.5
+
+    def squash(self, v: np.ndarray) -> tuple[np.ndarray, Callable]:
+        """The gate row for v = sigmoid(b), and the map of its gradient back
+        to v's: the squash `autodiff.gate_mlp` applies. ABS_SIGMOID takes
+        |2 v - 1| and maps g to 2 (g sign(2 v - 1)), the steps of abs, add
+        and scalar-multiply nodes in their chain's order."""
+        if self is GateFn.SIGMOID:
+            return v, lambda g: g
+        u = 2.0 * v - 1.0
+        return np.abs(u), lambda g: 2.0 * (g * np.sign(u))
 
     def scalar(self, b: float) -> float:
         """Scalar reference form of the squash `GatingModule.forward_node`
@@ -88,12 +99,13 @@ class GatingModule:
     def forward_node(self, pooled: DiffNode) -> tuple[DiffNode, list[Mat]]:
         """Gate output (1, n) node plus the input trace of every layer. The
         whole module, SiLU layers, final row and squash, is one node
-        (`autodiff.gate_mlp`), whose backward pass serves every weight."""
+        (`autodiff.gate_mlp`, with `GateFn.squash`), whose backward pass
+        serves every weight."""
         if pooled.shape[0] != self.input_dims[0]:
             raise ShapeMismatch(
                 f"pooled input dim {pooled.shape[0]} vs {self.input_dims[0]}"
             )
-        return ad.gate_mlp(pooled, self.params, self.gate is GateFn.ABS_SIGMOID)
+        return ad.gate_mlp(pooled, self.params, self.gate.squash)
 
     def forward_values(self, pooled: Mat) -> tuple[np.ndarray, list[Mat]]:
         """Graph-free forward; returns the (n,) gate row and the trace."""

@@ -6,6 +6,7 @@ import pytest
 
 from gatedlora import autodiff as ad
 from gatedlora.errors import NonScalarLoss, ShapeMismatch
+from gatedlora.gating import GateFn
 
 from conftest import (
     assert_close_rel,
@@ -24,16 +25,16 @@ def scalar_sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def squash(absolute):
+def squash(gate):
     """The gate's squash alone: a depth-0 gate whose final row is [[1.0]],
     so its pre-gate is its (1, n) input exactly."""
-    return lambda b: ad.gate_mlp(b, [ad.constant([[1.0]])], absolute)[0]
+    return lambda b: ad.gate_mlp(b, [ad.constant([[1.0]])], gate.squash)[0]
 
 
 class TestClosedForms:
     def test_sigmoid_gradient_at_zero(self):
         b = ad.parameter([[0.0]])
-        ad.backward(squash(False)(b))
+        ad.backward(squash(GateFn.SIGMOID)(b))
         # sigma'(0) = sigma(0) (1 - sigma(0)) = 0.25
         assert b.grad[0, 0] == pytest.approx(0.25, abs=1e-12)
 
@@ -52,8 +53,8 @@ class TestClosedForms:
     @pytest.mark.parametrize(
         "op, value, slope",
         [
-            (squash(False), [0.0, 1.0], [0.0, 0.0]),
-            (squash(True), [1.0, 1.0], [0.0, 0.0]),
+            (squash(GateFn.SIGMOID), [0.0, 1.0], [0.0, 0.0]),
+            (squash(GateFn.ABS_SIGMOID), [1.0, 1.0], [0.0, 0.0]),
             (ad.silu, [0.0, 1000.0], [0.0, 1.0]),
         ],
         ids=["sigmoid", "abs_sigmoid", "silu"],
@@ -148,7 +149,7 @@ class TestMechanics:
         with pytest.raises(ShapeMismatch):  # coefficient not (1, n)
             ad.add_branch(b, np.ones((1, 3)), b, b, b)
         with pytest.raises(ShapeMismatch):  # final gate row maps to 2 rows
-            ad.gate_mlp(a, [ad.parameter(np.ones((2, 2)))], True)
+            ad.gate_mlp(a, [ad.parameter(np.ones((2, 2)))], GateFn.ABS_SIGMOID.squash)
         with pytest.raises(ShapeMismatch):
             ad.softmax_cross_entropy(ad.parameter(np.ones((3, 2))), np.array([0, 3]))
 
@@ -241,6 +242,14 @@ _TERMS = [
     )
 ]
 
+
+def _two_branches(out, a, up, down, h):
+    # add_branch on h, then on a down-product node
+    h = ad.silu(h)
+    out = ad.add_branch(out, a, up, down, h)
+    return total(ad.silu(ad.add_branch(out, a, up, None, ad.matmul(down, h))))
+
+
 OP_CASES = {
     "matmul": (
         [(3, 4), (4, 2)],
@@ -269,15 +278,13 @@ OP_CASES = {
     "gate_mlp": (
         [(1, 4), (3, 1), (3, 3), (1, 3), (1, 1)],
         lambda x, w0, w1, w2, c: total(
-            ad.add(ad.gate_mlp(x, [w0, w1, w2], False)[0], ad.gate_mlp(x, [c], True)[0])
+            ad.add(
+                ad.gate_mlp(x, [w0, w1, w2], GateFn.SIGMOID.squash)[0],
+                ad.gate_mlp(x, [c], GateFn.ABS_SIGMOID.squash)[0],
+            )
         ),
     ),
-    "add_branch": (
-        [(5, 4), (1, 4), (5, 2), (2, 3), (3, 4)],
-        lambda out, a, up, down, h: total(
-            ad.silu(ad.add_branch(out, a, up, down, ad.silu(h)))
-        ),
-    ),
+    "add_branch": ([(5, 4), (1, 4), (5, 2), (2, 3), (3, 4)], _two_branches),
 }
 
 _KINKS = {"gate_mlp": 0.0}
@@ -354,7 +361,7 @@ def test_finite_difference_random_compositions():
             # a is both a gate layer and the backbone layer before the
             # gated branch, which reads and adds to h
             h = ad.silu(ad.matmul(a, ad.constant(x)))
-            gate, _ = ad.gate_mlp(ad.constant(x), [a, b], True)
+            gate, _ = ad.gate_mlp(ad.constant(x), [a, b], GateFn.ABS_SIGMOID.squash)
             out = ad.add_branch(h, gate, ad.constant(up), ad.constant(down), h)
             logits = ad.matmul(ad.constant(head), out)
             return ad.softmax_cross_entropy(logits, labels)
@@ -403,29 +410,33 @@ class TestFusedOpsMatchTheirChains:
     extra output and every leaf's gradient, byte for byte."""
 
     @pytest.mark.parametrize("n", [16, 32, 256])
-    @pytest.mark.parametrize("depth", [0, 2])
+    @pytest.mark.parametrize(
+        "depth, hidden_grad", [(0, True), (2, True), (2, False)], ids=["0", "2", "2_final_row"]
+    )
     @pytest.mark.parametrize("absolute", [True, False], ids=["abs_sigmoid", "sigmoid"])
     @pytest.mark.parametrize("x_grad", [False, True], ids=["x_const", "x_param"])
-    def test_gate_mlp(self, absolute, depth, n, x_grad):
+    def test_gate_mlp(self, absolute, depth, n, x_grad, hidden_grad):
         # The bench's gate dims (64 in, 32 hidden). Column 3 of x is 0, so
         # its pre-gate is exactly 0: the ABS gate's kink, where both forms
-        # give a zero gradient.
+        # give a zero gradient. With hidden_grad False only the final row
+        # (and x, when x_grad) trains.
         gen = np.random.default_rng(depth * 1000 + n + absolute)
+        gate = GateFn.ABS_SIGMOID if absolute else GateFn.SIGMOID
         shapes = [(32, 64), (64, 32), (1, 64)][2 - depth :]
         x = gen.normal(size=(64, n))
         x[:, 3] = 0.0
         weights = [gen.normal(scale=0.3, size=s) for s in shapes]
         m = len(weights)
         results = _fused_and_chain(
-            lambda x, *w: ad.gate_mlp(x, list(w), absolute),
+            lambda x, *w: ad.gate_mlp(x, list(w), gate.squash),
             lambda x, *w: gate_chain(x, list(w), absolute),
             [x] + weights,
-            [x_grad] + [True] * m,
+            [x_grad] + [hidden_grad] * (m - 1) + [True],
             seed=n,
         )
         assert results[0] == results[1]
         if absolute:
-            out = ad.gate_mlp(ad.constant(x), [ad.constant(w) for w in weights], True)[0]
+            out = ad.gate_mlp(ad.constant(x), [ad.constant(w) for w in weights], gate.squash)[0]
             assert out.value[0, 3] == 0.0
 
     @pytest.mark.parametrize("n", [16, 32, 256])
@@ -440,9 +451,17 @@ class TestFusedOpsMatchTheirChains:
         ],
         ids=["node", "const_node", "row", "row_down_fixed"],
     )
-    def test_add_branch(self, coeff, trainable, n):
-        # The coefficient is a trainable node, a constant node or a row array.
+    @pytest.mark.parametrize("down_node", [False, True], ids=["h", "down_product"])
+    def test_add_branch(self, coeff, trainable, n, down_node):
+        # The coefficient is a trainable node, a constant node or a row
+        # array. With down_node the branch takes down @ h as a matmul node.
         gen = np.random.default_rng(n + len(coeff) + sum(trainable))
+
+        def branch(out, a, up, down, h):
+            if down_node:
+                return ad.add_branch(out, a, up, None, ad.matmul(down, h))
+            return ad.add_branch(out, a, up, down, h)
+
         d, r = 64, 8
         row = gen.uniform(size=(1, n))
         arrays = [
@@ -452,12 +471,12 @@ class TestFusedOpsMatchTheirChains:
             gen.normal(size=(d, n)),
         ]
         if coeff == "row":
-            fused = lambda out, *rest: (ad.add_branch(out, row, *rest), [])
+            fused = lambda out, *rest: (branch(out, row, *rest), [])
             chain = lambda out, *rest: (branch_chain(out, row, *rest), [])
         else:
             arrays.insert(1, row)
             trainable = trainable[:1] + (coeff == "node",) + trainable[1:]
-            fused = lambda *leaves: (ad.add_branch(*leaves), [])
+            fused = lambda *leaves: (branch(*leaves), [])
             chain = lambda *leaves: (branch_chain(*leaves), [])
         results = _fused_and_chain(fused, chain, arrays, trainable, seed=n)
         assert results[0] == results[1]

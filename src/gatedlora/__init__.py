@@ -4,7 +4,7 @@ adapter branches.
 Module map:
   errors     exception types shared across the package
   numerics   dense float64 linear algebra, deterministic RNG, LAPACK eig
-  autodiff   minimal reverse-mode engine over 2-D arrays
+  autodiff   forward and backward kernels of the training step
   subspace   gradient projection memory (orthonormal input bases)
   gating     per-task gate networks and the orthogonality constraints
   adapter    expandable low-rank branches and update strategies

@@ -11,10 +11,12 @@ the row basis orthogonal to old-task input spans and freezes it.
 
 from __future__ import annotations
 
+from typing import NamedTuple, Optional
+
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import DiffNode
+from .autodiff import Param
 from .errors import NoFreeSubspace, ShapeMismatch
 from .numerics import Mat, Rng, gaussian_init, sym_eig
 from .subspace import SubspaceBasis, project_out
@@ -29,22 +31,36 @@ class LoraBranch:
         if up.shape[1] != down.shape[0]:
             raise ShapeMismatch(f"rank mismatch: up {up.shape}, down {down.shape}")
         self.rank = up.shape[1]
-        self.up = ad.parameter(up.copy())
-        self.down = ad.parameter(down.copy())
+        self.up = Param(up.copy())
+        self.down = Param(down.copy())
         self.down.requires_grad = train_down
 
     @property
     def frozen(self) -> bool:
         """True once neither half trains; read from `requires_grad`, the
-        flag the optimizer and autodiff go by."""
+        flag the optimizer and the backward passes go by."""
         return not (self.up.requires_grad or self.down.requires_grad)
 
     def freeze(self) -> None:
         self.up.requires_grad = False
         self.down.requires_grad = False
 
-    def trainable_params(self) -> list[DiffNode]:
+    def trainable_params(self) -> list[Param]:
         return [p for p in (self.up, self.down) if p.requires_grad]
+
+
+class LayerCache(NamedTuple):
+    """What `AdaptedLinear.backward` reads of a forward: the input h; the
+    frozen part's (coefficients, ups, downs) when the forward summed it
+    itself, None when it resumed from a given partial sum; and, for each
+    branch added after it, (coefficient, branch, down @ h, up @ down @ h).
+    `live` is True when the last of those branches is weighted by the live
+    coefficient."""
+
+    h: np.ndarray
+    fused: Optional[tuple]
+    terms: list
+    live: bool
 
 
 class AdaptedLinear:
@@ -85,40 +101,40 @@ class AdaptedLinear:
             self._stacked = (ups, downs)
         return ups[:k], downs[:k]
 
-    def forward_node(
+    def forward(
         self,
         fixed: np.ndarray,
-        live: DiffNode | None,
-        h: DiffNode,
-        start: tuple[DiffNode, int] | None = None,
+        live: np.ndarray | None,
+        h: np.ndarray,
+        start: tuple[np.ndarray, int] | None = None,
         stop: int | None = None,
-    ) -> DiffNode:
-        """W h + sum_i a_i * up_i(down_i h), adding the branches in stack order.
+    ) -> tuple[np.ndarray, LayerCache]:
+        """W h + sum_i a_i * up_i(down_i h), adding the branches in stack
+        order, and the cache `backward` reads.
 
         `fixed`, a (j, 1, n) array, holds the coefficients of the first j
-        branches, which need no gradient; `live`, unless None, is the
-        coefficient node of branch j, the one that trains. Together they
-        weight every branch before `stop` (every branch when it is None).
+        branches, which take no gradient; `live`, unless None, is the (1, n)
+        coefficient of branch j, whose gradient `backward` returns. Together
+        they weight every branch before `stop` (every branch when it is
+        None).
 
         `start`, a `(partial, k)` pair, resumes from `partial`, the sum before
         branch k; `stop` ends the sum before branch `stop`. A sum taken in
         such pieces is bit-identical to one taken whole.
 
         Without `start`, W h and the leading branches that are frozen, of
-        the first branch's rank and weighted by a row of `fixed` form one
-        node (`autodiff.lowrank_sum` over `fixed[:k]` and `_frozen_stack`);
-        the search for them starts past the branches already stacked. Every
-        later branch is one `autodiff.add_branch` node, its coefficient a
-        row of `fixed` or `live`. Value and gradients are bit-identical to
-        adding every branch on its own: backward() reaches a chain of branch
-        nodes newest first, so each branch past the first takes down @ h
-        from a matmul node of its own, which backward() reaches after the
-        chain, and h gets its gradient shares oldest first.
+        the first branch's rank and weighted by a row of `fixed` are one
+        `autodiff.lowrank_sum` over `fixed[:k]` and `_frozen_stack`; the
+        search for them starts past the branches already stacked. Every
+        later branch is one `autodiff.add_branch`, its coefficient a row of
+        `fixed` or `live`. The sum is bit-identical to adding every branch
+        on its own.
         """
         summed = len(self.branches[:stop])
         n_coeffs = len(fixed) + (live is not None)
         if n_coeffs != summed:
             raise ShapeMismatch(f"{n_coeffs} coefficients for {summed} branches")
+        fused = None
         if start is None:
             k = min(len(self._stacked[0]), len(fixed))
             while (
@@ -127,36 +143,73 @@ class AdaptedLinear:
                 and self.branches[k].rank == self.branches[0].rank
             ):
                 k += 1
-            start = (ad.lowrank_sum(h, self.weight, fixed[:k], *self._frozen_stack(k)), k)
+            fused = (fixed[:k], *self._frozen_stack(k))
+            start = (ad.lowrank_sum(h, self.weight, *fused), k)
         out, k = start
         coeffs = list(fixed[k:]) + ([] if live is None else [live])
-        for i, (a_i, branch) in enumerate(zip(coeffs, self.branches[k:stop])):
-            if i == 0:
-                out = ad.add_branch(out, a_i, branch.up, branch.down, h)
-            else:
-                z = ad.matmul(branch.down, h)
-                out = ad.add_branch(out, a_i, branch.up, None, z)
-        return out
+        terms = []
+        for a_i, branch in zip(coeffs, self.branches[k:stop]):
+            if branch.down.value.shape[1] != h.shape[0]:
+                raise ShapeMismatch(f"branch down {branch.down.value.shape} @ h {h.shape}")
+            z = branch.down.value @ h
+            out, contrib = ad.add_branch(out, a_i, branch.up.value, z)
+            terms.append((a_i, branch, z, contrib))
+        return out, LayerCache(h, fused, terms, live is not None)
+
+    def backward(
+        self, cache: LayerCache, g: np.ndarray, input_grad: bool
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Backward pass of `forward` for the output gradient g: sets `.grad`
+        on the trainable halves of its branches and returns the gradients of
+        h (when `input_grad`; None otherwise) and of the live coefficient
+        (None without one).
+
+        Each branch's shares are `autodiff.add_branch_vjp`'s and the frozen
+        part's `autodiff.lowrank_sum_vjp`; a sum resumed from a given
+        partial takes no share for it, as that sum is a constant. h adds
+        the frozen part's share and then each branch's in stack order, the
+        order of the branch-by-branch graph (which adds the first branch's
+        share before the frozen part's; a sum of two is the same either
+        way).
+        """
+        h, fused, terms, live = cache
+        dh = None
+        if input_grad and fused is not None:
+            dh = ad.lowrank_sum_vjp(g, self.weight, *fused)
+        dlive = None
+        for i, (a_i, branch, z, contrib) in enumerate(terms):
+            up, down = branch.up, branch.down
+            is_live = live and i == len(terms) - 1
+            da, dup, dz = ad.add_branch_vjp(
+                g, a_i, up.value, z, contrib,
+                (is_live, up.requires_grad, down.requires_grad or input_grad),
+            )
+            if is_live:
+                dlive = da
+            if up.requires_grad:
+                up.grad = dup
+            if down.requires_grad:
+                down.grad = dz @ h.T
+            if input_grad:
+                share = down.value.T @ dz
+                if dh is None:
+                    dh = share
+                else:
+                    dh += share
+        return dh, dlive
 
 
 def olora_gram(branches: list[LoraBranch]) -> Mat | None:
     """Sum of down^T down over every branch but the newest, in stack order;
     None when there is no older branch. The older branches stay frozen while
-    the newest trains, so one Gram matrix serves a whole task."""
+    the newest trains, so one Gram matrix serves a whole task; the penalty's
+    gradient against it is `autodiff.row_space_penalty_grad`."""
     if len(branches) <= 1:
         return None
     gram = np.zeros((branches[0].down.value.shape[1],) * 2)
     for old in branches[:-1]:
         gram += old.down.value.T @ old.down.value
     return gram
-
-
-def olora_penalty_node(down: DiffNode, gram: Mat, lam: float) -> DiffNode:
-    """lam * sum of squared overlaps of the rows of `down` with the frozen
-    rows whose Gram matrix is `gram` (see `olora_gram`), as a node; zero
-    when the row spaces are mutually orthogonal. One node
-    (`autodiff.row_space_penalty`)."""
-    return ad.row_space_penalty(down, gram, lam)
 
 
 def inflora_design(h_new: Mat, grad_space: SubspaceBasis, r: int) -> Mat:

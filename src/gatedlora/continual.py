@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .adapter import expand_branch, inflora_design, olora_gram, olora_penalty_node
+from .adapter import expand_branch, inflora_design, olora_gram
 from .errors import (
     EmptyInput,
     IdOutOfRange,
@@ -177,9 +177,9 @@ class Pool:
     - `coeffs`, a (j, 1, n) array, holds the coefficients of the first j
       branches: frozen gate i's output row, or a row of ones for an
       ungated branch, whose coefficient is a frozen 1;
-    - `prefix`, a `(partial, k)` pair, holds as a constant node the first
-      adapted layer's sum W x + sum_{i<k} a_i * up_i(down_i x) over its
-      first k branches, each frozen, with a_i from `coeffs`.
+    - `prefix`, a `(partial, k)` pair, holds the first adapted layer's sum
+      W x + sum_{i<k} a_i * up_i(down_i x) over its first k branches, each
+      frozen, with a_i from `coeffs`.
     Both grow as tasks freeze, in the order the forward adds. Each task
     freezes at the end of `learn_task`, so on a held pool the memo covers
     every gate and, unless the one branch of `seq` still trains, every
@@ -189,7 +189,7 @@ class Pool:
     pooled: np.ndarray
     labels: np.ndarray
     coeffs: np.ndarray = field(init=False)
-    prefix: Optional[tuple[ad.DiffNode, int]] = field(init=False, default=None)
+    prefix: Optional[tuple[np.ndarray, int]] = field(init=False, default=None)
 
     def __post_init__(self):
         self.coeffs = np.empty((0, 1, self.pooled.shape[1]))
@@ -232,21 +232,23 @@ class ContinualState:
 
     def apply(
         self, pool: Pool, idx: Optional[np.ndarray] = None
-    ) -> tuple[ad.DiffNode, list[np.ndarray]]:
-        """Logits node and adapted-layer inputs of the integrated model on
-        the pool's columns `idx` (all of them when None): every branch
-        weighted by its gate, or by 1 when ungated.
+    ) -> tuple[np.ndarray, tuple]:
+        """Logits of the integrated model on the pool's columns `idx` (all
+        of them when None), every branch weighted by its gate, or by 1 when
+        ungated, and the cache `backward` reads: the newest gate's cache
+        (None when the memo holds its row) and the backbone's, whose
+        `inputs` holds each adapted layer's input.
 
         First the pool's memo is extended (`extend_memo`). Then its columns
         `idx` are taken, the coefficients in one `take`, and only the rest
-        runs fresh, with a graph unless under `no_grad`: the newest gate
-        when the memo lacks its row, the unfrozen branches, the later
-        adapted layers and the head. On a held pool every gate is frozen,
-        and so is every first-layer branch but the one of `seq`. The result
-        matches a fresh forward on the C-ordered batch
-        `pool.pooled.take(idx, axis=1)` byte for byte as long as BLAS rounds
-        an output column the same whatever the product's width, which
-        OpenBLAS does when the batch width is a multiple of 8.
+        runs fresh: the newest gate when the memo lacks its row, the
+        unfrozen branches, the later adapted layers and the head. On a held
+        pool every gate is frozen, and so is every first-layer branch but
+        the one of `seq`. The result matches a fresh forward on the
+        C-ordered batch `pool.pooled.take(idx, axis=1)` byte for byte as
+        long as BLAS rounds an output column the same whatever the
+        product's width, which OpenBLAS does when the batch width is a
+        multiple of 8.
         """
         self.extend_memo(pool)
 
@@ -255,18 +257,29 @@ class ContinualState:
             # BLAS may round a product with it unlike the memo's columns.
             return a if idx is None else a.take(idx, axis=axis)
 
-        x = ad.constant(cols(pool.pooled))
+        x = cols(pool.pooled)
         fixed = cols(pool.coeffs, axis=2)
-        live = self.gates[-1].forward_node(x)[0] if len(fixed) < self.n_branches else None
+        live = gate = None
+        if len(fixed) < self.n_branches:
+            live, gate = self.gates[-1].forward(x)
         partial, k = pool.prefix
-        start = (ad.constant(cols(partial.value)), k)
-        return self.model.forward_node(fixed, live, x, start)
+        logits, cache = self.model.forward(fixed, live, x, (cols(partial), k))
+        return logits, (gate, cache)
+
+    def backward(self, cache: tuple, g: np.ndarray) -> None:
+        """Backward pass of `apply` for the logits' gradient g: sets `.grad`
+        on every weight that trains, the live gate's from the gradient the
+        backbone returns for its coefficient."""
+        gate, model_cache = cache
+        dlive = self.model.backward(model_cache, g)
+        if gate is not None:
+            self.gates[-1].backward(gate, dlive)
 
     def extend_memo(self, pool: Pool) -> None:
-        """Add to the pool's memo, graph-free, the rows of the gates frozen
-        since it was last read (ungated, a row of ones per new branch) and
-        the leading first-layer branches frozen since; return at once when
-        nothing has changed, as on every training step after a task's first."""
+        """Add to the pool's memo the rows of the gates frozen since it was
+        last read (ungated, a row of ones per new branch) and the leading
+        first-layer branches frozen since; return at once when nothing has
+        changed, as on every training step after a task's first."""
         layer = self.model.adapted_layers[0]
         j = len(pool.coeffs)
         k = pool.prefix[1] if pool.prefix else 0
@@ -276,22 +289,21 @@ class ContinualState:
             grows = j < self.n_branches
         if pool.prefix and not grows and not (k < j and layer.branches[k].frozen):
             return
-        n = pool.pooled.shape[1]
-        with ad.no_grad():
-            x = ad.constant(pool.pooled)
-            if self.cfg.gated:
-                frozen = itertools.takewhile(lambda m: m.frozen, self.gates[j:])
-                rows = [module.forward_node(x)[0].value for module in frozen]
-            else:
-                rows = [np.ones((1, n))] * (self.n_branches - j)
-            pool.coeffs = np.concatenate([pool.coeffs, np.reshape(rows, (-1, 1, n))])
-            while k < len(pool.coeffs) and layer.branches[k].frozen:
-                k += 1
-            partial = layer.forward_node(pool.coeffs[:k], None, x, pool.prefix, stop=k)
-            pool.prefix = (partial, k)
+        x = pool.pooled
+        n = x.shape[1]
+        if self.cfg.gated:
+            frozen = itertools.takewhile(lambda m: m.frozen, self.gates[j:])
+            rows = [module.forward(x)[0] for module in frozen]
+        else:
+            rows = [np.ones((1, n))] * (self.n_branches - j)
+        pool.coeffs = np.concatenate([pool.coeffs, np.reshape(rows, (-1, 1, n))])
+        while k < len(pool.coeffs) and layer.branches[k].frozen:
+            k += 1
+        partial, _ = layer.forward(pool.coeffs[:k], None, x, pool.prefix, stop=k)
+        pool.prefix = (partial, k)
 
-    def trainable_params(self) -> list[ad.DiffNode]:
-        params: list[ad.DiffNode] = []
+    def trainable_params(self) -> list[ad.Param]:
+        params: list[ad.Param] = []
         for layer in self.model.adapted_layers:
             for branch in layer.branches:
                 params.extend(branch.trainable_params())
@@ -313,9 +325,8 @@ def _collect_adapted_inputs(
     """Inputs seen by each adapted layer on a sample of the pool's columns,
     read through the pool's memo (`ContinualState.apply`)."""
     idx = _subsample(rng, pool.pooled.shape[1], SUBSPACE_SAMPLES)
-    with ad.no_grad():
-        _, inputs = state.apply(pool, idx)
-    return inputs
+    _, (_, cache) = state.apply(pool, idx)
+    return cache.inputs
 
 
 def learn_task(state: ContinualState, train: Dataset) -> None:
@@ -394,20 +405,22 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
     state.trained_size = sum(p.value.size for p in params)
     opt = AdamW(params, cfg.lr)
 
-    def batch_loss(idx: np.ndarray) -> ad.DiffNode:
-        logits, _ = state.apply(pool, idx)
-        loss = ad.softmax_cross_entropy(logits, pool.labels[idx])
+    def set_gradients(idx: np.ndarray) -> None:
+        # The loss is the batch's mean cross-entropy plus each penalty; its
+        # value is never formed. A penalty's share of its `down` gradient
+        # adds after the branch's.
+        logits, cache = state.apply(pool, idx)
+        state.backward(cache, ad.softmax_cross_entropy_grad(logits, pool.labels[idx]))
         for down, gram in penalties:
-            loss = ad.add(loss, olora_penalty_node(down, gram, OLORA_LAMBDA))
-        return loss
+            down.grad = down.grad + ad.row_space_penalty_grad(down.value, gram, OLORA_LAMBDA)
 
-    # The batch's graph is referenced only while backward runs, so it is
-    # freed before the optimizer step allocates.
+    # The batch's cache is referenced only while its backward pass runs, so
+    # it is freed before the optimizer step allocates.
     shuffle_rng = rng.child("shuffle")
     for _ in range(cfg.epochs):
         order = shuffle_rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
-            ad.backward(batch_loss(order[start : start + cfg.batch_size]))
+            set_gradients(order[start : start + cfg.batch_size])
             opt.step(transforms)
 
     if cfg.gated and (cfg.init_constraints or cfg.update_constraints):
@@ -438,12 +451,11 @@ def evaluate(state: ContinualState) -> list[float]:
     run fresh.
     """
     row = []
-    with ad.no_grad():
-        for pool in state.held:
-            # One pool's logits and layer inputs are freed before the next
-            # pool's forward.
-            pred = np.argmax(state.apply(pool)[0].value, axis=0)
-            row.append(100.0 * float(np.mean(pred == pool.labels)))
+    for pool in state.held:
+        # One pool's logits and cache are freed before the next pool's
+        # forward.
+        pred = np.argmax(state.apply(pool)[0], axis=0)
+        row.append(100.0 * float(np.mean(pred == pool.labels)))
     return row
 
 

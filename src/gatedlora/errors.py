@@ -13,10 +13,6 @@ class NonSymmetric(GatedLoraError):
     """A matrix required to be symmetric is not, beyond tolerance."""
 
 
-class NonScalarLoss(GatedLoraError):
-    """backward() was called on a node that is not 1x1."""
-
-
 class ShapeMismatch(GatedLoraError):
     """Operands have incompatible shapes."""
 

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import DiffNode
+from .autodiff import Param
 from .errors import DimMismatch, NonFinite, ShapeMismatch
 from .numerics import Mat, Rng, gaussian_init
 from .subspace import SubspaceBasis, SubspaceMemory, project_out
@@ -45,7 +45,7 @@ class GateFn(enum.Enum):
         return np.abs(u), lambda g: 2.0 * (g * np.sign(u))
 
     def scalar(self, b: float) -> float:
-        """Scalar reference form of the squash `GatingModule.forward_node`
+        """Scalar reference form of the squash `GatingModule.forward`
         applies, kept for tests to compare against."""
         if not math.isfinite(b):
             raise NonFinite(f"gate input {b!r}")
@@ -68,7 +68,7 @@ def gating_layer_shapes(embed_dim: int, hidden: int) -> list[tuple[int, int]]:
 
 
 class GatingModule:
-    """SiLU MLP with a scalar gate head; weights live as autodiff leaves."""
+    """SiLU MLP with a scalar gate head; its weights are `Param` leaves."""
 
     def __init__(self, weights: list[Mat], gate: GateFn):
         for prev, nxt in zip(weights, weights[1:]):
@@ -78,7 +78,7 @@ class GatingModule:
                 )
         if weights[-1].shape[0] != 1:
             raise ShapeMismatch("final gate layer must map to a scalar")
-        self.params = [ad.parameter(w.copy()) for w in weights]
+        self.params = [Param(w.copy()) for w in weights]
         self.gate = gate
 
     @property
@@ -89,29 +89,40 @@ class GatingModule:
     @property
     def frozen(self) -> bool:
         """True once no weight trains; read from `requires_grad`, the flag
-        the optimizer and autodiff go by."""
+        the optimizer and the backward passes go by."""
         return not any(p.requires_grad for p in self.params)
 
     def freeze(self) -> None:
         for p in self.params:
             p.requires_grad = False
 
-    def forward_node(self, pooled: DiffNode) -> tuple[DiffNode, list[Mat]]:
-        """Gate output (1, n) node plus the input trace of every layer. The
-        whole module, SiLU layers, final row and squash, is one node
-        (`autodiff.gate_mlp`, with `GateFn.squash`), whose backward pass
-        serves every weight."""
+    def forward(self, pooled: Mat) -> tuple[np.ndarray, ad.GateCache]:
+        """Gate row (1, n) on a pooled batch, and the cache `backward` reads,
+        whose `trace` holds the input of every layer. The whole module, SiLU
+        layers, final row and squash, is one `autodiff.gate_mlp`, with
+        `GateFn.squash`."""
         if pooled.shape[0] != self.input_dims[0]:
             raise ShapeMismatch(
                 f"pooled input dim {pooled.shape[0]} vs {self.input_dims[0]}"
             )
-        return ad.gate_mlp(pooled, self.params, self.gate.squash)
+        return ad.gate_mlp(pooled, [p.value for p in self.params], self.gate.squash)
+
+    def backward(self, cache: ad.GateCache, g: np.ndarray) -> None:
+        """Backward pass of `forward` for the gate row's gradient g: sets
+        `.grad` on every weight that trains (`autodiff.gate_mlp_vjp`, one
+        pass that stops below the lowest of them). The pooled input takes no
+        gradient."""
+        needs = [False] + [p.requires_grad for p in self.params]
+        grads = ad.gate_mlp_vjp(g, cache, needs)
+        for p, grad in zip(self.params, grads[1:]):
+            if grad is not None:
+                p.grad = grad
 
     def forward_values(self, pooled: Mat) -> tuple[np.ndarray, list[Mat]]:
-        """Graph-free forward; returns the (n,) gate row and the trace."""
-        with ad.no_grad():
-            out, trace = self.forward_node(ad.constant(pooled))
-        return out.value[0], trace
+        """The (n,) gate row and the input of every layer: `forward` read
+        for the gate memory."""
+        row, cache = self.forward(pooled)
+        return row[0], cache.trace
 
 
 def init_new_gating(

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .adapter import AdaptedLinear
-from .autodiff import DiffNode
 from .errors import (
     EmptyInput,
     IdOutOfRange,
@@ -74,6 +74,15 @@ class TaskSequence:
         return iter(self.tasks)
 
 
+class BackboneCache(NamedTuple):
+    """What `ToyBackbone.backward` reads of a forward: each adapted layer's
+    input, each SiLU's input and each adapted layer's cache."""
+
+    inputs: list
+    acts: list
+    layers: list
+
+
 class ToyBackbone:
     """Frozen embedding + adapted hidden layers + frozen head."""
 
@@ -121,27 +130,46 @@ class ToyBackbone:
         flat = list(itertools.chain.from_iterable(seqs))
         return np.ascontiguousarray(_pool_rows(flat, lengths, self.embedding).T)
 
-    def forward_node(
+    def forward(
         self,
         fixed: np.ndarray,
-        live: DiffNode | None,
-        pooled: DiffNode,
-        start: tuple[DiffNode, int] | None = None,
-    ) -> tuple[DiffNode, list[Mat]]:
-        """Class logits node for a pooled batch; also returns the inputs
-        seen by each adapted layer (for subspace collection). Every adapted
-        layer weights its branches by the same coefficients: the (j, 1, n)
-        rows `fixed` of the first j branches, then the node `live` of the
-        one that trains, if any. `start` resumes the first adapted layer's
-        branch sum. Both as in `AdaptedLinear.forward_node`."""
+        live: np.ndarray | None,
+        pooled: Mat,
+        start: tuple[np.ndarray, int] | None = None,
+    ) -> tuple[np.ndarray, BackboneCache]:
+        """Class logits (C, n) for a pooled batch, and the cache `backward`
+        reads, whose `inputs` holds the input of each adapted layer (for
+        subspace collection). Every adapted layer weights its branches by
+        the same coefficients: the (j, 1, n) rows `fixed` of the first j
+        branches, then `live`, the (1, n) row of the one that trains, if
+        any. `start` resumes the first adapted layer's branch sum. All as
+        in `AdaptedLinear.forward`."""
         h = pooled
-        inputs = []
+        inputs, acts, layers = [], [], []
         for i, layer in enumerate(self.adapted_layers):
             if i:
+                acts.append(h)
                 h = ad.silu(h)
-            inputs.append(h.value)
-            h = layer.forward_node(fixed, live, h, None if i else start)
-        return ad.matmul(ad.constant(self.head), h), inputs
+            inputs.append(h)
+            h, cache = layer.forward(fixed, live, h, None if i else start)
+            layers.append(cache)
+        return self.head @ h, BackboneCache(inputs, acts, layers)
+
+    def backward(self, cache: BackboneCache, g: np.ndarray) -> np.ndarray | None:
+        """Backward pass of `forward` for the logits' gradient g: sets
+        `.grad` on every trainable branch half and returns the gradient of
+        the live coefficient (None without one), which adds each adapted
+        layer's share, the last layer's first. The pooled input takes no
+        gradient."""
+        g = self.head.T @ g
+        dlive = None
+        for i in range(len(self.adapted_layers) - 1, -1, -1):
+            dh, da = self.adapted_layers[i].backward(cache.layers[i], g, i > 0)
+            if da is not None:
+                dlive = da if dlive is None else dlive + da
+            if i:
+                g = ad.silu_vjp(dh, cache.acts[i - 1])
+        return dlive
 
 
 def _token_ids(tokens, vocab_size: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""AdamW over autodiff parameter leaves, in one pass over flat vectors.
+"""AdamW over `Param` leaves, in one pass over flat vectors.
 
 Only the learning rate is set per optimizer. The rest is fixed: moment
 decay rates beta1 = 0.9 and beta2 = 0.999, eps = 1e-8 in the step's
@@ -15,8 +15,9 @@ every parameter at the same time; elementwise IEEE arithmetic rounds
 each entry on its own, so the result is bit-identical to updating the
 parameters one at a time. Each parameter then moves by its slice of the
 flat delta into a new array of its own: no value is written in place,
-because graphs and the pool memo hold node values, and no parameter's
-value keeps another's storage alive once it is frozen.
+because a forward's cache and the layers' frozen-branch stacks hold
+values, and no parameter's value keeps another's storage alive once it
+is frozen.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .autodiff import DiffNode
+from .autodiff import Param
 
 DeltaTransform = Callable[[np.ndarray], np.ndarray]
 
@@ -36,7 +37,7 @@ WEIGHT_DECAY = 0.01
 
 
 class AdamW:
-    def __init__(self, params: list[DiffNode], lr: float):
+    def __init__(self, params: list[Param], lr: float):
         self.params = list(params)
         self.lr = lr
         self.step_count = 0
@@ -46,7 +47,7 @@ class AdamW:
         self._v = np.zeros(sum(sizes))
 
     def step(
-        self, transforms: Optional[dict[DiffNode, DeltaTransform]] = None
+        self, transforms: Optional[dict[Param, DeltaTransform]] = None
     ) -> None:
         """Apply one update from the gradients currently on the params.
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from gatedlora import autodiff as ad
 from gatedlora.gating import GateFn
 from gatedlora.model import _token_ids
 from gatedlora.numerics import Rng
+
+import graph as gr
 
 
 @pytest.fixture
@@ -40,10 +41,19 @@ def finite_difference(fn, params, h=1e-5):
 def total(node):
     """Collapse any (m, n) node to 1x1, the mean of its entries, by
     matmuls with constant vectors of 1/m and 1/n."""
-    m, n = node.shape
-    rows = ad.constant(np.full((1, m), 1.0 / m))
-    cols = ad.constant(np.full((n, 1), 1.0 / n))
-    return ad.matmul(ad.matmul(rows, node), cols)
+    m, n = node.value.shape
+    rows = gr.constant(np.full((1, m), 1.0 / m))
+    cols = gr.constant(np.full((n, 1), 1.0 / n))
+    return gr.matmul(gr.matmul(rows, node), cols)
+
+
+def upstream(out, loss):
+    """The gradient that the graph `loss(node)` hands back to a node of
+    value `out`: what a hand-written backward pass receives from the rest
+    of that graph."""
+    leaf = gr.parameter(out)
+    gr.backward(loss(leaf))
+    return leaf.grad
 
 
 def assert_close_rel(actual, expected, rel=1e-4, floor=1e-6):
@@ -63,42 +73,10 @@ def pool_embed(tokens, embedding):
     return embedding[ids].mean(axis=0).reshape(-1, 1)
 
 
-# The chains of elementary nodes that the fused ops of `gatedlora.autodiff`
-# stand for: `gate_mlp` (`gate_chain`), `add_branch` (`branch_chain`) and
-# `row_space_penalty` (`penalty_chain`). Each fused node's value and
-# gradients must equal its chain's byte for byte. The elementary ops the
-# package no longer has are built here as nodes.
-
-
-def _logistic(x):
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
-
-
-def sigmoid(a):
-    v = _logistic(a.value)
-    return ad.DiffNode(v, ((a, lambda g: g * v * (1.0 - v)),))
-
-
-def absval(a):
-    return ad.DiffNode(np.abs(a.value), ((a, lambda g: g * np.sign(a.value)),))
-
-
-def smul(c, a):
-    """Multiply by a python float."""
-    c = float(c)
-    return ad.DiffNode(c * a.value, ((a, lambda g: c * g),))
-
-
-def scale_columns(s, a):
-    """Column j of a scaled by s[0, j]; both receive gradients."""
-    return ad.DiffNode(
-        s.value * a.value,
-        (
-            (s, lambda g: np.sum(g * a.value, axis=0, keepdims=True)),
-            (a, lambda g: s.value * g),
-        ),
-    )
+# The chains of elementary nodes that the package's kernels stand for:
+# `gate_mlp` (`gate_chain`), `add_branch` (`branch_chain`) and
+# `row_space_penalty_grad` (`penalty_chain`). Each kernel's value and
+# gradients must equal its chain's byte for byte.
 
 
 def gate_chain(x, weights, absolute):
@@ -108,13 +86,13 @@ def gate_chain(x, weights, absolute):
     h = x
     trace = [h.value]
     for w in weights[:-1]:
-        h = ad.silu(ad.matmul(w, h))
+        h = gr.silu(gr.matmul(w, h))
         trace.append(h.value)
-    pre = ad.matmul(weights[-1], h)
+    pre = gr.matmul(weights[-1], h)
     if not absolute:
-        return sigmoid(pre), trace
-    ones = ad.constant(np.ones(pre.shape))
-    return absval(ad.add(smul(2.0, sigmoid(pre)), smul(-1.0, ones))), trace
+        return gr.sigmoid(pre), trace
+    ones = gr.constant(np.ones(pre.shape))
+    return gr.absval(gr.add(gr.smul(2.0, gr.sigmoid(pre)), gr.smul(-1.0, ones))), trace
 
 
 def coefficient_nodes(gates, pooled):
@@ -128,56 +106,36 @@ def coefficient_nodes(gates, pooled):
 def branch_chain(out, coeff, up, down, h):
     """out + coeff * (up @ (down @ h)) as matmul, matmul, scale_columns and
     add nodes; an array coefficient becomes a constant node."""
-    if not isinstance(coeff, ad.DiffNode):
-        coeff = ad.constant(coeff)
-    return ad.add(out, scale_columns(coeff, ad.matmul(up, ad.matmul(down, h))))
+    if isinstance(coeff, np.ndarray):
+        coeff = gr.constant(coeff)
+    return gr.add(out, gr.scale_columns(coeff, gr.matmul(up, gr.matmul(down, h))))
 
 
 def penalty_chain(x, s, lam):
     """lam * tr(X S X^T) as a scalar multiply of the unweighted penalty
     node, whose gradient is 2 X S."""
-    xs = x.value @ s
-    value = np.array([[float(np.sum(xs * x.value))]])
-    return smul(lam, ad.DiffNode(value, ((x, lambda g: g[0, 0] * 2.0 * xs),)))
+    return gr.smul(lam, gr.row_space_penalty(x, s))
 
 
 def branch_sum(layer, coeffs, h):
     """W h + sum_i a_i * up_i(down_i h) over the layer's first len(coeffs)
-    branches, one `branch_chain` per branch: the per-branch oracle
-    `AdaptedLinear.forward_node` must match byte for byte, value and
-    gradients."""
-    out = ad.matmul(ad.constant(layer.weight), h)
+    branches, one `branch_chain` per branch: the per-branch oracle that
+    `AdaptedLinear.forward` and `backward` must match byte for byte, value
+    and gradients."""
+    out = gr.matmul(gr.constant(layer.weight), h)
     for a_i, branch in zip(coeffs, layer.branches):
         out = branch_chain(out, a_i, branch.up, branch.down, h)
     return out
 
 
 def oracle_forward(model, coeffs, pooled):
-    """`ToyBackbone.forward_node` with every adapted layer summed by
+    """`ToyBackbone.forward` as a graph, every adapted layer summed by
     `branch_sum`: logits node and each adapted layer's input."""
     h = pooled
     inputs = []
     for i, layer in enumerate(model.adapted_layers):
         if i:
-            h = ad.silu(h)
+            h = gr.silu(h)
         inputs.append(h.value)
         h = branch_sum(layer, coeffs, h)
-    return ad.matmul(ad.constant(model.head), h), inputs
-
-
-def graph_nodes(node):
-    """Every node reachable from `node` through recorded parents, `node`
-    included: the nodes a backward pass from it visits."""
-    seen = {}
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if id(n) not in seen:
-            seen[id(n)] = n
-            stack.extend(n.parents)
-    return list(seen.values())
-
-
-def graph_size(node):
-    """How many nodes a backward pass from `node` visits."""
-    return len(graph_nodes(node))
+    return gr.matmul(gr.constant(model.head), h), inputs

@@ -8,21 +8,20 @@ from gatedlora.adapter import (
     expand_branch,
     inflora_design,
     olora_gram,
-    olora_penalty_node,
 )
 from gatedlora.errors import NoFreeSubspace, ShapeMismatch
 from gatedlora.numerics import Rng, sym_eig
 from gatedlora.optim import AdamW
 from gatedlora.subspace import SubspaceBasis
 
+import graph as gr
 from conftest import (
     assert_close_rel,
     branch_sum,
     finite_difference,
-    graph_size,
     penalty_chain,
-    sigmoid,
     total,
+    upstream,
 )
 
 
@@ -30,9 +29,8 @@ def fresh_layer(rng, d_out=5, d_in=4):
     return AdaptedLinear(rng.normal(d_out, d_in, 1.0))
 
 
-# Value-form references for the adapted layer and the O-LoRA penalty: the
-# package computes both only as graph nodes, and these are what the node
-# paths are checked against.
+# Value-form references for the adapted layer and the O-LoRA penalty, which
+# the package's forward and penalty gradient are checked against.
 
 
 def delta(branch):
@@ -58,9 +56,7 @@ def integrate(branches, coeffs):
 def adapted_forward(layer, coeffs, h):
     """W h plus the coefficient-weighted branch contributions."""
     fixed = np.array([np.full((1, h.shape[1]), a) for a in coeffs])
-    with ad.no_grad():
-        out = layer.forward_node(fixed, None, ad.constant(h))
-    return out.value
+    return layer.forward(fixed, None, h)[0]
 
 
 def olora_penalty(branches, lam):
@@ -79,8 +75,8 @@ def olora_penalty(branches, lam):
 
 
 def olora_penalty_per_step(branches, lam):
-    """The penalty node with its Gram matrix rebuilt from the branches, as
-    a training step once built it on every call."""
+    """The penalty as a graph node with its Gram matrix rebuilt from the
+    branches, as a training step once built it on every call."""
     gram = np.zeros((branches[0].down.value.shape[1],) * 2)
     for old in branches[:-1]:
         gram += old.down.value.T @ old.down.value
@@ -148,9 +144,9 @@ class TestAdaptedForward:
         br.up.value[:] = rng.normal(5, 2, 1.0)
         h = rng.normal(4, 3, 1.0)
         coeffs = rng.uniform(3).reshape(1, 3)
-        node = layer.forward_node(np.empty((0, 1, 3)), ad.constant(coeffs), ad.constant(h))
+        out, _ = layer.forward(np.empty((0, 1, 3)), coeffs, h)
         vals = layer.weight @ h + coeffs * (br.up.value @ (br.down.value @ h))
-        assert np.allclose(node.value, vals, atol=1e-14)
+        assert np.allclose(out, vals, atol=1e-14)
 
     @pytest.mark.parametrize(
         "case, folded",
@@ -164,11 +160,12 @@ class TestAdaptedForward:
     def test_fused_frozen_part_matches_per_branch_oracle(self, rng, case, folded):
         # Four frozen branches, then the live one. W h and the leading
         # frozen branches of the first one's rank with fixed coefficients
-        # form one node, and each later branch is one more; value and every
-        # gradient are byte-equal to adding each branch on its own. Gated,
-        # the live branch's coefficient is a trainable node; ungated, every
-        # coefficient is a fixed 1. In mixed_rank three branch nodes follow
-        # the fused one, so h's gradient has four shares to add in order.
+        # are one `lowrank_sum`, and each later branch is one term more;
+        # value and every gradient `backward` gives are byte-equal to the
+        # graph that adds each branch on its own. Gated, the live branch's
+        # coefficient trains; ungated, every coefficient is a fixed 1. In
+        # mixed_rank three branch terms follow the fused part, so h's
+        # gradient has four shares to add in order.
         d, n = 16, 12
         layer = AdaptedLinear(rng.normal(d, d, 1.0))
         for t in range(5):
@@ -178,28 +175,29 @@ class TestAdaptedForward:
             layer.branches[-1].up.value[:] = rng.normal(d, r, 1.0)
         if case == "ungated":
             fixed, live = np.ones((5, 1, n)), None
-            coeffs = [ad.constant(a) for a in fixed]
+            coeffs = list(fixed)
         else:
             rows = np.array([rng.uniform(n).reshape(1, n) for _ in range(5)])
-            fixed, live = rows[:4], ad.parameter(rows[4])
-            coeffs = [ad.constant(a) for a in fixed] + [live]
-        h = ad.parameter(rng.normal(d, n, 1.0))
-        params = [h] + layer.branches[4].trainable_params()
-        params += [a for a in coeffs if a.requires_grad]
-        results, sizes = [], []
-        for forward in (
-            lambda: layer.forward_node(fixed, live, h),
-            lambda: branch_sum(layer, coeffs, h),
-        ):
-            out = forward()
-            ad.backward(total(sigmoid(out)))
-            results.append([out.value.tobytes()] + [p.grad.tobytes() for p in params])
-            sizes.append(graph_size(out))
-        assert results[0] == results[1]
-        # each folded branch saves its matmul, matmul, scale_columns and
-        # add; the first later branch is one node in place of those four,
-        # each other one two (its down-product and the rest)
-        assert sizes[1] - sizes[0] == 4 * folded + 3 + 2 * (4 - folded)
+            fixed, live = rows[:4], rows[4]
+            coeffs = list(fixed) + [gr.parameter(live)]
+        h_value = rng.normal(d, n, 1.0)
+        params = layer.branches[4].trainable_params()
+
+        def loss(out):
+            return total(gr.sigmoid(out))
+
+        out, cache = layer.forward(fixed, live, h_value)
+        assert len(cache.fused[0]) == folded and len(cache.terms) == 5 - folded
+        dh, dlive = layer.backward(cache, upstream(out, loss), True)
+        assert (dlive is None) == (live is None)
+        got = [out, dh] + [p.grad for p in params] + ([] if live is None else [dlive])
+
+        h = gr.parameter(h_value)
+        oracle = branch_sum(layer, coeffs, h)
+        gr.backward(loss(oracle))
+        want = [oracle.value, h.grad] + [p.grad for p in params]
+        want += [a.grad for a in coeffs if not isinstance(a, np.ndarray)]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 class TestOloraPenalty:
@@ -238,16 +236,13 @@ class TestOloraPenalty:
             return olora_penalty(branches, lam)
 
         branches = old + [LoraBranch(np.zeros((3, 2)), new_rows)]
-        node = olora_penalty_node(branches[-1].down, olora_gram(branches), lam)
-        assert node.value[0, 0] == pytest.approx(value_of(new_rows), rel=1e-12)
-        ad.backward(node)
+        grad = ad.row_space_penalty_grad(new_rows, olora_gram(branches), lam)
         numeric = finite_difference(lambda ps: value_of(ps[0]), [new_rows.copy()])
-        assert_close_rel(branches[-1].down.grad, numeric[0], rel=1e-4, floor=1e-6)
+        assert_close_rel(grad, numeric[0], rel=1e-4, floor=1e-6)
 
     def test_task_gram_matches_per_step_rebuild(self, rng):
-        # One Gram built before training serves every step: value and
-        # gradient bytes equal the per-step rebuild's while the newest
-        # branch trains.
+        # One Gram built before training serves every step: the gradient's
+        # bytes equal the per-step rebuild's while the newest branch trains.
         layer = fresh_layer(rng)
         for tag in "abc":
             expand_branch(layer, 2, rng.child(tag))
@@ -255,12 +250,9 @@ class TestOloraPenalty:
         gram = olora_gram(layer.branches)
         opt = AdamW([down], lr=1e-1)
         for _ in range(5):
-            oracle = olora_penalty_per_step(layer.branches, 0.7)
-            ad.backward(oracle)
-            oracle_grad = down.grad.copy()
-            node = olora_penalty_node(down, gram, 0.7)
-            assert node.value.tobytes() == oracle.value.tobytes()
-            ad.backward(node)
+            gr.backward(olora_penalty_per_step(layer.branches, 0.7))
+            oracle_grad = down.grad
+            down.grad = ad.row_space_penalty_grad(down.value, gram, 0.7)
             assert down.grad.tobytes() == oracle_grad.tobytes()
             opt.step()
         assert olora_gram(layer.branches).tobytes() == gram.tobytes()
@@ -314,16 +306,23 @@ class TestInfloraDesign:
         assert np.array_equal(rows, again)
 
 
+def train_step(layer, fixed, h):
+    """Set the gradients of the mean of SiLU over the layer's output on its
+    trainable branch halves."""
+    out, cache = layer.forward(fixed, None, h)
+    layer.backward(cache, upstream(out, lambda o: total(gr.silu(o))), False)
+
+
 class TestExpandBranch:
     def test_expansion_is_noop_on_outputs(self, rng):
         layer = fresh_layer(rng)
         br = expand_branch(layer, 2, rng.child("a"))
         br.up.value[:] = rng.normal(5, 2, 1.0)
-        h = ad.constant(rng.normal(4, 3, 1.0))
-        before = layer.forward_node(np.full((1, 1, 3), 0.7), None, h)
+        h = rng.normal(4, 3, 1.0)
+        before, _ = layer.forward(np.full((1, 1, 3), 0.7), None, h)
         expand_branch(layer, 2, rng.child("b"))
-        after = layer.forward_node(np.full((1, 1, 3), 0.7), ad.constant(np.ones((1, 3))), h)
-        assert np.array_equal(before.value, after.value)
+        after, _ = layer.forward(np.full((1, 1, 3), 0.7), np.ones((1, 3)), h)
+        assert np.array_equal(before, after)
 
     def test_previous_branches_frozen(self, rng):
         layer = fresh_layer(rng)
@@ -355,8 +354,7 @@ class TestExpandBranch:
         h = rng.normal(4, 6, 1.0)
         ones = np.ones((2, 1, 6))
         for _ in range(25):
-            out = layer.forward_node(ones, None, ad.constant(h))
-            ad.backward(total(ad.silu(out)))
+            train_step(layer, ones, h)
             opt.step()
         assert (first.up.value.tobytes(), first.down.value.tobytes()) == frozen_bytes
 
@@ -367,8 +365,7 @@ class TestExpandBranch:
         br = expand_branch(layer, 2, rng.child("a"), designed_down=rows)
         opt = AdamW(br.trainable_params(), lr=1e-2)
         for _ in range(25):
-            out = layer.forward_node(np.ones((1, 1, 20)), None, ad.constant(h_new))
-            ad.backward(total(ad.silu(out)))
+            train_step(layer, np.ones((1, 1, 20)), h_new)
             opt.step()
         assert np.array_equal(br.down.value, rows)
         assert np.max(np.abs(br.up.value)) > 0  # the trainable half moved

@@ -5,18 +5,16 @@ import numpy as np
 import pytest
 
 from gatedlora import autodiff as ad
-from gatedlora.errors import NonScalarLoss, ShapeMismatch
+from gatedlora.errors import ShapeMismatch
 from gatedlora.gating import GateFn
 
+import graph as gr
 from conftest import (
     assert_close_rel,
     branch_chain,
     finite_difference,
     gate_chain,
-    graph_nodes,
     penalty_chain,
-    sigmoid,
-    smul,
     total,
 )
 
@@ -25,28 +23,111 @@ def scalar_sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+# The package's kernels as nodes of the oracle graph (`tests/graph.py`), so
+# that finite differences, compositions and the chains of elementary
+# nodes can check them: each node's value is the forward kernel's and each
+# vjp calls the backward kernel. Named after the kernel each stands for.
+
+
+def _once(chain):
+    """`chain(g)` computed once per upstream gradient: the node's vjps each
+    read their parent's share of one call of a backward kernel (backward()
+    hands every vjp of a node the same array)."""
+    last: list = [None, None]
+
+    def shares(g):
+        if last[0] is not g:
+            last[:] = g, chain(g)
+        return last[1]
+
+    return shares
+
+
+def silu(a):
+    return gr.DiffNode(ad.silu(a.value), ((a, lambda g: ad.silu_vjp(g, a.value)),))
+
+
+def gate_mlp(x, weights, squash):
+    """The gate row as a node, and the trace."""
+    row, cache = ad.gate_mlp(x.value, [w.value for w in weights], squash)
+    leaves = [x, *weights]
+    needs = [leaf.requires_grad for leaf in leaves]
+    shares = _once(lambda g: ad.gate_mlp_vjp(g, cache, needs))
+    inputs = [(leaf, lambda g, i=i: shares(g)[i]) for i, leaf in enumerate(leaves)]
+    return gr.DiffNode(row, inputs), cache.trace
+
+
+def add_branch(out, coeff, up, down, h):
+    """out + coeff * (up @ (down @ h)); with `down` None, h is the branch's
+    down-product itself. The down-product's shares for down and h are the
+    matmul's, as `AdaptedLinear.backward` takes them."""
+    a = coeff if isinstance(coeff, np.ndarray) else coeff.value
+    z = h.value if down is None else down.value @ h.value
+    value, contrib = ad.add_branch(out.value, a, up.value, z)
+    needs = (
+        not isinstance(coeff, np.ndarray) and coeff.requires_grad,
+        up.requires_grad,
+        h.requires_grad or (down is not None and down.requires_grad),
+    )
+    shares = _once(lambda g: ad.add_branch_vjp(g, a, up.value, z, contrib, needs))
+    inputs = [(out, lambda g: g)]
+    if not isinstance(coeff, np.ndarray):
+        inputs.append((coeff, lambda g: shares(g)[0]))
+    inputs.append((up, lambda g: shares(g)[1]))
+    if down is None:
+        inputs.append((h, lambda g: shares(g)[2]))
+    else:
+        inputs += [
+            (down, lambda g: shares(g)[2] @ h.value.T),
+            (h, lambda g: down.value.T @ shares(g)[2]),
+        ]
+    return gr.DiffNode(value, inputs)
+
+
+def lowrank_sum(h, weight, coeffs, ups, downs):
+    return gr.DiffNode(
+        ad.lowrank_sum(h.value, weight, coeffs, ups, downs),
+        ((h, lambda g: ad.lowrank_sum_vjp(g, weight, coeffs, ups, downs)),),
+    )
+
+
+def softmax_cross_entropy(logits, labels):
+    """The oracle's loss value, with the kernel's gradient."""
+    value = gr.softmax_cross_entropy(gr.constant(logits.value), labels).value
+    grad = ad.softmax_cross_entropy_grad(logits.value, labels)
+    return gr.DiffNode(value, ((logits, lambda g: g[0, 0] * grad),))
+
+
+def row_space_penalty(x, s, lam):
+    """lam * tr(X S X^T), with the kernel's gradient."""
+    value = lam * gr.row_space_penalty(gr.constant(x.value), s).value
+    return gr.DiffNode(
+        value, ((x, lambda g: g[0, 0] * ad.row_space_penalty_grad(x.value, s, lam)),)
+    )
+
+
 def squash(gate):
     """The gate's squash alone: a depth-0 gate whose final row is [[1.0]],
     so its pre-gate is its (1, n) input exactly."""
-    return lambda b: ad.gate_mlp(b, [ad.constant([[1.0]])], gate.squash)[0]
+    return lambda b: gate_mlp(b, [gr.constant([[1.0]])], gate.squash)[0]
 
 
 class TestClosedForms:
     def test_sigmoid_gradient_at_zero(self):
-        b = ad.parameter([[0.0]])
-        ad.backward(squash(GateFn.SIGMOID)(b))
+        b = gr.parameter([[0.0]])
+        gr.backward(squash(GateFn.SIGMOID)(b))
         # sigma'(0) = sigma(0) (1 - sigma(0)) = 0.25
         assert b.grad[0, 0] == pytest.approx(0.25, abs=1e-12)
 
     def test_silu_gradient_at_zero(self):
-        x = ad.parameter([[0.0]])
-        ad.backward(ad.silu(x))
+        x = gr.parameter([[0.0]])
+        gr.backward(silu(x))
         # silu'(x) = sigma(x) (1 + x (1 - sigma(x))) -> 0.5 at x = 0
         assert x.grad[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_silu_gradient_generic_point(self):
-        x = ad.parameter([[0.7]])
-        ad.backward(ad.silu(x))
+        x = gr.parameter([[0.7]])
+        gr.backward(silu(x))
         s = scalar_sigmoid(0.7)
         assert x.grad[0, 0] == pytest.approx(s * (1 + 0.7 * (1 - s)), abs=1e-12)
 
@@ -55,103 +136,106 @@ class TestClosedForms:
         [
             (squash(GateFn.SIGMOID), [0.0, 1.0], [0.0, 0.0]),
             (squash(GateFn.ABS_SIGMOID), [1.0, 1.0], [0.0, 0.0]),
-            (ad.silu, [0.0, 1000.0], [0.0, 1.0]),
+            (silu, [0.0, 1000.0], [0.0, 1.0]),
         ],
         ids=["sigmoid", "abs_sigmoid", "silu"],
     )
     def test_saturates_without_overflow(self, op, value, slope):
         # exp(1000) overflows; under filterwarnings=error a warning fails here
-        x = ad.parameter([[-1000.0, 1000.0]])
+        x = gr.parameter([[-1000.0, 1000.0]])
         out = op(x)
-        ad.backward(total(out))
+        gr.backward(total(out))
         assert np.array_equal(out.value, [value])
         assert np.array_equal(x.grad, [[s / 2 for s in slope]])
 
 
 class TestMechanics:
     def test_backward_requires_scalar(self):
-        p = ad.parameter(np.ones((2, 2)))
-        with pytest.raises(NonScalarLoss):
-            ad.backward(ad.silu(p))
+        p = gr.parameter(np.ones((2, 2)))
+        with pytest.raises(gr.NonScalarLoss):
+            gr.backward(gr.silu(p))
 
     def test_gradients_reset_between_passes(self):
-        p = ad.parameter([[1.0, 2.0]])
-        ad.backward(total(ad.silu(p)))
+        p = gr.parameter([[1.0, 2.0]])
+        gr.backward(total(gr.silu(p)))
         first = p.grad.copy()
-        ad.backward(total(ad.silu(p)))
+        gr.backward(total(gr.silu(p)))
         assert np.array_equal(p.grad, first)  # re-derived, not accumulated
 
     def test_diamond_graph_accumulates(self):
         # loss = mean(x + x) so dloss/dx = 2/n per entry
-        x = ad.parameter([[1.0, 2.0, 3.0]])
-        ad.backward(total(ad.add(x, x)))
+        x = gr.parameter([[1.0, 2.0, 3.0]])
+        gr.backward(total(gr.add(x, x)))
         assert np.allclose(x.grad, np.full((1, 3), 2.0 / 3.0))
 
     def test_constant_receives_no_gradient(self):
-        c = ad.constant(np.ones((2, 2)))
-        p = ad.parameter(np.ones((2, 2)))
-        ad.backward(total(ad.add(c, p)))
+        c = gr.constant(np.ones((2, 2)))
+        p = gr.parameter(np.ones((2, 2)))
+        gr.backward(total(gr.add(c, p)))
         assert c.grad is None
         assert p.grad is not None
 
     def test_only_parents_needing_gradients_recorded(self):
-        p = ad.parameter(np.ones((2, 2)))
-        out = ad.matmul(ad.constant(np.ones((2, 2))), p)
+        p = gr.parameter(np.ones((2, 2)))
+        out = gr.matmul(gr.constant(np.ones((2, 2))), p)
         assert out.parents == (p,)
         assert len(out.vjps) == 1
 
     def test_shared_gradient_not_updated_in_place(self):
         # add's vjp hands one array to both parents, so x's later
         # contribution must not write through it into y's gradient.
-        x = ad.parameter([[1.0, 2.0, 3.0]])
-        y = ad.parameter([[4.0, 5.0, 6.0]])
-        ad.backward(total(ad.add(ad.add(x, y), ad.add(x, x))))
+        x = gr.parameter([[1.0, 2.0, 3.0]])
+        y = gr.parameter([[4.0, 5.0, 6.0]])
+        gr.backward(total(gr.add(gr.add(x, y), gr.add(x, x))))
         assert np.array_equal(y.grad, np.full((1, 3), 1.0 / 3.0))
         assert np.array_equal(x.grad, np.ones((1, 3)))
 
     def test_no_grad_builds_no_graph(self):
-        p = ad.parameter(np.ones((2, 2)))
-        with ad.no_grad():
-            out = ad.silu(ad.matmul(p, p))
+        p = gr.parameter(np.ones((2, 2)))
+        with gr.no_grad():
+            out = gr.silu(gr.matmul(p, p))
         assert not out.requires_grad
         assert out.parents == ()
         assert p.requires_grad  # the leaf itself is untouched
 
     def test_no_grad_restored_after_exception(self):
-        p = ad.parameter(np.ones((2, 2)))
+        p = gr.parameter(np.ones((2, 2)))
         with pytest.raises(ShapeMismatch):
-            with ad.no_grad():
-                ad.matmul(p, ad.constant(np.ones((3, 1))))
-        out = ad.silu(p)
+            with gr.no_grad():
+                gr.matmul(p, gr.constant(np.ones((3, 1))))
+        out = gr.silu(p)
         assert out.requires_grad and out.parents == (p,)
 
     def test_backward_after_no_grad_matches_finite_difference(self):
         w = np.random.default_rng(3).normal(size=(3, 4))
-        p = ad.parameter(w)
-        with ad.no_grad():
-            total(ad.silu(p))
-        ad.backward(total(ad.silu(p)))
+        p = gr.parameter(w)
+        with gr.no_grad():
+            total(gr.silu(p))
+        gr.backward(total(gr.silu(p)))
         numeric = finite_difference(
-            lambda ps: float(total(ad.silu(ad.parameter(ps[0]))).value[0, 0]),
+            lambda ps: float(total(gr.silu(gr.parameter(ps[0]))).value[0, 0]),
             [w.copy()],
         )
         assert_close_rel(p.grad, numeric[0], rel=1e-4, floor=1e-5)
 
     def test_shape_checks(self):
-        a = ad.parameter(np.ones((2, 3)))
-        b = ad.parameter(np.ones((2, 2)))
+        a = gr.parameter(np.ones((2, 3)))
+        b = gr.parameter(np.ones((2, 2)))
         with pytest.raises(ShapeMismatch):
-            ad.add(a, b)
+            gr.add(a, b)
         with pytest.raises(ShapeMismatch):  # no column-bias broadcast
-            ad.add(a, ad.parameter(np.ones((2, 1))))
+            gr.add(a, gr.parameter(np.ones((2, 1))))
         with pytest.raises(ShapeMismatch):
-            ad.matmul(a, a)
+            gr.matmul(a, a)
+        square = np.ones((2, 2))
         with pytest.raises(ShapeMismatch):  # coefficient not (1, n)
-            ad.add_branch(b, np.ones((1, 3)), b, b, b)
+            ad.add_branch(square, np.ones((1, 3)), square, square)
         with pytest.raises(ShapeMismatch):  # final gate row maps to 2 rows
-            ad.gate_mlp(a, [ad.parameter(np.ones((2, 2)))], GateFn.ABS_SIGMOID.squash)
+            ad.gate_mlp(np.ones((2, 3)), [square], GateFn.ABS_SIGMOID.squash)
         with pytest.raises(ShapeMismatch):
-            ad.softmax_cross_entropy(ad.parameter(np.ones((3, 2))), np.array([0, 3]))
+            ad.softmax_cross_entropy_grad(np.ones((3, 2)), np.array([0, 3]))
+        with pytest.raises(ShapeMismatch):
+            ad.row_space_penalty_grad(np.ones((2, 3)), square, 0.5)
 
     @pytest.mark.parametrize(
         "weight, term",
@@ -168,26 +252,24 @@ class TestMechanics:
     def test_lowrank_sum_shape_checks(self, weight, term):
         # Two stacked terms of the shapes given: (2, 1, 4), (2, 5, 2), (2, 2, 3)
         # when well formed.
-        h = ad.parameter(np.ones((3, 4)))
         with pytest.raises(ShapeMismatch):
-            ad.lowrank_sum(h, np.ones(weight), *(np.ones((2,) + s) for s in term))
+            ad.lowrank_sum(np.ones((3, 4)), np.ones(weight), *(np.ones((2,) + s) for s in term))
 
     @pytest.mark.parametrize("stack", [0, 1, 2])
     def test_lowrank_sum_stacks_must_agree_in_depth(self, stack):
-        h = ad.parameter(np.ones((3, 4)))
         stacks = [np.ones((2, 1, 4)), np.ones((2, 5, 2)), np.ones((2, 2, 3))]
         stacks[stack] = stacks[stack][:1]
         with pytest.raises(ShapeMismatch):
-            ad.lowrank_sum(h, np.ones((5, 3)), *stacks)
+            ad.lowrank_sum(np.ones((3, 4)), np.ones((5, 3)), *stacks)
 
     @pytest.mark.parametrize("n", [16, 32, 256])
-    @pytest.mark.parametrize("k", [0, 1, 2, 9, 14, 17])
+    @pytest.mark.parametrize("k", [0, 1, 2, 9, 14, 17, 31])
     def test_lowrank_sum_matches_per_term_chain(self, k, n):
         # At the bench's dims (64 wide, rank 8): value and h-gradient equal
         # the per-branch chain over constants byte for byte. The terms go
-        # in chunks of 16 at 16 columns, 8 at 32 and 1 at 256, so k = 9,
-        # 14 and 17 span two or three chunks at 32 columns, and k >= 2 two
-        # or more at 256.
+        # in chunks of 30 at 16 columns, 15 at 32 and 1 at 256, so k = 9
+        # and 14 take one chunk at 32 columns, 17 and 31 two or three, and
+        # k >= 2 two or more at 256.
         gen = np.random.default_rng(k * 1000 + n)
         d, r = 64, 8
         weight = gen.normal(size=(d, d))
@@ -197,15 +279,15 @@ class TestMechanics:
         h_value = gen.normal(size=(d, n))
         results = []
         for fused in (True, False):
-            h = ad.parameter(h_value)
+            h = gr.parameter(h_value)
             if fused:
-                out = ad.lowrank_sum(h, weight, coeffs, ups, downs)
+                out = lowrank_sum(h, weight, coeffs, ups, downs)
             else:
-                out = ad.matmul(ad.constant(weight), h)
+                out = gr.matmul(gr.constant(weight), h)
                 for a, up, down in zip(coeffs, ups, downs):
-                    out = branch_chain(out, a, ad.constant(up), ad.constant(down), h)
+                    out = branch_chain(out, a, gr.constant(up), gr.constant(down), h)
             # scaled so that no entry saturates the sigmoid to a 0 gradient
-            ad.backward(total(sigmoid(smul(0.05, out))))
+            gr.backward(total(gr.sigmoid(gr.smul(0.05, out))))
             results.append((out.value.tobytes(), h.grad.tobytes()))
         assert results[0] == results[1]
 
@@ -245,32 +327,32 @@ _TERMS = [
 
 def _two_branches(out, a, up, down, h):
     # add_branch on h, then on a down-product node
-    h = ad.silu(h)
-    out = ad.add_branch(out, a, up, down, h)
-    return total(ad.silu(ad.add_branch(out, a, up, None, ad.matmul(down, h))))
+    h = silu(h)
+    out = add_branch(out, a, up, down, h)
+    return total(silu(add_branch(out, a, up, None, gr.matmul(down, h))))
 
 
 OP_CASES = {
     "matmul": (
         [(3, 4), (4, 2)],
-        lambda a, b: total(ad.silu(ad.matmul(a, b))),
+        lambda a, b: total(silu(gr.matmul(a, b))),
     ),
     "add": (
         [(3, 2), (3, 2)],
-        lambda a, b: total(ad.silu(ad.add(a, b))),
+        lambda a, b: total(silu(gr.add(a, b))),
     ),
-    "silu": ([(3, 3)], lambda a: total(ad.silu(a))),
+    "silu": ([(3, 3)], lambda a: total(silu(a))),
     "softmax_cross_entropy": (
         [(3, 6)],
-        lambda a: ad.softmax_cross_entropy(a, _LABELS),
+        lambda a: softmax_cross_entropy(a, _LABELS),
     ),
     "lowrank_sum": (
         [(3, 4)],
-        lambda h: total(ad.silu(ad.lowrank_sum(ad.silu(h), _WEIGHT, *_TERMS))),
+        lambda h: total(silu(lowrank_sum(silu(h), _WEIGHT, *_TERMS))),
     ),
     "row_space_penalty": (
         [(2, 4)],
-        lambda a: ad.row_space_penalty(a, _METRIC, 0.7),
+        lambda a: row_space_penalty(a, _METRIC, 0.7),
     ),
     # The plain-sigmoid gate through two SiLU layers, plus the ABS gate at
     # depth 0 on a (1, 1) row c, whose pre-gate c * x is 0 only where c or
@@ -278,9 +360,9 @@ OP_CASES = {
     "gate_mlp": (
         [(1, 4), (3, 1), (3, 3), (1, 3), (1, 1)],
         lambda x, w0, w1, w2, c: total(
-            ad.add(
-                ad.gate_mlp(x, [w0, w1, w2], GateFn.SIGMOID.squash)[0],
-                ad.gate_mlp(x, [c], GateFn.ABS_SIGMOID.squash)[0],
+            gr.add(
+                gate_mlp(x, [w0, w1, w2], GateFn.SIGMOID.squash)[0],
+                gate_mlp(x, [c], GateFn.ABS_SIGMOID.squash)[0],
             )
         ),
     ),
@@ -290,14 +372,19 @@ OP_CASES = {
 _KINKS = {"gate_mlp": 0.0}
 
 
+# Ops of the oracle graph itself, which the package's kernels do not name.
+GRAPH_OPS = {"matmul", "add"}
+
+
 def test_op_cases_cover_exactly_the_ops():
-    # The module's rule: no op without a finite-difference check.
-    ops = {
-        name
+    # The module's rule: no kernel without a finite-difference check. A
+    # kernel is a forward, its backward (`*_vjp`) or a gradient (`*_grad`).
+    kernels = {
+        name.removesuffix("_vjp").removesuffix("_grad")
         for name, fn in vars(ad).items()
         if inspect.isfunction(fn) and fn.__module__ == ad.__name__ and not name.startswith("_")
     }
-    assert ops - {"no_grad", "parameter", "constant", "backward"} == set(OP_CASES)
+    assert kernels == set(OP_CASES) - GRAPH_OPS
 
 
 @pytest.mark.parametrize("name", sorted(OP_CASES))
@@ -310,12 +397,12 @@ def test_finite_difference_per_op(name):
         arrays = [gen.normal(size=s) for s in shapes]
         if name in _KINKS:
             arrays = [_away_from(a, _KINKS[name]) for a in arrays]
-        nodes = [ad.parameter(a) for a in arrays]
-        ad.backward(builder(*nodes))
+        nodes = [gr.parameter(a) for a in arrays]
+        gr.backward(builder(*nodes))
         analytic = [n.grad for n in nodes]
 
         def evaluate(params):
-            out = builder(*[ad.parameter(p) for p in params])
+            out = builder(*[gr.parameter(p) for p in params])
             return float(out.value[0, 0])
 
         numeric = finite_difference(evaluate, [a.copy() for a in arrays])
@@ -332,13 +419,13 @@ def test_vjps_leave_the_upstream_gradient_alone(name):
     # refuses any write.
     shapes, builder = OP_CASES[name]
     gen = np.random.default_rng(zlib.crc32(name.encode()) + 1)
-    loss = builder(*[ad.parameter(gen.normal(size=s)) for s in shapes])
+    loss = builder(*[gr.parameter(gen.normal(size=s)) for s in shapes])
     ops = set()
-    for node in graph_nodes(loss):
-        g = gen.normal(size=node.shape)
+    for node in gr.nodes(loss):
+        g = gen.normal(size=node.value.shape)
         g.flags.writeable = False
         before = g.tobytes()
-        for vjp in node.vjps:
+        for vjp in getattr(node, "vjps", ()):
             vjp(g)
             ops.add(vjp.__qualname__.split(".")[0])
         assert g.tobytes() == before
@@ -360,16 +447,16 @@ def test_finite_difference_random_compositions():
         def graph(a, b):
             # a is both a gate layer and the backbone layer before the
             # gated branch, which reads and adds to h
-            h = ad.silu(ad.matmul(a, ad.constant(x)))
-            gate, _ = ad.gate_mlp(ad.constant(x), [a, b], GateFn.ABS_SIGMOID.squash)
-            out = ad.add_branch(h, gate, ad.constant(up), ad.constant(down), h)
-            logits = ad.matmul(ad.constant(head), out)
-            return ad.softmax_cross_entropy(logits, labels)
+            h = silu(gr.matmul(a, gr.constant(x)))
+            gate, _ = gate_mlp(gr.constant(x), [a, b], GateFn.ABS_SIGMOID.squash)
+            out = add_branch(h, gate, gr.constant(up), gr.constant(down), h)
+            logits = gr.matmul(gr.constant(head), out)
+            return softmax_cross_entropy(logits, labels)
 
-        a_node, b_node = ad.parameter(w1), ad.parameter(w2)
-        ad.backward(graph(a_node, b_node))
+        a_node, b_node = gr.parameter(w1), gr.parameter(w2)
+        gr.backward(graph(a_node, b_node))
         numeric = finite_difference(
-            lambda ps: float(graph(ad.parameter(ps[0]), ad.parameter(ps[1])).value[0, 0]),
+            lambda ps: float(graph(gr.parameter(ps[0]), gr.parameter(ps[1])).value[0, 0]),
             [w1.copy(), w2.copy()],
         )
         assert_close_rel(a_node.grad, numeric[0], rel=1e-4, floor=1e-5)
@@ -380,9 +467,9 @@ def _weighted_total(node, gen):
     """A random weighting of the node's entries as a 1x1 node, so that its
     upstream gradient is a dense random (m, n) array."""
     m, n = node.shape
-    rows = ad.constant(gen.normal(size=(1, m)))
-    cols = ad.constant(gen.normal(size=(n, 1)))
-    return ad.matmul(ad.matmul(rows, node), cols)
+    rows = gr.constant(gen.normal(size=(1, m)))
+    cols = gr.constant(gen.normal(size=(n, 1)))
+    return gr.matmul(gr.matmul(rows, node), cols)
 
 
 def _fused_and_chain(build_fused, build_chain, arrays, trainable, seed):
@@ -392,10 +479,10 @@ def _fused_and_chain(build_fused, build_chain, arrays, trainable, seed):
     results = []
     for build in (build_fused, build_chain):
         leaves = [
-            ad.parameter(a) if t else ad.constant(a) for a, t in zip(arrays, trainable)
+            gr.parameter(a) if t else gr.constant(a) for a, t in zip(arrays, trainable)
         ]
         out, extra = build(*leaves)
-        ad.backward(_weighted_total(out, np.random.default_rng(seed)))
+        gr.backward(_weighted_total(out, np.random.default_rng(seed)))
         results.append(
             [out.value.tobytes()]
             + [e.tobytes() for e in extra]
@@ -405,7 +492,7 @@ def _fused_and_chain(build_fused, build_chain, arrays, trainable, seed):
 
 
 class TestFusedOpsMatchTheirChains:
-    """Each fused op against the chain of elementary nodes it stands for
+    """Each kernel against the chain of elementary nodes it stands for
     (`conftest.gate_chain`, `branch_chain`, `penalty_chain`): value, every
     extra output and every leaf's gradient, byte for byte."""
 
@@ -428,7 +515,7 @@ class TestFusedOpsMatchTheirChains:
         weights = [gen.normal(scale=0.3, size=s) for s in shapes]
         m = len(weights)
         results = _fused_and_chain(
-            lambda x, *w: ad.gate_mlp(x, list(w), gate.squash),
+            lambda x, *w: gate_mlp(x, list(w), gate.squash),
             lambda x, *w: gate_chain(x, list(w), absolute),
             [x] + weights,
             [x_grad] + [hidden_grad] * (m - 1) + [True],
@@ -436,7 +523,7 @@ class TestFusedOpsMatchTheirChains:
         )
         assert results[0] == results[1]
         if absolute:
-            out = ad.gate_mlp(ad.constant(x), [ad.constant(w) for w in weights], gate.squash)[0]
+            out = gate_mlp(gr.constant(x), [gr.constant(w) for w in weights], gate.squash)[0]
             assert out.value[0, 3] == 0.0
 
     @pytest.mark.parametrize("n", [16, 32, 256])
@@ -459,8 +546,8 @@ class TestFusedOpsMatchTheirChains:
 
         def branch(out, a, up, down, h):
             if down_node:
-                return ad.add_branch(out, a, up, None, ad.matmul(down, h))
-            return ad.add_branch(out, a, up, down, h)
+                return add_branch(out, a, up, None, gr.matmul(down, h))
+            return add_branch(out, a, up, down, h)
 
         d, r = 64, 8
         row = gen.uniform(size=(1, n))
@@ -483,14 +570,11 @@ class TestFusedOpsMatchTheirChains:
 
     @pytest.mark.parametrize("lam", [0.5, 0.7, 3.0])
     def test_row_space_penalty(self, lam):
+        # The kernel is the gradient from a unit loss gradient: the
+        # penalty's, when it is a term of the loss.
         gen = np.random.default_rng(int(lam * 10))
         old = gen.normal(size=(24, 64))
         s = old.T @ old
-        results = _fused_and_chain(
-            lambda x: (ad.row_space_penalty(x, s, lam), []),
-            lambda x: (penalty_chain(x, s, lam), []),
-            [gen.normal(size=(8, 64))],
-            [True],
-            seed=3,
-        )
-        assert results[0] == results[1]
+        x = gr.parameter(gen.normal(size=(8, 64)))
+        gr.backward(penalty_chain(x, s, lam))
+        assert ad.row_space_penalty_grad(x.value, s, lam).tobytes() == x.grad.tobytes()

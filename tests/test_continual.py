@@ -1,3 +1,6 @@
+import inspect
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -30,7 +33,8 @@ from gatedlora.optim import AdamW
 from gatedlora.params import count_trainable_params, preset
 from gatedlora.subspace import SubspaceBasis, SubspaceMemory
 
-from conftest import branch_sum, coefficient_nodes, graph_size, oracle_forward
+import graph as gr
+from conftest import branch_sum, coefficient_nodes, oracle_forward, penalty_chain
 
 # Three tasks at desk size: a run takes a fraction of a second.
 DESK_MODEL = dict(
@@ -92,12 +96,12 @@ def fresh_forward(state, pooled):
     """Logits and adapted-layer inputs of the integrated model with every
     gate and branch run fresh on `pooled`, each branch weighted by its gate
     or by 1 when ungated, and each adapted layer summed branch by branch:
-    the oracle for `ContinualState.apply`'s memo and for the fused frozen
-    part of `AdaptedLinear.forward_node`."""
+    the oracle for `ContinualState.apply`'s memo, for the fused frozen part
+    of `AdaptedLinear.forward` and, as a graph, for every backward pass."""
     if state.cfg.gated:
         coeffs = coefficient_nodes(state.gates, pooled)
     else:
-        coeffs = [ad.constant(np.ones((1, pooled.shape[1])))] * state.n_branches
+        coeffs = [gr.constant(np.ones((1, pooled.shape[1])))] * state.n_branches
     return oracle_forward(state.model, coeffs, pooled)
 
 
@@ -277,23 +281,64 @@ def test_held_memo_matches_fresh_forward(branch_strategy, gating_mode):
         state.hold(state.model.pool_batch(task.test), task.test.labels)
         evaluate(state)
         for pool in state.held:
-            x = ad.constant(pool.pooled)
-            with ad.no_grad():
+            x = gr.constant(pool.pooled)
+            with gr.no_grad():
                 if cfg.gated:
                     coeffs = coefficient_nodes(state.gates, x)
                 else:
-                    coeffs = [ad.constant(np.ones((1, x.shape[1])))] * len(layer.branches)
+                    coeffs = [gr.constant(np.ones((1, x.shape[1])))] * len(layer.branches)
                 partial, k = pool.prefix
                 prefix = branch_sum(layer, coeffs[:k], x)
                 logits, _ = fresh_forward(state, x)
-                held, _ = state.apply(pool)
+            held, _ = state.apply(pool)
             assert_memo_frozen(state, pool)
             assert len(pool.coeffs) == len(coeffs)
             for row, fresh in zip(pool.coeffs, coeffs):
                 assert row.tobytes() == fresh.value.tobytes()
             assert k == (0 if branch_strategy == "seq" else len(layer.branches))
-            assert partial.value.tobytes() == prefix.value.tobytes()
-            assert held.value.tobytes() == logits.value.tobytes()
+            assert partial.tobytes() == prefix.value.tobytes()
+            assert held.tobytes() == logits.value.tobytes()
+
+
+def oracle_grads(state, pool, idx, params):
+    """Each param's gradient of the batch's mean cross-entropy, by the
+    graph oracle on a fresh forward (`fresh_forward`), as arrays; the
+    params' own `.grad` is left as it was."""
+    kept = [p.grad for p in params]
+    logits, _ = fresh_forward(state, gr.constant(pool.pooled.take(idx, axis=1)))
+    gr.backward(gr.softmax_cross_entropy(logits, pool.labels[idx]))
+    grads = [p.grad for p in params]
+    for p, g in zip(params, kept):
+        p.grad = g
+    return grads
+
+
+def check_training_steps(monkeypatch, check):
+    """Call `check(state, pool, idx, logits, inputs, grads)` on every call of
+    `ContinualState.apply` with `idx`, `grads` being None unless the call
+    is a training step's, in which case it holds each trainable param's
+    gradient from `ContinualState.backward`. Returns the widths of the
+    training steps' batches."""
+    apply, backward = ContinualState.apply, ContinualState.backward
+    last = []
+    steps = []
+
+    def checked_apply(self, pool, idx=None):
+        logits, cache = apply(self, pool, idx)
+        if idx is not None:
+            last[:] = [pool, idx, logits, cache[1].inputs]
+            check(self, pool, idx, logits, cache[1].inputs, None)
+        return logits, cache
+
+    def checked_backward(self, cache, g):
+        backward(self, cache, g)
+        pool, idx, logits, inputs = last
+        check(self, pool, idx, logits, inputs, [p.grad for p in self.trainable_params()])
+        steps.append(len(idx))
+
+    monkeypatch.setattr(ContinualState, "apply", checked_apply)
+    monkeypatch.setattr(ContinualState, "backward", checked_backward)
+    return steps
 
 
 @MEMO_CONFIGS
@@ -301,33 +346,22 @@ def test_training_memo_matches_fresh_forward(branch_strategy, gating_mode, monke
     # On every call during a task (training steps, InfLoRA's design and
     # grad-space inputs), what `apply` gives on the training pool's columns
     # is byte-equal to the oracle on the C-ordered batch: logits, layer
-    # inputs and, on a training step, each trainable parameter's gradient.
+    # inputs and, on a training step, each trainable parameter's gradient
+    # of the cross-entropy.
     cfg = desk_strategy(branch_strategy, gating_mode=gating_mode)
     state, sequence = desk_state(cfg)
-    apply = ContinualState.apply
-    steps = []
 
-    def checked(self, pool, idx=None):
-        logits, inputs = apply(self, pool, idx)
-        if idx is None:
-            return logits, inputs
+    def check(self, pool, idx, logits, inputs, grads):
         assert_memo_frozen(self, pool)
-        batch = pool.pooled.take(idx, axis=1)
-        fresh, fresh_inputs = fresh_forward(self, ad.constant(batch))
+        fresh, fresh_inputs = fresh_forward(self, gr.constant(pool.pooled.take(idx, axis=1)))
         assert inputs[0].flags.c_contiguous
-        assert logits.value.tobytes() == fresh.value.tobytes()
+        assert logits.tobytes() == fresh.value.tobytes()
         assert bytes_of(inputs) == bytes_of(fresh_inputs)
-        if logits.requires_grad:
-            params = self.trainable_params()
-            grads = []
-            for out in (logits, fresh):
-                ad.backward(ad.softmax_cross_entropy(out, pool.labels[idx]))
-                grads.append(bytes_of(p.grad for p in params))
-            assert grads[0] == grads[1]
-            steps.append(len(idx))
-        return logits, inputs
+        if grads is not None:
+            want = oracle_grads(self, pool, idx, self.trainable_params())
+            assert bytes_of(grads) == bytes_of(want)
 
-    monkeypatch.setattr(ContinualState, "apply", checked)
+    steps = check_training_steps(monkeypatch, check)
     for task in sequence:
         learn_task(state, task.train)
     n = DESK_MODEL["train_per_task"]
@@ -351,31 +385,85 @@ def test_ragged_batch_memo_is_near_fresh_forward(branch_strategy, gating_mode, m
     # logits, layer inputs and gradients are near the oracle's.
     cfg = desk_strategy(branch_strategy, gating_mode=gating_mode, batch_size=20)
     state, sequence = desk_state(cfg)
-    apply = ContinualState.apply
-    steps = []
 
-    def checked(self, pool, idx=None):
-        logits, inputs = apply(self, pool, idx)
-        if idx is None:
-            return logits, inputs
-        fresh, fresh_inputs = fresh_forward(self, ad.constant(pool.pooled.take(idx, axis=1)))
-        for got, want in zip([logits.value, *inputs], [fresh.value, *fresh_inputs]):
+    def check(self, pool, idx, logits, inputs, grads):
+        fresh, fresh_inputs = fresh_forward(self, gr.constant(pool.pooled.take(idx, axis=1)))
+        for got, want in zip([logits, *inputs], [fresh.value, *fresh_inputs]):
             assert_near(got, want)
-        if logits.requires_grad:
-            params = self.trainable_params()
-            grads = []
-            for out in (logits, fresh):
-                ad.backward(ad.softmax_cross_entropy(out, pool.labels[idx]))
-                grads.append([p.grad for p in params])
-            for got, want in zip(*grads):
+        if grads is not None:
+            for got, want in zip(grads, oracle_grads(self, pool, idx, self.trainable_params())):
                 assert_near(got, want)
-            steps.append(len(idx))
-        return logits, inputs
 
-    monkeypatch.setattr(ContinualState, "apply", checked)
+    steps = check_training_steps(monkeypatch, check)
     for task in sequence:
         learn_task(state, task.train)
     assert steps == [20, 20, 8] * cfg.epochs * DESK_MODEL["n_tasks"]
+
+
+def long_run(branch_strategy):
+    """Overrides of `desk_strategy` for runs past the desk's three tasks:
+    at the default eps_threshold of 0.99 InfLoRA's 16-dim layers have no
+    free subspace left by task 4; at 0.8 six tasks fit."""
+    return {"eps_threshold": 0.8} if branch_strategy == "inflora" else {}
+
+
+@pytest.mark.parametrize(
+    "branch_strategy, gating_mode",
+    [
+        ("olora", "gain"),
+        ("inflora", "gain"),
+        ("seq", "fixed_one"),
+        ("olora", "fixed_one"),
+        ("olora", "no_init"),
+        ("olora", "no_constraints"),
+    ],
+)
+def test_training_step_gradients_match_graph_oracle(branch_strategy, gating_mode, monkeypatch):
+    # The whole training step against the graph oracle: on every step of
+    # tasks 1-4, the gradient each trainable weight holds when the
+    # optimizer steps equals, byte for byte, the oracle's backward pass of
+    # the step's loss on the same batch: the mean cross-entropy of a fresh
+    # forward built node by node (`fresh_forward`) plus, under O-LoRA, each
+    # adapted layer's weighted penalty on its newest `down`.
+    n_tasks = 4
+    cfg = desk_strategy(branch_strategy, gating_mode=gating_mode, **long_run(branch_strategy))
+    state, sequence = desk_state(
+        cfg, n_tasks=n_tasks, vocab_size=n_tasks * DESK_MODEL["window_size"]
+    )
+    apply, step = ContinualState.apply, AdamW.step
+    batches = []
+    steps = Counter()
+
+    def recording_apply(self, pool, idx=None):
+        batches.append((pool, idx))
+        return apply(self, pool, idx)
+
+    def checked_step(opt, transforms=None):
+        got = [p.grad for p in opt.params]
+        pool, idx = batches[-1]
+        logits, _ = fresh_forward(state, gr.constant(pool.pooled.take(idx, axis=1)))
+        loss = gr.softmax_cross_entropy(logits, pool.labels[idx])
+        if branch_strategy == "olora":
+            for layer in state.model.adapted_layers:
+                old = layer.branches[:-1]
+                if old:
+                    gram = sum(b.down.value.T @ b.down.value for b in old)
+                    down = layer.branches[-1].down
+                    loss = gr.add(loss, penalty_chain(down, gram, continual.OLORA_LAMBDA))
+        gr.backward(loss)
+        assert bytes_of(got) == bytes_of(p.grad for p in opt.params)
+        assert all(g is not None for g in got)
+        for p, g in zip(opt.params, got):
+            p.grad = g
+        steps[state.tasks_learned + 1] += 1
+        step(opt, transforms)
+
+    monkeypatch.setattr(ContinualState, "apply", recording_apply)
+    monkeypatch.setattr(AdamW, "step", checked_step)
+    for task in sequence:
+        learn_task(state, task.train)
+    per_task = cfg.epochs * -(-DESK_MODEL["train_per_task"] // cfg.batch_size)
+    assert steps == {t: per_task for t in range(1, n_tasks + 1)}
 
 
 @pytest.mark.parametrize("gating_mode", ["gain", "no_constraints"])
@@ -385,13 +473,13 @@ def test_learn_task_gate_forwards_grow_linearly(gating_mode, monkeypatch):
     # trace when the gate memory grows: (t - 1) + steps (+ 1), against
     # t * steps (+ 1) if every gate ran on every batch.
     count = [0]
-    forward_node = GatingModule.forward_node
+    forward = GatingModule.forward
 
     def counting_forward(self, pooled):
         count[0] += 1
-        return forward_node(self, pooled)
+        return forward(self, pooled)
 
-    monkeypatch.setattr(GatingModule, "forward_node", counting_forward)
+    monkeypatch.setattr(GatingModule, "forward", counting_forward)
     cfg = desk_strategy("olora", gating_mode=gating_mode)
     state, sequence = desk_state(cfg)
     steps = cfg.epochs * -(-DESK_MODEL["train_per_task"] // cfg.batch_size)
@@ -411,10 +499,10 @@ def test_training_step_after_the_first_skips_the_memo(
     # Nothing freezes while a task trains, so once its first step has
     # read the training pool's memo, `extend_memo` returns at once: each
     # later step runs only the live gate (none when ungated) and no memo
-    # forward, the one caller of `AdaptedLinear.forward_node` with `stop`.
+    # forward, the one caller of `AdaptedLinear.forward` with `stop`.
     calls = {"gate": 0, "memo": 0}
-    gate_forward = GatingModule.forward_node
-    layer_forward = AdaptedLinear.forward_node
+    gate_forward = GatingModule.forward
+    layer_forward = AdaptedLinear.forward
     step = AdamW.step
     seen = []  # (optimizer, calls so far) at each step
 
@@ -430,8 +518,8 @@ def test_training_step_after_the_first_skips_the_memo(
         seen.append((self, dict(calls)))
         step(self, transforms)
 
-    monkeypatch.setattr(GatingModule, "forward_node", counting_gate)
-    monkeypatch.setattr(AdaptedLinear, "forward_node", counting_layer)
+    monkeypatch.setattr(GatingModule, "forward", counting_gate)
+    monkeypatch.setattr(AdaptedLinear, "forward", counting_layer)
     monkeypatch.setattr(AdamW, "step", marking_step)
     cfg = desk_strategy(branch_strategy, gating_mode=gating_mode)
     state, sequence = desk_state(cfg)
@@ -447,82 +535,77 @@ def test_training_step_after_the_first_skips_the_memo(
     assert calls["memo"] >= len(sequence)  # each task's first step read it
 
 
-# Nodes a training step builds from task 2 on. Each step: the batch's
-# columns and layer 1's memoised prefix (2 constants), the live gate (1, none
-# ungated), layer 1's live branch (1), the SiLU (1), layer 2's fused frozen
-# part and live branch (2), the head (a constant and a matmul) and the
-# cross-entropy (1); O-LoRA adds a penalty and an add per adapted layer (4).
-STEP_NODES = {
-    ("olora", "gain"): 14,
-    ("inflora", "gain"): 10,
-    ("seq", "fixed_one"): 9,
-    ("olora", "fixed_one"): 13,
+# Kernel calls of a training step from task 2 on. Forward: the live gate
+# (none ungated), layer 1's live branch (its frozen part is the memo's
+# prefix), the SiLU, layer 2's fused frozen part and live branch; backward:
+# the same kernels' vjps, then the cross-entropy gradient and, under O-LoRA,
+# one penalty gradient per adapted layer.
+_STEP = Counter(
+    add_branch=2,
+    add_branch_vjp=2,
+    silu=1,
+    silu_vjp=1,
+    lowrank_sum=1,
+    lowrank_sum_vjp=1,
+    softmax_cross_entropy_grad=1,
+)
+_GATE = Counter(gate_mlp=1, gate_mlp_vjp=1)
+_PENALTY = Counter(row_space_penalty_grad=2)
+STEP_CALLS = {
+    ("olora", "gain"): _STEP + _GATE + _PENALTY,
+    ("inflora", "gain"): _STEP + _GATE,
+    ("seq", "fixed_one"): _STEP,
+    ("olora", "fixed_one"): _STEP + _PENALTY,
 }
 
 
 @MEMO_CONFIGS
-def test_training_step_nodes_do_not_grow_with_tasks(
+def test_training_step_kernel_calls_do_not_grow_with_tasks(
     branch_strategy, gating_mode, monkeypatch
 ):
-    # Every node a training step builds, constants included, counted
-    # between consecutive steps of one optimizer: from task 2 on, each
-    # step builds as many as any other, however many gates and branches
-    # are frozen (`STEP_NODES`). The frozen gates' coefficients reach the
-    # forward as one array, not as one constant node per frozen gate, and
-    # an ungated step's live row of ones as a row, not as a node.
-    count = [0]
-    init = ad.DiffNode.__init__
-    step = AdamW.step
-    seen = []  # (optimizer, nodes built so far) at each step
+    # Every call of a kernel of `gatedlora.autodiff`, counted per kernel
+    # between consecutive steps of one optimizer over six tasks: from task 2
+    # on, each step makes the calls `STEP_CALLS` pins, however many gates
+    # and branches are frozen. Every frozen branch of an adapted layer is in
+    # its one `lowrank_sum` (layer 1's in the memo), and the frozen gates'
+    # coefficients are read from the memo, not run.
+    calls = Counter()
 
-    def counting_init(self, *args, **kwargs):
-        count[0] += 1
-        init(self, *args, **kwargs)
+    def counting(name, kernel):
+        def counted(*args):
+            calls[name] += 1
+            return kernel(*args)
+
+        return counted
+
+    for name, fn in list(vars(ad).items()):
+        if inspect.isfunction(fn) and fn.__module__ == ad.__name__ and not name.startswith("_"):
+            monkeypatch.setattr(ad, name, counting(name, fn))
+    step = AdamW.step
+    seen = []  # (optimizer, calls so far) at each step
 
     def marking_step(self, transforms=None):
-        seen.append((self, count[0]))
+        seen.append((self, calls.copy()))
         step(self, transforms)
 
-    monkeypatch.setattr(ad.DiffNode, "__init__", counting_init)
     monkeypatch.setattr(AdamW, "step", marking_step)
-    state, sequence = desk_state(desk_strategy(branch_strategy, gating_mode=gating_mode))
+    n_tasks = 6
+    cfg = desk_strategy(
+        branch_strategy, gating_mode=gating_mode, epochs=1, **long_run(branch_strategy)
+    )
+    state, sequence = desk_state(
+        cfg, n_tasks=n_tasks, vocab_size=n_tasks * DESK_MODEL["window_size"]
+    )
     for task in sequence:
         learn_task(state, task.train)
-    per_task = {}  # optimizer -> node counts of its steps
+    per_task = {}  # optimizer -> the kernel counts of its steps after the first
     for (opt_a, a), (opt_b, b) in zip(seen, seen[1:]):
         if opt_a is opt_b:
-            per_task.setdefault(id(opt_a), set()).add(b - a)
-    counts = [sizes.pop() for sizes in per_task.values() if len(sizes) == 1]
-    assert len(counts) == len(sequence)  # one count per task
-    want = STEP_NODES[branch_strategy, gating_mode]
-    assert counts[1:] == [want] * (len(sequence) - 1), counts
-
-
-@pytest.mark.parametrize("gating_mode", ["gain", "fixed_one"])
-def test_training_graph_stays_flat(gating_mode, monkeypatch):
-    # Every frozen branch of every adapted layer sits in one node with W h
-    # (layer 1's in the memo), so from task 2 on a training loss reaches
-    # the same number of nodes however many branches are frozen, against
-    # 1 more per frozen branch if each were its own `add_branch` node.
-    per_task = []
-    backward = ad.backward
-
-    def counting_backward(loss):
-        per_task[-1].add(graph_size(loss))
-        backward(loss)
-
-    def marking_learn_task(state, train):
-        per_task.append(set())
-        learn_task(state, train)
-
-    monkeypatch.setattr(ad, "backward", counting_backward)
-    monkeypatch.setattr(continual, "learn_task", marking_learn_task)
-    n_tasks = 6
-    model_cfg = dict(DESK_MODEL, n_tasks=n_tasks, vocab_size=n_tasks * DESK_MODEL["window_size"])
-    run_sequence(model_cfg, desk_strategy("olora", gating_mode=gating_mode, epochs=1), 0)
-    counts = [sizes.pop() for sizes in per_task if len(sizes) == 1]
-    assert len(counts) == n_tasks  # one graph size per task
-    assert counts[1:] == [counts[1]] * (n_tasks - 1), counts
+            per_task.setdefault(id(opt_a), []).append(b - a)
+    assert len(per_task) == n_tasks
+    want = STEP_CALLS[branch_strategy, gating_mode]
+    for counts in list(per_task.values())[1:]:
+        assert counts == [want] * len(counts)
 
 
 def test_evaluate_gate_forwards_grow_linearly(monkeypatch):
@@ -532,11 +615,11 @@ def test_evaluate_gate_forwards_grow_linearly(monkeypatch):
     # against t^2 per evaluation if every gate ran on every pool.
     count = [0]
     per_evaluate = []
-    forward_node = GatingModule.forward_node
+    forward = GatingModule.forward
 
     def counting_forward(self, pooled):
         count[0] += 1
-        return forward_node(self, pooled)
+        return forward(self, pooled)
 
     def counting_evaluate(state):
         before = count[0]
@@ -544,7 +627,7 @@ def test_evaluate_gate_forwards_grow_linearly(monkeypatch):
         per_evaluate.append(count[0] - before)
         return row
 
-    monkeypatch.setattr(GatingModule, "forward_node", counting_forward)
+    monkeypatch.setattr(GatingModule, "forward", counting_forward)
     monkeypatch.setattr(continual, "evaluate", counting_evaluate)
     n_tasks = 6
     model_cfg = dict(DESK_MODEL, n_tasks=n_tasks, vocab_size=n_tasks * DESK_MODEL["window_size"])
@@ -587,7 +670,7 @@ def test_gate_samples_read_from_memo(branch_strategy, gating_mode, test_per_task
     def no_forward(self, pooled):
         raise AssertionError("a gate ran")
 
-    monkeypatch.setattr(GatingModule, "forward_node", no_forward)
+    monkeypatch.setattr(GatingModule, "forward", no_forward)
     got = collect_gate_samples(state)
     exact = 50 if test_per_task <= 50 else 48
     assert len(got) == len(want) == DESK_MODEL["n_tasks"] ** 2
@@ -630,14 +713,13 @@ def test_narrow_forward_matches_whole_pool_columns(m):
         branch.freeze()  # three fused by lowrank_sum, one added on its own
     rows = np.array([gaussian_init(rng.child(f"a{i}"), 1, n, 1.0) for i in range(4)])
 
-    with ad.no_grad():
-        whole_gate = gate.forward_values(x)[0]
-        whole = layer.forward_node(rows, None, ad.constant(x)).value
-        for part in (x[:, :m], x[:, :m].copy()):
-            gate_row = gate.forward_values(part)[0]
-            assert gate_row[:exact].tobytes() == whole_gate[:exact].tobytes()
-            narrow = layer.forward_node(rows[:, :, :m].copy(), None, ad.constant(part)).value
-            assert narrow[:, :exact].tobytes() == whole[:, :exact].tobytes()
+    whole_gate = gate.forward_values(x)[0]
+    whole = layer.forward(rows, None, x)[0]
+    for part in (x[:, :m], x[:, :m].copy()):
+        gate_row = gate.forward_values(part)[0]
+        assert gate_row[:exact].tobytes() == whole_gate[:exact].tobytes()
+        narrow = layer.forward(rows[:, :, :m].copy(), None, part)[0]
+        assert narrow[:, :exact].tobytes() == whole[:, :exact].tobytes()
 
 
 def test_inflora_out_of_subspace_names_layer_and_settings():

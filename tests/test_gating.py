@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from gatedlora import autodiff as ad
 from gatedlora.errors import (
     DimMismatch,
     EmptyInput,
@@ -22,7 +21,8 @@ from gatedlora.numerics import Rng, gaussian_init
 from gatedlora.optim import AdamW
 from gatedlora.subspace import SubspaceBasis, SubspaceMemory
 
-from conftest import coefficient_nodes, pool_embed, smul, total
+import graph as gr
+from conftest import coefficient_nodes, pool_embed, total, upstream
 
 
 class TestGateFn:
@@ -132,13 +132,15 @@ class TestGatingForward:
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
     def test_node_and_value_paths_agree(self, rng):
+        # `forward_values` reads `forward`'s row and trace, and both equal
+        # the oracle graph's byte for byte.
         mod = make_module(rng)
         x = np.random.default_rng(2).normal(size=(6, 5))
-        node, trace_n = mod.forward_node(ad.constant(x))
+        row, cache = mod.forward(x)
         vals, trace_v = mod.forward_values(x)
-        assert np.allclose(node.value[0], vals, atol=1e-12)
-        for a, b in zip(trace_n, trace_v):
-            assert np.allclose(a, b, atol=1e-14)
+        node = coefficient_nodes([mod], gr.constant(x))[0]
+        assert row.tobytes() == node.value.tobytes() == vals.reshape(1, -1).tobytes()
+        assert [a.tobytes() for a in cache.trace] == [b.tobytes() for b in trace_v]
 
     def test_shape_mismatch(self, rng):
         mod = make_module(rng)
@@ -150,7 +152,7 @@ class TestGatingForward:
         x = np.zeros((6, 3))
         x[2, 1] = np.nan
         with pytest.raises(NonFinite):
-            mod.forward_node(ad.constant(x))
+            mod.forward(x)
 
 
 def memory_from_module(module, inputs, eps=1.0):
@@ -277,8 +279,8 @@ class TestInvarianceUnderConstrainedTraining:
                     lambda delta, b=mem.layers[i]: constrain_update(delta, b)
                 )
         for _ in range(steps):
-            out, _ = module.forward_node(ad.constant(x_new))
-            ad.backward(smul(-1.0, total(out)))
+            out, cache = module.forward(x_new)
+            module.backward(cache, upstream(out, lambda o: gr.smul(-1.0, total(o))))
             opt.step(transforms)
 
     def setup_pair(self, seed):
@@ -353,6 +355,6 @@ class TestGateSequence:
         assert [p.value.tobytes() for p in gates[0].params] == old_bytes
 
     def test_coefficient_values_all_modules(self, rng):
-        rows = coefficient_nodes(self.two_gates(rng), ad.constant(np.zeros((6, 4))))
+        rows = coefficient_nodes(self.two_gates(rng), gr.constant(np.zeros((6, 4))))
         assert len(rows) == 2
         assert all(r.shape == (1, 4) for r in rows)

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from gatedlora import autodiff as ad
+from gatedlora.autodiff import Param
 from gatedlora.optim import BETA1, BETA2, EPS, WEIGHT_DECAY, AdamW
 
 
 def first_step_setup():
-    p = ad.parameter([[2.0, -1.0]])
+    p = Param([[2.0, -1.0]])
     p.grad = np.array([[0.5, -0.25]])
     opt = AdamW([p], lr=0.1)
     return p, opt
@@ -42,7 +42,7 @@ def test_first_step_without_transform():
 
 
 def test_param_without_gradient_is_skipped():
-    p = ad.parameter([[1.0]])
+    p = Param([[1.0]])
     AdamW([p], lr=0.1).step()
     assert np.array_equal(p.value, [[1.0]])
 
@@ -81,8 +81,8 @@ def test_one_pass_step_matches_per_parameter_loop():
     start = [gen.normal(size=s) for s in SHAPES]
     u = gen.normal(size=(4, 1))
     u /= np.linalg.norm(u)
-    ours = [ad.parameter(a) for a in start]
-    theirs = [ad.parameter(a) for a in start]
+    ours = [Param(a) for a in start]
+    theirs = [Param(a) for a in start]
     seen = {"ours": [], "theirs": []}
 
     def project(key):

@@ -218,3 +218,38 @@ def test_allowlists_name_existing_code():
     }
     stale = sorted(API_ENTRY_POINTS - defs) + sorted(set(TEST_ONLY_OPTIONS) - options)
     assert not stale, "allowlisted but not in src: " + ", ".join(stale)
+
+
+# The reverse-mode graph engine, which `tests/graph.py` keeps as the oracle
+# of the package's hand-written backward passes: its module-level names,
+# its nodes' records of their parents, and the module itself.
+GRAPH_ENGINE = {"DiffNode", "backward", "no_grad", "constant", "parameter", "matmul", "add"}
+GRAPH_RECORDS = {"DiffNode", "parents", "vjps"}
+
+
+def test_src_holds_no_graph_engine():
+    """No module in src defines the graph engine at module level, names a
+    node's parent records, or imports the oracle's module (or anything
+    from the tests), so that a graph-built path cannot come back beside the
+    explicit backward passes."""
+    found = []
+    for path, tree in parsed("src/gatedlora").items():
+        where = path.relative_to(ROOT)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in GRAPH_ENGINE:
+                found.append(f"{where}: defines {node.name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in GRAPH_RECORDS:
+                found.append(f"{where}: reads .{node.attr}")
+            elif isinstance(node, ast.Name) and node.id in GRAPH_RECORDS:
+                found.append(f"{where}: names {node.id}")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [alias.name for alias in node.names]
+                if isinstance(node, ast.ImportFrom):
+                    modules.append(node.module or "")
+                found += [
+                    f"{where}: imports {module}"
+                    for module in modules
+                    if module.split(".")[0] in ("graph", "tests", "conftest")
+                ]
+    assert not found, "; ".join(found)

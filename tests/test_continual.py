@@ -560,11 +560,12 @@ STEP_CALLS = {
 
 
 @MEMO_CONFIGS
-def test_training_step_kernel_calls_do_not_grow_with_tasks(
+def test_training_step_nodes_do_not_grow_with_tasks(
     branch_strategy, gating_mode, monkeypatch
 ):
-    # Every call of a kernel of `gatedlora.autodiff`, counted per kernel
-    # between consecutive steps of one optimizer over six tasks: from task 2
+    # The nodes of a training step's computation are its kernel calls:
+    # every call of a kernel of `gatedlora.autodiff`, counted per kernel
+    # between consecutive steps of one optimizer over six tasks. From task 2
     # on, each step makes the calls `STEP_CALLS` pins, however many gates
     # and branches are frozen. Every frozen branch of an adapted layer is in
     # its one `lowrank_sum` (layer 1's in the memo), and the frozen gates'
@@ -607,6 +608,44 @@ def test_training_step_kernel_calls_do_not_grow_with_tasks(
     for counts in list(per_task.values())[1:]:
         assert counts == [want] * len(counts)
 
+
+
+def cache_size(cache):
+    """How many arrays a training step's cache holds: the graph its
+    backward pass walks."""
+    if isinstance(cache, np.ndarray):
+        return 1
+    if isinstance(cache, (tuple, list)):
+        return sum(cache_size(part) for part in cache)
+    return 0
+
+
+@pytest.mark.parametrize("gating_mode", ["gain", "fixed_one"])
+def test_training_graph_stays_flat(gating_mode, monkeypatch):
+    # Every frozen branch of every adapted layer sits in one `lowrank_sum`
+    # term of the cache (layer 1's in the memo), so from task 2 on a
+    # training step's backward pass reads as many arrays however many
+    # branches are frozen, against 3 more per frozen branch if each were
+    # its own `add_branch` term.
+    per_task = []
+    backward = ContinualState.backward
+
+    def counting_backward(self, cache, g):
+        per_task[-1].add(cache_size(cache))
+        backward(self, cache, g)
+
+    def marking_learn_task(state, train):
+        per_task.append(set())
+        learn_task(state, train)
+
+    monkeypatch.setattr(ContinualState, "backward", counting_backward)
+    monkeypatch.setattr(continual, "learn_task", marking_learn_task)
+    n_tasks = 6
+    model_cfg = dict(DESK_MODEL, n_tasks=n_tasks, vocab_size=n_tasks * DESK_MODEL["window_size"])
+    run_sequence(model_cfg, desk_strategy("olora", gating_mode=gating_mode, epochs=1), 0)
+    counts = [sizes.pop() for sizes in per_task if len(sizes) == 1]
+    assert len(counts) == n_tasks  # one cache size per task
+    assert counts[1:] == [counts[1]] * (n_tasks - 1), counts
 
 def test_evaluate_gate_forwards_grow_linearly(monkeypatch):
     # Each (gate, held pool) pair runs once: task t's gate is frozen when

@@ -11,7 +11,7 @@ the row basis orthogonal to old-task input spans and freezes it.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,30 +51,28 @@ class LoraBranch:
 
 class LayerCache(NamedTuple):
     """What `AdaptedLinear.backward` reads of a forward: the input h; the
-    frozen part's (coefficients, ups, downs) when the forward summed it
-    itself, None when it resumed from a given partial sum; and, for each
-    branch added after it, (coefficient, branch, down @ h, up @ down @ h).
-    `live` is True when the last of those branches is weighted by the live
-    coefficient."""
+    frozen part's (coefficients, ups, downs), as `autodiff.lowrank_sum`
+    took them; and, for each branch added after it, (coefficient, branch,
+    down @ h, up @ down @ h). `live` is True when the last of those
+    branches is weighted by the live coefficient."""
 
     h: np.ndarray
-    fused: Optional[tuple]
+    fused: tuple
     terms: list
     live: bool
 
 
 class AdaptedLinear:
-    """Frozen weight plus an ordered stack of low-rank branches."""
+    """Frozen weight plus an ordered stack of low-rank branches, all of one
+    rank."""
 
     def __init__(self, weight: Mat):
         self.weight = np.asarray(weight, dtype=np.float64)
         self.branches: list[LoraBranch] = []
-        # ups (K, m, r) and downs (K, r, d) of the first K branches, all
-        # frozen: `lowrank_sum`'s stacked form of any k <= K of them.
-        self._stacked = (
-            np.empty((0, self.out_dim, 0)),
-            np.empty((0, 0, self.in_dim)),
-        )
+        # (K, ups, downs): the ups (m, K r) side by side and the downs
+        # (K r, d) stacked of the first K branches, all frozen:
+        # `lowrank_sum`'s form of any k <= K of them.
+        self._frozen = (0, np.empty((self.out_dim, 0)), np.empty((0, self.in_dim)))
 
     @property
     def out_dim(self) -> int:
@@ -84,71 +82,52 @@ class AdaptedLinear:
     def in_dim(self) -> int:
         return self.weight.shape[1]
 
-    def _frozen_stack(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """ups (k, m, r) and downs (k, r, d) of the first k branches, which
-        must be frozen and of one rank. Frozen values never change and
-        branches are only appended, so the stack is rebuilt only when k
-        outgrows it. The stack then holds those values: each branch's up
-        and down are rebound to their slices, equal byte for byte, so the
-        layer does not keep them twice."""
-        ups, downs = self._stacked
-        if k > len(ups):
+    def _frozen_part(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """ups (m, k r) and downs (k r, d) of the first k branches, which
+        must be frozen. Frozen values never change and branches are only
+        appended, so the arrays are rebuilt only when k outgrows them. They
+        then hold those values: each branch's up and down are rebound to
+        their views, equal byte for byte, so the layer does not keep them
+        twice."""
+        built, ups, downs = self._frozen
+        if k > built:
             lead = self.branches[:k]
-            ups = np.stack([b.up.value for b in lead])
-            downs = np.stack([b.down.value for b in lead])
-            for b, up, down in zip(lead, ups, downs):
+            ups = np.concatenate([b.up.value for b in lead], axis=1)
+            downs = np.concatenate([b.down.value for b in lead])
+            for b, up, down in zip(lead, np.hsplit(ups, k), np.vsplit(downs, k)):
                 b.up.value, b.down.value = up, down
-            self._stacked = (ups, downs)
-        return ups[:k], downs[:k]
+            self._frozen = (k, ups, downs)
+        kr = k * self.branches[0].rank if k else 0
+        return ups[:, :kr], downs[:kr]
 
     def forward(
-        self,
-        fixed: np.ndarray,
-        live: np.ndarray | None,
-        h: np.ndarray,
-        start: tuple[np.ndarray, int] | None = None,
-        stop: int | None = None,
+        self, fixed: np.ndarray, live: np.ndarray | None, h: np.ndarray
     ) -> tuple[np.ndarray, LayerCache]:
-        """W h + sum_i a_i * up_i(down_i h), adding the branches in stack
-        order, and the cache `backward` reads.
+        """W h + sum_i a_i * up_i(down_i h) over every branch, and the cache
+        `backward` reads.
 
         `fixed`, a (j, 1, n) array, holds the coefficients of the first j
         branches, which take no gradient; `live`, unless None, is the (1, n)
-        coefficient of branch j, whose gradient `backward` returns. Together
-        they weight every branch before `stop` (every branch when it is
-        None).
+        coefficient of branch j, the last, whose gradient `backward`
+        returns.
 
-        `start`, a `(partial, k)` pair, resumes from `partial`, the sum before
-        branch k; `stop` ends the sum before branch `stop`. A sum taken in
-        such pieces is bit-identical to one taken whole.
-
-        Without `start`, W h and the leading branches that are frozen, of
-        the first branch's rank and weighted by a row of `fixed` are one
-        `autodiff.lowrank_sum` over `fixed[:k]` and `_frozen_stack`; the
-        search for them starts past the branches already stacked. Every
-        later branch is one `autodiff.add_branch`, its coefficient a row of
-        `fixed` or `live`. The sum is bit-identical to adding every branch
-        on its own.
+        W h and the leading branches that are frozen and weighted by a row
+        of `fixed` are one `autodiff.lowrank_sum` over `fixed[:k]` and
+        `_frozen_part`; the search for them starts past the branches it
+        already holds. Every later branch is one `autodiff.add_branch`, its
+        coefficient a row of `fixed` or `live`, added in stack order.
         """
-        summed = len(self.branches[:stop])
         n_coeffs = len(fixed) + (live is not None)
-        if n_coeffs != summed:
-            raise ShapeMismatch(f"{n_coeffs} coefficients for {summed} branches")
-        fused = None
-        if start is None:
-            k = min(len(self._stacked[0]), len(fixed))
-            while (
-                k < len(fixed)
-                and self.branches[k].frozen
-                and self.branches[k].rank == self.branches[0].rank
-            ):
-                k += 1
-            fused = (fixed[:k], *self._frozen_stack(k))
-            start = (ad.lowrank_sum(h, self.weight, *fused), k)
-        out, k = start
+        if n_coeffs != len(self.branches):
+            raise ShapeMismatch(f"{n_coeffs} coefficients for {len(self.branches)} branches")
+        k = min(self._frozen[0], len(fixed))
+        while k < len(fixed) and self.branches[k].frozen:
+            k += 1
+        fused = (fixed[:k], *self._frozen_part(k))
+        out = ad.lowrank_sum(h, self.weight, *fused)
         coeffs = list(fixed[k:]) + ([] if live is None else [live])
         terms = []
-        for a_i, branch in zip(coeffs, self.branches[k:stop]):
+        for a_i, branch in zip(coeffs, self.branches[k:]):
             if branch.down.value.shape[1] != h.shape[0]:
                 raise ShapeMismatch(f"branch down {branch.down.value.shape} @ h {h.shape}")
             z = branch.down.value @ h
@@ -165,17 +144,11 @@ class AdaptedLinear:
         (None without one).
 
         Each branch's shares are `autodiff.add_branch_vjp`'s and the frozen
-        part's `autodiff.lowrank_sum_vjp`; a sum resumed from a given
-        partial takes no share for it, as that sum is a constant. h adds
-        the frozen part's share and then each branch's in stack order, the
-        order of the branch-by-branch graph (which adds the first branch's
-        share before the frozen part's; a sum of two is the same either
-        way).
+        part's `autodiff.lowrank_sum_vjp`'s. h adds the frozen part's share
+        and then each branch's in stack order.
         """
         h, fused, terms, live = cache
-        dh = None
-        if input_grad and fused is not None:
-            dh = ad.lowrank_sum_vjp(g, self.weight, *fused)
+        dh = ad.lowrank_sum_vjp(g, self.weight, *fused) if input_grad else None
         dlive = None
         for i, (a_i, branch, z, contrib) in enumerate(terms):
             up, down = branch.up, branch.down
@@ -191,11 +164,7 @@ class AdaptedLinear:
             if down.requires_grad:
                 down.grad = dz @ h.T
             if input_grad:
-                share = down.value.T @ dz
-                if dh is None:
-                    dh = share
-                else:
-                    dh += share
+                dh += down.value.T @ dz
         return dh, dlive
 
 
@@ -245,7 +214,8 @@ def expand_branch(
     *,
     designed_down: Mat | None = None,
 ) -> LoraBranch:
-    """Freeze existing branches and append a fresh trainable one.
+    """Freeze existing branches and append a fresh trainable one of the
+    rank they have (ShapeMismatch otherwise).
 
     The up half starts at zero so the stack's outputs are unchanged by
     expansion. With designed_down the down half is fixed (only the up
@@ -253,6 +223,10 @@ def expand_branch(
     """
     if r < 1 or r > min(layer.in_dim, layer.out_dim):
         raise ValueError(f"rank {r} invalid for layer {layer.weight.shape}")
+    if layer.branches and r != layer.branches[0].rank:
+        raise ShapeMismatch(
+            f"rank {r} differs from the layer's branches' rank {layer.branches[0].rank}"
+        )
     for branch in layer.branches:
         branch.freeze()
     up = np.zeros((layer.out_dim, r))

@@ -7,9 +7,10 @@ backward pass out by hand from the kernels here (`GatingModule.backward`,
 The kernels are: a whole gate network with its squash given by the caller
 (`gate_mlp`), one coefficient-weighted low-rank branch added to a running
 sum (`add_branch`), a frozen weight plus k coefficient-weighted frozen
-low-rank terms applied to one input (`lowrank_sum`), the terms passed as
-stacked (k, ...) arrays so their products batch, SiLU, and the gradients
-of softmax cross-entropy and of a weighted quadratic row-space penalty.
+low-rank terms applied to one input (`lowrank_sum`), the terms' ups side
+by side and their downs stacked so that all k take one product each way,
+SiLU, and the gradients of softmax cross-entropy and of a weighted
+quadratic row-space penalty.
 A forward kernel returns its value and what its backward kernel reads;
 a backward kernel (`*_vjp`, a vector-Jacobian product) maps the output's
 gradient to its inputs' shares and never writes into that gradient,
@@ -75,30 +76,6 @@ def silu_vjp(g: np.ndarray, a: np.ndarray) -> np.ndarray:
     return g * sig * (1.0 + a * (1.0 - sig))
 
 
-# Most bytes of one of `lowrank_sum`'s batched (c, rows, n) temporaries:
-# 15 terms of a 64-row layer at 32 columns, 1 at 256.
-_CHUNK_BYTES = 240 * 1024
-
-
-def _chunks(k: int, rows: int, n: int):
-    """The parts of a k-term stack that `lowrank_sum` takes at once, for
-    (c, rows, n) temporaries within `_CHUNK_BYTES`: slices of c terms, or
-    the term indices themselves when c is 1, so that a part indexes 2-D
-    terms and takes plain products, without a batched call's overhead."""
-    step = max(1, _CHUNK_BYTES // (8 * rows * max(n, 1)))
-    return range(k) if step == 1 else [slice(i, i + step) for i in range(0, k, step)]
-
-
-def _accumulate(total: np.ndarray, terms: np.ndarray) -> None:
-    """total += each term of a (c, m, n) stack in order, or += one (m, n)
-    term."""
-    if terms.ndim == 2:
-        total += terms
-    else:
-        for term in terms:
-            total += term
-
-
 def lowrank_sum(
     h: np.ndarray,
     weight: np.ndarray,
@@ -106,42 +83,43 @@ def lowrank_sum(
     ups: np.ndarray,
     downs: np.ndarray,
 ) -> np.ndarray:
-    """weight @ h plus coeffs[i] * (ups[i] @ (downs[i] @ h)) for each of k
-    stacked constant terms, added in order: coeffs is (k, 1, n), ups is
-    (k, m, r) and downs is (k, r, d). `lowrank_sum_vjp` gives h's gradient.
+    """weight @ h + ups @ (A * (downs @ h)): the frozen weight plus k
+    coefficient-weighted constant rank-r terms, whose ups sit side by side
+    in the (m, k r) `ups` and whose downs are stacked in the (k r, d)
+    `downs`. coeffs is (k, 1, n), and A repeats row i of it r times: term
+    i's r rows of downs @ h are scaled by it, in place through a (k, r, n)
+    view, so no (k r, n) array of coefficients is made. With no term it
+    is weight @ h alone. `lowrank_sum_vjp` gives h's gradient.
 
-    Value and gradient are bit-identical to the same sum built from
-    `add_branch` chains: each product and each sum is the one those take,
-    in the same order. One batched matmul takes every downs[i] @ h. The
-    wider products go in chunks of c terms, as many as keep a
-    (c, max(m, d), n) array within `_CHUNK_BYTES`: one batched matmul takes
-    a chunk's ups[i] @ (...) (and, in the gradient, its products with
-    ups[i].T and with downs[i].T); a chunk of one term, as at 256 columns,
-    takes the plain 2-D products of a per-term loop. numpy runs each slice
-    of a batched matmul as the 2-D product it stands for, so every chunk
-    size gives the same bytes. Both sums accumulate in place into a buffer
-    made here.
+    Value and gradient are bit-identical to the chain
+    add(matmul(weight, h), matmul(ups, scale_columns(A, matmul(downs, h))))
+    of elementary nodes; to a sum of per-term `add_branch` chains, which
+    scale after the up-product and add term by term, only to rounding.
     """
+    k = len(coeffs)
+    kr = downs.shape[0]
     if h.shape[0] != weight.shape[1]:
         raise ShapeMismatch(f"lowrank_sum weight {weight.shape} @ h {h.shape}")
-    k = len(ups)
-    if (
-        ups.ndim != 3
-        or downs.shape != (k, ups.shape[2], h.shape[0])
-        or ups.shape[1] != weight.shape[0]
-    ):
+    if ups.shape != (weight.shape[0], kr) or downs.shape[1] != h.shape[0]:
         raise ShapeMismatch(f"lowrank_sum {ups.shape} @ {downs.shape} @ {h.shape}")
-    if coeffs.shape != (k, 1, h.shape[1]):
+    if coeffs.shape != (k, 1, h.shape[1]) or (kr % k if k else kr):
         raise ShapeMismatch(
-            f"lowrank_sum coefficients {coeffs.shape} for {k} terms on {h.shape}"
+            f"lowrank_sum coefficients {coeffs.shape} for rank {kr} on {h.shape}"
         )
     out = weight @ h
-    zs = np.matmul(downs, h)
-    for part in _chunks(k, max(weight.shape), h.shape[1]):
-        terms = np.matmul(ups[part], zs[part])
-        terms *= coeffs[part]
-        _accumulate(out, terms)
+    if k:
+        z = downs @ h
+        _scale_terms(z, coeffs)
+        out += ups @ z
     return out
+
+
+def _scale_terms(z: np.ndarray, coeffs: np.ndarray) -> None:
+    """Scale each of the k blocks of r rows of a (k r, n) array, in place,
+    by its (1, n) row of the (k, 1, n) coeffs."""
+    k = len(coeffs)
+    view = z.reshape(k, -1, z.shape[1])
+    view *= coeffs
 
 
 def lowrank_sum_vjp(
@@ -151,12 +129,13 @@ def lowrank_sum_vjp(
     ups: np.ndarray,
     downs: np.ndarray,
 ) -> np.ndarray:
-    """h's gradient for `lowrank_sum`'s output gradient g: weight.T @ g
-    plus each downs[i].T @ (ups[i].T @ (coeffs[i] * g)), added in order."""
+    """h's gradient for `lowrank_sum`'s output gradient g:
+    weight.T @ g + downs.T @ (A * (ups.T @ g))."""
     dh = weight.T @ g
-    for part in _chunks(len(ups), max(weight.shape), g.shape[1]):
-        pulled = np.matmul(ups[part].swapaxes(-1, -2), coeffs[part] * g)
-        _accumulate(dh, np.matmul(downs[part].swapaxes(-1, -2), pulled))
+    if len(coeffs):
+        pulled = ups.T @ g
+        _scale_terms(pulled, coeffs)
+        dh += downs.T @ pulled
     return dh
 
 

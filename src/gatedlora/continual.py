@@ -10,13 +10,14 @@ Evaluation always uses the single gated forward path with no task
 identity, on test pools the state holds for the whole run.
 
 Training and evaluation apply the model to a pool through one method,
-`ContinualState.apply`. Frozen gates and branches never change, and
-neither does a pool, so what they give on it is computed once per pool
-(the task's training pool, or a held test pool) and read back by column:
-every coefficient but the training gate's as one (j, 1, n) array, and the
-first adapted layer's frozen-branch sum. A task is frozen as soon as it
-is learned, so a run of T tasks computes each (gate, held pool) product
-once: T^2 gate forwards in evaluation.
+`ContinualState.apply`. Frozen gates never change, and neither does a
+pool, so what they give on it is computed once per pool (the task's
+training pool, or a held test pool) and read back by column: every
+coefficient but the training gate's, as one (j, 1, n) array. A task is
+frozen as soon as it is learned, so a run of T tasks computes each (gate,
+held pool) product once: T^2 gate forwards in evaluation. The adapted
+layers run on every call, each adding all of its frozen branches in one
+product.
 """
 
 from __future__ import annotations
@@ -168,28 +169,21 @@ def compute_ft(matrix: AccuracyMatrix) -> float:
 
 @dataclass
 class Pool:
-    """A pooled input set, with what the frozen part of the model gives on
+    """A pooled input set, with the coefficients the frozen gates give on
     it: a task's training pool, or a learned task's test pool, held for
     every later evaluation.
 
-    The pool never changes, and neither does a frozen gate or branch, so
-    each is applied to the whole pool once:
-    - `coeffs`, a (j, 1, n) array, holds the coefficients of the first j
-      branches: frozen gate i's output row, or a row of ones for an
-      ungated branch, whose coefficient is a frozen 1;
-    - `prefix`, a `(partial, k)` pair, holds the first adapted layer's sum
-      W x + sum_{i<k} a_i * up_i(down_i x) over its first k branches, each
-      frozen, with a_i from `coeffs`.
-    Both grow as tasks freeze, in the order the forward adds. Each task
-    freezes at the end of `learn_task`, so on a held pool the memo covers
-    every gate and, unless the one branch of `seq` still trains, every
-    first-layer branch.
+    The pool never changes, and neither does a frozen gate, so each is
+    applied to the whole pool once: `coeffs`, a (j, 1, n) array, holds the
+    coefficients of the first j branches, frozen gate i's output row, or a
+    row of ones for an ungated branch, whose coefficient is a frozen 1. It
+    grows as tasks freeze. Each task freezes at the end of `learn_task`, so
+    on a held pool the memo covers every gate.
     """
 
     pooled: np.ndarray
     labels: np.ndarray
     coeffs: np.ndarray = field(init=False)
-    prefix: Optional[tuple[np.ndarray, int]] = field(init=False, default=None)
 
     def __post_init__(self):
         self.coeffs = np.empty((0, 1, self.pooled.shape[1]))
@@ -204,6 +198,13 @@ class ContinualState:
 
     def __init__(self, model: ToyBackbone, cfg: StrategyConfig, rng: Rng):
         cfg.validate()
+        for i, layer in enumerate(model.adapted_layers):
+            if cfg.rank > min(layer.weight.shape):
+                raise ValueError(
+                    f"rank={cfg.rank} exceeds adapted layer {i} of shape "
+                    f"{layer.weight.shape}: a branch's rank is at most "
+                    f"min(d_out, d_in) = {min(layer.weight.shape)}"
+                )
         self.model = model
         self.cfg = cfg
         self.rng = rng
@@ -240,15 +241,13 @@ class ContinualState:
         `inputs` holds each adapted layer's input.
 
         First the pool's memo is extended (`extend_memo`). Then its columns
-        `idx` are taken, the coefficients in one `take`, and only the rest
-        runs fresh: the newest gate when the memo lacks its row, the
-        unfrozen branches, the later adapted layers and the head. On a held
-        pool every gate is frozen, and so is every first-layer branch but
-        the one of `seq`. The result matches a fresh forward on the
-        C-ordered batch `pool.pooled.take(idx, axis=1)` byte for byte as
-        long as BLAS rounds an output column the same whatever the
-        product's width, which OpenBLAS does when the batch width is a
-        multiple of 8.
+        `idx` are taken, the inputs and the coefficients in one `take` each,
+        and the rest runs fresh: the newest gate when the memo lacks its
+        row, the adapted layers and the head. On a held pool every gate is
+        frozen. The result matches a fresh forward on the C-ordered batch
+        `pool.pooled.take(idx, axis=1)` byte for byte as long as BLAS rounds
+        a gate's output column the same whatever the product's width, which
+        OpenBLAS does when the batch width is a multiple of 8.
         """
         self.extend_memo(pool)
 
@@ -262,8 +261,7 @@ class ContinualState:
         live = gate = None
         if len(fixed) < self.n_branches:
             live, gate = self.gates[-1].forward(x)
-        partial, k = pool.prefix
-        logits, cache = self.model.forward(fixed, live, x, (cols(partial), k))
+        logits, cache = self.model.forward(fixed, live, x)
         return logits, (gate, cache)
 
     def backward(self, cache: tuple, g: np.ndarray) -> None:
@@ -277,30 +275,17 @@ class ContinualState:
 
     def extend_memo(self, pool: Pool) -> None:
         """Add to the pool's memo the rows of the gates frozen since it was
-        last read (ungated, a row of ones per new branch) and the leading
-        first-layer branches frozen since; return at once when nothing has
-        changed, as on every training step after a task's first."""
-        layer = self.model.adapted_layers[0]
+        last read (ungated, a row of ones per new branch); nothing when
+        there are none, as on every training step after a task's first."""
         j = len(pool.coeffs)
-        k = pool.prefix[1] if pool.prefix else 0
-        if self.cfg.gated:
-            grows = j < len(self.gates) and self.gates[j].frozen
-        else:
-            grows = j < self.n_branches
-        if pool.prefix and not grows and not (k < j and layer.branches[k].frozen):
-            return
-        x = pool.pooled
-        n = x.shape[1]
+        n = pool.pooled.shape[1]
         if self.cfg.gated:
             frozen = itertools.takewhile(lambda m: m.frozen, self.gates[j:])
-            rows = [module.forward(x)[0] for module in frozen]
+            rows = [module.forward(pool.pooled)[0] for module in frozen]
         else:
             rows = [np.ones((1, n))] * (self.n_branches - j)
-        pool.coeffs = np.concatenate([pool.coeffs, np.reshape(rows, (-1, 1, n))])
-        while k < len(pool.coeffs) and layer.branches[k].frozen:
-            k += 1
-        partial, _ = layer.forward(pool.coeffs[:k], None, x, pool.prefix, stop=k)
-        pool.prefix = (partial, k)
+        if rows:
+            pool.coeffs = np.concatenate([pool.coeffs, np.reshape(rows, (-1, 1, n))])
 
     def trainable_params(self) -> list[ad.Param]:
         params: list[ad.Param] = []
@@ -334,8 +319,8 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
     initialization, training, subspace growth, freeze).
 
     The task's pooled training set is one `Pool` for the whole task: every
-    step reads its batch's columns of the frozen gate rows and of the
-    first adapted layer's frozen prefix from it. Once the subspace
+    step reads its batch's columns of the frozen gate rows from it. Once
+    the subspace
     memories have grown, the task's gate and (but under `seq`, whose one
     branch trains on every task) its branches freeze, so no later forward
     computes them fresh."""
@@ -443,11 +428,10 @@ def evaluate(state: ContinualState) -> list[float]:
     order), single gated forward path, no task identities.
 
     Logits come from `ContinualState.apply`, which reads frozen gate rows
-    and the first adapted layer's frozen-branch prefix from each pool's
-    memo (see `Pool`). The task just learned is frozen, so after task t
-    the memo gains its gate on the t - 1 older pools and all t gates on
-    the new one: 2t - 1 gate forwards, T^2 over a run of T tasks, each
-    (gate, pool) pair once. Only the later adapted layers and the head
+    from each pool's memo (see `Pool`). The task just learned is frozen,
+    so after task t the memo gains its gate on the t - 1 older pools and
+    all t gates on the new one: 2t - 1 gate forwards, T^2 over a run of T
+    tasks, each (gate, pool) pair once. The adapted layers and the head
     run fresh.
     """
     row = []

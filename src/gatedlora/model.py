@@ -135,15 +135,13 @@ class ToyBackbone:
         fixed: np.ndarray,
         live: np.ndarray | None,
         pooled: Mat,
-        start: tuple[np.ndarray, int] | None = None,
     ) -> tuple[np.ndarray, BackboneCache]:
         """Class logits (C, n) for a pooled batch, and the cache `backward`
         reads, whose `inputs` holds the input of each adapted layer (for
         subspace collection). Every adapted layer weights its branches by
         the same coefficients: the (j, 1, n) rows `fixed` of the first j
         branches, then `live`, the (1, n) row of the one that trains, if
-        any. `start` resumes the first adapted layer's branch sum. All as
-        in `AdaptedLinear.forward`."""
+        any, as in `AdaptedLinear.forward`."""
         h = pooled
         inputs, acts, layers = [], [], []
         for i, layer in enumerate(self.adapted_layers):
@@ -151,7 +149,7 @@ class ToyBackbone:
                 acts.append(h)
                 h = ad.silu(h)
             inputs.append(h)
-            h, cache = layer.forward(fixed, live, h, None if i else start)
+            h, cache = layer.forward(fixed, live, h)
             layers.append(cache)
         return self.head @ h, BackboneCache(inputs, acts, layers)
 

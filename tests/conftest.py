@@ -74,7 +74,8 @@ def pool_embed(tokens, embedding):
 
 
 # The chains of elementary nodes that the package's kernels stand for:
-# `gate_mlp` (`gate_chain`), `add_branch` (`branch_chain`) and
+# `gate_mlp` (`gate_chain`), `add_branch` (`branch_chain`),
+# `lowrank_sum` (`lowrank_chain`) and
 # `row_space_penalty_grad` (`penalty_chain`). Each kernel's value and
 # gradients must equal its chain's byte for byte.
 
@@ -117,13 +118,47 @@ def penalty_chain(x, s, lam):
     return gr.smul(lam, gr.row_space_penalty(x, s))
 
 
+def lowrank_chain(weight, coeffs, ups, downs, h):
+    """`lowrank_sum`'s chain over constants: with A each (1, n) row of the
+    (k, 1, n) coeffs repeated for its term's r rows,
+    add(matmul(W, h), matmul(U, scale_columns(A, matmul(D, h)))), where U
+    is the (m, k r) ups side by side and D the (k r, d) downs stacked;
+    matmul(W, h) alone when k is 0."""
+    out = gr.matmul(gr.constant(weight), h)
+    k = len(coeffs)
+    if not k:
+        return out
+    scale = np.repeat(coeffs[:, 0], downs.shape[0] // k, axis=0)
+    down_h = gr.matmul(gr.constant(downs), h)
+    frozen = gr.matmul(gr.constant(ups), gr.scale_columns(gr.constant(scale), down_h))
+    return gr.add(out, frozen)
+
+
 def branch_sum(layer, coeffs, h):
     """W h + sum_i a_i * up_i(down_i h) over the layer's first len(coeffs)
-    branches, one `branch_chain` per branch: the per-branch oracle that
-    `AdaptedLinear.forward` and `backward` must match byte for byte, value
-    and gradients."""
-    out = gr.matmul(gr.constant(layer.weight), h)
-    for a_i, branch in zip(coeffs, layer.branches):
+    branches: the oracle that `AdaptedLinear.forward` and `backward` must
+    match byte for byte, value and gradients. The leading branches that are
+    frozen and whose coefficient takes no gradient are one `lowrank_chain`,
+    built from each branch's own up and down; every later branch is one
+    `branch_chain`."""
+    branches = layer.branches[: len(coeffs)]
+    k = 0
+    while (
+        k < len(branches)
+        and branches[k].frozen
+        and not getattr(coeffs[k], "requires_grad", False)
+    ):
+        k += 1
+    lead = branches[:k]
+    rows = [a if isinstance(a, np.ndarray) else a.value for a in coeffs[:k]]
+    out = lowrank_chain(
+        layer.weight,
+        np.reshape(rows, (k, 1, h.value.shape[1])),
+        np.concatenate([np.empty((layer.out_dim, 0))] + [b.up.value for b in lead], axis=1),
+        np.concatenate([np.empty((0, layer.in_dim))] + [b.down.value for b in lead]),
+        h,
+    )
+    for a_i, branch in zip(coeffs[k:], branches[k:]):
         out = branch_chain(out, a_i, branch.up, branch.down, h)
     return out
 

@@ -166,7 +166,8 @@ def smul(c, a) -> DiffNode:
 
 
 def scale_columns(s, a) -> DiffNode:
-    """Column j of a scaled by s[0, j]; both receive gradients."""
+    """Column j of a scaled by s[0, j]; both receive gradients. A constant
+    s of a's shape scales a entry by entry."""
     return DiffNode(
         s.value * a.value,
         (

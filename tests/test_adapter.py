@@ -159,20 +159,26 @@ class TestAdaptedForward:
     )
     def test_fused_frozen_part_matches_per_branch_oracle(self, rng, case, folded):
         # Four frozen branches, then the live one. W h and the leading
-        # frozen branches of the first one's rank with fixed coefficients
-        # are one `lowrank_sum`, and each later branch is one term more;
-        # value and every gradient `backward` gives are byte-equal to the
-        # graph that adds each branch on its own. Gated, the live branch's
-        # coefficient trains; ungated, every coefficient is a fixed 1. In
-        # mixed_rank three branch terms follow the fused part, so h's
-        # gradient has four shares to add in order.
+        # frozen branches with fixed coefficients are one `lowrank_sum`, and
+        # each later branch is one term more; value and every gradient
+        # `backward` gives are byte-equal to the graph `branch_sum`, whose
+        # frozen part is one chain over the branches' own halves. Gated, the
+        # live branch's coefficient trains; ungated, every coefficient is a
+        # fixed 1. In mixed_rank a third branch of another rank is refused
+        # before the layer changes: its two branches stay, the second still
+        # trainable.
         d, n = 16, 12
         layer = AdaptedLinear(rng.normal(d, d, 1.0))
         for t in range(5):
-            r = 3 if case == "mixed_rank" and t == 2 else 2
-            rows = rng.normal(r, d, 1.0) if case == "inflora" and t == 4 else None
-            expand_branch(layer, r, rng.child(f"b{t}"), designed_down=rows)
-            layer.branches[-1].up.value[:] = rng.normal(d, r, 1.0)
+            if case == "mixed_rank" and t == 2:
+                with pytest.raises(ShapeMismatch, match="rank 3"):
+                    expand_branch(layer, 3, rng.child(f"b{t}"))
+                assert len(layer.branches) == folded
+                assert not layer.branches[-1].frozen
+                return
+            rows = rng.normal(2, d, 1.0) if case == "inflora" and t == 4 else None
+            expand_branch(layer, 2, rng.child(f"b{t}"), designed_down=rows)
+            layer.branches[-1].up.value[:] = rng.normal(d, 2, 1.0)
         if case == "ungated":
             fixed, live = np.ones((5, 1, n)), None
             coeffs = list(fixed)
@@ -315,14 +321,45 @@ def train_step(layer, fixed, h):
 
 class TestExpandBranch:
     def test_expansion_is_noop_on_outputs(self, rng):
+        # The new branch's zero up adds exactly 0. Its expansion also
+        # freezes the old branch, which moves it from an `add_branch` term
+        # (scaled after its up-product) into the frozen part (scaled before
+        # it): the same sum to rounding, within the bound that
+        # test_lowrank_sum_matches_per_term_chain derives, here with
+        # d = 4, k = 1 and r = 2.
         layer = fresh_layer(rng)
         br = expand_branch(layer, 2, rng.child("a"))
         br.up.value[:] = rng.normal(5, 2, 1.0)
         h = rng.normal(4, 3, 1.0)
-        before, _ = layer.forward(np.full((1, 1, 3), 0.7), None, h)
+        fixed = np.full((1, 1, 3), 0.7)
+        before, _ = layer.forward(fixed, None, h)
         expand_branch(layer, 2, rng.child("b"))
-        after, _ = layer.forward(np.full((1, 1, 3), 0.7), np.ones((1, 3)), h)
-        assert np.array_equal(before, after)
+        after, _ = layer.forward(fixed, np.ones((1, 3)), h)
+        frozen = ad.lowrank_sum(h, layer.weight, fixed, br.up.value, br.down.value)
+        assert after.tobytes() == frozen.tobytes()
+        u = np.finfo(np.float64).eps / 2
+        p = 4 + 1 * 2 + 2
+        magnitude = np.abs(layer.weight) @ np.abs(h) + 0.7 * (
+            np.abs(br.up.value) @ (np.abs(br.down.value) @ np.abs(h))
+        )
+        assert np.all(np.abs(after - before) <= 2 * p * u / (1 - p * u) * magnitude)
+
+    def test_frozen_halves_are_views_of_the_layer_arrays(self, rng):
+        # Each frozen branch's up and down share memory with the layer's
+        # concatenated frozen halves, so no frozen value is stored twice;
+        # the trainable branch keeps arrays of its own.
+        layer = fresh_layer(rng)
+        for tag in "abc":
+            expand_branch(layer, 2, rng.child(tag)).up.value[:] = rng.normal(5, 2, 1.0)
+        held = [(b.up.value.copy(), b.down.value.copy()) for b in layer.branches]
+        layer.forward(np.ones((2, 1, 3)), np.ones((1, 3)), rng.normal(4, 3, 1.0))
+        _, ups, downs = layer._frozen
+        for branch, (up, down) in zip(layer.branches, held):
+            assert branch.up.value.tobytes() == up.tobytes()
+            assert branch.down.value.tobytes() == down.tobytes()
+            assert np.shares_memory(branch.up.value, ups) == branch.frozen
+            assert np.shares_memory(branch.down.value, downs) == branch.frozen
+        assert [b.frozen for b in layer.branches] == [True, True, False]
 
     def test_previous_branches_frozen(self, rng):
         layer = fresh_layer(rng)

@@ -14,8 +14,10 @@ from conftest import (
     branch_chain,
     finite_difference,
     gate_chain,
+    lowrank_chain,
     penalty_chain,
     total,
+    upstream,
 )
 
 
@@ -240,56 +242,91 @@ class TestMechanics:
     @pytest.mark.parametrize(
         "weight, term",
         [
-            ((5, 2), ((1, 4), (5, 2), (2, 3))),  # h rows != weight columns
-            ((5, 3), ((1, 4), (5, 2), (2, 4))),  # down columns != h rows
-            ((5, 3), ((1, 4), (5, 3), (2, 3))),  # up and down ranks differ
-            ((5, 3), ((1, 4), (4, 2), (2, 3))),  # up rows != weight rows
-            ((5, 3), ((1, 3), (5, 2), (2, 3))),  # coefficient not (1, n)
-            ((5, 3), ((4, 1), (5, 2), (2, 3))),
+            ((5, 2), ((2, 1, 4), (5, 4), (4, 3))),  # h rows != weight columns
+            ((5, 3), ((2, 1, 4), (5, 4), (4, 4))),  # down columns != h rows
+            ((5, 3), ((2, 1, 4), (5, 3), (4, 3))),  # ups' and downs' ranks differ
+            ((5, 3), ((2, 1, 4), (4, 4), (4, 3))),  # up rows != weight rows
+            ((5, 3), ((2, 1, 3), (5, 4), (4, 3))),  # coefficient not (1, n)
+            ((5, 3), ((2, 4, 1), (5, 4), (4, 3))),
         ],
         ids=["weight", "down", "rank", "up", "coeff_cols", "coeff_rows"],
     )
     def test_lowrank_sum_shape_checks(self, weight, term):
-        # Two stacked terms of the shapes given: (2, 1, 4), (2, 5, 2), (2, 2, 3)
-        # when well formed.
+        # Two rank-2 terms of the shapes given: coefficients (2, 1, 4), ups
+        # (5, 4) side by side and downs (4, 3) stacked when well formed.
         with pytest.raises(ShapeMismatch):
-            ad.lowrank_sum(np.ones((3, 4)), np.ones(weight), *(np.ones((2,) + s) for s in term))
+            ad.lowrank_sum(np.ones((3, 4)), np.ones(weight), *(np.ones(s) for s in term))
 
     @pytest.mark.parametrize("stack", [0, 1, 2])
     def test_lowrank_sum_stacks_must_agree_in_depth(self, stack):
-        stacks = [np.ones((2, 1, 4)), np.ones((2, 5, 2)), np.ones((2, 2, 3))]
-        stacks[stack] = stacks[stack][:1]
+        # The k coefficient rows must split the concatenated rank into k
+        # equal terms: 3 rows on rank 4, 2 rows on rank 5, or none on 4.
+        coeffs, rank = [((3, 1, 4), 4), ((2, 1, 4), 5), ((0, 1, 4), 4)][stack]
         with pytest.raises(ShapeMismatch):
-            ad.lowrank_sum(np.ones((3, 4)), np.ones((5, 3)), *stacks)
+            ad.lowrank_sum(
+                np.ones((3, 4)), np.ones((5, 3)),
+                np.ones(coeffs), np.ones((5, rank)), np.ones((rank, 3)),
+            )
 
     @pytest.mark.parametrize("n", [16, 32, 256])
     @pytest.mark.parametrize("k", [0, 1, 2, 9, 14, 17, 31])
     def test_lowrank_sum_matches_per_term_chain(self, k, n):
-        # At the bench's dims (64 wide, rank 8): value and h-gradient equal
-        # the per-branch chain over constants byte for byte. The terms go
-        # in chunks of 30 at 16 columns, 15 at 32 and 1 at 256, so k = 9
-        # and 14 take one chunk at 32 columns, 17 and 31 two or three, and
-        # k >= 2 two or more at 256.
+        """At the bench's dims (d = 64 wide, rank r = 8): value and
+        h-gradient equal the concatenated chain (`lowrank_chain`) over
+        constants byte for byte, and are near the per-term chain, which adds
+        one `branch_chain` per term.
+
+        The bound: a length-p dot product computed in floating point is off
+        by at most gamma_p = p u / (1 - p u) times the dot product of the
+        operands' magnitudes, u = 2^-53. The concatenated value takes
+        D h (length d), the scale, U (...) (length k r), W h (d) and one
+        add: within gamma_{d + k r + 2} of the exact value, entrywise, times
+        M = |W| |h| + |U| (|A| * (|D| |h|)). The per-term chain takes down_i h
+        (d), up_i (...) (r), the scale and the k adds of the running sum:
+        within gamma_{d + r + k + 1} M, and r + k <= k r + 1. So the two
+        differ by at most 2 gamma_{d + k r + 2} M. The h-gradient
+        W.T g + D.T (A * (U.T g)) has the same bound with
+        M = |W|.T |g| + |D|.T (|A| * (|U|.T |g|)), as the layer is square.
+        Both paths read the same upstream gradient g: the loss is linear in
+        the output, with a random weight per entry.
+        """
         gen = np.random.default_rng(k * 1000 + n)
         d, r = 64, 8
         weight = gen.normal(size=(d, d))
         coeffs = gen.uniform(size=(k, 1, n))
-        ups = gen.normal(size=(k, d, r))
-        downs = gen.normal(size=(k, r, d))
+        terms = [(gen.normal(size=(d, r)), gen.normal(size=(r, d))) for _ in range(k)]
+        ups = np.concatenate([np.empty((d, 0))] + [up for up, _ in terms], axis=1)
+        downs = np.concatenate([np.empty((0, d))] + [down for _, down in terms])
         h_value = gen.normal(size=(d, n))
-        results = []
-        for fused in (True, False):
+        loss_weight = gr.constant(gen.normal(size=(d, n)))
+
+        def run(build):
             h = gr.parameter(h_value)
-            if fused:
-                out = lowrank_sum(h, weight, coeffs, ups, downs)
-            else:
-                out = gr.matmul(gr.constant(weight), h)
-                for a, up, down in zip(coeffs, ups, downs):
-                    out = branch_chain(out, a, gr.constant(up), gr.constant(down), h)
-            # scaled so that no entry saturates the sigmoid to a 0 gradient
-            gr.backward(total(gr.sigmoid(gr.smul(0.05, out))))
-            results.append((out.value.tobytes(), h.grad.tobytes()))
-        assert results[0] == results[1]
+            out = build(h)
+            gr.backward(total(gr.scale_columns(loss_weight, out)))
+            return out.value, h.grad
+
+        def per_term(h):
+            out = gr.matmul(gr.constant(weight), h)
+            for a, (up, down) in zip(coeffs, terms):
+                out = branch_chain(out, a, gr.constant(up), gr.constant(down), h)
+            return out
+
+        got = run(lambda h: lowrank_sum(h, weight, coeffs, ups, downs))
+        chain = run(lambda h: lowrank_chain(weight, coeffs, ups, downs, h))
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in chain]
+
+        scale = np.repeat(np.abs(coeffs[:, 0]), r, axis=0)
+        g = np.abs(upstream(got[0], lambda out: total(gr.scale_columns(loss_weight, out))))
+        magnitudes = [
+            np.abs(weight) @ np.abs(h_value) + np.abs(ups) @ (scale * (np.abs(downs) @ np.abs(h_value))),
+            np.abs(weight).T @ g + np.abs(downs).T @ (scale * (np.abs(ups).T @ g)),
+        ]
+        p = d + k * r + 2
+        u = np.finfo(np.float64).eps / 2
+        gamma = p * u / (1 - p * u)
+        for fused, term, m in zip(got, run(per_term), magnitudes):
+            assert np.all(np.abs(fused - term) <= 2 * gamma * m)
 
 
 def _away_from(x, bad, dist=1e-3):
@@ -306,22 +343,14 @@ _LABELS = np.array([0, 2, 1, 0, 2, 1])
 _METRIC_SEED = np.random.default_rng(7).normal(size=(4, 4))
 _METRIC = _METRIC_SEED @ _METRIC_SEED.T
 # A frozen (5, 3) weight and three frozen rank-2 terms with (1, 4)
-# coefficients, for lowrank_sum: stacked coefficients (3, 1, 4), ups
-# (3, 5, 2) and downs (3, 2, 3).
+# coefficients, for lowrank_sum: coefficients (3, 1, 4), ups (5, 6) side by
+# side and downs (6, 3) stacked.
 _LOWRANK = np.random.default_rng(11)
 _WEIGHT = _LOWRANK.normal(size=(5, 3))
 _TERMS = [
-    np.stack(part)
-    for part in zip(
-        *[
-            (
-                _LOWRANK.uniform(size=(1, 4)),
-                _LOWRANK.normal(size=(5, 2)),
-                _LOWRANK.normal(size=(2, 3)),
-            )
-            for _ in range(3)
-        ]
-    )
+    _LOWRANK.uniform(size=(3, 1, 4)),
+    _LOWRANK.normal(size=(5, 6)),
+    _LOWRANK.normal(size=(6, 3)),
 ]
 
 

@@ -34,7 +34,7 @@ from gatedlora.params import count_trainable_params, preset
 from gatedlora.subspace import SubspaceBasis, SubspaceMemory
 
 import graph as gr
-from conftest import branch_sum, coefficient_nodes, oracle_forward, penalty_chain
+from conftest import coefficient_nodes, oracle_forward, penalty_chain
 
 # Three tasks at desk size: a run takes a fraction of a second.
 DESK_MODEL = dict(
@@ -237,9 +237,9 @@ def test_each_dataset_pooled_once(branch_strategy, monkeypatch):
     assert len({id(ds) for ds in pooled}) == len(pooled)
 
 
-# olora-fixed_one is ungated with several branches: its prefix sums frozen
-# branches with all-ones coefficients. seq-fixed_one never freezes its one
-# branch, so its prefix is W x alone.
+# olora-fixed_one is ungated with several branches: its frozen parts sum
+# frozen branches with all-ones coefficients. seq-fixed_one never freezes
+# its one branch, so its frozen parts are W x alone.
 MEMO_CONFIGS = pytest.mark.parametrize(
     "branch_strategy, gating_mode",
     [("olora", "gain"), ("inflora", "gain"), ("seq", "fixed_one"), ("olora", "fixed_one")],
@@ -251,9 +251,9 @@ def bytes_of(arrays):
 
 
 def assert_memo_frozen(state, pool):
-    """The pool's memo holds exactly the fixed coefficients (the frozen
-    gates' rows, or ones for every branch when ungated) and the frozen
-    first-layer branches, which lead their lists."""
+    """The pool's memo holds exactly the fixed coefficients: the frozen
+    gates' rows, which lead their list, or ones for every branch when
+    ungated."""
     if state.cfg.gated:
         frozen = [m.frozen for m in state.gates]
         assert len(pool.coeffs) == sum(frozen)
@@ -261,21 +261,15 @@ def assert_memo_frozen(state, pool):
     else:
         ones = np.ones((state.n_branches, 1, pool.pooled.shape[1]))
         assert pool.coeffs.tobytes() == ones.tobytes()
-    _, k = pool.prefix
-    branches = state.model.adapted_layers[0].branches
-    assert k == sum(b.frozen for b in branches)
-    assert all(b.frozen for b in branches[:k])
 
 
 @MEMO_CONFIGS
 def test_held_memo_matches_fresh_forward(branch_strategy, gating_mode):
-    # After every task, each memoised gate row and first-layer prefix is
-    # byte-equal to a fresh forward, the memo holds every gate and every
-    # first-layer branch but seq's one, which never freezes, and the
-    # logits are byte-equal to the oracle's.
+    # After every task, each memoised gate row is byte-equal to a fresh
+    # forward, the memo holds every gate, and the logits are byte-equal to
+    # the oracle's.
     cfg = desk_strategy(branch_strategy, gating_mode=gating_mode)
     state, sequence = desk_state(cfg)
-    layer = state.model.adapted_layers[0]
     for task in sequence:
         learn_task(state, task.train)
         state.hold(state.model.pool_batch(task.test), task.test.labels)
@@ -286,17 +280,13 @@ def test_held_memo_matches_fresh_forward(branch_strategy, gating_mode):
                 if cfg.gated:
                     coeffs = coefficient_nodes(state.gates, x)
                 else:
-                    coeffs = [gr.constant(np.ones((1, x.shape[1])))] * len(layer.branches)
-                partial, k = pool.prefix
-                prefix = branch_sum(layer, coeffs[:k], x)
+                    coeffs = [gr.constant(np.ones((1, x.shape[1])))] * state.n_branches
                 logits, _ = fresh_forward(state, x)
             held, _ = state.apply(pool)
             assert_memo_frozen(state, pool)
             assert len(pool.coeffs) == len(coeffs)
             for row, fresh in zip(pool.coeffs, coeffs):
                 assert row.tobytes() == fresh.value.tobytes()
-            assert k == (0 if branch_strategy == "seq" else len(layer.branches))
-            assert partial.tobytes() == prefix.value.tobytes()
             assert held.tobytes() == logits.value.tobytes()
 
 
@@ -497,12 +487,13 @@ def test_training_step_after_the_first_skips_the_memo(
     branch_strategy, gating_mode, monkeypatch
 ):
     # Nothing freezes while a task trains, so once its first step has
-    # read the training pool's memo, `extend_memo` returns at once: each
-    # later step runs only the live gate (none when ungated) and no memo
-    # forward, the one caller of `AdaptedLinear.forward` with `stop`.
+    # read the training pool's memo, `extend_memo` adds nothing: each
+    # later step runs only the live gate (none when ungated) and leaves the
+    # memo as it was. A task's first step grows it, but under a gate at
+    # task 1, which has no frozen gate to add.
     calls = {"gate": 0, "memo": 0}
     gate_forward = GatingModule.forward
-    layer_forward = AdaptedLinear.forward
+    extend_memo = ContinualState.extend_memo
     step = AdamW.step
     seen = []  # (optimizer, calls so far) at each step
 
@@ -510,16 +501,17 @@ def test_training_step_after_the_first_skips_the_memo(
         calls["gate"] += 1
         return gate_forward(self, pooled)
 
-    def counting_layer(self, fixed, live, h, start=None, stop=None):
-        calls["memo"] += stop is not None
-        return layer_forward(self, fixed, live, h, start, stop)
+    def counting_memo(self, pool):
+        coeffs = pool.coeffs
+        extend_memo(self, pool)
+        calls["memo"] += pool.coeffs is not coeffs
 
     def marking_step(self, transforms=None):
         seen.append((self, dict(calls)))
         step(self, transforms)
 
     monkeypatch.setattr(GatingModule, "forward", counting_gate)
-    monkeypatch.setattr(AdaptedLinear, "forward", counting_layer)
+    monkeypatch.setattr(ContinualState, "extend_memo", counting_memo)
     monkeypatch.setattr(AdamW, "step", marking_step)
     cfg = desk_strategy(branch_strategy, gating_mode=gating_mode)
     state, sequence = desk_state(cfg)
@@ -532,20 +524,20 @@ def test_training_step_after_the_first_skips_the_memo(
     for before, after in pairs:
         assert after["gate"] - before["gate"] == int(cfg.gated)
         assert after["memo"] == before["memo"]
-    assert calls["memo"] >= len(sequence)  # each task's first step read it
+    assert calls["memo"] >= len(sequence) - cfg.gated  # each task's first step grew it
 
 
 # Kernel calls of a training step from task 2 on. Forward: the live gate
-# (none ungated), layer 1's live branch (its frozen part is the memo's
-# prefix), the SiLU, layer 2's fused frozen part and live branch; backward:
-# the same kernels' vjps, then the cross-entropy gradient and, under O-LoRA,
-# one penalty gradient per adapted layer.
+# (none ungated), each adapted layer's fused frozen part and live branch,
+# the SiLU between them; backward: the same kernels' vjps, but layer 1's
+# frozen part, whose input takes no gradient, then the cross-entropy
+# gradient and, under O-LoRA, one penalty gradient per adapted layer.
 _STEP = Counter(
     add_branch=2,
     add_branch_vjp=2,
     silu=1,
     silu_vjp=1,
-    lowrank_sum=1,
+    lowrank_sum=2,
     lowrank_sum_vjp=1,
     softmax_cross_entropy_grad=1,
 )
@@ -568,8 +560,8 @@ def test_training_step_nodes_do_not_grow_with_tasks(
     # between consecutive steps of one optimizer over six tasks. From task 2
     # on, each step makes the calls `STEP_CALLS` pins, however many gates
     # and branches are frozen. Every frozen branch of an adapted layer is in
-    # its one `lowrank_sum` (layer 1's in the memo), and the frozen gates'
-    # coefficients are read from the memo, not run.
+    # its one `lowrank_sum`, and the frozen gates' coefficients are read
+    # from the memo, not run.
     calls = Counter()
 
     def counting(name, kernel):
@@ -623,7 +615,7 @@ def cache_size(cache):
 @pytest.mark.parametrize("gating_mode", ["gain", "fixed_one"])
 def test_training_graph_stays_flat(gating_mode, monkeypatch):
     # Every frozen branch of every adapted layer sits in one `lowrank_sum`
-    # term of the cache (layer 1's in the memo), so from task 2 on a
+    # term of the cache, so from task 2 on a
     # training step's backward pass reads as many arrays however many
     # branches are frozen, against 3 more per frozen branch if each were
     # its own `add_branch` term.
@@ -775,6 +767,27 @@ def test_inflora_out_of_subspace_names_layer_and_settings():
     # raised before anything was expanded or added
     assert all(not layer.branches for layer in state.model.adapted_layers)
     assert not state.gates
+
+
+@pytest.mark.parametrize("branch_strategy", ["olora", "inflora"])
+def test_oversized_rank_names_knob_and_layer(branch_strategy, monkeypatch):
+    # A rank past a layer's width fails when the state is built, before any
+    # task trains, naming the knob, the layer and its shape. Left to the
+    # first expansion, it would be a bare shape error under O-LoRA and
+    # InfLoRA's NoFreeSubspace, whose advice (lower eps_threshold) cannot
+    # help. At embed dim 8 the first adapted layer is (16, 8); the second,
+    # (16, 16), takes rank 12.
+    learned = []
+    monkeypatch.setattr(continual, "learn_task", lambda *args: learned.append(args))
+    cfg = desk_strategy(branch_strategy, rank=12)
+    with pytest.raises(ValueError) as info:
+        desk_state(cfg, embed_dim=8)
+    msg = str(info.value)
+    for part in ("rank=12", "adapted layer 0", "(16, 8)"):
+        assert part in msg
+    with pytest.raises(ValueError, match="rank=12"):
+        run_sequence(dict(DESK_MODEL, embed_dim=8), cfg, 0)
+    assert not learned
 
 
 @pytest.mark.parametrize("branch_strategy", ["seq", "inc", "olora", "inflora"])

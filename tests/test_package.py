@@ -1,5 +1,6 @@
 """The package advertises only modules and entry points that exist, and
-holds no public function or method that nothing calls, no defaulted
+holds no public function or method that nothing calls, no private
+module-level function or constant that nothing in it reads, no defaulted
 parameter or dataclass field that no call passes, and no exception class
 that nothing raises."""
 
@@ -79,11 +80,41 @@ def public_defs(tree):
                     yield f"{node.name}.{item.name}", True
 
 
+def private_defs(tree):
+    """Names of each private module-level function and constant (an
+    assigned name with a leading underscore, dunders aside)."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                name = getattr(target, "id", "")
+                if name.startswith("_") and not name.startswith("__"):
+                    yield name
+
+
+def names_read(trees):
+    """Every attribute name, imported name and loaded name in the trees."""
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+    return read
+
+
 def test_no_dead_helpers():
     """Callers are searched in src and bench only, so a helper that only
     tests call is dead too. A method counts as called only through an
     attribute access; a module function also through an import or a load
-    of its name in its own module. `test_*` functions are pytest's."""
+    of its name in its own module. `test_*` functions are pytest's. A
+    private module-level function or constant in src is dead unless some
+    module of src reads its name (bench and tests do not count)."""
     trees = parsed("src/gatedlora", "bench")
     attributes, imported = set(), set()
     for tree in trees.values():
@@ -92,7 +123,14 @@ def test_no_dead_helpers():
                 attributes.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 imported.update(alias.name for alias in node.names)
-    dead = []
+    src = parsed("src/gatedlora")
+    read_in_src = names_read(src.values())
+    dead = [
+        f"{path.relative_to(ROOT)}: {name}"
+        for path, tree in src.items()
+        for name in private_defs(tree)
+        if name not in read_in_src
+    ]
     for path, tree in trees.items():
         loaded = {
             node.id

@@ -490,15 +490,24 @@ def collect_gate_samples(state: ContinualState) -> list[dict]:
     return samples
 
 
-def _check_sequence(sequence: TaskSequence, n_classes: int) -> None:
-    """Task t's train and test sets carry task id t, and every label is a
-    class of the head."""
+def _check_sequence(sequence: TaskSequence, n_classes: int, vocab_size: int) -> None:
+    """Task t's train and test sets carry task id t and hold at least one
+    sequence, every token id is in the vocab and every label is a class of
+    the head."""
     for t, task in enumerate(sequence):
         for split, ds in (("train", task.train), ("test", task.test)):
             if ds.task_id != t:
                 raise OrderViolation(
                     f"task {t}: {split} set has task id {ds.task_id}; a sequence's "
                     f"task ids must run 0, 1, ... in order"
+                )
+            if not len(ds):
+                raise EmptyInput(f"task {t}: {split} set holds no sequence")
+            bad = np.flatnonzero((ds.ids < 0) | (ds.ids >= vocab_size))
+            if bad.size:
+                raise IdOutOfRange(
+                    f"task {t}: {split} sequence {ds.sequence_of(bad[0])} has token "
+                    f"id {ds.ids[bad[0]]}, outside the vocab [0, {vocab_size})"
                 )
             bad = ds.labels[(ds.labels < 0) | (ds.labels >= n_classes)]
             if bad.size:
@@ -520,8 +529,9 @@ def run_sequence(
     model_cfg keys: vocab_size, embed_dim, hidden_dim, n_tasks,
     classes_per_task, train_per_task, test_per_task, window_size, noise,
     seq_len_min, seq_len_max. A prebuilt task sequence overrides the
-    synthetic generator; its task ids must run 0, 1, ... in order and its
-    labels must fit the head, which is checked before any training.
+    synthetic generator; its task ids must run 0, 1, ... in order, no split
+    may be empty, its token ids must fit the vocab and its labels the head,
+    which is checked before any training.
     """
     strategy.validate()
     rng = Rng(seed)
@@ -546,7 +556,7 @@ def run_sequence(
             embedding=model.embedding,
             seq_len=(model_cfg["seq_len_min"], model_cfg["seq_len_max"]),
         )
-    _check_sequence(sequence, n_classes)
+    _check_sequence(sequence, n_classes, model_cfg["vocab_size"])
     state = ContinualState(model, strategy, rng.child("train"))
     ap_trajectory = []
     for task in sequence:

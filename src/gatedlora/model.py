@@ -6,6 +6,10 @@ them, and a frozen classifier head over the union label space. Tasks are
 synthetic token-classification problems whose vocab windows are disjoint,
 so the pooled embedding carries a usable task signal without ever
 exposing task identity at inference.
+
+A run holds every task's splits to its end, so a `Dataset` keeps its
+sequences packed in two int64 arrays, the token ids back to back and one
+length per sequence, which pooling reads without a conversion.
 """
 
 from __future__ import annotations
@@ -34,26 +38,55 @@ _BLOCK = 512
 _MAX_ATTEMPTS = 16
 
 
-@dataclass
 class Dataset:
-    """Token-id sequences with labels in the global class union."""
+    """Token-id sequences with labels in the global class union, packed:
+    `ids` holds every sequence's token ids back to back and `lengths` one
+    entry per sequence, both 1-D int64, so a held split costs 8 bytes a
+    token and no Python object per token. Sequence j is
+    `ids[s : s + lengths[j]]` with s = `lengths[:j].sum()`.
 
-    tokens: list[list[int]]
-    labels: np.ndarray
-    task_id: int
+    The constructor takes a sequence of sequences and packs them once. It
+    refuses an empty sequence, token ids that are not integers (bools
+    included) or are negative, naming the sequence, and labels that are
+    not integers. Whether the ids fit a vocab is checked where the vocab
+    is known: `run_sequence` before any training, pooling on every call.
+    """
 
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if len(self.tokens) != len(self.labels):
-            raise ShapeMismatch(
-                f"{len(self.tokens)} sequences vs {len(self.labels)} labels"
+    def __init__(self, sequences, labels, task_id: int):
+        self.task_id = task_id
+        labels = np.asarray(labels)
+        if labels.size and labels.dtype.kind not in "iu":
+            raise IdOutOfRange(
+                f"labels of task {task_id} must be integers, got dtype {labels.dtype}"
             )
-        for i, seq in enumerate(self.tokens):
-            if len(seq) == 0:
-                raise EmptyInput(f"sequence {i} of task {self.task_id} is empty")
+        self.labels = labels.astype(np.int64, copy=False)
+        arrays = list(map(np.asarray, sequences))
+        if len(arrays) != len(self.labels):
+            raise ShapeMismatch(f"{len(arrays)} sequences vs {len(self.labels)} labels")
+        self.lengths = np.fromiter(map(len, arrays), np.int64, len(arrays))
+        empty = np.flatnonzero(self.lengths == 0)
+        if empty.size:
+            raise EmptyInput(f"sequence {empty[0]} of task {task_id} is empty")
+        if not {seq.dtype.kind for seq in arrays} <= {"i", "u"}:
+            i = next(i for i, seq in enumerate(arrays) if seq.dtype.kind not in "iu")
+            raise IdOutOfRange(
+                f"sequence {i} of task {task_id}: token ids must be integers, "
+                f"got dtype {arrays[i].dtype}"
+            )
+        self.ids = np.concatenate([np.empty(0, np.int64), *arrays], dtype=np.int64)
+        if self.ids.size and self.ids.min() < 0:
+            k = int(np.argmax(self.ids < 0))
+            raise IdOutOfRange(
+                f"sequence {self.sequence_of(k)} of task {task_id} has token id "
+                f"{self.ids[k]}; ids must be >= 0"
+            )
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.lengths)
+
+    def sequence_of(self, position: int) -> int:
+        """Index of the sequence that holds `ids[position]`."""
+        return int(np.searchsorted(np.cumsum(self.lengths), position, side="right"))
 
 
 @dataclass
@@ -118,17 +151,16 @@ class ToyBackbone:
         """Pooled embeddings as columns: (embed_dim, n), C-contiguous.
 
         Column j is the mean embedding row of sequence j, as `_pool_rows`
-        computes it.
+        computes it from the dataset's packed `ids` and `lengths`, which it
+        reads as they are.
         """
-        seqs = dataset.tokens
-        if not seqs:
+        lengths = dataset.lengths
+        if not lengths.size:
             raise EmptyInput("cannot pool an empty batch")
-        lengths = np.array([len(seq) for seq in seqs])
         if lengths.min() == 0:
             j = int(np.argmin(lengths))
             raise EmptyInput(f"cannot pool sequence {j}: it is empty")
-        flat = list(itertools.chain.from_iterable(seqs))
-        return np.ascontiguousarray(_pool_rows(flat, lengths, self.embedding).T)
+        return np.ascontiguousarray(_pool_rows(dataset.ids, lengths, self.embedding).T)
 
     def forward(
         self,
@@ -191,9 +223,12 @@ def _pool_rows(flat, lengths: np.ndarray, embedding: Mat) -> Mat:
     """Mean embedding row of each of a batch of sequences, (n, d).
 
     `flat` holds the sequences' token ids back to back, `lengths` their
-    lengths (all >= 1). Rows are gathered position by position and summed
-    in token order, then divided by the length, so row j is bit-identical
-    to `embedding[seq_j].mean(axis=0)` (`np.add.reduceat` sums in another
+    lengths (all >= 1): a `Dataset`'s packed `ids` and `lengths`, or the
+    close candidates of a `generate_task` block. The ids are checked
+    against the embedding's rows (`_token_ids`) on every call. Rows are
+    gathered position by position and summed in token order, then divided
+    by the length, so row j is bit-identical to
+    `embedding[seq_j].mean(axis=0)` (`np.add.reduceat` sums in another
     order).
     """
     ids = _token_ids(flat, embedding.shape[0])
@@ -383,7 +418,9 @@ def generate_task(
             quota = [count // n_classes] * n_classes
             for c in range(count % n_classes):
                 quota[c] += 1
-            tokens: list[list[int]] = []
+            # Each accepted candidate is a view of its block's `flat`, which
+            # the view keeps alive until the split's Dataset packs them once.
+            tokens: list[np.ndarray] = []
             labels: list[int] = []
             budget = start_budget = 400 * count + 400
             while budget > 0 and len(tokens) < count:
@@ -411,7 +448,7 @@ def generate_task(
                         continue
                     quota[label] -= 1
                     seen.add(seq)
-                    tokens.append(list(seq))
+                    tokens.append(flat[start : start + length])
                     labels.append(class_offset + label)
                     if len(tokens) == count:
                         break

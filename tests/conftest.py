@@ -65,6 +65,13 @@ def assert_close_rel(actual, expected, rel=1e-4, floor=1e-6):
     assert err <= rel, f"max relative error {err:.3e} > {rel:.0e}"
 
 
+def sequences(ds):
+    """A `Dataset`'s sequences unpacked from `ids` and `lengths`, each a
+    list of ints."""
+    starts = np.cumsum(ds.lengths) - ds.lengths
+    return [ds.ids[s : s + n].tolist() for s, n in zip(starts, ds.lengths)]
+
+
 def pool_embed(tokens, embedding):
     """Mean of the embedding rows indexed by a token-id sequence, as a
     column vector (d, 1): the oracle of pooling, which the batched gather

@@ -19,6 +19,7 @@ from gatedlora.continual import (
     run_sequence,
 )
 from gatedlora.errors import (
+    EmptyInput,
     IdOutOfRange,
     IncompleteMatrix,
     NoFreeSubspace,
@@ -27,14 +28,14 @@ from gatedlora.errors import (
     UnknownPreset,
 )
 from gatedlora.gating import GateFn, GatingModule, gating_layer_shapes
-from gatedlora.model import ToyBackbone, build_task_sequence
+from gatedlora.model import Dataset, ToyBackbone, build_task_sequence
 from gatedlora.numerics import Rng, gaussian_init
 from gatedlora.optim import AdamW
 from gatedlora.params import count_trainable_params, preset
 from gatedlora.subspace import SubspaceBasis, SubspaceMemory
 
 import graph as gr
-from conftest import coefficient_nodes, oracle_forward, penalty_chain
+from conftest import coefficient_nodes, oracle_forward, penalty_chain, sequences
 
 # Three tasks at desk size: a run takes a fraction of a second.
 DESK_MODEL = dict(
@@ -854,21 +855,33 @@ def test_validate_rejects_and_names_the_field(field, value, message):
         StrategyConfig(**{field: value}).validate()
 
 
-@pytest.mark.parametrize("case", ["label", "task_id"])
+@pytest.mark.parametrize("case", ["label", "task_id", "token_id", "empty_split"])
 def test_bad_prebuilt_sequence_rejected_before_training(case, monkeypatch):
     def no_training(state, train):
         raise AssertionError("learn_task ran")
 
     monkeypatch.setattr(continual, "learn_task", no_training)
     _, sequence = desk_state(desk_strategy("olora"))
+    model_cfg = DESK_MODEL
     if case == "label":
         # three tasks of two classes under a four-class head: task 3's
         # labels 4 and 5 have no logit
         model_cfg = dict(DESK_MODEL, n_tasks=2)
         error, message = IdOutOfRange, r"task 2: train label \d is outside the head's 4 classes"
-    else:
+    elif case == "task_id":
         sequence.tasks[1].test.task_id = 2
-        model_cfg = DESK_MODEL
         error, message = OrderViolation, "task 1: test set has task id 2"
+    elif case == "token_id":
+        # the last task's test set, which the run would pool only after
+        # every earlier task had trained
+        test = sequence.tasks[2].test
+        seqs = sequences(test)
+        seqs[5][-1] = 99
+        sequence.tasks[2].test = Dataset(seqs, test.labels, 2)
+        error = IdOutOfRange
+        message = r"task 2: test sequence 5 has token id 99, outside the vocab \[0, 24\)"
+    else:
+        sequence.tasks[1].train = Dataset([], np.zeros(0, np.int64), 1)
+        error, message = EmptyInput, "task 1: train set holds no sequence"
     with pytest.raises(error, match=message):
         run_sequence(model_cfg, desk_strategy("olora"), 0, sequence=sequence)

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -16,7 +17,7 @@ from gatedlora.model import (
 )
 from gatedlora.numerics import Rng, _lemire, gaussian_init
 
-from conftest import pool_embed
+from conftest import pool_embed, sequences
 
 
 def desk_sequence(seed):
@@ -49,9 +50,9 @@ class TestGenerator:
                 assert set(counts) <= {0, 1, 2}
                 per_class = [counts[c] for c in range(3)]
                 assert max(per_class) - min(per_class) <= 1, per_class
-                assert all(lo <= tok < hi for seq in ds.tokens for tok in seq)
-            train = {tuple(seq) for seq in task.train.tokens}
-            assert train.isdisjoint(tuple(seq) for seq in task.test.tokens)
+                assert all(lo <= tok < hi for seq in sequences(ds) for tok in seq)
+            train = {tuple(seq) for seq in sequences(task.train)}
+            assert train.isdisjoint(tuple(seq) for seq in sequences(task.test))
 
     def test_windows_past_vocab_rejected(self):
         embedding = gaussian_init(Rng(0).child("embed"), 40, 16, 1.0)
@@ -98,7 +99,7 @@ class TestGenerator:
         a, b = desk_sequence(4), desk_sequence(4)
         for ta, tb in zip(a, b, strict=True):
             for da, db in ((ta.train, tb.train), (ta.test, tb.test)):
-                assert da.tokens == db.tokens
+                assert sequences(da) == sequences(db)
                 assert np.array_equal(da.labels, db.labels)
 
 
@@ -179,7 +180,9 @@ def generator_args(case, seed):
 def assert_same_task(got, want):
     assert got.window == want.window
     for g, w in ((got.train, want.train), (got.test, want.test)):
-        assert g.tokens == w.tokens
+        for name in ("ids", "lengths"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert g.labels.dtype == w.labels.dtype
         assert g.labels.tobytes() == w.labels.tobytes()
 
@@ -330,13 +333,13 @@ def pooling_case(vocab=30):
     lengths = list(range(1, 17)) + gen.integers(1, 17, size=24).tolist()
     gen.shuffle(lengths)
     tokens = [gen.integers(0, vocab, size=n).tolist() for n in lengths]
-    return backbone, Dataset(tokens, np.zeros(len(tokens)), 0)
+    return backbone, Dataset(tokens, np.zeros(len(tokens), dtype=np.int64), 0)
 
 
 class TestPoolBatch:
     def test_bitwise_equal_to_per_sequence_pooling(self):
         backbone, ds = pooling_case()
-        want = np.hstack([pool_embed(seq, backbone.embedding) for seq in ds.tokens])
+        want = np.hstack([pool_embed(seq, backbone.embedding) for seq in sequences(ds)])
         got = backbone.pool_batch(ds)
         assert got.shape == want.shape
         assert got.flags["C_CONTIGUOUS"]
@@ -348,9 +351,12 @@ class TestPoolBatch:
             backbone.pool_batch(Dataset([], np.zeros(0), 0))
 
     def test_zero_length_sequence_rejected(self):
-        # Dataset refuses empty sequences, but its token lists stay mutable.
+        # Dataset refuses empty sequences, but its packed arrays stay
+        # mutable: drop sequence 4's tokens and give it length 0.
         backbone, ds = pooling_case()
-        ds.tokens[4] = []
+        start = ds.lengths[:4].sum()
+        ds.ids = np.delete(ds.ids, np.s_[start : start + ds.lengths[4]])
+        ds.lengths[4] = 0
         with pytest.raises(EmptyInput, match="sequence 4"):
             backbone.pool_batch(ds)
 
@@ -359,7 +365,10 @@ class TestPoolBatch:
     )
     def test_bad_ids_rejected(self, bad):
         backbone, ds = pooling_case(vocab=30)
-        ds.tokens[9] = bad
+        seqs = sequences(ds)
+        seqs[9] = bad
+        ds.ids = np.array([tok for seq in seqs for tok in seq])
+        ds.lengths[9] = len(bad)
         with pytest.raises(IdOutOfRange):
             backbone.pool_batch(ds)
 
@@ -367,3 +376,47 @@ class TestPoolBatch:
 def test_dataset_rejects_empty_sequence():
     with pytest.raises(EmptyInput, match="sequence 1"):
         Dataset([[1, 2], []], [0, 1], 0)
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        ([1.0, 2.0], "sequence 1 of task 3: token ids must be integers, got dtype float64"),
+        ([True, False], "sequence 1 of task 3: token ids must be integers, got dtype bool"),
+        ([4, -2], "sequence 1 of task 3 has token id -2"),
+    ],
+    ids=["float", "bool", "negative"],
+)
+def test_dataset_rejects_bad_ids_naming_the_sequence(bad, match):
+    with pytest.raises(IdOutOfRange, match=match):
+        Dataset([[1, 2], bad, [5]], [0, 1, 0], 3)
+
+
+@pytest.mark.parametrize("labels", [[0.7, 1.9], [1.0, 0.0], [True, False]])
+def test_dataset_refuses_non_integer_labels(labels):
+    with pytest.raises(IdOutOfRange, match="labels of task 0 must be integers"):
+        Dataset([[1, 2], [3]], labels, 0)
+
+
+def test_packed_layout():
+    sources = [pooling_case()[1], Dataset([np.array([7], np.uint8), (3, 1)], [1, 0], 0)]
+    sources += [ds for task in desk_sequence(1) for ds in (task.train, task.test)]
+    for ds in sources:
+        for arr in (ds.ids, ds.lengths, ds.labels):
+            assert arr.ndim == 1 and arr.dtype == np.int64
+        assert ds.lengths.sum() == ds.ids.size and len(ds) == ds.lengths.size
+    assert sequences(sources[1]) == [[7], [3, 1]]
+    assert [sources[1].sequence_of(k) for k in range(3)] == [0, 1, 1]
+
+
+def test_dataset_retains_only_its_packed_arrays():
+    gen = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        # The input lists are made and dropped while traced, so only what
+        # the Dataset keeps counts.
+        ds = Dataset(gen.integers(0, 3000, size=(4800, 12)).tolist(), [0] * 4800, 0)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained <= 2 * (ds.ids.nbytes + ds.lengths.nbytes + ds.labels.nbytes)

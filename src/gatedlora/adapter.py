@@ -1,7 +1,9 @@
 """Expandable low-rank branches over frozen linear weights.
 
-Each task gets its own (down, up) pair; finished branches are frozen and
-the live one is combined with them through per-sample integration
+Each task gets its own (down, up) pair. While its task trains, the pair
+is the layer's one trainable `LoraBranch`; when the task ends the layer
+freezes it, moving both halves to the end of the stacks that hold every
+frozen branch. Branches are combined through per-sample integration
 coefficients. Branch update strategies differ only in what the new
 branch's row basis looks like and which half is trainable: plain
 expansion tunes both halves, the penalty strategy adds a row-space
@@ -35,44 +37,36 @@ class LoraBranch:
         self.down = Param(down.copy())
         self.down.requires_grad = train_down
 
-    @property
-    def frozen(self) -> bool:
-        """True once neither half trains; read from `requires_grad`, the
-        flag the optimizer and the backward passes go by."""
-        return not (self.up.requires_grad or self.down.requires_grad)
-
-    def freeze(self) -> None:
-        self.up.requires_grad = False
-        self.down.requires_grad = False
-
     def trainable_params(self) -> list[Param]:
         return [p for p in (self.up, self.down) if p.requires_grad]
 
 
 class LayerCache(NamedTuple):
     """What `AdaptedLinear.backward` reads of a forward: the input h; the
-    frozen part's (coefficients, ups, downs), as `autodiff.lowrank_sum`
-    took them; and, for each branch added after it, (coefficient, branch,
-    down @ h, up @ down @ h). `live` is True when the last of those
-    branches is weighted by the live coefficient."""
+    frozen branches' (coefficients, ups, downs), as `autodiff.lowrank_sum`
+    took them; and, when the layer has a trainable branch, its
+    (coefficient, branch, down @ h, up @ down @ h), else None. `live` is
+    True when that coefficient is the live one."""
 
     h: np.ndarray
     fused: tuple
-    terms: list
+    term: tuple | None
     live: bool
 
 
 class AdaptedLinear:
-    """Frozen weight plus an ordered stack of low-rank branches, all of one
-    rank."""
+    """Frozen weight plus a stack of low-rank branches, all of one rank:
+    the frozen ones as `autodiff.lowrank_sum` takes them, their ups
+    side by side in `ups` (m x K r) and their downs stacked in `downs`
+    (K r x d), oldest first, and at most one trainable `branch` after
+    them. `freeze` is the only way a branch joins the stacks."""
 
     def __init__(self, weight: Mat):
         self.weight = np.asarray(weight, dtype=np.float64)
-        self.branches: list[LoraBranch] = []
-        # (K, ups, downs): the ups (m, K r) side by side and the downs
-        # (K r, d) stacked of the first K branches, all frozen:
-        # `lowrank_sum`'s form of any k <= K of them.
-        self._frozen = (0, np.empty((self.out_dim, 0)), np.empty((0, self.in_dim)))
+        self.frozen_count = 0
+        self.ups = np.empty((self.out_dim, 0))
+        self.downs = np.empty((0, self.in_dim))
+        self.branch: LoraBranch | None = None
 
     @property
     def out_dim(self) -> int:
@@ -82,23 +76,27 @@ class AdaptedLinear:
     def in_dim(self) -> int:
         return self.weight.shape[1]
 
-    def _frozen_part(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """ups (m, k r) and downs (k r, d) of the first k branches, which
-        must be frozen. Frozen values never change and branches are only
-        appended, so the arrays are rebuilt only when k outgrows them. They
-        then hold those values: each branch's up and down are rebound to
-        their views, equal byte for byte, so the layer does not keep them
-        twice."""
-        built, ups, downs = self._frozen
-        if k > built:
-            lead = self.branches[:k]
-            ups = np.concatenate([b.up.value for b in lead], axis=1)
-            downs = np.concatenate([b.down.value for b in lead])
-            for b, up, down in zip(lead, np.hsplit(ups, k), np.vsplit(downs, k)):
-                b.up.value, b.down.value = up, down
-            self._frozen = (k, ups, downs)
-        kr = k * self.branches[0].rank if k else 0
-        return ups[:, :kr], downs[:kr]
+    @property
+    def n_branches(self) -> int:
+        return self.frozen_count + (self.branch is not None)
+
+    @property
+    def rank(self) -> int | None:
+        """The rank of every branch of the layer; None before the first."""
+        if self.branch is not None:
+            return self.branch.rank
+        return len(self.downs) // self.frozen_count if self.frozen_count else None
+
+    def freeze(self) -> None:
+        """Append the trainable branch's up and down, byte for byte, to
+        `ups` and `downs`, leaving no trainable branch; nothing when there
+        is none."""
+        if self.branch is None:
+            return
+        self.ups = np.concatenate([self.ups, self.branch.up.value], axis=1)
+        self.downs = np.concatenate([self.downs, self.branch.down.value])
+        self.frozen_count += 1
+        self.branch = None
 
     def forward(
         self, fixed: np.ndarray, live: np.ndarray | None, h: np.ndarray
@@ -108,76 +106,70 @@ class AdaptedLinear:
 
         `fixed`, a (j, 1, n) array, holds the coefficients of the first j
         branches, which take no gradient; `live`, unless None, is the (1, n)
-        coefficient of branch j, the last, whose gradient `backward`
-        returns.
+        coefficient of the trainable branch, whose gradient `backward`
+        returns. Every frozen branch takes a row of `fixed`.
 
-        W h and the leading branches that are frozen and weighted by a row
-        of `fixed` are one `autodiff.lowrank_sum` over `fixed[:k]` and
-        `_frozen_part`; the search for them starts past the branches it
-        already holds. Every later branch is one `autodiff.add_branch`, its
-        coefficient a row of `fixed` or `live`, added in stack order.
+        W h and the K frozen branches are one `autodiff.lowrank_sum` over
+        `fixed[:K]`, `ups` and `downs`; the trainable branch, if any, is
+        one `autodiff.add_branch` after it, its coefficient `live` or,
+        without one, `fixed[K]`.
         """
+        k = self.frozen_count
         n_coeffs = len(fixed) + (live is not None)
-        if n_coeffs != len(self.branches):
-            raise ShapeMismatch(f"{n_coeffs} coefficients for {len(self.branches)} branches")
-        k = min(self._frozen[0], len(fixed))
-        while k < len(fixed) and self.branches[k].frozen:
-            k += 1
-        fused = (fixed[:k], *self._frozen_part(k))
+        if len(fixed) < k or n_coeffs != self.n_branches:
+            raise ShapeMismatch(
+                f"{len(fixed)} fixed and {int(live is not None)} live coefficients "
+                f"for {k} frozen and {self.n_branches - k} trainable branches"
+            )
+        fused = (fixed[:k], self.ups, self.downs)
         out = ad.lowrank_sum(h, self.weight, *fused)
-        coeffs = list(fixed[k:]) + ([] if live is None else [live])
-        terms = []
-        for a_i, branch in zip(coeffs, self.branches[k:]):
-            if branch.down.value.shape[1] != h.shape[0]:
-                raise ShapeMismatch(f"branch down {branch.down.value.shape} @ h {h.shape}")
-            z = branch.down.value @ h
-            out, contrib = ad.add_branch(out, a_i, branch.up.value, z)
-            terms.append((a_i, branch, z, contrib))
-        return out, LayerCache(h, fused, terms, live is not None)
+        term = None
+        if self.branch is not None:
+            a = fixed[k] if live is None else live
+            z = self.branch.down.value @ h
+            out, contrib = ad.add_branch(out, a, self.branch.up.value, z)
+            term = (a, self.branch, z, contrib)
+        return out, LayerCache(h, fused, term, live is not None)
 
     def backward(
         self, cache: LayerCache, g: np.ndarray, input_grad: bool
     ) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Backward pass of `forward` for the output gradient g: sets `.grad`
-        on the trainable halves of its branches and returns the gradients of
-        h (when `input_grad`; None otherwise) and of the live coefficient
-        (None without one).
+        on the trainable halves of the trainable branch and returns the
+        gradients of h (when `input_grad`; None otherwise) and of the live
+        coefficient (None without one).
 
-        Each branch's shares are `autodiff.add_branch_vjp`'s and the frozen
-        part's `autodiff.lowrank_sum_vjp`'s. h adds the frozen part's share
-        and then each branch's in stack order.
+        The frozen branches' share is `autodiff.lowrank_sum_vjp`'s and the
+        trainable branch's `autodiff.add_branch_vjp`'s. h adds the frozen
+        share and then the trainable branch's.
         """
-        h, fused, terms, live = cache
+        h, fused, term, live = cache
         dh = ad.lowrank_sum_vjp(g, self.weight, *fused) if input_grad else None
-        dlive = None
-        for i, (a_i, branch, z, contrib) in enumerate(terms):
-            up, down = branch.up, branch.down
-            is_live = live and i == len(terms) - 1
-            da, dup, dz = ad.add_branch_vjp(
-                g, a_i, up.value, z, contrib,
-                (is_live, up.requires_grad, down.requires_grad or input_grad),
-            )
-            if is_live:
-                dlive = da
-            if up.requires_grad:
-                up.grad = dup
-            if down.requires_grad:
-                down.grad = dz @ h.T
-            if input_grad:
-                dh += down.value.T @ dz
+        if term is None:
+            return dh, None
+        a, branch, z, contrib = term
+        up, down = branch.up, branch.down
+        dlive, up.grad, dz = ad.add_branch_vjp(
+            g, a, up.value, z, contrib, (live, True, down.requires_grad or input_grad)
+        )
+        if down.requires_grad:
+            down.grad = dz @ h.T
+        if input_grad:
+            dh += down.value.T @ dz
         return dh, dlive
 
 
-def olora_gram(branches: list[LoraBranch]) -> Mat | None:
-    """Sum of down^T down over every branch but the newest, in stack order;
-    None when there is no older branch. The older branches stay frozen while
-    the newest trains, so one Gram matrix serves a whole task; the penalty's
-    gradient against it is `autodiff.row_space_penalty_grad`."""
-    if len(branches) <= 1:
+def olora_gram(layer: AdaptedLinear) -> Mat | None:
+    """Sum of down^T down over the layer's frozen branches, the row blocks
+    of `downs`, in stack order; None when there is none. They stay frozen
+    while the trainable branch trains, so one Gram matrix serves a whole
+    task; the penalty's gradient against it is
+    `autodiff.row_space_penalty_grad`."""
+    if not layer.frozen_count:
         return None
-    gram = np.zeros((branches[0].down.value.shape[1],) * 2)
-    for old in branches[:-1]:
-        gram += old.down.value.T @ old.down.value
+    gram = np.zeros((layer.in_dim,) * 2)
+    for down in np.vsplit(layer.downs, layer.frozen_count):
+        gram += down.T @ down
     return gram
 
 
@@ -214,30 +206,25 @@ def expand_branch(
     *,
     designed_down: Mat | None = None,
 ) -> LoraBranch:
-    """Freeze existing branches and append a fresh trainable one of the
-    rank they have (ShapeMismatch otherwise).
+    """Freeze the layer's trainable branch, if any (`AdaptedLinear.freeze`),
+    and give it a fresh trainable one of the rank its branches have
+    (ShapeMismatch otherwise, before the layer changes).
 
-    The up half starts at zero so the stack's outputs are unchanged by
+    The up half starts at zero so the layer's outputs are unchanged by
     expansion. With designed_down the down half is fixed (only the up
     half trains); otherwise it is Gaussian and trainable.
     """
     if r < 1 or r > min(layer.in_dim, layer.out_dim):
         raise ValueError(f"rank {r} invalid for layer {layer.weight.shape}")
-    if layer.branches and r != layer.branches[0].rank:
-        raise ShapeMismatch(
-            f"rank {r} differs from the layer's branches' rank {layer.branches[0].rank}"
-        )
-    for branch in layer.branches:
-        branch.freeze()
+    if layer.rank not in (None, r):
+        raise ShapeMismatch(f"rank {r} differs from the layer's branches' rank {layer.rank}")
+    if designed_down is not None and designed_down.shape != (r, layer.in_dim):
+        raise ShapeMismatch(f"designed rows {designed_down.shape} vs ({r}, {layer.in_dim})")
+    layer.freeze()
     up = np.zeros((layer.out_dim, r))
     if designed_down is not None:
-        if designed_down.shape != (r, layer.in_dim):
-            raise ShapeMismatch(
-                f"designed rows {designed_down.shape} vs ({r}, {layer.in_dim})"
-            )
-        branch = LoraBranch(up, designed_down, train_down=False)
+        layer.branch = LoraBranch(up, designed_down, train_down=False)
     else:
         down = gaussian_init(rng, r, layer.in_dim, BRANCH_INIT_STD)
-        branch = LoraBranch(up, down)
-    layer.branches.append(branch)
-    return branch
+        layer.branch = LoraBranch(up, down)
+    return layer.branch

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -91,7 +92,10 @@ class StrategyConfig:
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
         for name in ("rank", "epochs", "batch_size", "gate_hidden"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
 
     @property
@@ -224,7 +228,7 @@ class ContinualState:
 
     @property
     def n_branches(self) -> int:
-        return len(self.model.adapted_layers[0].branches)
+        return self.model.adapted_layers[0].n_branches
 
     def hold(self, pooled: np.ndarray, labels: np.ndarray) -> None:
         """Keep a learned task's `(embed_dim, n)` pooled test inputs and
@@ -290,8 +294,8 @@ class ContinualState:
     def trainable_params(self) -> list[ad.Param]:
         params: list[ad.Param] = []
         for layer in self.model.adapted_layers:
-            for branch in layer.branches:
-                params.extend(branch.trainable_params())
+            if layer.branch is not None:
+                params.extend(layer.branch.trainable_params())
         if self.cfg.gated and self.gates:
             new = self.gates[-1]
             params.extend(p for p in new.params if p.requires_grad)
@@ -382,9 +386,9 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
     penalties = []
     if cfg.branch_strategy == "olora":
         for layer in layers:
-            gram = olora_gram(layer.branches)
+            gram = olora_gram(layer)
             if gram is not None:
-                penalties.append((layer.branches[-1].down, gram))
+                penalties.append((layer.branch.down, gram))
 
     params = state.trainable_params()
     state.trained_size = sum(p.value.size for p in params)
@@ -419,7 +423,7 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
         state.gates[-1].freeze()
     if cfg.branch_strategy != "seq":
         for layer in layers:
-            layer.branches[-1].freeze()
+            layer.freeze()
     state.tasks_learned = t
 
 

@@ -48,8 +48,9 @@ class Dataset:
     The constructor takes a sequence of sequences and packs them once. It
     refuses an empty sequence, token ids that are not integers (bools
     included) or are negative, naming the sequence, and labels that are
-    not integers. Whether the ids fit a vocab is checked where the vocab
-    is known: `run_sequence` before any training, pooling on every call.
+    not integers or not 1-D. Whether the ids fit a vocab is checked where
+    the vocab is known: `run_sequence` before any training, pooling on
+    every call.
     """
 
     def __init__(self, sequences, labels, task_id: int):
@@ -58,6 +59,10 @@ class Dataset:
         if labels.size and labels.dtype.kind not in "iu":
             raise IdOutOfRange(
                 f"labels of task {task_id} must be integers, got dtype {labels.dtype}"
+            )
+        if labels.ndim != 1:
+            raise ShapeMismatch(
+                f"labels of task {task_id} must be 1-D, got shape {labels.shape}"
             )
         self.labels = labels.astype(np.int64, copy=False)
         arrays = list(map(np.asarray, sequences))
@@ -390,8 +395,8 @@ def generate_task(
     draw and label is the one a one-at-a-time generator would make.
 
     Raises ValueError, before any draw, when `seq_len` is not
-    1 <= min <= max or the window holds fewer distinct sequences than
-    n_train + n_test.
+    1 <= min <= max, `noise` is outside [0, 1] (NaN included) or the
+    window holds fewer distinct sequences than n_train + n_test.
     """
     if n_classes < 2:
         raise ValueError(f"need at least 2 classes, got {n_classes}")
@@ -400,6 +405,8 @@ def generate_task(
         raise IdOutOfRange(f"window {vocab_window} outside vocab")
     if not 1 <= seq_len[0] <= seq_len[1]:
         raise ValueError(f"seq_len {seq_len}: need 1 <= min <= max")
+    if not 0.0 <= noise <= 1.0:
+        raise ValueError(f"noise {noise} of task {task_id}: need 0 <= noise <= 1")
     capacity = sum((hi - lo) ** n for n in range(seq_len[0], seq_len[1] + 1))
     if capacity < n_train + n_test:
         raise ValueError(

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from gatedlora import continual
+from gatedlora.adapter import expand_branch
 from gatedlora.gating import GateFn
 from gatedlora.model import _token_ids
 from gatedlora.numerics import Rng
@@ -141,21 +143,16 @@ def lowrank_chain(weight, coeffs, ups, downs, h):
     return gr.add(out, frozen)
 
 
-def branch_sum(layer, coeffs, h):
-    """W h + sum_i a_i * up_i(down_i h) over the layer's first len(coeffs)
-    branches: the oracle that `AdaptedLinear.forward` and `backward` must
-    match byte for byte, value and gradients. The leading branches that are
-    frozen and whose coefficient takes no gradient are one `lowrank_chain`,
-    built from each branch's own up and down; every later branch is one
-    `branch_chain`."""
-    branches = layer.branches[: len(coeffs)]
-    k = 0
-    while (
-        k < len(branches)
-        and branches[k].frozen
-        and not getattr(coeffs[k], "requires_grad", False)
-    ):
-        k += 1
+def branch_sum(layer, branches, coeffs, h):
+    """W h + sum_i a_i * up_i(down_i h) over `branches`, every branch
+    `expand_branch` returned for the layer, oldest first, each weighted by
+    its coefficient: the oracle that `AdaptedLinear.forward` and `backward`
+    must match byte for byte, value and gradients. The layer's frozen
+    branches, the first `layer.frozen_count`, are one `lowrank_chain` built
+    from their own halves, never from the layer's stacks; the trainable
+    one after them is one `branch_chain`."""
+    assert len(branches) == len(coeffs) == layer.n_branches
+    k = layer.frozen_count
     lead = branches[:k]
     rows = [a if isinstance(a, np.ndarray) else a.value for a in coeffs[:k]]
     out = lowrank_chain(
@@ -170,14 +167,37 @@ def branch_sum(layer, coeffs, h):
     return out
 
 
+# Every branch `expand_branch` has returned in a `continual` run, per
+# adapted layer, oldest first (`record_branches`). A branch keeps the
+# halves it trained, and once frozen nothing changes them, so the oracles
+# read each branch from here.
+EXPANDED = {}
+
+
+@pytest.fixture
+def record_branches(monkeypatch):
+    """Record in `EXPANDED` every branch that `learn_task` expands during
+    the test, and empty it after."""
+
+    def recording(layer, *args, **kwargs):
+        branch = expand_branch(layer, *args, **kwargs)
+        EXPANDED.setdefault(layer, []).append(branch)
+        return branch
+
+    monkeypatch.setattr(continual, "expand_branch", recording)
+    yield
+    EXPANDED.clear()
+
+
 def oracle_forward(model, coeffs, pooled):
     """`ToyBackbone.forward` as a graph, every adapted layer summed by
-    `branch_sum`: logits node and each adapted layer's input."""
+    `branch_sum` over its branches in `EXPANDED`: logits node and each
+    adapted layer's input."""
     h = pooled
     inputs = []
     for i, layer in enumerate(model.adapted_layers):
         if i:
             h = gr.silu(h)
         inputs.append(h.value)
-        h = branch_sum(layer, coeffs, h)
+        h = branch_sum(layer, EXPANDED.get(layer, []), coeffs, h)
     return gr.matmul(gr.constant(model.head), h), inputs

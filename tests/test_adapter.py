@@ -83,17 +83,27 @@ def olora_penalty_per_step(branches, lam):
     return penalty_chain(branches[-1].down, gram, lam)
 
 
+def frozen_layer(branches):
+    """A zero-weight layer holding `branches`, oldest first, all frozen."""
+    up, down = branches[0].up.value, branches[0].down.value
+    layer = AdaptedLinear(np.zeros((len(up), down.shape[1])))
+    for branch in branches:
+        layer.branch = branch
+        layer.freeze()
+    return layer
+
+
 class TestIntegrate:
     def test_zero_init_branch_gives_zero(self, rng):
         layer = fresh_layer(rng)
-        expand_branch(layer, 2, rng.child("b"))
-        assert np.max(np.abs(integrate(layer.branches, [1.0]))) == 0.0
+        b = expand_branch(layer, 2, rng.child("b"))
+        assert np.max(np.abs(integrate([b], [1.0]))) == 0.0
 
     def test_all_coefficients_zero(self, rng):
         layer = fresh_layer(rng)
         b = expand_branch(layer, 2, rng.child("b"))
         b.up.value[:] = rng.normal(5, 2, 1.0)
-        assert np.max(np.abs(integrate(layer.branches, [0.0]))) == 0.0
+        assert np.max(np.abs(integrate([b], [0.0]))) == 0.0
 
     def test_hand_product(self):
         branch = LoraBranch(np.array([[1.0], [0.0]]), np.array([[2.0, 0.0]]))
@@ -120,22 +130,24 @@ class TestAdaptedForward:
 
     def test_matches_integrate_then_multiply(self, rng):
         layer = fresh_layer(rng)
+        branches = []
         for tag in "ab":
-            br = expand_branch(layer, 2, rng.child(tag))
-            br.up.value[:] = rng.normal(5, 2, 1.0)
+            branches.append(expand_branch(layer, 2, rng.child(tag)))
+            branches[-1].up.value[:] = rng.normal(5, 2, 1.0)
         h = rng.normal(4, 6, 1.0)
         coeffs = [0.3, 0.9]
         via_sum = adapted_forward(layer, coeffs, h)
-        via_integrated = (layer.weight + integrate(layer.branches, coeffs)) @ h
+        via_integrated = (layer.weight + integrate(branches, coeffs)) @ h
         assert np.max(np.abs(via_sum - via_integrated)) <= 1e-12
 
     def test_unit_coefficients_reduce_to_plain_addition(self, rng):
         layer = fresh_layer(rng)
+        branches = []
         for tag in "ab":
-            br = expand_branch(layer, 2, rng.child(tag))
-            br.up.value[:] = rng.normal(5, 2, 1.0)
+            branches.append(expand_branch(layer, 2, rng.child(tag)))
+            branches[-1].up.value[:] = rng.normal(5, 2, 1.0)
         h = rng.normal(4, 3, 1.0)
-        plain = layer.weight @ h + sum(delta(b) @ h for b in layer.branches)
+        plain = layer.weight @ h + sum(delta(b) @ h for b in branches)
         assert np.allclose(adapted_forward(layer, [1.0, 1.0], h), plain)
 
     def test_node_path_matches_value_path(self, rng):
@@ -148,6 +160,20 @@ class TestAdaptedForward:
         vals = layer.weight @ h + coeffs * (br.up.value @ (br.down.value @ h))
         assert np.allclose(out, vals, atol=1e-14)
 
+    @pytest.mark.parametrize("n_fixed, live", [(1, True), (1, False), (3, False), (2, True)])
+    def test_refuses_misplaced_coefficients(self, rng, n_fixed, live):
+        # Two frozen branches and no trainable one take two fixed rows.
+        # One fixed row and a live one are two coefficients, but the live
+        # one would weight a frozen branch; the others miscount.
+        layer = fresh_layer(rng)
+        for tag in "ab":
+            expand_branch(layer, 2, rng.child(tag))
+        layer.freeze()
+        h = rng.normal(4, 3, 1.0)
+        layer.forward(np.ones((2, 1, 3)), None, h)
+        with pytest.raises(ShapeMismatch, match="coefficients for 2 frozen"):
+            layer.forward(np.ones((n_fixed, 1, 3)), np.ones((1, 3)) if live else None, h)
+
     @pytest.mark.parametrize(
         "case, folded",
         [
@@ -158,27 +184,28 @@ class TestAdaptedForward:
         ],
     )
     def test_fused_frozen_part_matches_per_branch_oracle(self, rng, case, folded):
-        # Four frozen branches, then the live one. W h and the leading
-        # frozen branches with fixed coefficients are one `lowrank_sum`, and
-        # each later branch is one term more; value and every gradient
-        # `backward` gives are byte-equal to the graph `branch_sum`, whose
-        # frozen part is one chain over the branches' own halves. Gated, the
-        # live branch's coefficient trains; ungated, every coefficient is a
-        # fixed 1. In mixed_rank a third branch of another rank is refused
-        # before the layer changes: its two branches stay, the second still
-        # trainable.
+        # Four frozen branches, then the trainable one. W h and the frozen
+        # branches are one `lowrank_sum`, and the trainable branch is one
+        # term more; value and every gradient `backward` gives are
+        # byte-equal to the graph `branch_sum`, whose frozen part is one
+        # chain over the branches' own halves, as `expand_branch` returned
+        # them. Gated, the trainable branch's coefficient is the live one;
+        # ungated, every coefficient is a fixed 1. In mixed_rank a third
+        # branch of another rank is refused before the layer changes: its
+        # two branches stay, the second still trainable.
         d, n = 16, 12
         layer = AdaptedLinear(rng.normal(d, d, 1.0))
+        branches = []
         for t in range(5):
             if case == "mixed_rank" and t == 2:
                 with pytest.raises(ShapeMismatch, match="rank 3"):
                     expand_branch(layer, 3, rng.child(f"b{t}"))
-                assert len(layer.branches) == folded
-                assert not layer.branches[-1].frozen
+                assert layer.n_branches == folded
+                assert layer.branch is branches[-1]
                 return
             rows = rng.normal(2, d, 1.0) if case == "inflora" and t == 4 else None
-            expand_branch(layer, 2, rng.child(f"b{t}"), designed_down=rows)
-            layer.branches[-1].up.value[:] = rng.normal(d, 2, 1.0)
+            branches.append(expand_branch(layer, 2, rng.child(f"b{t}"), designed_down=rows))
+            branches[-1].up.value[:] = rng.normal(d, 2, 1.0)
         if case == "ungated":
             fixed, live = np.ones((5, 1, n)), None
             coeffs = list(fixed)
@@ -187,19 +214,19 @@ class TestAdaptedForward:
             fixed, live = rows[:4], rows[4]
             coeffs = list(fixed) + [gr.parameter(live)]
         h_value = rng.normal(d, n, 1.0)
-        params = layer.branches[4].trainable_params()
+        params = layer.branch.trainable_params()
 
         def loss(out):
             return total(gr.sigmoid(out))
 
         out, cache = layer.forward(fixed, live, h_value)
-        assert len(cache.fused[0]) == folded and len(cache.terms) == 5 - folded
+        assert len(cache.fused[0]) == folded and cache.term[1] is layer.branch
         dh, dlive = layer.backward(cache, upstream(out, loss), True)
         assert (dlive is None) == (live is None)
         got = [out, dh] + [p.grad for p in params] + ([] if live is None else [dlive])
 
         h = gr.parameter(h_value)
-        oracle = branch_sum(layer, coeffs, h)
+        oracle = branch_sum(layer, branches, coeffs, h)
         gr.backward(loss(oracle))
         want = [oracle.value, h.grad] + [p.grad for p in params]
         want += [a.grad for a in coeffs if not isinstance(a, np.ndarray)]
@@ -210,7 +237,9 @@ class TestOloraPenalty:
     def test_single_branch_penalty_zero(self):
         branch = LoraBranch(np.zeros((3, 1)), np.ones((1, 3)))
         assert olora_penalty([branch], 0.5) == 0.0
-        assert olora_gram([branch]) is None
+        layer = AdaptedLinear(np.zeros((3, 3)))
+        layer.branch = branch
+        assert olora_gram(layer) is None
 
     def test_orthogonal_rows_zero(self):
         b1 = LoraBranch(np.zeros((3, 1)), np.array([[1.0, 0.0, 0.0]]))
@@ -241,8 +270,7 @@ class TestOloraPenalty:
             branches = old + [LoraBranch(np.zeros((3, 2)), rows)]
             return olora_penalty(branches, lam)
 
-        branches = old + [LoraBranch(np.zeros((3, 2)), new_rows)]
-        grad = ad.row_space_penalty_grad(new_rows, olora_gram(branches), lam)
+        grad = ad.row_space_penalty_grad(new_rows, olora_gram(frozen_layer(old)), lam)
         numeric = finite_difference(lambda ps: value_of(ps[0]), [new_rows.copy()])
         assert_close_rel(grad, numeric[0], rel=1e-4, floor=1e-6)
 
@@ -250,18 +278,17 @@ class TestOloraPenalty:
         # One Gram built before training serves every step: the gradient's
         # bytes equal the per-step rebuild's while the newest branch trains.
         layer = fresh_layer(rng)
-        for tag in "abc":
-            expand_branch(layer, 2, rng.child(tag))
-        down = layer.branches[-1].down
-        gram = olora_gram(layer.branches)
+        branches = [expand_branch(layer, 2, rng.child(tag)) for tag in "abc"]
+        down = layer.branch.down
+        gram = olora_gram(layer)
         opt = AdamW([down], lr=1e-1)
         for _ in range(5):
-            gr.backward(olora_penalty_per_step(layer.branches, 0.7))
+            gr.backward(olora_penalty_per_step(branches, 0.7))
             oracle_grad = down.grad
             down.grad = ad.row_space_penalty_grad(down.value, gram, 0.7)
             assert down.grad.tobytes() == oracle_grad.tobytes()
             opt.step()
-        assert olora_gram(layer.branches).tobytes() == gram.tobytes()
+        assert olora_gram(layer).tobytes() == gram.tobytes()
 
 
 class TestInfloraDesign:
@@ -344,30 +371,52 @@ class TestExpandBranch:
         )
         assert np.all(np.abs(after - before) <= 2 * p * u / (1 - p * u) * magnitude)
 
-    def test_frozen_halves_are_views_of_the_layer_arrays(self, rng):
-        # Each frozen branch's up and down share memory with the layer's
-        # concatenated frozen halves, so no frozen value is stored twice;
-        # the trainable branch keeps arrays of its own.
+    def test_freeze_moves_the_branch_into_the_stacks(self, rng):
+        # `freeze` appends the trainable branch's halves, byte for byte, to
+        # `ups` (as columns) and `downs` (as rows) after the branches
+        # frozen before it, and leaves no trainable branch; a second
+        # `freeze` changes nothing.
         layer = fresh_layer(rng)
-        for tag in "abc":
-            expand_branch(layer, 2, rng.child(tag)).up.value[:] = rng.normal(5, 2, 1.0)
-        held = [(b.up.value.copy(), b.down.value.copy()) for b in layer.branches]
-        layer.forward(np.ones((2, 1, 3)), np.ones((1, 3)), rng.normal(4, 3, 1.0))
-        _, ups, downs = layer._frozen
-        for branch, (up, down) in zip(layer.branches, held):
-            assert branch.up.value.tobytes() == up.tobytes()
-            assert branch.down.value.tobytes() == down.tobytes()
-            assert np.shares_memory(branch.up.value, ups) == branch.frozen
-            assert np.shares_memory(branch.down.value, downs) == branch.frozen
-        assert [b.frozen for b in layer.branches] == [True, True, False]
+        held = []
+        for tag in "ab":
+            branch = expand_branch(layer, 2, rng.child(tag))
+            branch.up.value[:] = rng.normal(5, 2, 1.0)
+            held.append((branch.up.value.copy(), branch.down.value.copy()))
+            layer.freeze()
+            assert layer.branch is None
+            assert layer.frozen_count == len(held)
+        want_ups = np.concatenate([up for up, _ in held], axis=1)
+        want_downs = np.concatenate([down for _, down in held])
+        assert (layer.ups.shape, layer.downs.shape) == ((5, 4), (4, 4))
+        assert layer.ups.tobytes() == want_ups.tobytes()
+        assert layer.downs.tobytes() == want_downs.tobytes()
+        ups, downs = layer.ups, layer.downs
+        layer.freeze()
+        assert (layer.ups, layer.downs, layer.branch, layer.frozen_count) == (ups, downs, None, 2)
 
     def test_previous_branches_frozen(self, rng):
+        # Expanding freezes the trainable branch: its halves move to the
+        # stacks and none of them trains any more.
         layer = fresh_layer(rng)
         first = expand_branch(layer, 2, rng.child("a"))
-        assert not first.frozen
-        expand_branch(layer, 2, rng.child("b"))
-        assert first.frozen
-        assert not first.up.requires_grad and not first.down.requires_grad
+        assert layer.branch is first and layer.frozen_count == 0
+        second = expand_branch(layer, 2, rng.child("b"))
+        assert layer.branch is second and layer.frozen_count == 1
+        assert layer.ups.tobytes() == first.up.value.tobytes()
+        assert layer.downs.tobytes() == first.down.value.tobytes()
+        trainable = {id(p) for p in second.trainable_params()}
+        assert not trainable & {id(first.up), id(first.down)}
+
+    def test_refuses_another_rank_after_a_freeze(self, rng):
+        # The layer's rank outlives its trainable branch: once that branch
+        # is frozen, a branch of another rank is still refused, and the
+        # layer is left as it was.
+        layer = fresh_layer(rng)
+        expand_branch(layer, 2, rng.child("a"))
+        layer.freeze()
+        with pytest.raises(ShapeMismatch, match="rank 3"):
+            expand_branch(layer, 3, rng.child("b"))
+        assert (layer.frozen_count, layer.branch, layer.downs.shape) == (1, None, (2, 4))
 
     def test_designed_rows_are_frozen(self, rng):
         layer = fresh_layer(rng)
@@ -393,7 +442,7 @@ class TestExpandBranch:
         for _ in range(25):
             train_step(layer, ones, h)
             opt.step()
-        assert (first.up.value.tobytes(), first.down.value.tobytes()) == frozen_bytes
+        assert (layer.ups.tobytes(), layer.downs.tobytes()) == frozen_bytes
 
     def test_designed_rows_fixed_during_training(self, rng):
         layer = fresh_layer(rng)

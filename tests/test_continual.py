@@ -35,7 +35,10 @@ from gatedlora.params import count_trainable_params, preset
 from gatedlora.subspace import SubspaceBasis, SubspaceMemory
 
 import graph as gr
-from conftest import coefficient_nodes, oracle_forward, penalty_chain, sequences
+from conftest import EXPANDED, coefficient_nodes, oracle_forward, penalty_chain, sequences
+
+# The oracles read every branch that `learn_task` expands from `EXPANDED`.
+pytestmark = pytest.mark.usefixtures("record_branches")
 
 # Three tasks at desk size: a run takes a fraction of a second.
 DESK_MODEL = dict(
@@ -107,11 +110,13 @@ def fresh_forward(state, pooled):
 
 
 def task_bytes(state, k):
-    """Bytes of task k's branch in every adapted layer and of its gate."""
+    """Bytes of task k's frozen branch in every adapted layer, its blocks
+    of the layer's `ups` and `downs`, and of its gate."""
     parts = []
     for layer in state.model.adapted_layers:
-        branch = layer.branches[k]
-        parts += [branch.up.value.tobytes(), branch.down.value.tobytes()]
+        up = np.hsplit(layer.ups, layer.frozen_count)[k]
+        down = np.vsplit(layer.downs, layer.frozen_count)[k]
+        parts += [up.tobytes(), down.tobytes()]
     return parts + [p.value.tobytes() for p in state.gates[k].params]
 
 
@@ -165,14 +170,14 @@ def assert_run_invariants(cfg, after_task=lambda state, task: None):
         # The optimizer only ever holds the newest task's params, so the
         # bytes hold even if freezing did nothing; check the freeze itself.
         assert state.gates[-1].frozen
-        assert all(layer.branches[-1].frozen for layer in state.model.adapted_layers)
+        assert all(layer.branch is None for layer in state.model.adapted_layers)
         assert state.trainable_params() == []
     assert state.model.frozen_fingerprint() == fingerprint
     for k, before in enumerate(trained):
         assert task_bytes(state, k) == before, f"task {k} moved after it was frozen"
     frozen = [p for module in state.gates[:-1] for p in module.params]
     for layer in state.model.adapted_layers:
-        frozen += [p for b in layer.branches[:-1] for p in (b.up, b.down)]
+        frozen += [p for b in EXPANDED[layer][:-1] for p in (b.up, b.down)]
     assert all(p.grad is None for p in frozen)
 
     first = run_sequence(DESK_MODEL, cfg, 7).summary_dict()
@@ -436,10 +441,10 @@ def test_training_step_gradients_match_graph_oracle(branch_strategy, gating_mode
         loss = gr.softmax_cross_entropy(logits, pool.labels[idx])
         if branch_strategy == "olora":
             for layer in state.model.adapted_layers:
-                old = layer.branches[:-1]
+                old = EXPANDED[layer][:-1]
                 if old:
                     gram = sum(b.down.value.T @ b.down.value for b in old)
-                    down = layer.branches[-1].down
+                    down = EXPANDED[layer][-1].down
                     loss = gr.add(loss, penalty_chain(down, gram, continual.OLORA_LAMBDA))
         gr.backward(loss)
         assert bytes_of(got) == bytes_of(p.grad for p in opt.params)
@@ -735,14 +740,11 @@ def test_narrow_forward_matches_whole_pool_columns(m):
     )
     layer = AdaptedLinear(gaussian_init(rng.child("w"), d, d, 0.2))
     for i in range(4):
-        layer.branches.append(
-            LoraBranch(
-                gaussian_init(rng.child(f"up{i}"), d, r, 0.2),
-                gaussian_init(rng.child(f"down{i}"), r, d, 0.2),
-            )
+        layer.freeze()  # three fused by lowrank_sum, one added on its own
+        layer.branch = LoraBranch(
+            gaussian_init(rng.child(f"up{i}"), d, r, 0.2),
+            gaussian_init(rng.child(f"down{i}"), r, d, 0.2),
         )
-    for branch in layer.branches[:3]:
-        branch.freeze()  # three fused by lowrank_sum, one added on its own
     rows = np.array([gaussian_init(rng.child(f"a{i}"), 1, n, 1.0) for i in range(4)])
 
     whole_gate = gate.forward_values(x)[0]
@@ -766,7 +768,7 @@ def test_inflora_out_of_subspace_names_layer_and_settings():
         assert part in msg
     assert isinstance(info.value.__cause__, NoFreeSubspace)
     # raised before anything was expanded or added
-    assert all(not layer.branches for layer in state.model.adapted_layers)
+    assert all(layer.n_branches == 0 for layer in state.model.adapted_layers)
     assert not state.gates
 
 
@@ -844,6 +846,14 @@ VALIDATE_CASES = [
     ("epochs", 0, "epochs must be >= 1"),
     ("batch_size", 0, "batch_size must be >= 1"),
     ("gate_hidden", 0, "gate_hidden must be >= 1"),
+    ("rank", 2.5, "rank must be an integer, got 2.5"),
+    ("rank", True, "rank must be an integer, got True"),
+    ("epochs", 4.0, "epochs must be an integer, got 4.0"),
+    ("epochs", False, "epochs must be an integer, got False"),
+    ("batch_size", 16.0, "batch_size must be an integer, got 16.0"),
+    ("batch_size", True, "batch_size must be an integer, got True"),
+    ("gate_hidden", 3.5, "gate_hidden must be an integer, got 3.5"),
+    ("gate_hidden", True, "gate_hidden must be an integer, got True"),
 ]
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gatedlora import model, numerics
-from gatedlora.errors import EmptyInput, IdOutOfRange, WindowOverlap
+from gatedlora.errors import EmptyInput, IdOutOfRange, ShapeMismatch, WindowOverlap
 from gatedlora.model import (
     Dataset,
     Task,
@@ -396,6 +396,29 @@ def test_dataset_rejects_bad_ids_naming_the_sequence(bad, match):
 def test_dataset_refuses_non_integer_labels(labels):
     with pytest.raises(IdOutOfRange, match="labels of task 0 must be integers"):
         Dataset([[1, 2], [3]], labels, 0)
+
+
+def test_dataset_refuses_labels_that_are_not_1d():
+    # (n, 1) labels would broadcast `pred == labels` to (n, n) in
+    # `evaluate` and report a wrong accuracy.
+    with pytest.raises(ShapeMismatch, match=r"labels of task 1 must be 1-D, got shape \(2, 1\)"):
+        Dataset([[1, 2], [3]], np.array([[2], [3]]), 1)
+
+
+class NoDraws:
+    """An Rng stand-in that fails on any use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew from the rng ({name})")
+
+
+@pytest.mark.parametrize("noise", [1.5, -0.2, float("nan")])
+def test_generate_task_refuses_noise_outside_unit_interval(noise):
+    embedding = gaussian_init(Rng(0).child("embed"), 16, 8, 1.0)
+    with pytest.raises(ValueError, match=f"noise {noise} of task 0"):
+        generate_task(
+            NoDraws(), 0, (0, 16), 2, 6, 2, noise, embedding=embedding, class_offset=0
+        )
 
 
 def test_packed_layout():

@@ -27,7 +27,8 @@ training step's gradients to the oracle's; do not add a kernel without
 extending those checks.
 
 Trainable weights are `Param` leaves: the optimizer reads their `.grad`,
-which a backward pass sets, and freezing clears their `requires_grad`.
+which a backward pass sets. A frozen weight is one that no backward pass
+or optimizer reaches (a layer's stacks, a run's frozen gates), not a flag.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from .errors import NonFinite, ShapeMismatch
 
 class Param:
     """A trainable weight: its value, the gradient the last backward pass
-    set on it, and whether it trains (cleared by a freeze)."""
+    set on it, and whether it takes one (False only for an InfLoRA branch's
+    designed `down`)."""
 
     __slots__ = ("value", "grad", "requires_grad")
 

@@ -22,7 +22,6 @@ product.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -38,6 +37,7 @@ from .errors import (
     IncompleteMatrix,
     NoFreeSubspace,
     OrderViolation,
+    ShapeMismatch,
     SingleTask,
 )
 from .gating import (
@@ -85,6 +85,10 @@ class StrategyConfig:
                 "the single-branch strategy has no per-task branch to gate; "
                 "use gating_mode='fixed_one'"
             )
+        for name in ("eps_threshold", "lr", "gate_init_std"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not 0.0 < self.eps_threshold <= 1.0:
             raise ValueError(f"eps_threshold must be in (0, 1], got {self.eps_threshold}")
         for name in ("lr", "gate_init_std"):
@@ -190,15 +194,20 @@ class Pool:
     coeffs: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        if self.pooled.ndim != 2 or self.labels.shape != self.pooled.shape[1:]:
+            raise ShapeMismatch(
+                f"a pool takes one label per pooled column: labels of shape "
+                f"{self.labels.shape} for pooled inputs of shape {self.pooled.shape}"
+            )
         self.coeffs = np.empty((0, 1, self.pooled.shape[1]))
 
 
 class ContinualState:
     """Everything that persists across tasks in one run: the model, the
-    gate modules (`gates`, one per learned task in task order when gated;
-    only the newest trains), both subspace memories, the accuracy matrix
-    and the held test pools (`held`, one `Pool` per learned task, in task
-    order)."""
+    frozen gate modules (`gates`, one per learned task in task order when
+    gated), the gate that trains (`gate`, None but while a gated task
+    learns), both subspace memories, the accuracy matrix and the held test
+    pools (`held`, one `Pool` per learned task, in task order)."""
 
     def __init__(self, model: ToyBackbone, cfg: StrategyConfig, rng: Rng):
         cfg.validate()
@@ -213,6 +222,7 @@ class ContinualState:
         self.cfg = cfg
         self.rng = rng
         self.gates: list[GatingModule] = []
+        self.gate: Optional[GatingModule] = None
         self.gate_shapes = gating_layer_shapes(model.embed_dim, cfg.gate_hidden)
         self.gate_memory = SubspaceMemory(
             [s[1] for s in self.gate_shapes], cfg.eps_threshold
@@ -240,16 +250,15 @@ class ContinualState:
     ) -> tuple[np.ndarray, tuple]:
         """Logits of the integrated model on the pool's columns `idx` (all
         of them when None), every branch weighted by its gate, or by 1 when
-        ungated, and the cache `backward` reads: the newest gate's cache
-        (None when the memo holds its row) and the backbone's, whose
+        ungated, and the cache `backward` reads: the training gate's cache
+        (None when there is no training gate) and the backbone's, whose
         `inputs` holds each adapted layer's input.
 
         First the pool's memo is extended (`extend_memo`). Then its columns
         `idx` are taken, the inputs and the coefficients in one `take` each,
-        and the rest runs fresh: the newest gate when the memo lacks its
-        row, the adapted layers and the head. On a held pool every gate is
-        frozen. The result matches a fresh forward on the C-ordered batch
-        `pool.pooled.take(idx, axis=1)` byte for byte as long as BLAS rounds
+        and the rest runs fresh: the training gate (`gate`), if any, the
+        adapted layers and the head. The result matches a fresh forward on
+        the C-ordered batch `pool.pooled.take(idx, axis=1)` byte for byte as long as BLAS rounds
         a gate's output column the same whatever the product's width, which
         OpenBLAS does when the batch width is a multiple of 8.
         """
@@ -263,29 +272,29 @@ class ContinualState:
         x = cols(pool.pooled)
         fixed = cols(pool.coeffs, axis=2)
         live = gate = None
-        if len(fixed) < self.n_branches:
-            live, gate = self.gates[-1].forward(x)
+        if self.gate is not None:
+            live, gate = self.gate.forward(x)
         logits, cache = self.model.forward(fixed, live, x)
         return logits, (gate, cache)
 
     def backward(self, cache: tuple, g: np.ndarray) -> None:
         """Backward pass of `apply` for the logits' gradient g: sets `.grad`
-        on every weight that trains, the live gate's from the gradient the
-        backbone returns for its coefficient."""
+        on every weight that trains, the training gate's from the gradient
+        the backbone returns for its coefficient."""
         gate, model_cache = cache
         dlive = self.model.backward(model_cache, g)
         if gate is not None:
-            self.gates[-1].backward(gate, dlive)
+            self.gate.backward(gate, dlive)
 
     def extend_memo(self, pool: Pool) -> None:
-        """Add to the pool's memo the rows of the gates frozen since it was
-        last read (ungated, a row of ones per new branch); nothing when
-        there are none, as on every training step after a task's first."""
+        """Add to the pool's memo of j rows those of `gates[j:]`, the gates
+        frozen since it was last read (ungated, a row of ones per new
+        branch); nothing when there are none, as on every training step
+        after a task's first."""
         j = len(pool.coeffs)
         n = pool.pooled.shape[1]
         if self.cfg.gated:
-            frozen = itertools.takewhile(lambda m: m.frozen, self.gates[j:])
-            rows = [module.forward(pool.pooled)[0] for module in frozen]
+            rows = [module.forward(pool.pooled)[0] for module in self.gates[j:]]
         else:
             rows = [np.ones((1, n))] * (self.n_branches - j)
         if rows:
@@ -296,9 +305,8 @@ class ContinualState:
         for layer in self.model.adapted_layers:
             if layer.branch is not None:
                 params.extend(layer.branch.trainable_params())
-        if self.cfg.gated and self.gates:
-            new = self.gates[-1]
-            params.extend(p for p in new.params if p.requires_grad)
+        if self.gate is not None:
+            params.extend(self.gate.params)
         return params
 
 
@@ -323,11 +331,11 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
     initialization, training, subspace growth, freeze).
 
     The task's pooled training set is one `Pool` for the whole task: every
-    step reads its batch's columns of the frozen gate rows from it. Once
-    the subspace
-    memories have grown, the task's gate and (but under `seq`, whose one
-    branch trains on every task) its branches freeze, so no later forward
-    computes them fresh."""
+    step reads its batch's columns of the frozen gate rows from it. The
+    task's gate trains as `state.gate`. Once the subspace memories have
+    grown, it moves to `state.gates` (the only way a gate freezes) and the
+    task's branches freeze (but under `seq`, whose one branch trains on
+    every task), so no later forward computes them fresh."""
     cfg = state.cfg
     if len(train) == 0:
         raise EmptyInput("cannot learn from an empty dataset")
@@ -365,9 +373,8 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
 
     transforms = {}
     if cfg.gated:
-        prev = state.gates[-1] if state.gates else None
-        module = init_new_gating(
-            prev,
+        state.gate = init_new_gating(
+            state.gates[-1] if state.gates else None,
             state.gate_memory,
             rng.child("gate"),
             shapes=state.gate_shapes,
@@ -375,9 +382,8 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
             init_std=cfg.gate_init_std,
             project_final=cfg.init_constraints,
         )
-        state.gates.append(module)
         if cfg.update_constraints:
-            for param, basis in zip(module.params, state.gate_memory.layers):
+            for param, basis in zip(state.gate.params, state.gate_memory.layers):
                 transforms[param] = (
                     lambda delta, b=basis: constrain_update(delta, b)
                 )
@@ -414,13 +420,14 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
 
     if cfg.gated and (cfg.init_constraints or cfg.update_constraints):
         idx = _subsample(rng.child("trace"), n, SUBSPACE_SAMPLES)
-        _, trace = state.gates[-1].forward_values(pool.pooled.take(idx, axis=1))
+        _, trace = state.gate.forward_values(pool.pooled.take(idx, axis=1))
         state.gate_memory.extend_all(trace)
     if cfg.branch_strategy == "inflora":
         inputs = _collect_adapted_inputs(state, pool, rng.child("grad-space"))
         state.grad_memory.extend_all(inputs)
     if cfg.gated:
-        state.gates[-1].freeze()
+        state.gates.append(state.gate)
+        state.gate = None
     if cfg.branch_strategy != "seq":
         for layer in layers:
             layer.freeze()

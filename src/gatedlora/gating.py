@@ -2,11 +2,11 @@
 
 A gating module is a small SiLU MLP whose final layer maps to a scalar,
 squashed into [0, 1] by a gate function with f(0) = 0. The new module for
-task t starts with its first layers copied from the previous module,
-which is frozen from then on, and its final layer projected orthogonal
-to the stored input subspace, which pins its output to exactly 0 on
-anything old tasks produced. Updates are projected the same way so the
-pin survives training.
+task t starts with its first layers copied from the previous module and
+its final layer projected orthogonal to the stored input subspace, which
+pins its output to exactly 0 on anything old tasks produced. Updates are
+projected the same way so the pin survives training. Which module trains
+is the run's to say (`ContinualState.gate`).
 """
 
 from __future__ import annotations
@@ -86,16 +86,6 @@ class GatingModule:
         """Input dimension of every layer, hidden plus final."""
         return [p.value.shape[1] for p in self.params]
 
-    @property
-    def frozen(self) -> bool:
-        """True once no weight trains; read from `requires_grad`, the flag
-        the optimizer and the backward passes go by."""
-        return not any(p.requires_grad for p in self.params)
-
-    def freeze(self) -> None:
-        for p in self.params:
-            p.requires_grad = False
-
     def forward(self, pooled: Mat) -> tuple[np.ndarray, ad.GateCache]:
         """Gate row (1, n) on a pooled batch, and the cache `backward` reads,
         whose `trace` holds the input of every layer. The whole module, SiLU
@@ -109,14 +99,12 @@ class GatingModule:
 
     def backward(self, cache: ad.GateCache, g: np.ndarray) -> None:
         """Backward pass of `forward` for the gate row's gradient g: sets
-        `.grad` on every weight that trains (`autodiff.gate_mlp_vjp`, one
-        pass that stops below the lowest of them). The pooled input takes no
-        gradient."""
-        needs = [False] + [p.requires_grad for p in self.params]
-        grads = ad.gate_mlp_vjp(g, cache, needs)
+        `.grad` on every weight (`autodiff.gate_mlp_vjp`). Only the run's
+        training gate is ever passed back through. The pooled input takes
+        no gradient."""
+        grads = ad.gate_mlp_vjp(g, cache, [False] + [True] * len(self.params))
         for p, grad in zip(self.params, grads[1:]):
-            if grad is not None:
-                p.grad = grad
+            p.grad = grad
 
     def forward_values(self, pooled: Mat) -> tuple[np.ndarray, list[Mat]]:
         """The (n,) gate row and the input of every layer: `forward` read
@@ -135,7 +123,8 @@ def init_new_gating(
     init_std: float = 0.02,
     project_final: bool = True,
 ) -> GatingModule:
-    """Freeze the previous task's gate module and build the new task's.
+    """Build the new task's gate module; `prev`, the previous task's, is
+    left as it was.
 
     Hidden layers are copied from the previous module (Gaussian for the
     first task); the final row is drawn Gaussian and then, unless
@@ -151,8 +140,7 @@ def init_new_gating(
         prev_shapes = [p.value.shape for p in prev.params]
         if prev_shapes != list(shapes):
             raise DimMismatch(f"previous module shapes {prev_shapes} vs {shapes}")
-        prev.freeze()
-        weights = [p.value.copy() for p in prev.params[:-1]]
+        weights = [p.value for p in prev.params[:-1]]
     else:
         weights = [gaussian_init(rng, *s, init_std) for s in shapes[:-1]]
     final = gaussian_init(rng, *shapes[-1], init_std)

@@ -24,6 +24,7 @@ from gatedlora.errors import (
     IncompleteMatrix,
     NoFreeSubspace,
     OrderViolation,
+    ShapeMismatch,
     SingleTask,
     UnknownPreset,
 )
@@ -101,9 +102,14 @@ def fresh_forward(state, pooled):
     gate and branch run fresh on `pooled`, each branch weighted by its gate
     or by 1 when ungated, and each adapted layer summed branch by branch:
     the oracle for `ContinualState.apply`'s memo, for the fused frozen part
-    of `AdaptedLinear.forward` and, as a graph, for every backward pass."""
+    of `AdaptedLinear.forward` and, as a graph, for every backward pass.
+    The frozen gates' rows take no gradient; the training gate's, if there
+    is one, comes last."""
     if state.cfg.gated:
-        coeffs = coefficient_nodes(state.gates, pooled)
+        with gr.no_grad():
+            coeffs = coefficient_nodes(state.gates, pooled)
+        if state.gate is not None:
+            coeffs += coefficient_nodes([state.gate], pooled)
     else:
         coeffs = [gr.constant(np.ones((1, pooled.shape[1])))] * state.n_branches
     return oracle_forward(state.model, coeffs, pooled)
@@ -169,7 +175,7 @@ def assert_run_invariants(cfg, after_task=lambda state, task: None):
         trained.append(task_bytes(state, -1))
         # The optimizer only ever holds the newest task's params, so the
         # bytes hold even if freezing did nothing; check the freeze itself.
-        assert state.gates[-1].frozen
+        assert state.gate is None and len(state.gates) == state.tasks_learned
         assert all(layer.branch is None for layer in state.model.adapted_layers)
         assert state.trainable_params() == []
     assert state.model.frozen_fingerprint() == fingerprint
@@ -257,13 +263,10 @@ def bytes_of(arrays):
 
 
 def assert_memo_frozen(state, pool):
-    """The pool's memo holds exactly the fixed coefficients: the frozen
-    gates' rows, which lead their list, or ones for every branch when
-    ungated."""
+    """The pool's memo holds exactly the fixed coefficients: a row for
+    each frozen gate, or ones for every branch when ungated."""
     if state.cfg.gated:
-        frozen = [m.frozen for m in state.gates]
-        assert len(pool.coeffs) == sum(frozen)
-        assert all(frozen[: len(pool.coeffs)])
+        assert len(pool.coeffs) == len(state.gates)
     else:
         ones = np.ones((state.n_branches, 1, pool.pooled.shape[1]))
         assert pool.coeffs.tobytes() == ones.tobytes()
@@ -460,6 +463,56 @@ def test_training_step_gradients_match_graph_oracle(branch_strategy, gating_mode
         learn_task(state, task.train)
     per_task = cfg.epochs * -(-DESK_MODEL["train_per_task"] // cfg.batch_size)
     assert steps == {t: per_task for t in range(1, n_tasks + 1)}
+
+
+@pytest.mark.parametrize(
+    "branch_strategy, gating_mode",
+    [("olora", "gain"), ("inflora", "gain"), ("olora", "no_constraints"), ("olora", "fixed_one")],
+)
+def test_only_the_training_gate_trains(branch_strategy, gating_mode, monkeypatch):
+    # While a gated task trains, its gate is `state.gate` and no other gate
+    # trains: on every step the optimizer holds exactly the adapted layers'
+    # trainable halves and `state.gate.params`. When the task ends the gate
+    # joins the frozen `gates` and `state.gate` is None again. Building the
+    # next gate leaves the previous one as it was, bytes and flags, and
+    # shares no storage with it.
+    step, init = AdamW.step, continual.init_new_gating
+    cfg = desk_strategy(branch_strategy, gating_mode=gating_mode)
+    state, sequence = desk_state(cfg)
+    steps = Counter()
+
+    def checked_step(opt, transforms=None):
+        want = [
+            p for layer in state.model.adapted_layers for p in layer.branch.trainable_params()
+        ]
+        if cfg.gated:
+            want += state.gate.params
+        assert opt.params == state.trainable_params() == want
+        steps[state.tasks_learned] += 1
+        step(opt, transforms)
+
+    def checked_init(prev, *args, **kwargs):
+        assert prev is (state.gates[-1] if state.gates else None)
+        assert state.gate is None
+        def held(module):
+            return [(p.value.tobytes(), p.requires_grad, p.grad) for p in module.params]
+
+        before = None if prev is None else held(prev)
+        new = init(prev, *args, **kwargs)
+        if prev is not None:
+            assert held(prev) == before
+            for p, q in zip(prev.params, new.params):
+                assert not np.shares_memory(p.value, q.value)
+        return new
+
+    monkeypatch.setattr(AdamW, "step", checked_step)
+    monkeypatch.setattr(continual, "init_new_gating", checked_init)
+    for t, task in enumerate(sequence, 1):
+        learn_task(state, task.train)
+        assert state.gate is None
+        assert len(state.gates) == (t if cfg.gated else 0)
+    per_task = cfg.epochs * -(-DESK_MODEL["train_per_task"] // cfg.batch_size)
+    assert steps == {t: per_task for t in range(len(sequence))}
 
 
 @pytest.mark.parametrize("gating_mode", ["gain", "no_constraints"])
@@ -854,6 +907,12 @@ VALIDATE_CASES = [
     ("batch_size", True, "batch_size must be an integer, got True"),
     ("gate_hidden", 3.5, "gate_hidden must be an integer, got 3.5"),
     ("gate_hidden", True, "gate_hidden must be an integer, got True"),
+    ("eps_threshold", True, "eps_threshold must be a real number, got True"),
+    ("eps_threshold", "0.1", "eps_threshold must be a real number, got '0.1'"),
+    ("lr", True, "lr must be a real number, got True"),
+    ("lr", "0.1", "lr must be a real number, got '0.1'"),
+    ("gate_init_std", True, "gate_init_std must be a real number, got True"),
+    ("gate_init_std", "0.1", "gate_init_std must be a real number, got '0.1'"),
 ]
 
 
@@ -863,6 +922,31 @@ VALIDATE_CASES = [
 def test_validate_rejects_and_names_the_field(field, value, message):
     with pytest.raises(ValueError, match=message):
         StrategyConfig(**{field: value}).validate()
+
+
+@pytest.mark.parametrize("case", ["one", "five", "column", "flat_pooled"])
+def test_hold_refuses_labels_that_do_not_match_the_columns(case):
+    # A held pool takes one label per pooled column. Left unchecked, one
+    # label for 16 columns broadcast in `evaluate` (a silent score), and 5
+    # failed there with numpy's unnamed broadcast error.
+    state, sequence = desk_state(desk_strategy("olora"))
+    test = sequence.tasks[0].test
+    pooled = state.model.pool_batch(test)
+    labels = {
+        "one": test.labels[:1],
+        "five": test.labels[:5],
+        "column": test.labels[:, None],
+        "flat_pooled": test.labels,
+    }[case]
+    if case == "flat_pooled":
+        pooled = pooled[0]
+    with pytest.raises(ShapeMismatch) as info:
+        state.hold(pooled, labels)
+    for shape in (labels.shape, pooled.shape):
+        assert str(shape) in str(info.value)
+    assert not state.held
+    state.hold(state.model.pool_batch(test), test.labels)
+    assert len(state.held) == 1
 
 
 @pytest.mark.parametrize("case", ["label", "task_id", "token_id", "empty_split"])

@@ -270,8 +270,7 @@ class TestConstrainUpdate:
 
 class TestInvarianceUnderConstrainedTraining:
     def train(self, module, mem, x_new, steps, constrained):
-        params = [p for p in module.params if p.requires_grad]
-        opt = AdamW(params, lr=2e-2)
+        opt = AdamW(module.params, lr=2e-2)
         transforms = {}
         if constrained:
             for i, p in enumerate(module.params):
@@ -326,9 +325,10 @@ class TestInvarianceUnderConstrainedTraining:
 
 
 class TestGateSequence:
-    """A run's gate modules, one per task. A run freezes each gate at the
-    end of its own task (`learn_task`); `init_new_gating` also freezes the
-    previous module as it builds the next, so only the newest trains."""
+    """A run's gate modules, one per task, each built from the one before
+    (`init_new_gating`). Only the newest trains: the run holds it apart as
+    `ContinualState.gate` until its task ends (see
+    `test_only_the_training_gate_trains` in `test_continual.py`)."""
 
     def two_gates(self, rng):
         first = make_module(rng.child("a"))
@@ -337,12 +337,6 @@ class TestGateSequence:
             shapes=gating_layer_shapes(6, 4), gate=GateFn.ABS_SIGMOID,
         )
         return [first, second]
-
-    def test_only_last_module_trainable(self, rng):
-        gates = self.two_gates(rng)
-        assert gates[0].frozen and not gates[1].frozen
-        assert all(not p.requires_grad for p in gates[0].params)
-        assert all(p.requires_grad for p in gates[1].params)
 
     def test_frozen_weights_bit_identical_after_training(self, rng):
         gates = self.two_gates(rng)

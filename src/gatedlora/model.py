@@ -10,11 +10,17 @@ exposing task identity at inference.
 A run holds every task's splits to its end, so a `Dataset` keeps its
 sequences packed in two int64 arrays, the token ids back to back and one
 length per sequence, which pooling reads without a conversion.
+
+`generate_task` makes the draws of a one-at-a-time rejection sampler
+byte for byte, but reads them ahead in blocks of raw 32-bit draws: each
+block is decoded once per range (Lemire's method, as numpy's bounded
+sampler) and split by one walk along its chain of candidates.
 """
 
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -250,25 +256,16 @@ def _pool_rows(flat, lengths: np.ndarray, embedding: Mat) -> Mat:
     return rows
 
 
-def _runs(
-    raw: np.ndarray, low: int, high: int, starts: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where in a block of raw 32-bit draws `Rng.integers(low, high,
-    counts[i])` takes its values when called at block position starts[i].
-
-    Returns the values the block's draws make, in block order; the index
-    among them of each call's first value; and the block position after
-    each call's last draw, -1 where the block runs out first. A range of
-    one value draws nothing.
-    """
-    if high - low == 1:
-        return np.full(counts.max(), low), np.zeros_like(starts), starts
-    values, accepted = _lemire(raw, high - low)
-    # first[i]: accepted draws before position starts[i]
-    first = np.concatenate(([0], np.cumsum(accepted)))[starts]
-    after = np.append(np.flatnonzero(accepted) + 1, -1)
-    last = np.minimum(first + counts - 1, len(after) - 1)
-    return low + values[accepted], first, after[last]
+def _accepted(raw: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What `Rng.integers` makes of a block of raw 32-bit draws for a range
+    of 2 <= n values: the values in [0, n) of the accepted draws, in block
+    order; their block positions; and, for each position p in
+    0..len(raw), the number of accepted draws before p (`_lemire`)."""
+    values, accepted = _lemire(raw, n)
+    before = np.zeros(len(raw) + 1, np.int64)
+    np.cumsum(accepted, out=before[1:])
+    positions = np.flatnonzero(accepted)
+    return values[positions], positions, before
 
 
 def _split_candidates(
@@ -281,31 +278,57 @@ def _split_candidates(
     Returns, for the first (at most `limit`) candidates the block holds
     whole: their lengths, their tokens back to back, and the raw draws
     used through each.
+
+    One Lemire pass per range of more than one value (`_accepted`) gives
+    its accepted values, their positions and a prefix count of accepted
+    draws; a range of one value draws nothing. One walk then follows the
+    chain of candidates from position 0, the only one the stream reads: a
+    candidate starting at p takes its length from the first accepted
+    length draw at or after p and its tokens from the next `length`
+    accepted token draws, so its length, first token and end are O(1)
+    lookups and a rejected draw anywhere is skipped exactly. It stops at
+    `limit` candidates or at the first one the block does not hold whole.
+    The tokens are gathered once, after the walk.
     """
-    # A candidate could start at any block position; find where each would
-    # end, then follow the chain from position 0.
-    positions = np.arange(len(raw) + 1)
-    len_values, len_first, len_after = _runs(
-        raw, seq_len[0], seq_len[1] + 1, positions, np.ones_like(positions)
-    )
-    # The appended length is read only where the block runs out.
-    lengths = np.append(len_values, seq_len[0])[len_first]
-    tok_values, tok_first, tok_after = _runs(
-        raw, *window, np.where(len_after < 0, len(raw), len_after), lengths
-    )
-    after = np.where(len_after < 0, -1, tok_after).tolist()
+    len_low, len_n = seq_len[0], seq_len[1] + 1 - seq_len[0]
+    tok_low, tok_n = window[0], window[1] - window[0]
+    # The walk reads single entries through memoryviews, which return
+    # Python ints at about half the cost of `ndarray.item`.
+    if len_n > 1:
+        len_values, len_positions, len_before = map(memoryview, _accepted(raw, len_n))
+        len_count = len(len_positions)
+    if tok_n > 1:
+        tok_values, tok_positions, tok_before = map(memoryview, _accepted(raw, tok_n))
+        tok_count = len(tok_positions)
+    lengths: list[int] = []
+    firsts: list[int] = []  # index among tok_values of each first token
     ends: list[int] = []
     p = 0
-    while len(ends) < limit and after[p] >= 0:
-        p = after[p]
+    for _ in range(limit):
+        length = len_low
+        if len_n > 1:
+            i = len_before[p]
+            if i == len_count:
+                break
+            length += len_values[i]
+            p = len_positions[i] + 1
+        if tok_n > 1:
+            first = tok_before[p]
+            if first + length > tok_count:
+                break
+            firsts.append(first)
+            p = tok_positions[first + length - 1] + 1
+        lengths.append(length)
         ends.append(p)
-    starts = np.array([0] + ends)[:-1]
-    sizes = lengths[starts]
+    if tok_n == 1:
+        return lengths, np.full(sum(lengths), tok_low, np.int64), ends
     # Value index of every token: each candidate's run of values from its
     # first.
-    ranks = np.repeat(tok_first[starts] - (np.cumsum(sizes) - sizes), sizes)
+    sizes = np.array(lengths, np.int64)
+    offsets = np.cumsum(sizes) - sizes
+    ranks = np.repeat(np.array(firsts, np.int64) - offsets, sizes)
     ranks += np.arange(len(ranks))
-    return sizes.tolist(), tok_values[ranks], ends
+    return lengths, tok_low + np.asarray(tok_values)[ranks], ends
 
 
 def _labeller(teacher: Mat, embedding: Mat, window: tuple[int, int]):
@@ -389,14 +412,17 @@ def generate_task(
     A split goes through candidates in order, taking each unseen one whose
     class has room left, until it is full or has gone through 400 per
     sample plus 400; then the attempt fails. Candidates are read ahead of
-    the "draw" stream and labeled in blocks, from a table of the teacher's
-    scores of each window token (`_labeller`), and the stream then
-    advances past exactly the candidates the split went through, so every
-    draw and label is the one a one-at-a-time generator would make.
+    the "draw" stream in blocks, each split by one walk along the chain of
+    candidates from the block's first draw (`_split_candidates`) and
+    labeled from a table of the teacher's scores of each window token
+    (`_labeller`); the stream then advances past exactly the candidates
+    the split went through, so every draw and label is the one a
+    one-at-a-time generator would make.
 
     Raises ValueError, before any draw, when `seq_len` is not
-    1 <= min <= max, `noise` is outside [0, 1] (NaN included) or the
-    window holds fewer distinct sequences than n_train + n_test.
+    1 <= min <= max, `noise` is outside [0, 1] (NaN included), `n_train`
+    or `n_test` is not an integer >= 1 (bools refused) or the window holds
+    fewer distinct sequences than n_train + n_test.
     """
     if n_classes < 2:
         raise ValueError(f"need at least 2 classes, got {n_classes}")
@@ -407,6 +433,9 @@ def generate_task(
         raise ValueError(f"seq_len {seq_len}: need 1 <= min <= max")
     if not 0.0 <= noise <= 1.0:
         raise ValueError(f"noise {noise} of task {task_id}: need 0 <= noise <= 1")
+    for name, size in (("n_train", n_train), ("n_test", n_test)):
+        if not isinstance(size, numbers.Integral) or isinstance(size, bool) or size < 1:
+            raise ValueError(f"{name} {size!r} of task {task_id}: need an integer >= 1")
     capacity = sum((hi - lo) ** n for n in range(seq_len[0], seq_len[1] + 1))
     if capacity < n_train + n_test:
         raise ValueError(

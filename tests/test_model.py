@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from collections import Counter
 
@@ -160,12 +161,15 @@ def sequential_generate_task(
 # (vocab, embed dim, window, classes, n_train, n_test, noise, seq_len):
 # the desk configs split 20/10 over 3 classes, so the quotas are uneven;
 # "gpm-like" has the gpm-inflora workload's 8-token windows, where most
-# candidates can be rejected (seed 1 takes 96 of 1 810).
+# candidates can be rejected (seed 1 takes 96 of 1 810); "eval-like" has
+# eval-15's 200-token windows, whose token draws Lemire's method can
+# reject (2**32 mod 200 = 96, where 8 tokens give 0).
 GENERATOR_CASES = {
     "desk": (48, 16, (16, 32), 3, 20, 10, 0.0, (2, 2)),
     "desk-lengths": (48, 16, (0, 16), 3, 20, 10, 0.0, (1, 5)),
     "desk-noise": (48, 16, (16, 32), 3, 20, 10, 0.4, (2, 4)),
     "gpm-like": (16, 64, (8, 16), 4, 64, 32, 0.0, (8, 16)),
+    "eval-like": (400, 16, (200, 400), 4, 32, 16, 0.0, (8, 16)),
 }
 
 
@@ -266,6 +270,59 @@ def sequential_candidates(rng, seq_len, window, count):
     return out
 
 
+def prefixed_stream(seed):
+    """`Rng(seed)` with half a 64-bit draw left buffered."""
+    stream = Rng(seed)
+    stream.integers(0, 5, 1)
+    return stream
+
+
+class BlockEnd(Exception):
+    pass
+
+
+def decode_draw_by_draw(raw, seq_len, window, limit):
+    """The candidates a block of raw 32-bit draws holds whole, decoded one
+    draw at a time as numpy's bounded sampler (Lemire's method) reads
+    them: a range of n > 1 values turns draw r into (r * n) >> 32 unless
+    (r * n) mod 2**32 is below 2**32 mod n, which rejects r; a range of one
+    value draws nothing. Returns the candidates, the draws used through
+    each, and the rejected draws read (those of a last candidate the block
+    does not hold whole included)."""
+    raw = [int(r) for r in raw]
+    pos = rejected = 0
+
+    def integer(low, high):
+        nonlocal pos, rejected
+        n = high - low
+        if n == 1:
+            return low
+        while pos < len(raw):
+            m = raw[pos] * n
+            pos += 1
+            if m % 2**32 >= 2**32 % n:
+                return low + (m >> 32)
+            rejected += 1
+        raise BlockEnd
+
+    candidates, ends = [], []
+    try:
+        while len(ends) < limit:
+            length = integer(seq_len[0], seq_len[1] + 1)
+            candidates.append([integer(*window) for _ in range(length)])
+            ends.append(pos)
+    except BlockEnd:
+        pass
+    return candidates, ends, rejected
+
+
+def assert_splits_as(raw, seq_len, window, limit, candidates, ends):
+    lengths, flat, got_ends = _split_candidates(raw, seq_len, window, limit)
+    assert got_ends == ends
+    assert lengths == [len(c) for c in candidates]
+    assert flat.dtype == np.int64 and flat.tolist() == [t for c in candidates for t in c]
+
+
 class TestSplitCandidates:
     @pytest.mark.parametrize(
         "seq_len, window",
@@ -273,28 +330,72 @@ class TestSplitCandidates:
         ids=["gpm-like", "fixed-length", "half-rejected", "one-token-window"],
     )
     def test_matches_sequential_draws_and_stream_position(self, seq_len, window):
-        for seed in range(3):
-            stream = Rng(seed)
-            stream.integers(0, 5, 1)  # leave half a 64-bit draw buffered
-            raw = stream.peek_raw(200)
-            lengths, flat, ends = _split_candidates(raw, seq_len, window, 40)
+        # Blocks of 200 raw draws (seeds 0-2), then one of the production
+        # shape, a full `generate_task` block of 512 candidates over 512 *
+        # 17 raw draws (seed 3), which holds 512 whole: the walk stops at
+        # `limit`. With no limit it stops at the block's end, where the
+        # draw-by-draw decoder does.
+        for n_raw, limit, seed in [(200, 40, 0), (200, 40, 1), (200, 40, 2), (512 * 17, 512, 3)]:
+            raw = prefixed_stream(seed).peek_raw(n_raw)
+            lengths, flat, ends = _split_candidates(raw, seq_len, window, limit)
             assert lengths and ends == sorted(ends) and ends[-1] <= len(raw)
-            oracle = Rng(seed)
-            oracle.integers(0, 5, 1)
+            oracle = prefixed_stream(seed)
             starts = np.cumsum([0] + lengths)
             for k, end in enumerate(ends):
                 [want] = sequential_candidates(oracle, seq_len, window, 1)
                 assert flat[starts[k] : starts[k + 1]].tolist() == want
-                probe = Rng(seed)
-                probe.integers(0, 5, 1)
+                probe = prefixed_stream(seed)
                 probe.skip_raw(end)
                 assert probe.peek_raw(4).tolist() == oracle.peek_raw(4).tolist()
+            candidates, whole, _ = decode_draw_by_draw(raw, seq_len, window, n_raw + 1)
+            assert len(whole) <= n_raw
+            assert_splits_as(raw, seq_len, window, n_raw + 1, candidates, whole)
+            if n_raw == 512 * 17:
+                assert len(ends) == limit < len(whole)
 
     def test_rejection_path_runs(self):
         # Lemire's method rejects about half the draws for 2**31 + 1 values.
         raw = Rng(0).peek_raw(200)
         _, accepted = _lemire(raw, 2**31 + 1)
         assert 50 < np.count_nonzero(~accepted) < 150
+
+    def test_decoder_reads_a_stream_as_integers(self):
+        for window in ((200, 400), (0, 2**31 + 1)):
+            raw = Rng(5).peek_raw(400)
+            candidates, _, rejected = decode_draw_by_draw(raw, (8, 16), window, 10**6)
+            assert len(candidates) > 10
+            assert candidates == sequential_candidates(Rng(5), (8, 16), window, len(candidates))
+        assert rejected > 100  # half the draws for 2**31 + 1 tokens
+
+    @pytest.mark.parametrize(
+        "place", ["length", "length-twice", "first-token", "last-token", "block-end", "all"]
+    )
+    def test_rejected_draws_match_draw_by_draw_decoder(self, place):
+        # The raw value 0 is rejected by both ranges here: 0 * n mod 2**32 = 0
+        # is below 2**32 mod n, 4 for the 9 lengths 8..16 and 96 for 200
+        # tokens. (The "half-rejected" lengths never reject: 2**32 mod 4 = 0.)
+        # Each zero goes where the block without zeros puts a candidate's
+        # length draw, first token or last token, or into its last draws;
+        # "all" places every one at once, past the first of which the chain
+        # shifts.
+        seq_len, window = (8, 16), (200, 400)
+        raw = np.random.default_rng(0).integers(1, 2**32, size=20 * 17, dtype=np.uint64)
+        clean, clean_ends, rejected = decode_draw_by_draw(raw, seq_len, window, len(raw))
+        assert rejected == 0 and len(clean) > 10
+        starts = [0] + clean_ends
+        zeros = {
+            "length": [starts[3]],
+            "length-twice": [starts[4], starts[4] + 1],
+            "first-token": [starts[5] + 1],
+            "last-token": [clean_ends[6] - 1],
+            "block-end": list(range(len(raw) - 3, len(raw))),
+        }
+        zeros["all"] = sorted(sum(zeros.values(), []))
+        raw[zeros[place]] = 0
+        candidates, ends, rejected = decode_draw_by_draw(raw, seq_len, window, len(raw))
+        assert rejected == len(zeros[place])
+        for limit in (4, 7, len(raw)):
+            assert_splits_as(raw, seq_len, window, limit, candidates[:limit], ends[:limit])
 
     def test_limit_and_block_end(self):
         raw = Rng(7).peek_raw(50)
@@ -419,6 +520,30 @@ def test_generate_task_refuses_noise_outside_unit_interval(noise):
         generate_task(
             NoDraws(), 0, (0, 16), 2, 6, 2, noise, embedding=embedding, class_offset=0
         )
+
+
+@pytest.mark.parametrize(
+    "split, size",
+    [("n_train", 0), ("n_test", -3), ("n_train", 2.5), ("n_test", True), ("n_train", "6")],
+    ids=["zero", "negative", "float", "bool", "str"],
+)
+def test_generate_task_refuses_split_sizes_that_are_not_positive_integers(split, size):
+    embedding = gaussian_init(Rng(0).child("embed"), 16, 8, 1.0)
+    sizes = {"n_train": 6, "n_test": 2, split: size}
+    with pytest.raises(ValueError, match=re.escape(f"{split} {size!r} of task 3")):
+        generate_task(
+            NoDraws(), 3, (0, 16), 2, sizes["n_train"], sizes["n_test"], 0.0,
+            embedding=embedding, class_offset=0,
+        )
+
+
+def test_generate_task_takes_numpy_integer_sizes():
+    embedding = gaussian_init(Rng(0).child("embed"), 16, 8, 1.0)
+    task = generate_task(
+        Rng(0).child("data"), 0, (0, 16), 2, np.int64(6), np.int64(2), 0.0,
+        embedding=embedding, class_offset=0, seq_len=(2, 2),
+    )
+    assert (len(task.train), len(task.test)) == (6, 2)
 
 
 def test_packed_layout():

@@ -59,7 +59,12 @@ class AdaptedLinear:
     the frozen ones as `autodiff.lowrank_sum` takes them, their ups
     side by side in `ups` (m x K r) and their downs stacked in `downs`
     (K r x d), oldest first, and at most one trainable `branch` after
-    them. `freeze` is the only way a branch joins the stacks."""
+    them. `freeze` is the only way a branch joins the stacks.
+
+    `forward` is `frozen_part`, W h plus the frozen branches' terms, then
+    `add_trainable`, which adds the trainable branch. A caller that holds
+    the frozen part already (a pool's memo of the first adapted layer,
+    kept up to date with `frozen_terms`) calls `add_trainable` alone."""
 
     def __init__(self, weight: Mat):
         self.weight = np.asarray(weight, dtype=np.float64)
@@ -98,21 +103,49 @@ class AdaptedLinear:
         self.frozen_count += 1
         self.branch = None
 
+    def frozen_part(self, fixed: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """W h plus the K frozen branches' terms, each weighted by its row
+        of `fixed[:K]`: one `autodiff.lowrank_sum` over `ups` and `downs`.
+        ShapeMismatch when `fixed` has fewer than K rows."""
+        k = self.frozen_count
+        if len(fixed) < k:
+            raise ShapeMismatch(f"{len(fixed)} fixed coefficients for {k} frozen branches")
+        return ad.lowrank_sum(h, self.weight, fixed[:k], self.ups, self.downs)
+
+    def frozen_terms(self, j: int, fixed: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """The terms of frozen branches j to K - 1 alone, weighted by
+        `fixed[j:K]`: the product `autodiff.lowrank_sum` fuses, over their
+        blocks of `ups` and `downs` only, with no W h. A sum that holds the
+        first j branches' terms gains the rest by adding it."""
+        r = self.rank
+        return ad._terms(h, fixed[j : self.frozen_count], self.ups[:, j * r :], self.downs[j * r :])
+
     def forward(
         self, fixed: np.ndarray, live: np.ndarray | None, h: np.ndarray
     ) -> tuple[np.ndarray, LayerCache]:
         """W h + sum_i a_i * up_i(down_i h) over every branch, and the cache
-        `backward` reads.
+        `backward` reads: `frozen_part`, then `add_trainable`.
 
         `fixed`, a (j, 1, n) array, holds the coefficients of the first j
         branches, which take no gradient; `live`, unless None, is the (1, n)
         coefficient of the trainable branch, whose gradient `backward`
         returns. Every frozen branch takes a row of `fixed`.
+        """
+        return self.add_trainable(self.frozen_part(fixed, h), fixed, live, h)
 
-        W h and the K frozen branches are one `autodiff.lowrank_sum` over
-        `fixed[:K]`, `ups` and `downs`; the trainable branch, if any, is
-        one `autodiff.add_branch` after it, its coefficient `live` or,
-        without one, `fixed[K]`.
+    def add_trainable(
+        self,
+        frozen: np.ndarray,
+        fixed: np.ndarray,
+        live: np.ndarray | None,
+        h: np.ndarray,
+    ) -> tuple[np.ndarray, LayerCache]:
+        """The layer's output on h given `frozen`, W h plus the frozen
+        branches' terms (`frozen_part`, or a pool's memo of it), and the
+        cache `backward` reads. The trainable branch, if any, is one
+        `autodiff.add_branch` onto `frozen`, its coefficient `live` or,
+        without one, `fixed[K]`; without it the output is `frozen` itself.
+        The coefficients are those `forward` takes.
         """
         k = self.frozen_count
         n_coeffs = len(fixed) + (live is not None)
@@ -121,15 +154,13 @@ class AdaptedLinear:
                 f"{len(fixed)} fixed and {int(live is not None)} live coefficients "
                 f"for {k} frozen and {self.n_branches - k} trainable branches"
             )
-        fused = (fixed[:k], self.ups, self.downs)
-        out = ad.lowrank_sum(h, self.weight, *fused)
-        term = None
+        out, term = frozen, None
         if self.branch is not None:
             a = fixed[k] if live is None else live
             z = self.branch.down.value @ h
-            out, contrib = ad.add_branch(out, a, self.branch.up.value, z)
+            out, contrib = ad.add_branch(frozen, a, self.branch.up.value, z)
             term = (a, self.branch, z, contrib)
-        return out, LayerCache(h, fused, term, live is not None)
+        return out, LayerCache(h, (fixed[:k], self.ups, self.downs), term, live is not None)
 
     def backward(
         self, cache: LayerCache, g: np.ndarray, input_grad: bool

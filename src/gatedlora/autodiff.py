@@ -110,10 +110,20 @@ def lowrank_sum(
         )
     out = weight @ h
     if k:
-        z = downs @ h
-        _scale_terms(z, coeffs)
-        out += ups @ z
+        out += _terms(h, coeffs, ups, downs)
     return out
+
+
+def _terms(
+    h: np.ndarray, coeffs: np.ndarray, ups: np.ndarray, downs: np.ndarray
+) -> np.ndarray:
+    """ups @ (A * (downs @ h)), the k terms `lowrank_sum` adds to
+    weight @ h, in a new array: the chain
+    matmul(ups, scale_columns(A, matmul(downs, h))). Its callers pass
+    shapes `lowrank_sum` would accept."""
+    z = downs @ h
+    _scale_terms(z, coeffs)
+    return ups @ z
 
 
 def _scale_terms(z: np.ndarray, coeffs: np.ndarray) -> None:

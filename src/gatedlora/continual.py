@@ -10,14 +10,16 @@ Evaluation always uses the single gated forward path with no task
 identity, on test pools the state holds for the whole run.
 
 Training and evaluation apply the model to a pool through one method,
-`ContinualState.apply`. Frozen gates never change, and neither does a
-pool, so what they give on it is computed once per pool (the task's
-training pool, or a held test pool) and read back by column: every
-coefficient but the training gate's, as one (j, 1, n) array. A task is
-frozen as soon as it is learned, so a run of T tasks computes each (gate,
-held pool) product once: T^2 gate forwards in evaluation. The adapted
-layers run on every call, each adding all of its frozen branches in one
-product.
+`ContinualState.apply`. Frozen gates and branches never change, and
+neither does a pool, so what they give on it is computed once per pool
+(the task's training pool, or a held test pool) and read back by column:
+every coefficient but the training gate's, as one (j, 1, n) array, and
+the first adapted layer's output over its frozen branches, whose input is
+the pool itself. A task is frozen as soon as it is learned, so a run of T
+tasks computes each (gate, held pool) product and each (first-layer
+branch, held pool) term once: T^2 of each in evaluation. The first layer
+adds its trainable branch, if any, on every call; the later adapted
+layers run whole, each adding all of its frozen branches in one product.
 """
 
 from __future__ import annotations
@@ -177,21 +179,28 @@ def compute_ft(matrix: AccuracyMatrix) -> float:
 
 @dataclass
 class Pool:
-    """A pooled input set, with the coefficients the frozen gates give on
+    """A pooled input set, with what the frozen gates and branches give on
     it: a task's training pool, or a learned task's test pool, held for
     every later evaluation.
 
-    The pool never changes, and neither does a frozen gate, so each is
-    applied to the whole pool once: `coeffs`, a (j, 1, n) array, holds the
-    coefficients of the first j branches, frozen gate i's output row, or a
-    row of ones for an ungated branch, whose coefficient is a frozen 1. It
-    grows as tasks freeze. Each task freezes at the end of `learn_task`, so
-    on a held pool the memo covers every gate.
+    The pool never changes, and neither does a frozen gate or branch, so
+    each is applied to the whole pool once. `coeffs`, a (j, 1, n) array,
+    holds the coefficients of the first j branches, frozen gate i's output
+    row, or a row of ones for an ungated branch, whose coefficient is a
+    frozen 1. `frozen`, an (m, n) array, is the first adapted layer's
+    output over its frozen branches (`AdaptedLinear.frozen_part`): W x
+    plus the terms of the first `frozen_terms` of them, None before the
+    pool is first read. Both grow as tasks freeze, each into a new array
+    (`ContinualState.extend_memo`). Each task freezes at the end of
+    `learn_task`, so on a held pool the memo covers every gate and every
+    branch of the first layer.
     """
 
     pooled: np.ndarray
     labels: np.ndarray
     coeffs: np.ndarray = field(init=False)
+    frozen: Optional[np.ndarray] = field(init=False)
+    frozen_terms: int = field(init=False)
 
     def __post_init__(self):
         if self.pooled.ndim != 2 or self.labels.shape != self.pooled.shape[1:]:
@@ -200,6 +209,8 @@ class Pool:
                 f"{self.labels.shape} for pooled inputs of shape {self.pooled.shape}"
             )
         self.coeffs = np.empty((0, 1, self.pooled.shape[1]))
+        self.frozen = None
+        self.frozen_terms = 0
 
 
 class ContinualState:
@@ -255,12 +266,17 @@ class ContinualState:
         `inputs` holds each adapted layer's input.
 
         First the pool's memo is extended (`extend_memo`). Then its columns
-        `idx` are taken, the inputs and the coefficients in one `take` each,
-        and the rest runs fresh: the training gate (`gate`), if any, the
-        adapted layers and the head. The result matches a fresh forward on
-        the C-ordered batch `pool.pooled.take(idx, axis=1)` byte for byte as long as BLAS rounds
-        a gate's output column the same whatever the product's width, which
-        OpenBLAS does when the batch width is a multiple of 8.
+        `idx` are taken, the inputs, the coefficients and the first adapted
+        layer's frozen output in one `take` each, and the rest runs fresh:
+        the training gate (`gate`), if any, the first layer's trainable
+        branch, the later adapted layers and the head. On a training pool,
+        where the memo is computed once before the first step, the result
+        matches a fresh forward on the C-ordered batch
+        `pool.pooled.take(idx, axis=1)` byte for byte as long as BLAS rounds
+        an output column the same whatever the product's width, which
+        OpenBLAS does when the batch width is a multiple of 8. A held pool's
+        frozen output is a running sum, one term per task, so it matches a
+        fresh forward only to rounding (see `extend_memo`).
         """
         self.extend_memo(pool)
 
@@ -274,7 +290,7 @@ class ContinualState:
         live = gate = None
         if self.gate is not None:
             live, gate = self.gate.forward(x)
-        logits, cache = self.model.forward(fixed, live, x)
+        logits, cache = self.model.forward(fixed, live, x, cols(pool.frozen))
         return logits, (gate, cache)
 
     def backward(self, cache: tuple, g: np.ndarray) -> None:
@@ -287,18 +303,36 @@ class ContinualState:
             self.gate.backward(gate, dlive)
 
     def extend_memo(self, pool: Pool) -> None:
-        """Add to the pool's memo of j rows those of `gates[j:]`, the gates
-        frozen since it was last read (ungated, a row of ones per new
-        branch); nothing when there are none, as on every training step
-        after a task's first."""
+        """Bring the pool's memo up to the gates and branches frozen since
+        it was last read, each into a new array; nothing when none has
+        frozen, as on every training step after a task's first.
+
+        `coeffs` of j rows gains those of `gates[j:]` (ungated, a row of
+        ones per new branch). The first adapted layer's `frozen` output is
+        one `AdaptedLinear.frozen_part` over the whole pool at the first
+        read; later, it adds the terms of only the branches frozen since
+        (`AdaptedLinear.frozen_terms`), so a held pool pays one term per
+        task. That running sum adds the same products as a fresh
+        `frozen_part` in another order, so the two agree only to rounding:
+        within 2 gamma(d + k r + 2) M entrywise, with k frozen branches of
+        rank r, gamma(p) = p u / (1 - p u), u = 2^-53 and M the same sum
+        over absolute values.
+        """
         j = len(pool.coeffs)
-        n = pool.pooled.shape[1]
+        x = pool.pooled
+        n = x.shape[1]
         if self.cfg.gated:
-            rows = [module.forward(pool.pooled)[0] for module in self.gates[j:]]
+            rows = [module.forward(x)[0] for module in self.gates[j:]]
         else:
             rows = [np.ones((1, n))] * (self.n_branches - j)
         if rows:
             pool.coeffs = np.concatenate([pool.coeffs, np.reshape(rows, (-1, 1, n))])
+        first = self.model.adapted_layers[0]
+        if pool.frozen is None:
+            pool.frozen = first.frozen_part(pool.coeffs, x)
+        elif pool.frozen_terms < first.frozen_count:
+            pool.frozen = pool.frozen + first.frozen_terms(pool.frozen_terms, pool.coeffs, x)
+        pool.frozen_terms = first.frozen_count
 
     def trainable_params(self) -> list[ad.Param]:
         params: list[ad.Param] = []
@@ -439,11 +473,15 @@ def evaluate(state: ContinualState) -> list[float]:
     order), single gated forward path, no task identities.
 
     Logits come from `ContinualState.apply`, which reads frozen gate rows
-    from each pool's memo (see `Pool`). The task just learned is frozen,
-    so after task t the memo gains its gate on the t - 1 older pools and
-    all t gates on the new one: 2t - 1 gate forwards, T^2 over a run of T
-    tasks, each (gate, pool) pair once. The adapted layers and the head
-    run fresh.
+    and the first adapted layer's frozen output from each pool's memo (see
+    `Pool`). The task just learned is frozen, so after task t the memo
+    gains its gate and its first-layer branch term on the t - 1 older
+    pools and all t of each, with W x, on the new one: 2t - 1 gate
+    forwards and 2t - 1 branch terms, T^2 of each over a run of T tasks,
+    each (gate, pool) and (branch, pool) pair once. The later adapted
+    layers and the head run fresh. A held pool's first-layer output is a
+    running sum, one term per task, so the logits match a fresh forward
+    only to rounding (the bound is in `ContinualState.extend_memo`).
     """
     row = []
     for pool in state.held:

@@ -128,7 +128,11 @@ class BackboneCache(NamedTuple):
 
 
 class ToyBackbone:
-    """Frozen embedding + adapted hidden layers + frozen head."""
+    """Frozen embedding + adapted hidden layers + frozen head.
+
+    Raises ValueError, before any draw, when `vocab_size`, `embed_dim`,
+    `hidden_dim` or `n_classes` is not an integer >= 1 (bools refused),
+    naming it."""
 
     def __init__(
         self,
@@ -139,6 +143,12 @@ class ToyBackbone:
         hidden_dim: int,
         n_classes: int,
     ):
+        _check_sizes(
+            vocab_size=vocab_size,
+            embed_dim=embed_dim,
+            hidden_dim=hidden_dim,
+            n_classes=n_classes,
+        )
         self.vocab_size = vocab_size
         self.embed_dim = embed_dim
         self.hidden_dim = hidden_dim
@@ -178,19 +188,25 @@ class ToyBackbone:
         fixed: np.ndarray,
         live: np.ndarray | None,
         pooled: Mat,
+        frozen: np.ndarray,
     ) -> tuple[np.ndarray, BackboneCache]:
         """Class logits (C, n) for a pooled batch, and the cache `backward`
         reads, whose `inputs` holds the input of each adapted layer (for
         subspace collection). Every adapted layer weights its branches by
         the same coefficients: the (j, 1, n) rows `fixed` of the first j
         branches, then `live`, the (1, n) row of the one that trains, if
-        any, as in `AdaptedLinear.forward`."""
-        h = pooled
-        inputs, acts, layers = [], [], []
-        for i, layer in enumerate(self.adapted_layers):
-            if i:
-                acts.append(h)
-                h = ad.silu(h)
+        any, as in `AdaptedLinear.forward`.
+
+        `frozen` is the first adapted layer's `frozen_part` on the batch,
+        which a pool's memo holds (see `continual.Pool`): that layer adds
+        only its trainable branch, if it has one (`add_trainable`). Every
+        later layer runs its whole `forward`."""
+        first, *rest = self.adapted_layers
+        h, cache = first.add_trainable(frozen, fixed, live, pooled)
+        inputs, acts, layers = [pooled], [], [cache]
+        for layer in rest:
+            acts.append(h)
+            h = ad.silu(h)
             inputs.append(h)
             h, cache = layer.forward(fixed, live, h)
             layers.append(cache)
@@ -211,6 +227,14 @@ class ToyBackbone:
             if i:
                 g = ad.silu_vjp(dh, cache.acts[i - 1])
         return dlive
+
+
+def _check_sizes(**sizes) -> None:
+    """ValueError naming the first of the keyword sizes that is not an
+    integer >= 1; bools are refused."""
+    for name, size in sizes.items():
+        if not isinstance(size, numbers.Integral) or isinstance(size, bool) or size < 1:
+            raise ValueError(f"{name}={size!r}: need an integer >= 1")
 
 
 def _token_ids(tokens, vocab_size: int) -> np.ndarray:
@@ -525,9 +549,13 @@ def build_task_sequence(
     embedding: Mat,
     seq_len: tuple[int, int] = (8, 16),
 ) -> TaskSequence:
-    """Lay out disjoint vocab windows and generate every task."""
+    """Lay out disjoint vocab windows and generate every task.
+
+    Raises ValueError, before any draw, when `n_tasks` or `window_size` is
+    not an integer >= 1 (bools refused), naming it."""
+    _check_sizes(n_tasks=n_tasks, window_size=window_size)
     windows = [(t * window_size, (t + 1) * window_size) for t in range(n_tasks)]
-    if windows and windows[-1][1] > vocab_size:
+    if windows[-1][1] > vocab_size:
         raise WindowOverlap(
             f"{n_tasks} windows of {window_size} tokens exceed vocab {vocab_size}"
         )

@@ -134,37 +134,69 @@ def lowrank_chain(weight, coeffs, ups, downs, h):
     is the (m, k r) ups side by side and D the (k r, d) downs stacked;
     matmul(W, h) alone when k is 0."""
     out = gr.matmul(gr.constant(weight), h)
-    k = len(coeffs)
-    if not k:
+    if not len(coeffs):
         return out
-    scale = np.repeat(coeffs[:, 0], downs.shape[0] // k, axis=0)
+    return gr.add(out, terms_chain(coeffs, ups, downs, h))
+
+
+def terms_chain(coeffs, ups, downs, h):
+    """The k terms of `lowrank_chain` without W h:
+    matmul(U, scale_columns(A, matmul(D, h)))."""
+    scale = np.repeat(coeffs[:, 0], downs.shape[0] // len(coeffs), axis=0)
     down_h = gr.matmul(gr.constant(downs), h)
-    frozen = gr.matmul(gr.constant(ups), gr.scale_columns(gr.constant(scale), down_h))
-    return gr.add(out, frozen)
+    return gr.matmul(gr.constant(ups), gr.scale_columns(gr.constant(scale), down_h))
 
 
-def branch_sum(layer, branches, coeffs, h):
-    """W h + sum_i a_i * up_i(down_i h) over `branches`, every branch
-    `expand_branch` returned for the layer, oldest first, each weighted by
-    its coefficient: the oracle that `AdaptedLinear.forward` and `backward`
-    must match byte for byte, value and gradients. The layer's frozen
-    branches, the first `layer.frozen_count`, are one `lowrank_chain` built
-    from their own halves, never from the layer's stacks; the trainable
-    one after them is one `branch_chain`."""
-    assert len(branches) == len(coeffs) == layer.n_branches
+def frozen_chain(layer, branches, coeffs, h):
+    """W h plus the layer's frozen branches, the first `layer.frozen_count`
+    of `branches`, as one `lowrank_chain` built from their own halves,
+    never from the layer's stacks, each weighted by its coefficient (an
+    array, or a node whose value is read as a constant)."""
     k = layer.frozen_count
     lead = branches[:k]
     rows = [a if isinstance(a, np.ndarray) else a.value for a in coeffs[:k]]
-    out = lowrank_chain(
+    return lowrank_chain(
         layer.weight,
         np.reshape(rows, (k, 1, h.value.shape[1])),
         np.concatenate([np.empty((layer.out_dim, 0))] + [b.up.value for b in lead], axis=1),
         np.concatenate([np.empty((0, layer.in_dim))] + [b.down.value for b in lead]),
         h,
     )
+
+
+def branch_sum(layer, branches, coeffs, h, frozen=None):
+    """W h + sum_i a_i * up_i(down_i h) over `branches`, every branch
+    `expand_branch` returned for the layer, oldest first, each weighted by
+    its coefficient: the oracle that `AdaptedLinear.forward` and `backward`
+    must match byte for byte, value and gradients. The layer's frozen
+    branches are one `frozen_chain`, or the node `frozen` when given (a
+    held pool's `running_sum`); the trainable one after them is one
+    `branch_chain`."""
+    assert len(branches) == len(coeffs) == layer.n_branches
+    k = layer.frozen_count
+    out = frozen_chain(layer, branches, coeffs, h) if frozen is None else frozen
     for a_i, branch in zip(coeffs[k:], branches[k:]):
         out = branch_chain(out, a_i, branch.up, branch.down, h)
     return out
+
+
+def running_sum(layer, coeffs, h, last):
+    """The oracle of a held pool's memo of the layer's frozen output
+    (`continual.Pool.frozen`) as the pool is read once after each task: at
+    the first read (`last` None) the layer's `frozen_chain`; at each later
+    one `last`'s node plus one `terms_chain` per branch frozen since, in
+    task order. Branches are read from `EXPANDED`, each weighted by its
+    coefficient in `coeffs`. Returns the node and how many frozen branches
+    it holds, the `last` of the next read."""
+    k = layer.frozen_count
+    branches = EXPANDED.get(layer, [])
+    if last is None:
+        return frozen_chain(layer, branches, coeffs, h), k
+    out, j = last
+    for a, branch in zip(coeffs[j:k], branches[j:k]):
+        row = a if isinstance(a, np.ndarray) else a.value
+        out = gr.add(out, terms_chain(row[None], branch.up.value, branch.down.value, h))
+    return out, k
 
 
 # Every branch `expand_branch` has returned in a `continual` run, per
@@ -189,15 +221,16 @@ def record_branches(monkeypatch):
     EXPANDED.clear()
 
 
-def oracle_forward(model, coeffs, pooled):
+def oracle_forward(model, coeffs, pooled, frozen=None):
     """`ToyBackbone.forward` as a graph, every adapted layer summed by
-    `branch_sum` over its branches in `EXPANDED`: logits node and each
-    adapted layer's input."""
+    `branch_sum` over its branches in `EXPANDED`, the first on the node
+    `frozen` of its frozen output when given: logits node and each adapted
+    layer's input."""
     h = pooled
     inputs = []
     for i, layer in enumerate(model.adapted_layers):
         if i:
             h = gr.silu(h)
         inputs.append(h.value)
-        h = branch_sum(layer, EXPANDED.get(layer, []), coeffs, h)
+        h = branch_sum(layer, EXPANDED.get(layer, []), coeffs, h, None if i else frozen)
     return gr.matmul(gr.constant(model.head), h), inputs

@@ -36,7 +36,15 @@ from gatedlora.params import count_trainable_params, preset
 from gatedlora.subspace import SubspaceBasis, SubspaceMemory
 
 import graph as gr
-from conftest import EXPANDED, coefficient_nodes, oracle_forward, penalty_chain, sequences
+from conftest import (
+    EXPANDED,
+    coefficient_nodes,
+    frozen_chain,
+    oracle_forward,
+    penalty_chain,
+    running_sum,
+    sequences,
+)
 
 # The oracles read every branch that `learn_task` expands from `EXPANDED`.
 pytestmark = pytest.mark.usefixtures("record_branches")
@@ -272,31 +280,100 @@ def assert_memo_frozen(state, pool):
         assert pool.coeffs.tobytes() == ones.tobytes()
 
 
+def held_bound(model, coeffs, x, inputs, fresh_inputs):
+    """How far a held pool's memo may put the first adapted layer's frozen
+    output and the logits from a fresh forward's, entrywise.
+
+    The memo's frozen output adds, in another order, the products a
+    fresh `frozen_part` adds: the first read fuses the K branches frozen
+    by then, and each of the L later reads adds one more term. A term
+    fused at the first read passes through d + 1 + K r + 1 + L roundings
+    (down-product, scale, up-product, its add, the later adds), a later
+    term through at most d + r + 2 + L, W x through d + 1 + L; with
+    K + L = k and r >= 1 each is at most d + k r + 2, the fresh fused
+    sum's count. Both are within gamma(d + k r + 2) M of the exact sum,
+    gamma(p) = p u / (1 - p u), u = 2^-53, M = |W| |x| + |U| (|A| * (|D|
+    |x|)), so they differ by at most 2 gamma(d + k r + 2) M. A held pool's
+    first layer adds no trainable branch but under `seq`, which freezes
+    none, so there the two outputs are the same W x and the same add.
+
+    Every later layer runs the same operations on both sides, to first
+    order in u: SiLU (|silu'| <= 1.1) moves a difference by at most
+    1.1 times it and rounds each side's value by at most 5 u of it (the
+    exponential within one ulp, the add, the divide and the product); an
+    adapted layer of p = d_in + (branches) r + 2 roundings moves it by
+    |W| + sum_i |a_i| |up_i| |down_i| and rounds each side by gamma(p) of
+    its magnitude; the head moves it by |H| and rounds each side by
+    gamma(d_hidden) of |H| times the layer's magnitude. Returns both
+    bounds, the first layer's and the logits'."""
+    u = np.finfo(np.float64).eps / 2
+
+    def gamma(p):
+        return p * u / (1 - p * u)
+
+    def spread(layer, v, count):
+        # |W| v plus the first `count` branches, each |a_i| |up_i| (|down_i| v).
+        out = np.abs(layer.weight) @ v
+        for a, branch in zip(coeffs[:count], EXPANDED.get(layer, [])[:count]):
+            out += np.abs(a) * (np.abs(branch.up.value) @ (np.abs(branch.down.value) @ v))
+        return out
+
+    first, *rest = model.adapted_layers
+    rank = first.rank or 0
+    k = first.frozen_count
+    frozen = 2 * gamma(first.in_dim + k * rank + 2) * spread(first, np.abs(x), k)
+    diff = frozen
+    mags = [spread(first, np.abs(x), first.n_branches)] * 2
+    for layer, s, s2 in zip(rest, inputs[1:], fresh_inputs[1:]):
+        p = layer.in_dim + layer.n_branches * rank + 2
+        ds = 1.1 * diff + 5 * u * (np.abs(s) + np.abs(s2))
+        mags = [spread(layer, np.abs(v), layer.n_branches) for v in (s, s2)]
+        diff = spread(layer, ds, layer.n_branches) + gamma(p) * (mags[0] + mags[1])
+    head = np.abs(model.head)
+    logits = head @ diff + gamma(model.hidden_dim) * (head @ mags[0] + head @ mags[1])
+    return frozen, logits
+
+
 @MEMO_CONFIGS
 def test_held_memo_matches_fresh_forward(branch_strategy, gating_mode):
     # After every task, each memoised gate row is byte-equal to a fresh
-    # forward, the memo holds every gate, and the logits are byte-equal to
-    # the oracle's.
+    # forward and the memo holds every gate. The first layer's frozen
+    # output and the logits are byte-equal to the running-sum oracle
+    # (`running_sum`, read once per task as `evaluate` reads the pool),
+    # and within `held_bound` of a fresh forward's.
     cfg = desk_strategy(branch_strategy, gating_mode=gating_mode)
     state, sequence = desk_state(cfg)
+    first = state.model.adapted_layers[0]
+    running = []  # per held pool, the oracle's last read
     for task in sequence:
         learn_task(state, task.train)
         state.hold(state.model.pool_batch(task.test), task.test.labels)
         evaluate(state)
-        for pool in state.held:
+        running.append(None)
+        for p, pool in enumerate(state.held):
             x = gr.constant(pool.pooled)
             with gr.no_grad():
                 if cfg.gated:
                     coeffs = coefficient_nodes(state.gates, x)
                 else:
                     coeffs = [gr.constant(np.ones((1, x.shape[1])))] * state.n_branches
-                logits, _ = fresh_forward(state, x)
-            held, _ = state.apply(pool)
+                running[p] = running_sum(first, coeffs, x, running[p])
+                oracle, _ = oracle_forward(state.model, coeffs, x, running[p][0])
+                fresh, fresh_inputs = fresh_forward(state, x)
+                fresh_frozen = frozen_chain(first, EXPANDED.get(first, []), coeffs, x)
+            held, (_, cache) = state.apply(pool)
             assert_memo_frozen(state, pool)
             assert len(pool.coeffs) == len(coeffs)
-            for row, fresh in zip(pool.coeffs, coeffs):
-                assert row.tobytes() == fresh.value.tobytes()
-            assert held.tobytes() == logits.value.tobytes()
+            for row, want in zip(pool.coeffs, coeffs):
+                assert row.tobytes() == want.value.tobytes()
+            assert pool.frozen.tobytes() == running[p][0].value.tobytes()
+            assert held.tobytes() == oracle.value.tobytes()
+            rows = [a.value for a in coeffs]
+            frozen_bound, logit_bound = held_bound(
+                state.model, rows, pool.pooled, cache.inputs, fresh_inputs
+            )
+            assert np.all(np.abs(pool.frozen - fresh_frozen.value) <= frozen_bound)
+            assert np.all(np.abs(held - fresh.value) <= logit_bound)
 
 
 def oracle_grads(state, pool, idx, params):
@@ -587,16 +664,17 @@ def test_training_step_after_the_first_skips_the_memo(
 
 
 # Kernel calls of a training step from task 2 on. Forward: the live gate
-# (none ungated), each adapted layer's fused frozen part and live branch,
-# the SiLU between them; backward: the same kernels' vjps, but layer 1's
-# frozen part, whose input takes no gradient, then the cross-entropy
-# gradient and, under O-LoRA, one penalty gradient per adapted layer.
+# (none ungated), each adapted layer's live branch, the SiLU between them
+# and the second layer's fused frozen part (the first layer's is read from
+# the training pool's memo); backward: the same kernels' vjps, then the
+# cross-entropy gradient and, under O-LoRA, one penalty gradient per
+# adapted layer.
 _STEP = Counter(
     add_branch=2,
     add_branch_vjp=2,
     silu=1,
     silu_vjp=1,
-    lowrank_sum=2,
+    lowrank_sum=1,
     lowrank_sum_vjp=1,
     softmax_cross_entropy_grad=1,
 )
@@ -618,9 +696,9 @@ def test_training_step_nodes_do_not_grow_with_tasks(
     # every call of a kernel of `gatedlora.autodiff`, counted per kernel
     # between consecutive steps of one optimizer over six tasks. From task 2
     # on, each step makes the calls `STEP_CALLS` pins, however many gates
-    # and branches are frozen. Every frozen branch of an adapted layer is in
-    # its one `lowrank_sum`, and the frozen gates' coefficients are read
-    # from the memo, not run.
+    # and branches are frozen. Every frozen branch of the second adapted
+    # layer is in its one `lowrank_sum`; the frozen gates' coefficients and
+    # the first layer's frozen output are read from the memo, not run.
     calls = Counter()
 
     def counting(name, kernel):
@@ -723,6 +801,82 @@ def test_evaluate_gate_forwards_grow_linearly(monkeypatch):
     model_cfg = dict(DESK_MODEL, n_tasks=n_tasks, vocab_size=n_tasks * DESK_MODEL["window_size"])
     run_sequence(model_cfg, desk_strategy("olora", epochs=1), 0)
     assert per_evaluate == [2 * t - 1 for t in range(1, n_tasks + 1)]
+
+
+def test_evaluate_first_layer_terms_grow_linearly(monkeypatch):
+    # The first adapted layer's frozen output on a held pool is memoised
+    # and grows by the branches frozen since the pool's last read: after
+    # task t, evaluation multiplies task t's branch term against each of
+    # the t - 1 older pools and all t terms against the new one, 2t - 1,
+    # T^2 over a run of T tasks, against t^2 per evaluation if every held
+    # pool summed its frozen branches afresh; and it takes W x only on the
+    # new pool, never on an old one. Every frozen term is multiplied by
+    # `autodiff._terms`, the fused product `lowrank_sum` adds to W x.
+    products = []  # (input, W x products, branch terms) per kernel call
+    lowrank_sum, terms = ad.lowrank_sum, ad._terms
+    per_evaluate = []
+
+    def counting_sum(h, weight, coeffs, ups, downs):
+        products.append((h, 1, 0))
+        return lowrank_sum(h, weight, coeffs, ups, downs)
+
+    def counting_terms(h, coeffs, ups, downs):
+        products.append((h, 0, len(coeffs)))
+        return terms(h, coeffs, ups, downs)
+
+    def counting_evaluate(state):
+        products.clear()
+        row = evaluate(state)
+        *old, new = [pool.pooled for pool in state.held]
+        on_old = [c for c in products if any(c[0] is x for x in old)]
+        on_new = [c for c in products if c[0] is new]
+        per_evaluate.append(
+            (
+                sum(c[2] for c in on_old + on_new),
+                sum(c[1] for c in on_old),
+                sum(c[1] for c in on_new),
+            )
+        )
+        return row
+
+    monkeypatch.setattr(ad, "lowrank_sum", counting_sum)
+    monkeypatch.setattr(ad, "_terms", counting_terms)
+    monkeypatch.setattr(continual, "evaluate", counting_evaluate)
+    n_tasks = 6
+    model_cfg = dict(DESK_MODEL, n_tasks=n_tasks, vocab_size=n_tasks * DESK_MODEL["window_size"])
+    run_sequence(model_cfg, desk_strategy("olora", epochs=1), 0)
+    assert per_evaluate == [(2 * t - 1, 0, 1) for t in range(1, n_tasks + 1)]
+
+
+@pytest.mark.parametrize(
+    "branch_strategy, gating_mode, n_tasks",
+    [
+        ("olora", "gain", 3),
+        ("inflora", "gain", 3),
+        ("seq", "fixed_one", 3),
+        ("olora", "fixed_one", 3),
+        ("olora", "gain", 6),
+    ],
+)
+def test_evaluate_matches_fresh_forward_accuracies(branch_strategy, gating_mode, n_tasks):
+    # Every accuracy row `evaluate` returns is the row a fresh forward's
+    # argmax gives on each held pool, although the memo's logits match
+    # the fresh ones only to rounding (`held_bound`).
+    cfg = desk_strategy(branch_strategy, gating_mode=gating_mode)
+    state, sequence = desk_state(
+        cfg, n_tasks=n_tasks, vocab_size=n_tasks * DESK_MODEL["window_size"]
+    )
+    for task in sequence:
+        learn_task(state, task.train)
+        state.hold(state.model.pool_batch(task.test), task.test.labels)
+        row = evaluate(state)
+        want = []
+        for pool in state.held:
+            with gr.no_grad():
+                logits, _ = fresh_forward(state, gr.constant(pool.pooled))
+            pred = np.argmax(logits.value, axis=0)
+            want.append(100.0 * float(np.mean(pred == pool.labels)))
+        assert row == want
 
 
 def fresh_gate_samples(state):
@@ -863,6 +1017,19 @@ def test_run_param_count_matches_toy_preset(branch_strategy):
 def test_unknown_preset_named():
     with pytest.raises(UnknownPreset, match="unknown preset 'gpt-5'"):
         preset("gpt-5")
+
+
+def test_run_without_tasks_fails_before_any_draw(monkeypatch):
+    # n_tasks=0 gives a head of no classes: the backbone refuses it before
+    # anything is drawn or trained (it used to train nothing and fail at
+    # the end on an empty accuracy matrix).
+    def never(*args, **kwargs):
+        raise AssertionError("a task was built or trained")
+
+    monkeypatch.setattr(continual, "learn_task", never)
+    monkeypatch.setattr(continual, "build_task_sequence", never)
+    with pytest.raises(ValueError, match="n_classes=0"):
+        run_sequence(dict(DESK_MODEL, n_tasks=0), desk_strategy("olora"), 0)
 
 
 def test_task_out_of_order_rejected():

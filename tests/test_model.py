@@ -546,6 +546,35 @@ def test_generate_task_takes_numpy_integer_sizes():
     assert (len(task.train), len(task.test)) == (6, 2)
 
 
+BACKBONE_SIZES = dict(vocab_size=24, embed_dim=8, hidden_dim=8, n_classes=4)
+
+
+@pytest.mark.parametrize("knob", list(BACKBONE_SIZES))
+def test_backbone_refuses_sizes_below_one(knob):
+    # Before, embed_dim=0 warned of a division by zero and failed in the
+    # generator; the others failed later or not at all.
+    with pytest.raises(ValueError, match=f"{knob}=0: need an integer >= 1"):
+        ToyBackbone(NoDraws(), **dict(BACKBONE_SIZES, **{knob: 0}))
+
+
+@pytest.mark.parametrize("knob", ["n_tasks", "window_size"])
+def test_task_sequence_refuses_sizes_below_one(knob):
+    # Before, n_tasks=0 built an empty sequence and window_size=0 failed
+    # with "window (0, 0) outside vocab".
+    sizes = {"n_tasks": 3, "window_size": 16, knob: 0}
+    with pytest.raises(ValueError, match=f"{knob}=0: need an integer >= 1"):
+        build_task_sequence(
+            NoDraws(),
+            classes_per_task=2,
+            n_train=6,
+            n_test=2,
+            vocab_size=48,
+            noise=0.0,
+            embedding=gaussian_init(Rng(0).child("embed"), 48, 8, 1.0),
+            **sizes,
+        )
+
+
 def test_packed_layout():
     sources = [pooling_case()[1], Dataset([np.array([7], np.uint8), (3, 1)], [1, 0], 0)]
     sources += [ds for task in desk_sequence(1) for ds in (task.train, task.test)]

@@ -8,7 +8,8 @@ coefficients. Branch update strategies differ only in what the new
 branch's row basis looks like and which half is trainable: plain
 expansion tunes both halves, the penalty strategy adds a row-space
 orthogonality loss against old branches, and the designed strategy picks
-the row basis orthogonal to old-task input spans and freezes it.
+the row basis orthogonal to old-task input spans and holds it fixed, a
+plain array rather than a `Param`.
 """
 
 from __future__ import annotations
@@ -27,18 +28,22 @@ BRANCH_INIT_STD = 0.02
 
 
 class LoraBranch:
-    """One low-rank pair: up (d_out x r, zeros) and down (r x d_in, Gaussian)."""
+    """One low-rank pair: up (d_out x r), a `Param`, and down (r x d_in), a
+    `Param` or, fixed, a plain array (InfLoRA's designed rows)."""
 
-    def __init__(self, up: Mat, down: Mat, *, train_down: bool = True):
-        if up.shape[1] != down.shape[0]:
-            raise ShapeMismatch(f"rank mismatch: up {up.shape}, down {down.shape}")
-        self.rank = up.shape[1]
+    def __init__(self, up: Mat, down: Param | Mat):
         self.up = Param(up.copy())
-        self.down = Param(down.copy())
-        self.down.requires_grad = train_down
+        self.down = down
+        if up.shape[1] != self.down_value.shape[0]:
+            raise ShapeMismatch(f"rank mismatch: up {up.shape}, down {self.down_value.shape}")
+        self.rank = up.shape[1]
+
+    @property
+    def down_value(self) -> Mat:
+        return self.down.value if isinstance(self.down, Param) else self.down
 
     def trainable_params(self) -> list[Param]:
-        return [p for p in (self.up, self.down) if p.requires_grad]
+        return [p for p in (self.up, self.down) if isinstance(p, Param)]
 
 
 class LayerCache(NamedTuple):
@@ -99,7 +104,7 @@ class AdaptedLinear:
         if self.branch is None:
             return
         self.ups = np.concatenate([self.ups, self.branch.up.value], axis=1)
-        self.downs = np.concatenate([self.downs, self.branch.down.value])
+        self.downs = np.concatenate([self.downs, self.branch.down_value])
         self.frozen_count += 1
         self.branch = None
 
@@ -157,7 +162,7 @@ class AdaptedLinear:
         out, term = frozen, None
         if self.branch is not None:
             a = fixed[k] if live is None else live
-            z = self.branch.down.value @ h
+            z = self.branch.down_value @ h
             out, contrib = ad.add_branch(frozen, a, self.branch.up.value, z)
             term = (a, self.branch, z, contrib)
         return out, LayerCache(h, (fixed[:k], self.ups, self.downs), term, live is not None)
@@ -166,27 +171,30 @@ class AdaptedLinear:
         self, cache: LayerCache, g: np.ndarray, input_grad: bool
     ) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Backward pass of `forward` for the output gradient g: sets `.grad`
-        on the trainable halves of the trainable branch and returns the
-        gradients of h (when `input_grad`; None otherwise) and of the live
+        on the trainable branch's `Param` halves and returns the gradients
+        of h (when `input_grad`; None otherwise) and of the live
         coefficient (None without one).
 
         The frozen branches' share is `autodiff.lowrank_sum_vjp`'s and the
-        trainable branch's `autodiff.add_branch_vjp`'s. h adds the frozen
-        share and then the trainable branch's.
+        trainable branch's `autodiff.add_branch_vjp`'s, plus the
+        coefficient's only when it is live and the down-product's only when
+        down is a `Param` or h takes one. h adds the frozen share and then
+        the trainable branch's.
         """
         h, fused, term, live = cache
         dh = ad.lowrank_sum_vjp(g, self.weight, *fused) if input_grad else None
         if term is None:
             return dh, None
         a, branch, z, contrib = term
-        up, down = branch.up, branch.down
-        dlive, up.grad, dz = ad.add_branch_vjp(
-            g, a, up.value, z, contrib, (live, True, down.requires_grad or input_grad)
-        )
-        if down.requires_grad:
-            down.grad = dz @ h.T
+        dlive = (g * contrib).sum(axis=0, keepdims=True) if live else None
+        branch.up.grad, scaled = ad.add_branch_vjp(g, a, z)
+        trains = isinstance(branch.down, Param)
+        if trains or input_grad:
+            dz = branch.up.value.T @ scaled
+        if trains:
+            branch.down.grad = dz @ h.T
         if input_grad:
-            dh += down.value.T @ dz
+            dh += branch.down_value.T @ dz
         return dh, dlive
 
 
@@ -242,8 +250,8 @@ def expand_branch(
     (ShapeMismatch otherwise, before the layer changes).
 
     The up half starts at zero so the layer's outputs are unchanged by
-    expansion. With designed_down the down half is fixed (only the up
-    half trains); otherwise it is Gaussian and trainable.
+    expansion. With designed_down the down half is a copy of it, a plain
+    array that never trains; otherwise it is a Gaussian `Param`.
     """
     if r < 1 or r > min(layer.in_dim, layer.out_dim):
         raise ValueError(f"rank {r} invalid for layer {layer.weight.shape}")
@@ -252,10 +260,9 @@ def expand_branch(
     if designed_down is not None and designed_down.shape != (r, layer.in_dim):
         raise ShapeMismatch(f"designed rows {designed_down.shape} vs ({r}, {layer.in_dim})")
     layer.freeze()
-    up = np.zeros((layer.out_dim, r))
-    if designed_down is not None:
-        layer.branch = LoraBranch(up, designed_down, train_down=False)
+    if designed_down is None:
+        down = Param(gaussian_init(rng, r, layer.in_dim, BRANCH_INIT_STD))
     else:
-        down = gaussian_init(rng, r, layer.in_dim, BRANCH_INIT_STD)
-        layer.branch = LoraBranch(up, down)
+        down = designed_down.copy()
+    layer.branch = LoraBranch(np.zeros((layer.out_dim, r)), down)
     return layer.branch

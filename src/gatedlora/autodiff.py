@@ -13,9 +13,9 @@ SiLU, and the gradients of softmax cross-entropy and of a weighted
 quadratic row-space penalty.
 A forward kernel returns its value and what its backward kernel reads;
 a backward kernel (`*_vjp`, a vector-Jacobian product) maps the output's
-gradient to its inputs' shares and never writes into that gradient,
-which callers hand on to other kernels. The loss value itself is never
-formed: training reads only its gradient.
+gradient to the shares its callers read and never writes into that
+gradient, which callers hand on to other kernels. The loss value itself
+is never formed: training reads only its gradient.
 
 Each kernel replays, in the same order, the IEEE operations of the chain
 of elementary reverse-mode graph nodes it stands for (matmul, add,
@@ -27,8 +27,10 @@ training step's gradients to the oracle's; do not add a kernel without
 extending those checks.
 
 Trainable weights are `Param` leaves: the optimizer reads their `.grad`,
-which a backward pass sets. A frozen weight is one that no backward pass
-or optimizer reaches (a layer's stacks, a run's frozen gates), not a flag.
+which a backward pass sets. Holding a weight as a `Param` is what makes it
+train; a fixed weight is a plain array (an InfLoRA branch's designed
+`down`) or sits where no backward pass or optimizer reaches it (a layer's
+stacks, a run's frozen gates). No kernel takes a flag for what trains.
 """
 
 from __future__ import annotations
@@ -41,11 +43,10 @@ from .errors import NonFinite, ShapeMismatch
 
 
 class Param:
-    """A trainable weight: its value, the gradient the last backward pass
-    set on it, and whether it takes one (False only for an InfLoRA branch's
-    designed `down`)."""
+    """A trainable weight: its value and the gradient the last backward
+    pass set on it."""
 
-    __slots__ = ("value", "grad", "requires_grad")
+    __slots__ = ("value", "grad")
 
     def __init__(self, value):
         v = np.asarray(value, dtype=np.float64)
@@ -53,7 +54,6 @@ class Param:
             raise ShapeMismatch(f"weights are 2-D, got shape {v.shape}")
         self.value = v
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad = True
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -177,27 +177,16 @@ def add_branch(
 
 
 def add_branch_vjp(
-    g: np.ndarray,
-    coeff: np.ndarray,
-    up: np.ndarray,
-    z: np.ndarray,
-    contrib: np.ndarray,
-    needs: tuple[bool, bool, bool],
-) -> tuple[Optional[np.ndarray], Optional[np.ndarray], Optional[np.ndarray]]:
-    """Shares of the output gradient g for `add_branch`'s coeff, up and z,
-    each None unless `needs` asks for it; the running sum's share is g
-    itself. The gradients and the order of their operations are those of
-    the add, scale and matmul chain: coeff * g is taken once and serves up
-    and z."""
-    dcoeff = (g * contrib).sum(axis=0, keepdims=True) if needs[0] else None
-    dup = dz = None
-    if needs[1] or needs[2]:
-        scaled = coeff * g
-        if needs[1]:
-            dup = scaled @ z.T
-        if needs[2]:
-            dz = up.T @ scaled
-    return dcoeff, dup, dz
+    g: np.ndarray, coeff: np.ndarray, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """up's share of `add_branch`'s output gradient g, (coeff * g) @ z.T,
+    and coeff * g itself, the gradient of up @ z, in the order of the add,
+    scale and matmul chain. The other shares are the chain's one-line
+    products, which a caller takes only when it reads them: z's is
+    up.T @ (coeff * g), the coefficient's the column sums of
+    g * (up @ z) and the running sum's g itself."""
+    scaled = coeff * g
+    return scaled @ z.T, scaled
 
 
 class GateCache(NamedTuple):
@@ -249,30 +238,20 @@ def gate_mlp(
     return gate, GateCache(weights, trace, acts, v, squash_vjp)
 
 
-def gate_mlp_vjp(
-    g: np.ndarray, cache: GateCache, needs: list[bool]
-) -> list[Optional[np.ndarray]]:
-    """Gradients for the gate row's gradient g of x, then of each weight,
-    where `needs` (one flag for x, then one per weight) asks for them; None
-    elsewhere. The chain's backward pass runs once and stops below the
-    lowest input that needs a gradient; its steps are the chain's, in its
-    order."""
+def gate_mlp_vjp(g: np.ndarray, cache: GateCache) -> list[np.ndarray]:
+    """Every weight's gradient for the gate row's gradient g, in layer
+    order. The chain's backward pass runs once, in its order, and stops at
+    the first layer: the gate's input takes no gradient."""
     weights, trace, acts, v, squash_vjp = cache
     g = squash_vjp(g)
     g = g * v * (1.0 - v)
-    grads: list[Optional[np.ndarray]] = [None] * len(needs)
-    for i in range(len(weights) - 1, -1, -1):
-        if needs[i + 1]:
-            grads[i + 1] = g @ trace[i].T
-        if not any(needs[: i + 1]):
-            break
+    grads = [g @ trace[-1].T]
+    for i in range(len(weights) - 1, 0, -1):
         g = weights[i].T @ g
-        if i:
-            z, sig = acts[i - 1]
-            g = g * sig * (1.0 + z * (1.0 - sig))
-    else:
-        grads[0] = g
-    return grads
+        z, sig = acts[i - 1]
+        g = g * sig * (1.0 + z * (1.0 - sig))
+        grads.append(g @ trace[i - 1].T)
+    return grads[::-1]
 
 
 def softmax_cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:

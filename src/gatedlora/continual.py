@@ -57,6 +57,12 @@ from .subspace import SubspaceMemory
 
 GATING_MODES = ("gain", "fixed_one", "no_init", "no_update", "no_constraints")
 
+# The keys of `run_sequence`'s model_cfg, every one required.
+MODEL_KEYS = (
+    "vocab_size", "embed_dim", "hidden_dim", "n_tasks", "classes_per_task", "train_per_task",
+    "test_per_task", "window_size", "noise", "seq_len_min", "seq_len_max",
+)
+
 # Weight of the O-LoRA orthogonality penalty on each adapted layer.
 OLORA_LAMBDA = 0.5
 
@@ -577,12 +583,17 @@ def run_sequence(
 
     model_cfg keys: vocab_size, embed_dim, hidden_dim, n_tasks,
     classes_per_task, train_per_task, test_per_task, window_size, noise,
-    seq_len_min, seq_len_max. A prebuilt task sequence overrides the
-    synthetic generator; its task ids must run 0, 1, ... in order, no split
-    may be empty, its token ids must fit the vocab and its labels the head,
-    which is checked before any training.
+    seq_len_min, seq_len_max (`MODEL_KEYS`); ValueError, before any draw,
+    naming any key that is missing or not one of them. A prebuilt task
+    sequence overrides the synthetic generator; its task ids must run 0,
+    1, ... in order, no split may be empty, its token ids must fit the
+    vocab and its labels the head, which is checked before any training.
     """
     strategy.validate()
+    unknown = sorted(set(model_cfg) - set(MODEL_KEYS))
+    missing = [key for key in MODEL_KEYS if key not in model_cfg]
+    if unknown or missing:
+        raise ValueError(f"model_cfg: unknown keys {unknown}, missing keys {missing}")
     rng = Rng(seed)
     n_classes = model_cfg["n_tasks"] * model_cfg["classes_per_task"]
     model = ToyBackbone(

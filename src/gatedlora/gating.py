@@ -102,8 +102,7 @@ class GatingModule:
         `.grad` on every weight (`autodiff.gate_mlp_vjp`). Only the run's
         training gate is ever passed back through. The pooled input takes
         no gradient."""
-        grads = ad.gate_mlp_vjp(g, cache, [False] + [True] * len(self.params))
-        for p, grad in zip(self.params, grads[1:]):
+        for p, grad in zip(self.params, ad.gate_mlp_vjp(g, cache)):
             p.grad = grad
 
     def forward_values(self, pooled: Mat) -> tuple[np.ndarray, list[Mat]]:

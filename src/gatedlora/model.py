@@ -229,11 +229,16 @@ class ToyBackbone:
         return dlive
 
 
+def _is_count(size) -> bool:
+    """An integer that is not a bool."""
+    return isinstance(size, numbers.Integral) and not isinstance(size, bool)
+
+
 def _check_sizes(**sizes) -> None:
     """ValueError naming the first of the keyword sizes that is not an
     integer >= 1; bools are refused."""
     for name, size in sizes.items():
-        if not isinstance(size, numbers.Integral) or isinstance(size, bool) or size < 1:
+        if not _is_count(size) or size < 1:
             raise ValueError(f"{name}={size!r}: need an integer >= 1")
 
 
@@ -443,22 +448,22 @@ def generate_task(
     the split went through, so every draw and label is the one a
     one-at-a-time generator would make.
 
-    Raises ValueError, before any draw, when `seq_len` is not
+    Raises ValueError, before any draw, when `seq_len` is not integers
     1 <= min <= max, `noise` is outside [0, 1] (NaN included), `n_train`
-    or `n_test` is not an integer >= 1 (bools refused) or the window holds
-    fewer distinct sequences than n_train + n_test.
+    or `n_test` is not an integer >= 1 (bools refused in both) or the
+    window holds fewer distinct sequences than n_train + n_test.
     """
     if n_classes < 2:
         raise ValueError(f"need at least 2 classes, got {n_classes}")
     lo, hi = vocab_window
     if not 0 <= lo < hi <= embedding.shape[0]:
         raise IdOutOfRange(f"window {vocab_window} outside vocab")
-    if not 1 <= seq_len[0] <= seq_len[1]:
-        raise ValueError(f"seq_len {seq_len}: need 1 <= min <= max")
+    if not (all(map(_is_count, seq_len)) and 1 <= seq_len[0] <= seq_len[1]):
+        raise ValueError(f"seq_len {seq_len}: need integers 1 <= min <= max")
     if not 0.0 <= noise <= 1.0:
         raise ValueError(f"noise {noise} of task {task_id}: need 0 <= noise <= 1")
     for name, size in (("n_train", n_train), ("n_test", n_test)):
-        if not isinstance(size, numbers.Integral) or isinstance(size, bool) or size < 1:
+        if not _is_count(size) or size < 1:
             raise ValueError(f"{name} {size!r} of task {task_id}: need an integer >= 1")
     capacity = sum((hi - lo) ** n for n in range(seq_len[0], seq_len[1] + 1))
     if capacity < n_train + n_test:
@@ -551,9 +556,12 @@ def build_task_sequence(
 ) -> TaskSequence:
     """Lay out disjoint vocab windows and generate every task.
 
-    Raises ValueError, before any draw, when `n_tasks` or `window_size` is
-    not an integer >= 1 (bools refused), naming it."""
+    Raises ValueError, before any draw, naming the size: when `n_tasks` or
+    `window_size` is not an integer >= 1, or `classes_per_task` not one
+    >= 2 (bools refused), and as `generate_task` does for `seq_len`."""
     _check_sizes(n_tasks=n_tasks, window_size=window_size)
+    if not _is_count(classes_per_task) or classes_per_task < 2:
+        raise ValueError(f"classes_per_task={classes_per_task!r}: need an integer >= 2")
     windows = [(t * window_size, (t + 1) * window_size) for t in range(n_tasks)]
     if windows[-1][1] > vocab_size:
         raise WindowOverlap(

@@ -9,15 +9,16 @@ in there: projecting the final delta (moments and decay included) is
 what actually guarantees the update never touches the protected
 subspace, since Adam steps are not parallel to raw gradients.
 
-The moments of all parameters live in two flat vectors. A step gathers
-the gradients and values once and applies each elementwise operation to
-every parameter at the same time; elementwise IEEE arithmetic rounds
-each entry on its own, so the result is bit-identical to updating the
-parameters one at a time. Each parameter then moves by its slice of the
-flat delta into a new array of its own: no value is written in place,
-because a forward's cache and the layers' frozen-branch stacks hold
-values, and no parameter's value keeps another's storage alive once it
-is frozen.
+The moments of all parameters live in two flat vectors, updated in
+place. A step gathers the gradients, every parameter's (a backward pass
+sets each trainable weight's), and values once and applies each
+elementwise operation to every parameter at the same time; elementwise
+IEEE arithmetic rounds each entry on its own, so the result is
+bit-identical to updating the parameters one at a time. Each parameter
+then moves by its slice of the flat delta into a new array of its own:
+no value is written in place, because a forward's cache and the layers'
+frozen-branch stacks hold values, and no parameter's value keeps
+another's storage alive once it is frozen.
 """
 
 from __future__ import annotations
@@ -52,47 +53,39 @@ class AdamW:
         """Apply one update from the gradients currently on the params.
 
         transforms maps a param node to a callable reshaping that param's
-        proposed delta (projection constraints plug in here). A param
-        without a gradient is skipped: neither it nor its moments move.
-        Gradients are consumed: they are cleared after the step.
+        proposed delta (projection constraints plug in here). Gradients
+        are consumed: they are cleared after the step. ValueError, before
+        anything moves, when a param holds no gradient.
         """
+        for i, p in enumerate(self.params):
+            if p.grad is None:
+                raise ValueError(f"param {i} of {len(self.params)} ({p.value.shape}) has no gradient")
         self.step_count += 1
+        if not self.params:
+            return
         bc1 = 1.0 - BETA1 ** self.step_count
         bc2 = 1.0 - BETA2 ** self.step_count
-        live = [i for i, p in enumerate(self.params) if p.grad is not None]
-        if not live:
-            return
-        params = [self.params[i] for i in live]
-        if len(live) == len(self.params):
-            rows = slice(None)
-        else:
-            rows = np.r_[tuple(self._spans[i] for i in live)]
-        g = np.concatenate([p.grad.ravel() for p in params])
-        value = np.concatenate([p.value.ravel() for p in params])
-        # The per-parameter update's operations in its order, in place on
-        # fresh flat arrays: m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g
-        # and delta = -lr ((m / bc1) / (sqrt(v / bc2) + eps) + decay value).
-        m = BETA1 * self._m[rows]
+        g = np.concatenate([p.grad.ravel() for p in self.params])
+        value = np.concatenate([p.value.ravel() for p in self.params])
+        # The per-parameter update's operations in its order:
+        # m = b1 m + (1 - b1) g and v = b2 v + ((1 - b2) g) g in place, then
+        # delta = -lr ((m / bc1) / (sqrt(v / bc2) + eps) + decay value).
+        m, v = self._m, self._v
+        m *= BETA1
         m += (1.0 - BETA1) * g
-        v = BETA2 * self._v[rows]
+        v *= BETA2
         v += (1.0 - BETA2) * g * g
-        self._m[rows] = m
-        self._v[rows] = v
-        v /= bc2
-        np.sqrt(v, out=v)
-        v += EPS
-        delta = m
-        delta /= bc1
-        delta /= v
+        denom = v / bc2
+        np.sqrt(denom, out=denom)
+        denom += EPS
+        delta = m / bc1
+        delta /= denom
         value *= WEIGHT_DECAY
         delta += value
         delta *= -self.lr
-        start = 0
-        for p in params:
-            end = start + p.value.size
-            step = delta[start:end].reshape(p.value.shape)
+        for p, span in zip(self.params, self._spans):
+            step = delta[span].reshape(p.value.shape)
             if transforms and p in transforms:
                 step = transforms[p](step)
             p.value = p.value + step
             p.grad = None
-            start = end

@@ -115,9 +115,9 @@ def coefficient_nodes(gates, pooled):
 
 def branch_chain(out, coeff, up, down, h):
     """out + coeff * (up @ (down @ h)) as matmul, matmul, scale_columns and
-    add nodes; an array coefficient becomes a constant node."""
-    if isinstance(coeff, np.ndarray):
-        coeff = gr.constant(coeff)
+    add nodes; an array coefficient or down (an InfLoRA branch's designed
+    rows) becomes a constant node."""
+    coeff, down = (gr.constant(a) if isinstance(a, np.ndarray) else a for a in (coeff, down))
     return gr.add(out, gr.scale_columns(coeff, gr.matmul(up, gr.matmul(down, h))))
 
 
@@ -159,7 +159,7 @@ def frozen_chain(layer, branches, coeffs, h):
         layer.weight,
         np.reshape(rows, (k, 1, h.value.shape[1])),
         np.concatenate([np.empty((layer.out_dim, 0))] + [b.up.value for b in lead], axis=1),
-        np.concatenate([np.empty((0, layer.in_dim))] + [b.down.value for b in lead]),
+        np.concatenate([np.empty((0, layer.in_dim))] + [b.down_value for b in lead]),
         h,
     )
 
@@ -195,7 +195,7 @@ def running_sum(layer, coeffs, h, last):
     out, j = last
     for a, branch in zip(coeffs[j:k], branches[j:k]):
         row = a if isinstance(a, np.ndarray) else a.value
-        out = gr.add(out, terms_chain(row[None], branch.up.value, branch.down.value, h))
+        out = gr.add(out, terms_chain(row[None], branch.up.value, branch.down_value, h))
     return out, k
 
 

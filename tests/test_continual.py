@@ -191,7 +191,7 @@ def assert_run_invariants(cfg, after_task=lambda state, task: None):
         assert task_bytes(state, k) == before, f"task {k} moved after it was frozen"
     frozen = [p for module in state.gates[:-1] for p in module.params]
     for layer in state.model.adapted_layers:
-        frozen += [p for b in EXPANDED[layer][:-1] for p in (b.up, b.down)]
+        frozen += [p for b in EXPANDED[layer][:-1] for p in b.trainable_params()]
     assert all(p.grad is None for p in frozen)
 
     first = run_sequence(DESK_MODEL, cfg, 7).summary_dict()
@@ -315,7 +315,7 @@ def held_bound(model, coeffs, x, inputs, fresh_inputs):
         # |W| v plus the first `count` branches, each |a_i| |up_i| (|down_i| v).
         out = np.abs(layer.weight) @ v
         for a, branch in zip(coeffs[:count], EXPANDED.get(layer, [])[:count]):
-            out += np.abs(a) * (np.abs(branch.up.value) @ (np.abs(branch.down.value) @ v))
+            out += np.abs(a) * (np.abs(branch.up.value) @ (np.abs(branch.down_value) @ v))
         return out
 
     first, *rest = model.adapted_layers
@@ -550,8 +550,9 @@ def test_only_the_training_gate_trains(branch_strategy, gating_mode, monkeypatch
     # While a gated task trains, its gate is `state.gate` and no other gate
     # trains: on every step the optimizer holds exactly the adapted layers'
     # trainable halves and `state.gate.params`. When the task ends the gate
-    # joins the frozen `gates` and `state.gate` is None again. Building the
-    # next gate leaves the previous one as it was, bytes and flags, and
+    # joins the frozen `gates` and `state.gate` is None again. Every param
+    # the optimizer holds has a gradient at every step. Building the next
+    # gate leaves the previous one as it was, bytes and gradients, and
     # shares no storage with it.
     step, init = AdamW.step, continual.init_new_gating
     cfg = desk_strategy(branch_strategy, gating_mode=gating_mode)
@@ -565,6 +566,7 @@ def test_only_the_training_gate_trains(branch_strategy, gating_mode, monkeypatch
         if cfg.gated:
             want += state.gate.params
         assert opt.params == state.trainable_params() == want
+        assert all(p.grad is not None for p in opt.params)
         steps[state.tasks_learned] += 1
         step(opt, transforms)
 
@@ -572,7 +574,7 @@ def test_only_the_training_gate_trains(branch_strategy, gating_mode, monkeypatch
         assert prev is (state.gates[-1] if state.gates else None)
         assert state.gate is None
         def held(module):
-            return [(p.value.tobytes(), p.requires_grad, p.grad) for p in module.params]
+            return [(p.value.tobytes(), p.grad) for p in module.params]
 
         before = None if prev is None else held(prev)
         new = init(prev, *args, **kwargs)
@@ -1030,6 +1032,29 @@ def test_run_without_tasks_fails_before_any_draw(monkeypatch):
     monkeypatch.setattr(continual, "build_task_sequence", never)
     with pytest.raises(ValueError, match="n_classes=0"):
         run_sequence(dict(DESK_MODEL, n_tasks=0), desk_strategy("olora"), 0)
+
+
+@pytest.mark.parametrize(
+    "model_cfg, match",
+    [
+        (dict(DESK_MODEL, hiden_dim=99), r"unknown keys \['hiden_dim'\], missing keys \[\]"),
+        (
+            {k: v for k, v in DESK_MODEL.items() if k != "noise"},
+            r"unknown keys \[\], missing keys \['noise'\]",
+        ),
+    ],
+    ids=["unknown", "missing"],
+)
+def test_run_refuses_model_cfg_keys(model_cfg, match, monkeypatch):
+    # Before, a misspelt key next to the real ones ran to the end unread,
+    # and a missing one failed as a bare KeyError. Both are refused, named,
+    # before the backbone draws anything.
+    def never(*args, **kwargs):
+        raise AssertionError("the backbone was built")
+
+    monkeypatch.setattr(continual, "ToyBackbone", never)
+    with pytest.raises(ValueError, match=match):
+        run_sequence(model_cfg, desk_strategy("olora"), 0)
 
 
 def test_task_out_of_order_rejected():

@@ -575,6 +575,36 @@ def test_task_sequence_refuses_sizes_below_one(knob):
         )
 
 
+@pytest.mark.parametrize(
+    "sizes, match",
+    [
+        (dict(seq_len=(2.5, 4)), r"seq_len \(2.5, 4\): need integers"),
+        (dict(seq_len=(True, 4)), r"seq_len \(True, 4\): need integers"),
+        (dict(classes_per_task=2.5), "classes_per_task=2.5: need an integer >= 2"),
+        (dict(classes_per_task=1), "classes_per_task=1: need an integer >= 2"),
+    ],
+    ids=["seq_len_float", "seq_len_bool", "classes_float", "one_class"],
+)
+def test_task_sequence_refuses_sizes_that_are_not_counts(sizes, match):
+    # Before, both floats failed inside numpy with "'float' object cannot be
+    # interpreted as an integer", seq_len=(True, 4) built sequences of one
+    # token and classes_per_task=1 raised "need at least 2 classes", which
+    # names no knob of the call.
+    kwargs = dict(
+        n_tasks=3,
+        classes_per_task=2,
+        n_train=6,
+        n_test=2,
+        vocab_size=48,
+        window_size=16,
+        noise=0.0,
+        embedding=gaussian_init(Rng(0).child("embed"), 48, 8, 1.0),
+        seq_len=(2, 4),
+    )
+    with pytest.raises(ValueError, match=match):
+        build_task_sequence(NoDraws(), **dict(kwargs, **sizes))
+
+
 def test_packed_layout():
     sources = [pooling_case()[1], Dataset([np.array([7], np.uint8), (3, 1)], [1, 0], 0)]
     sources += [ds for task in desk_sequence(1) for ds in (task.train, task.test)]

@@ -41,10 +41,19 @@ def test_first_step_without_transform():
     assert p.value == pytest.approx(np.array([[2.0, -1.0]]) + FIRST_DELTA, rel=1e-12)
 
 
-def test_param_without_gradient_is_skipped():
-    p = Param([[1.0]])
-    AdamW([p], lr=0.1).step()
-    assert np.array_equal(p.value, [[1.0]])
+def test_param_without_gradient_raises():
+    # An optimizer holds only what trains, and every step's backward pass
+    # sets each of its gradients: a missing one is an error, named, and
+    # nothing moves.
+    p, q = Param([[1.0]]), Param([[2.0, 3.0]])
+    p.grad = np.array([[0.5]])
+    opt = AdamW([p, q], lr=0.1)
+    with pytest.raises(ValueError, match=r"param 1 of 2 \(\(1, 2\)\) has no gradient"):
+        opt.step()
+    assert opt.step_count == 0
+    assert np.array_equal(p.value, [[1.0]]) and np.array_equal(p.grad, [[0.5]])
+    assert np.array_equal(q.value, [[2.0, 3.0]])
+    assert not opt._m.any() and not opt._v.any()
 
 
 def reference_adamw_step(params, m, v, step_count, lr, transforms=None):
@@ -54,8 +63,6 @@ def reference_adamw_step(params, m, v, step_count, lr, transforms=None):
     bc1 = 1.0 - BETA1**step_count
     bc2 = 1.0 - BETA2**step_count
     for i, p in enumerate(params):
-        if p.grad is None:
-            continue
         g = p.grad
         m[i] = BETA1 * m[i] + (1.0 - BETA1) * g
         v[i] = BETA2 * v[i] + (1.0 - BETA2) * g * g
@@ -69,14 +76,13 @@ def reference_adamw_step(params, m, v, step_count, lr, transforms=None):
 
 
 SHAPES = [(3, 4), (1, 5), (6, 2), (4, 1)]
-SKIPPED = {1: (2, 4), 3: (1,)}  # param index -> steps without a gradient
 
 
 def test_one_pass_step_matches_per_parameter_loop():
-    # Mixed shapes, a projecting transform on param 0, params 1 and 3
-    # without a gradient on some steps and one Fortran-ordered gradient:
-    # values and the transform's inputs are byte-equal to the loop's on
-    # every step, and no step writes a value in place.
+    # Mixed shapes, a projecting transform on param 0 and one
+    # Fortran-ordered gradient: values and the transform's inputs are
+    # byte-equal to the loop's on every step, and no step writes a value in
+    # place.
     gen = np.random.default_rng(3)
     start = [gen.normal(size=s) for s in SHAPES]
     u = gen.normal(size=(4, 1))
@@ -98,8 +104,6 @@ def test_one_pass_step_matches_per_parameter_loop():
     for step in range(1, 7):
         for i, s in enumerate(SHAPES):
             g = gen.normal(size=s)
-            if step in SKIPPED.get(i, ()):
-                continue
             if i == 2 and step == 3:
                 g = np.asfortranarray(g)
             ours[i].grad, theirs[i].grad = g, g.copy()

@@ -2,8 +2,8 @@
 holds no public function or method that nothing calls, no private
 module-level function or constant that nothing in it reads, no defaulted
 parameter or dataclass field that no call passes, no exception class
-that nothing raises, and no write of a weight's `requires_grad` outside
-the two constructors that set it."""
+that nothing raises, and no trainability flag: it never names
+`requires_grad`."""
 
 import ast
 import importlib
@@ -294,51 +294,18 @@ def test_src_holds_no_graph_engine():
     assert not found, "; ".join(found)
 
 
-# Where src may write a weight's `requires_grad`: a `Param` starts
-# trainable, and an InfLoRA branch's designed `down` never trains.
-REQUIRES_GRAD_WRITERS = {"Param.__init__", "LoraBranch.__init__"}
-
-
-def scoped_nodes(node, scope=""):
-    """(qualified name of the enclosing class or function, node) for every
-    node below `node`; "" at module level."""
-    for child in ast.iter_child_nodes(node):
-        yield scope, child
-        inner = scope
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            inner = f"{scope}.{child.name}" if scope else child.name
-        yield from scoped_nodes(child, inner)
-
-
-def test_freezing_writes_no_flag():
-    """Nothing in src assigns (or `setattr`s) a `requires_grad` outside
-    `REQUIRES_GRAD_WRITERS`, so freezing stays structural: a frozen weight
-    sits where no backward pass or optimizer reaches it (an adapted layer's
-    stacks, a run's frozen gates), not behind a cleared flag. Each listed
-    writer still writes it."""
-    found, writers = [], set()
-    for path, tree in parsed("src/gatedlora").items():
-        for scope, node in scoped_nodes(tree):
-            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                writes = any(
-                    isinstance(n, ast.Attribute)
-                    and isinstance(n.ctx, ast.Store)
-                    and n.attr == "requires_grad"
-                    for target in targets
-                    for n in ast.walk(target)
-                )
-            elif isinstance(node, ast.Call):
-                writes = getattr(node.func, "id", None) == "setattr" and any(
-                    isinstance(arg, ast.Constant) and arg.value == "requires_grad"
-                    for arg in node.args
-                )
-            else:
-                continue
-            if not writes:
-                continue
-            writers.add(scope)
-            if scope not in REQUIRES_GRAD_WRITERS:
-                found.append(f"{path.relative_to(ROOT)}:{node.lineno} ({scope or 'module'})")
-    assert not found, "requires_grad written at " + ", ".join(found)
-    assert writers == REQUIRES_GRAD_WRITERS
+def test_src_names_no_requires_grad():
+    """No line of src names `requires_grad`: no load, store, keyword, slot
+    or string. What trains is structural: a weight trains when it is held
+    as a `Param` by something a backward pass and an optimizer reach (a
+    layer's trainable branch, the run's training gate); a frozen or fixed
+    weight is a plain array (an adapted layer's stacks, an InfLoRA
+    branch's designed `down`) or sits where neither reaches (a run's
+    frozen gates), not behind a flag."""
+    found = [
+        f"{path.relative_to(ROOT)}:{n}"
+        for path in sorted((ROOT / "src/gatedlora").glob("*.py"))
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "requires_grad" in line
+    ]
+    assert not found, "requires_grad named at " + ", ".join(found)

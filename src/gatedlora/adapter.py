@@ -221,6 +221,10 @@ def inflora_design(h_new: Mat, grad_space: SubspaceBasis, r: int) -> Mat:
     clean directions, the remaining rows come deterministically from the
     QR's orthonormal basis of the complement; NoFreeSubspace if the
     complement is smaller than r.
+
+    The factorization of h_new against grad_space is read from, or
+    recorded on, grad_space's memo (`SubspaceBasis.factored`), where the
+    `subspace.extend` that grows grad_space from the same input finds it.
     """
     if r < 1:
         raise ValueError(f"rank must be >= 1, got {r}")
@@ -229,8 +233,12 @@ def inflora_design(h_new: Mat, grad_space: SubspaceBasis, r: int) -> Mat:
         raise NoFreeSubspace(
             f"complement has {dim - grad_space.rank} dims, need {r}"
         )
-    residual = project_out(grad_space, np.asarray(h_new, dtype=np.float64))
-    evals, evecs = sym_eig(residual @ residual.T)
+    h_new = np.asarray(h_new, dtype=np.float64)
+    factors = grad_space.factored(h_new)
+    if factors is None:
+        residual = project_out(grad_space, h_new)
+        factors = grad_space.record(h_new, residual, sym_eig(residual @ residual.T))
+    evals, evecs = factors.evals, factors.evecs
     floor = 1e-10 * max(1.0, float(evals[0]))
     lead = evecs[:, :r][:, evals[:r] > floor]
     known = np.column_stack([grad_space.basis, project_out(grad_space, lead)])

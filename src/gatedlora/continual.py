@@ -224,7 +224,14 @@ class ContinualState:
     frozen gate modules (`gates`, one per learned task in task order when
     gated), the gate that trains (`gate`, None but while a gated task
     learns), both subspace memories, the accuracy matrix and the held test
-    pools (`held`, one `Pool` per learned task, in task order)."""
+    pools (`held`, one `Pool` per learned task, in task order).
+
+    The first layers of the gate memory (`gate_memory`) and of the
+    gradient memory (`grad_memory`) both protect the pooled input at
+    `eps_threshold`, so they start as one `SubspaceBasis` object. A basis
+    remembers its last factorization and what it grew into (see
+    `subspace`), so the two stay one object for as long as they grow from
+    the same columns (see `learn_task`)."""
 
     def __init__(self, model: ToyBackbone, cfg: StrategyConfig, rng: Rng):
         cfg.validate()
@@ -247,6 +254,7 @@ class ContinualState:
         self.grad_memory = SubspaceMemory(
             [layer.in_dim for layer in model.adapted_layers], cfg.eps_threshold
         )
+        self.grad_memory.layers[0] = self.gate_memory.layers[0]
         self.tasks_learned = 0
         # Weights the latest task trained, counted before its freeze.
         self.trained_size = 0
@@ -375,7 +383,16 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
     task's gate trains as `state.gate`. Once the subspace memories have
     grown, it moves to `state.gates` (the only way a gate freezes) and the
     task's branches freeze (but under `seq`, whose one branch trains on
-    every task), so no later forward computes them fresh."""
+    every task), so no later forward computes them fresh.
+
+    The InfLoRA design and the growth of each memory read a sample of the
+    pooled training columns each: all of them when there are at most
+    `SUBSPACE_SAMPLES`, and then the three read the same input at the
+    first layer. The design's factorization of it against the memories'
+    shared first basis (`ContinualState`) serves both growths, and the
+    second growth returns the basis the first made, so the pooled input is
+    eigendecomposed once per task. Past the cap the samples differ, and
+    each is factored on its own."""
     cfg = state.cfg
     if len(train) == 0:
         raise EmptyInput("cannot learn from an empty dataset")

@@ -448,16 +448,19 @@ def generate_task(
     the split went through, so every draw and label is the one a
     one-at-a-time generator would make.
 
-    Raises ValueError, before any draw, when `seq_len` is not integers
-    1 <= min <= max, `noise` is outside [0, 1] (NaN included), `n_train`
-    or `n_test` is not an integer >= 1 (bools refused in both) or the
-    window holds fewer distinct sequences than n_train + n_test.
+    Raises ValueError, before any draw, when `n_classes` is not an integer
+    >= 2, `seq_len` is not a pair of integers 1 <= min <= max, `noise` is
+    outside [0, 1] (NaN included), `n_train` or `n_test` is not an integer
+    >= 1 (bools refused in all three and in `seq_len`) or the window holds
+    fewer distinct sequences than n_train + n_test.
     """
-    if n_classes < 2:
-        raise ValueError(f"need at least 2 classes, got {n_classes}")
+    if not _is_count(n_classes) or n_classes < 2:
+        raise ValueError(f"n_classes={n_classes!r}: need an integer >= 2")
     lo, hi = vocab_window
     if not 0 <= lo < hi <= embedding.shape[0]:
         raise IdOutOfRange(f"window {vocab_window} outside vocab")
+    if not (isinstance(seq_len, (tuple, list)) and len(seq_len) == 2):
+        raise ValueError(f"seq_len={seq_len!r}: need a pair (min, max)")
     if not (all(map(_is_count, seq_len)) and 1 <= seq_len[0] <= seq_len[1]):
         raise ValueError(f"seq_len {seq_len}: need integers 1 <= min <= max")
     if not 0.0 <= noise <= 1.0:

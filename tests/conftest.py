@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from gatedlora import continual
+from gatedlora import adapter, continual, subspace
 from gatedlora.adapter import expand_branch
 from gatedlora.gating import GateFn
 from gatedlora.model import _token_ids
 from gatedlora.numerics import Rng
+from gatedlora.subspace import SubspaceBasis, extend
 
 import graph as gr
 
@@ -13,6 +14,25 @@ import graph as gr
 @pytest.fixture
 def rng():
     return Rng(1234)
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """A list that gains the input's shape per `sym_eig` call the package
+    makes, at every name it calls the solver by."""
+    calls = []
+    for module in (adapter, subspace):
+        solve = module.sym_eig
+        monkeypatch.setattr(
+            module, "sym_eig", lambda a, solve=solve: calls.append(a.shape) or solve(a)
+        )
+    return calls
+
+
+def fresh_extend(basis, h, eps):
+    """`extend` of a new basis object with `basis`'s columns, which holds
+    no memo."""
+    return extend(SubspaceBasis(basis.dim, basis.basis.copy()), h, eps)
 
 
 def finite_difference(fn, params, h=1e-5):

@@ -39,6 +39,7 @@ import graph as gr
 from conftest import (
     EXPANDED,
     coefficient_nodes,
+    fresh_extend,
     frozen_chain,
     oracle_forward,
     penalty_chain,
@@ -209,6 +210,7 @@ def test_subspace_reads_subsample_past_the_cap(monkeypatch):
     cap = 16
     monkeypatch.setattr(continual, "SUBSPACE_SAMPLES", cap)
     reads = []  # (what, per-layer inputs) in call order
+    grown = []  # (memory, its first basis before, that layer's input)
     design, extend_all = continual.inflora_design, SubspaceMemory.extend_all
 
     def recording_design(h, basis, rank):
@@ -217,6 +219,7 @@ def test_subspace_reads_subsample_past_the_cap(monkeypatch):
 
     def recording_extend_all(self, inputs):
         reads.append(("extend_all", list(inputs)))
+        grown.append((self, self.layers[0], inputs[0]))
         extend_all(self, inputs)
 
     monkeypatch.setattr(continual, "inflora_design", recording_design)
@@ -224,8 +227,10 @@ def test_subspace_reads_subsample_past_the_cap(monkeypatch):
 
     def check_task(state, task):
         pooled = state.model.pool_batch(task.train)
-        # The design runs once per adapted layer on one sample; then the
-        # gate trace and the grad space each read a sample of their own.
+        # The design runs once per adapted layer on a sample; then the gate
+        # trace and the grad space each draw a sample of their own, so no
+        # two of the three read the same columns and no factorization is
+        # shared.
         kinds = [kind for kind, _ in reads]
         assert kinds == ["design", "design", "extend_all", "extend_all"]
         assert all(h.shape[1] == cap for _, inputs in reads for h in inputs)
@@ -236,9 +241,73 @@ def test_subspace_reads_subsample_past_the_cap(monkeypatch):
                 for col in inputs[0].T
             ]
             assert np.all(np.diff(idx) > 0), idx
+        # Each memory's first layer grew from its own sample alone, into a
+        # basis of its own.
+        for memory, before, h in grown:
+            assert_basis_bytes(memory.layers[0], fresh_extend(before, h, memory.eps))
+        assert state.gate_memory.layers[0] is not state.grad_memory.layers[0]
         reads.clear()
+        grown.clear()
 
     assert_run_invariants(desk_strategy("inflora"), check_task)
+
+
+def assert_basis_bytes(actual, expected):
+    assert actual.basis.shape == expected.basis.shape
+    assert actual.basis.tobytes() == expected.basis.tobytes()
+
+
+@pytest.mark.parametrize(
+    "branch_strategy, gating_mode, per_task",
+    [
+        ("inflora", "gain", 5),
+        ("inflora", "no_update", 5),
+        ("inflora", "no_init", 5),
+        ("olora", "gain", 3),
+        ("inflora", "fixed_one", 3),
+    ],
+)
+def test_task_factors_its_pooled_input_once(
+    branch_strategy, gating_mode, per_task, eigensolves, monkeypatch
+):
+    # A factorization per input read: the design's 2 adapted layers, the
+    # gate memory's 3 layers, the gradient memory's 2. The pooled input is
+    # the first layer's input of all three, against one basis, so it is
+    # factored once: 7 - 2 with both memories, 4 - 1 with the gradient
+    # memory alone; the gate memory alone (olora) has no repeat.
+    grown = []  # (memory, its first basis before, that layer's input)
+    extend_all = SubspaceMemory.extend_all
+
+    def recording_extend_all(self, inputs):
+        grown.append((self, self.layers[0], inputs[0]))
+        extend_all(self, inputs)
+
+    monkeypatch.setattr(SubspaceMemory, "extend_all", recording_extend_all)
+
+    state, sequence = desk_state(desk_strategy(branch_strategy, gating_mode=gating_mode))
+    for task in sequence:
+        learn_task(state, task.train)
+        assert len(eigensolves) == per_task
+        for memory, before, h in grown:
+            assert_basis_bytes(memory.layers[0], fresh_extend(before, h, memory.eps))
+        if len(grown) == 2:
+            assert state.gate_memory.layers[0] is state.grad_memory.layers[0]
+        eigensolves.clear()
+        grown.clear()
+
+
+def test_no_factorization_outlives_a_run(eigensolves):
+    # Two runs on the same prebuilt inputs: a memo kept past the first run
+    # would serve the second, which would then solve fewer problems.
+    cfg = desk_strategy("inflora")
+    _, sequence = desk_state(cfg, seed=5)
+    results = []
+    for _ in range(2):
+        eigensolves.clear()
+        result = run_sequence(DESK_MODEL, cfg, 5, sequence=sequence)
+        results.append((len(eigensolves), result.summary_dict(), result.gate_samples))
+    assert results[0][0] == 5 * DESK_MODEL["n_tasks"]
+    assert results[1] == results[0]
 
 
 @pytest.mark.parametrize("branch_strategy", ["olora", "inflora"])

@@ -537,6 +537,29 @@ def test_generate_task_refuses_split_sizes_that_are_not_positive_integers(split,
         )
 
 
+@pytest.mark.parametrize(
+    "n_classes, seq_len, match",
+    [
+        (2.5, (2, 4), "n_classes=2.5: need an integer >= 2"),
+        (True, (2, 4), "n_classes=True: need an integer >= 2"),
+        (1, (2, 4), "n_classes=1: need an integer >= 2"),
+        (2, (3,), r"seq_len=\(3,\): need a pair \(min, max\)"),
+        (2, (2, 3, 4), r"seq_len=\(2, 3, 4\): need a pair \(min, max\)"),
+        (2, 3, r"seq_len=3: need a pair \(min, max\)"),
+    ],
+    ids=["classes_float", "classes_bool", "one_class", "one_length", "three_lengths", "int"],
+)
+def test_generate_task_refuses_classes_and_lengths_it_cannot_use(n_classes, seq_len, match):
+    # Before, n_classes=2.5 failed inside numpy after drawing, n_classes=1
+    # named no knob, seq_len=(3,) raised IndexError and seq_len=3 TypeError.
+    embedding = gaussian_init(Rng(0).child("embed"), 16, 8, 1.0)
+    with pytest.raises(ValueError, match=match):
+        generate_task(
+            NoDraws(), 0, (0, 16), n_classes, 6, 2, 0.0,
+            embedding=embedding, class_offset=0, seq_len=seq_len,
+        )
+
+
 def test_generate_task_takes_numpy_integer_sizes():
     embedding = gaussian_init(Rng(0).child("embed"), 16, 8, 1.0)
     task = generate_task(

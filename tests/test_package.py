@@ -16,6 +16,8 @@ if sys.version_info >= (3, 11):
 else:
     import tomli as tomllib
 
+import pytest
+
 import gatedlora
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -309,3 +311,102 @@ def test_src_names_no_requires_grad():
         if "requires_grad" in line
     ]
     assert not found, "requires_grad named at " + ", ".join(found)
+
+
+# Calls that change a dict, list or set in place.
+CONTAINER_WRITES = {
+    "append", "extend", "insert", "pop", "popitem", "remove", "clear", "update",
+    "setdefault", "add", "discard", "sort", "reverse",
+}
+CONTAINER_BUILDERS = {"dict", "list", "set", "defaultdict", "Counter", "OrderedDict"}
+
+
+def module_containers(tree):
+    """Module-level names bound to a dict, list or set: a display, a
+    comprehension or a call of one of `CONTAINER_BUILDERS`."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        built = isinstance(
+            value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+        ) or (
+            isinstance(value, ast.Call)
+            and getattr(value.func, "id", getattr(value.func, "attr", None)) in CONTAINER_BUILDERS
+        )
+        if built:
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def container_writes(trees):
+    """(path, function, name) of each function in the trees that writes a
+    module-level container of any of them (`module_containers`): stores or
+    deletes an item of it, augments it, calls one of `CONTAINER_WRITES` on
+    it or rebinds it through `global`. The name is matched bare, unless
+    the function binds it locally, or as an attribute of a module."""
+    shared = {name for tree in trees.values() for name in module_containers(tree)}
+    found = []
+    for path, tree in trees.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = fn.args
+            local = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            local |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+            local |= {
+                n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+            }
+
+            def shared_name(node):
+                if isinstance(node, ast.Name) and node.id in shared - local:
+                    return node.id
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    return node.attr if node.attr in shared else None
+                return None
+
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Global):
+                    hit = set(node.names) & shared
+                elif isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                    hit = {shared_name(node.value)}
+                elif isinstance(node, ast.AugAssign):  # an item's is a Subscript store
+                    hit = {shared_name(node.target)}
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    hit = {shared_name(node.func.value)} if node.func.attr in CONTAINER_WRITES else set()
+                else:
+                    continue
+                found += [(path, fn.name, name) for name in sorted(hit - {None})]
+    return found
+
+
+def test_src_keeps_no_state_at_module_level():
+    """No function in src writes a dict, list or set bound at module level,
+    so nothing one run computes (a cache of factorizations, say) is kept
+    for the next: what a run remembers lives on its objects."""
+    found = container_writes(parsed("src/gatedlora"))
+    assert not found, "; ".join(f"{p.relative_to(ROOT)}: {fn} writes {name}" for p, fn, name in found)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "_MEMO = {}\ndef f(k, v):\n    _MEMO[k] = v\n",
+        "SEEN = set()\ndef f(k):\n    SEEN.add(k)\n",
+        "LOG: list = []\ndef f(x):\n    LOG.extend(x)\n",
+        "CACHE = dict()\nclass C:\n    def m(self, k):\n        del CACHE[k]\n",
+        "_MEMO = {}\ndef f():\n    global _MEMO\n    _MEMO = {}\n",
+        "_ROWS = [0]\ndef f():\n    _ROWS[0] += 1\n",
+    ],
+    ids=["store", "add", "extend", "delete", "global", "augment"],
+)
+def test_module_state_guard_finds_each_write(source):
+    found = container_writes({ROOT / "case.py": ast.parse(source)})
+    assert len(found) == 1
+
+
+def test_module_state_guard_ignores_local_names():
+    source = "_MEMO = {}\ndef f(k):\n    _MEMO = {}\n    _MEMO[k] = 1\n    return _MEMO\n"
+    assert container_writes({ROOT / "case.py": ast.parse(source)}) == []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gatedlora import adapter
 from gatedlora.errors import DimMismatch, ThresholdUnreachable
 from gatedlora.subspace import (
     SubspaceBasis,
@@ -9,6 +10,8 @@ from gatedlora.subspace import (
     extend,
     project_out,
 )
+
+from conftest import fresh_extend
 
 
 def brute_force_rank(eigs, captured_sq, total_sq, eps):
@@ -158,6 +161,70 @@ class TestExtend:
         for j in range(6):
             res = project_out(m, h[:, j : j + 1])
             assert np.linalg.norm(res) <= 1e-6 * np.linalg.norm(h[:, j])
+
+
+def basis_and_input(seed=3):
+    """A basis of rank 2 in R^8 with no memo, and an (8, 5) input."""
+    gen = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(gen.normal(size=(8, 2)))
+    return SubspaceBasis(8, q), gen.normal(size=(8, 5))
+
+
+class TestMemo:
+    def test_one_input_and_eps_grow_one_basis(self, eigensolves):
+        m, h = basis_and_input()
+        before = m.basis.copy()
+        first = extend(m, h, 0.9)
+        assert extend(m, h.copy(), 0.9) is first
+        assert len(eigensolves) == 1
+        assert np.array_equal(m.basis, before)
+        assert first.basis.tobytes() == fresh_extend(m, h, 0.9).basis.tobytes()
+
+    def test_another_eps_reuses_the_factorization_only(self, eigensolves):
+        m, h = basis_and_input()
+        loose = extend(m, h, 0.5)
+        tight = extend(m, h, 0.99)
+        assert len(eigensolves) == 1
+        assert loose.rank < tight.rank
+        assert tight.basis.tobytes() == fresh_extend(m, h, 0.99).basis.tobytes()
+        assert extend(m, h, 0.99) is tight
+
+    @pytest.mark.parametrize("change", ["one_entry", "shape", "in_place"])
+    def test_another_input_is_factored_afresh(self, change, eigensolves):
+        m, h = basis_and_input()
+        first = extend(m, h, 0.9)
+        if change == "one_entry":
+            other = h.copy()
+            other[3, 1] = np.nextafter(other[3, 1], np.inf)
+        elif change == "shape":
+            other = h[:, :4].copy()
+        else:
+            # The memo keys on what h held when it was factored, not on
+            # the array object.
+            other = h
+            h[0] *= 3.0
+        second = extend(m, other, 0.9)
+        assert len(eigensolves) == 2
+        assert second is not first
+        assert second.basis.tobytes() == fresh_extend(m, other, 0.9).basis.tobytes()
+
+    def test_design_factorization_serves_extend(self, eigensolves):
+        m, h = basis_and_input()
+        rows = adapter.inflora_design(h, m, 2)
+        grown = extend(m, h, 0.9)
+        again = adapter.inflora_design(h, m, 2)
+        assert len(eigensolves) == 1
+        assert again.tobytes() == rows.tobytes()
+        assert grown.basis.tobytes() == fresh_extend(m, h, 0.9).basis.tobytes()
+        unmemoized = adapter.inflora_design(h, SubspaceBasis(8, m.basis.copy()), 2)
+        assert unmemoized.tobytes() == rows.tobytes()
+
+    def test_grown_basis_starts_with_no_memo(self, eigensolves):
+        m, h = basis_and_input()
+        grown = extend(m, h, 0.9)
+        assert grown.factored(h) is None
+        extend(grown, h, 0.9)
+        assert len(eigensolves) == 2
 
 
 class TestSubspaceMemory:

@@ -267,7 +267,9 @@ class ContinualState:
 
     def hold(self, pooled: np.ndarray, labels: np.ndarray) -> None:
         """Keep a learned task's `(embed_dim, n)` pooled test inputs and
-        their n labels for every later evaluation."""
+        their n labels for every later evaluation. IdOutOfRange, before
+        anything is held, on a label that is not a class of the head."""
+        _check_labels(labels, self.model.n_classes, f"task {len(self.held)}: test")
         self.held.append(Pool(pooled, labels))
 
     def apply(
@@ -392,7 +394,11 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
     shared first basis (`ContinualState`) serves both growths, and the
     second growth returns the basis the first made, so the pooled input is
     eigendecomposed once per task. Past the cap the samples differ, and
-    each is factored on its own."""
+    each is factored on its own.
+
+    Raises, before the state changes, EmptyInput on an empty dataset,
+    OrderViolation on a task id other than the next one and IdOutOfRange
+    on a label that is not a class of the head."""
     cfg = state.cfg
     if len(train) == 0:
         raise EmptyInput("cannot learn from an empty dataset")
@@ -400,6 +406,7 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
         raise OrderViolation(
             f"expected task {state.tasks_learned}, got {train.task_id}"
         )
+    _check_labels(train.labels, state.model.n_classes, f"task {train.task_id}: train")
     t = state.tasks_learned + 1
     rng = state.rng.child(f"task{t}")
     pool = Pool(state.model.pool_batch(train), train.labels)
@@ -581,12 +588,15 @@ def _check_sequence(sequence: TaskSequence, n_classes: int, vocab_size: int) -> 
                     f"task {t}: {split} sequence {ds.sequence_of(bad[0])} has token "
                     f"id {ds.ids[bad[0]]}, outside the vocab [0, {vocab_size})"
                 )
-            bad = ds.labels[(ds.labels < 0) | (ds.labels >= n_classes)]
-            if bad.size:
-                raise IdOutOfRange(
-                    f"task {t}: {split} label {bad[0]} is outside the head's "
-                    f"{n_classes} classes (n_tasks x classes_per_task)"
-                )
+            _check_labels(ds.labels, n_classes, f"task {t}: {split}")
+
+
+def _check_labels(labels: np.ndarray, n_classes: int, where: str) -> None:
+    """IdOutOfRange naming `where` and the first label that is not one of
+    the head's `n_classes` classes."""
+    bad = labels[(labels < 0) | (labels >= n_classes)]
+    if bad.size:
+        raise IdOutOfRange(f"{where} label {bad[0]} is outside the head's {n_classes} classes")
 
 
 def run_sequence(
@@ -605,6 +615,7 @@ def run_sequence(
     sequence overrides the synthetic generator; its task ids must run 0,
     1, ... in order, no split may be empty, its token ids must fit the
     vocab and its labels the head, which is checked before any training.
+    A seed that is not an integer raises ValueError (`Rng`).
     """
     strategy.validate()
     unknown = sorted(set(model_cfg) - set(MODEL_KEYS))

@@ -263,8 +263,7 @@ def _pool_rows(flat, lengths: np.ndarray, embedding: Mat) -> Mat:
     """Mean embedding row of each of a batch of sequences, (n, d).
 
     `flat` holds the sequences' token ids back to back, `lengths` their
-    lengths (all >= 1): a `Dataset`'s packed `ids` and `lengths`, or the
-    close candidates of a `generate_task` block. The ids are checked
+    lengths (all >= 1), as a `Dataset` packs them. The ids are checked
     against the embedding's rows (`_token_ids`) on every call. Rows are
     gathered position by position and summed in token order, then divided
     by the length, so row j is bit-identical to
@@ -361,55 +360,22 @@ def _split_candidates(
 
 
 def _labeller(teacher: Mat, embedding: Mat, window: tuple[int, int]):
-    """`label(lengths, flat)`: for each of a block of candidates from
-    `window` (lengths, token ids back to back), `argmax(teacher @ x)` of
-    its pooled mean x, as `_pool_rows` and the mat-vec of x alone give it,
-    without pooling most of them.
+    """`label(lengths, flat)`: the class of each of a block of candidates
+    from `window` (lengths, token ids back to back), the argmax of the sum
+    of its tokens' rows (one `np.add.reduceat` over the block) of the
+    window's score table S = E @ teacher.T, E the window's embedding rows,
+    built once per teacher. An exact tie goes to the lowest class.
 
-    Builds the table S = E @ teacher.T of the window's embedding rows E
-    once; a candidate's class scores s_c are sums of its tokens' rows of
-    S. Why their argmax is the mat-vec's, to first order in machine
-    epsilon eps, with g(k) = k eps / (1 - k eps), d dims, a candidate of
-    L tokens t, N = sum_t |E_t| and a class row T_c (any summation order;
-    |sum_i a_i b_i| <= |a||b| bounds every rounding below):
-      - s_c: each S[t, c] is within g(d) |E_t||T_c| of E_t . T_c, and
-        summing L of them adds at most g(L) sum_t |S[t, c]|, so
-        |s_c - T_c . sum_t E_t| <= (g(d) + g(L)) |T_c| N.
-      - the mat-vec: summing the rows is within g(L) N of sum_t E_t and
-        the division by L adds eps N, so |L x - sum_t E_t| <= (g(L) +
-        eps) N; its score o_c is within g(d) |T_c||x| <= g(d) |T_c| N / L
-        of T_c . x, so |L o_c - T_c . sum_t E_t| <= (g(d) + g(L) + eps)
-        |T_c| N.
-    So |s_c - L o_c| <= B = (2 g(d) + 2 g(L) + eps) max_c |T_c| N. Where
-    the top s leads the next by more than 2B, L o (L > 0) has the same
-    strict argmax. The test uses 2 * 4B, a factor of 4 for the
-    second-order terms and the rounding of N and B; candidates whose
-    margin is no larger are pooled and labeled by the mat-vec itself.
+    A candidate's summed rows are L times `teacher @ x` of its pooled mean
+    x in exact arithmetic, so its class is the argmax of that mat-vec
+    wherever the top two class scores are further apart than rounding.
     """
     lo, hi = window
-    rows = embedding[lo:hi]
-    table = rows @ teacher.T
-    norms = np.linalg.norm(rows, axis=1)
-    eps = np.finfo(float).eps
-    d = embedding.shape[1]
-    g_d = d * eps / (1 - d * eps)
-    t_max = np.linalg.norm(teacher, axis=1).max()
+    table = embedding[lo:hi] @ teacher.T
 
     def label(lengths: np.ndarray, flat: np.ndarray) -> list[int]:
-        starts = np.cumsum(lengths) - lengths
-        local = flat - lo
-        scores = np.add.reduceat(table[local], starts)
-        g_l = lengths * eps / (1 - lengths * eps)
-        bound = (2 * g_d + 2 * g_l + eps) * t_max * np.add.reduceat(norms[local], starts)
-        top2 = np.partition(scores, -2, axis=1)[:, -2:]
-        labels = np.argmax(scores, axis=1)
-        close = np.flatnonzero(top2[:, 1] - top2[:, 0] <= 2 * 4 * bound)
-        if close.size:
-            picked = [flat[starts[j] : starts[j] + lengths[j]] for j in close]
-            pooled = _pool_rows(np.concatenate(picked), lengths[close], embedding)
-            for j, row in zip(close, pooled):
-                labels[j] = np.argmax(teacher @ row.reshape(-1, 1))
-        return labels.tolist()
+        scores = np.add.reduceat(table[flat - lo], np.cumsum(lengths) - lengths)
+        return np.argmax(scores, axis=1).tolist()
 
     return label
 
@@ -442,11 +408,13 @@ def generate_task(
     class has room left, until it is full or has gone through 400 per
     sample plus 400; then the attempt fails. Candidates are read ahead of
     the "draw" stream in blocks, each split by one walk along the chain of
-    candidates from the block's first draw (`_split_candidates`) and
-    labeled from a table of the teacher's scores of each window token
-    (`_labeller`); the stream then advances past exactly the candidates
-    the split went through, so every draw and label is the one a
-    one-at-a-time generator would make.
+    candidates from the block's first draw (`_split_candidates`); the
+    stream then advances past exactly the candidates the split went
+    through, so every draw is the one a one-at-a-time generator would
+    make. A candidate's label is the argmax of its tokens' summed rows of
+    a table of the teacher's scores of each window token (`_labeller`):
+    the teacher's argmax on its pooled embedding, but where two class
+    scores lie within rounding of each other.
 
     Raises ValueError, before any draw, when `n_classes` is not an integer
     >= 2, `seq_len` is not a pair of integers 1 <= min <= max, `noise` is

@@ -8,6 +8,7 @@ operations are deterministic functions of their inputs plus an explicit
 from __future__ import annotations
 
 import hashlib
+import numbers
 
 import numpy as np
 
@@ -25,9 +26,14 @@ class Rng:
     Identical seeds produce identical streams on every platform. Children
     are derived by hashing (seed, tag), so independent components of a run
     can draw from independent streams without any ordering coupling.
+
+    Raises ValueError naming a seed that is not an integer (bools
+    included); a negative one is taken modulo 2**64.
     """
 
     def __init__(self, seed: int):
+        if not isinstance(seed, numbers.Integral) or isinstance(seed, bool):
+            raise ValueError(f"seed={seed!r}: need an integer")
         self.seed = int(seed) & _MASK64
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
         self._ahead: np.random.Generator | None = None  # made by the first peek

@@ -1133,6 +1133,48 @@ def test_task_out_of_order_rejected():
     assert state.tasks_learned == 0 and not state.gates
 
 
+def state_snapshot(state):
+    """What `learn_task` and `hold` change, as comparable values."""
+    layers = [
+        (layer.branch is None, layer.frozen_count, layer.ups.tobytes(), layer.downs.tobytes())
+        for layer in state.model.adapted_layers
+    ]
+    bases = [b.basis.tobytes() for m in (state.gate_memory, state.grad_memory) for b in m.layers]
+    gates = [p.value.tobytes() for gate in state.gates for p in gate.params]
+    return (state.tasks_learned, state.gate, state.trained_size, len(state.held), layers, bases, gates)
+
+
+@pytest.mark.parametrize("branch_strategy", ["olora", "inflora"])
+def test_labels_outside_the_head_rejected_before_the_state_changes(branch_strategy):
+    # Six classes in the head. Unchecked, learn_task failed on label 9 only
+    # at its first training step, with the task's branches expanded and its
+    # gate built, and hold kept labels 6 and -1, which evaluation scored as
+    # wrong.
+    state, sequence = desk_state(desk_strategy(branch_strategy))
+    learn_task(state, sequence.tasks[0].train)
+    before = state_snapshot(state)
+    train, test = sequence.tasks[1].train, sequence.tasks[0].test
+    labels = train.labels.copy()
+    labels[3] = 9
+    with pytest.raises(IdOutOfRange, match="task 1: train label 9 is outside the head's 6 classes"):
+        learn_task(state, Dataset(sequences(train), labels, 1))
+    assert state_snapshot(state) == before
+    for bad in (6, -1):
+        labels = test.labels.copy()
+        labels[-1] = bad
+        with pytest.raises(IdOutOfRange, match=f"task 0: test label {bad} is outside"):
+            state.hold(state.model.pool_batch(test), labels)
+        assert state_snapshot(state) == before
+    learn_task(state, train)
+    assert state.tasks_learned == 2
+
+
+@pytest.mark.parametrize("seed", [1.7, "1", True], ids=["float", "str", "bool"])
+def test_run_refuses_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(ValueError, match=f"seed={seed!r}: need an integer"):
+        run_sequence(DESK_MODEL, desk_strategy("olora"), seed)
+
+
 @pytest.mark.parametrize("gating_mode", continual.GATING_MODES)
 def test_gate_fn_follows_gating_mode(gating_mode):
     # The ablations that drop the initialization constraints also drop

@@ -108,13 +108,18 @@ def sequential_generate_task(
     rng, task_id, vocab_window, n_classes, n_train, n_test, noise, *,
     embedding, class_offset, seq_len=(8, 16), max_attempts=16,
 ):
-    """The generator drawing, pooling and labeling one candidate at a time,
-    and flipping noisy labels one at a time: the oracle `generate_task`
-    must match byte for byte."""
+    """The generator drawing and labeling one candidate at a time, and
+    flipping noisy labels one at a time: the oracle `generate_task` must
+    match byte for byte. A candidate's label is the argmax of the sum of
+    its tokens' rows of the score table `embedding[lo:hi] @ teacher.T`,
+    one `np.add.reduceat` per candidate: numpy sums a 2-D block's rows in
+    its own order (rows 1, 2, ... first and row 0 last), and a sum in
+    token order can differ by rounding, which decides near-ties."""
     lo, hi = vocab_window
     for attempt in range(max_attempts):
         gen = rng.child(f"task{task_id}-attempt{attempt}")
         teacher = gaussian_init(gen.child("teacher"), n_classes, embedding.shape[1], 1.0)
+        table = embedding[lo:hi] @ teacher.T
         draw = gen.child("draw")
         seen = set()
 
@@ -130,7 +135,8 @@ def sequential_generate_task(
                 seq = tuple(int(t) for t in draw.integers(lo, hi, length))
                 if seq in seen:
                     continue
-                label = int(np.argmax(teacher @ pool_embed(seq, embedding)))
+                scores = np.add.reduceat(table[np.array(seq) - lo], [0])
+                label = int(np.argmax(scores))
                 if quota[label] == 0:
                     continue
                 quota[label] -= 1
@@ -211,10 +217,10 @@ class TestGeneratorOracle:
         assert_same_task(generate_task(*args, **kwargs), sequential_generate_task(*args, **kwargs))
 
     @pytest.mark.parametrize("case", ["desk-lengths", "gpm-like"])
-    def test_matches_when_candidates_fall_back(self, case, monkeypatch):
-        # Teacher rows 0 and 1 one ulp apart tie every candidate whose top
-        # class is either, so about a quarter of them here are pooled and
-        # labeled by the mat-vec.
+    def test_matches_with_a_tied_teacher(self, case, monkeypatch):
+        # Teacher rows 0 and 1 one ulp apart put the top two scores of
+        # every candidate whose top class is either within rounding of
+        # each other.
         def tied_teacher(rng, rows, cols, std):
             teacher = numerics.gaussian_init(rng, rows, cols, std)
             teacher[1] = np.nextafter(teacher[0], np.inf)
@@ -223,42 +229,29 @@ class TestGeneratorOracle:
         args, kwargs = generator_args(case, 0)
         monkeypatch.setattr(model, "gaussian_init", tied_teacher)
         monkeypatch.setitem(globals(), "gaussian_init", tied_teacher)
-        want = sequential_generate_task(*args, **kwargs)
-        counts = count_labelling(monkeypatch)
-        assert_same_task(generate_task(*args, **kwargs), want)
-        assert 0.1 * counts["labelled"] < counts["pooled"] < 0.9 * counts["labelled"]
+        assert_same_task(generate_task(*args, **kwargs), sequential_generate_task(*args, **kwargs))
 
+    @pytest.mark.parametrize("case", list(GENERATOR_CASES))
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_pools_almost_no_candidate(self, seed, monkeypatch):
-        counts = count_labelling(monkeypatch)
-        args, kwargs = generator_args("gpm-like", seed)
-        generate_task(*args, **kwargs)
-        assert counts["labelled"] > 100
-        assert counts["pooled"] <= 0.01 * counts["labelled"]
+    def test_labels_are_the_teachers_argmax_on_the_pooled_mean(self, case, seed, monkeypatch):
+        # The table rule against the mat-vec definition, on noise-free
+        # labels: the last teacher `generate_task` draws is the one that
+        # filled both splits.
+        teachers, labeller = [], model._labeller
 
+        def recording_labeller(teacher, embedding, window):
+            teachers.append(teacher)
+            return labeller(teacher, embedding, window)
 
-def count_labelling(monkeypatch) -> Counter:
-    """Counts, from now on, of the candidates `generate_task` labels and
-    of the sequences it pools."""
-    counts: Counter = Counter()
-    labeller, pool_rows = model._labeller, model._pool_rows
-
-    def counting_labeller(*args):
-        label = labeller(*args)
-
-        def counted(lengths, flat):
-            counts["labelled"] += len(lengths)
-            return label(lengths, flat)
-
-        return counted
-
-    def counting_pool_rows(flat, lengths, embedding):
-        counts["pooled"] += len(lengths)
-        return pool_rows(flat, lengths, embedding)
-
-    monkeypatch.setattr(model, "_labeller", counting_labeller)
-    monkeypatch.setattr(model, "_pool_rows", counting_pool_rows)
-    return counts
+        monkeypatch.setattr(model, "_labeller", recording_labeller)
+        args, kwargs = generator_args(case, seed)
+        task = generate_task(*args[:-1], 0.0, **kwargs)
+        for ds in (task.train, task.test):
+            want = [
+                int(np.argmax(teachers[-1] @ pool_embed(seq, kwargs["embedding"])))
+                for seq in sequences(ds)
+            ]
+            assert (ds.labels - kwargs["class_offset"]).tolist() == want
 
 
 def sequential_candidates(rng, seq_len, window, count):
@@ -407,7 +400,7 @@ class TestSplitCandidates:
         assert _split_candidates(raw[:3], (4, 4), (0, 10), 100)[2] == []
 
 
-def test_labels_match_per_row_products_on_ties():
+def test_labels_take_the_first_tied_class_and_the_mat_vecs_elsewhere():
     gen = np.random.default_rng(0)
     embedding = gen.normal(size=(40, 64))
     teacher = gen.normal(size=(6, 64))
@@ -418,13 +411,17 @@ def test_labels_match_per_row_products_on_ties():
     gen.shuffle(lengths)
     flat = gen.integers(*window, size=lengths.sum())
     starts = np.cumsum(lengths) - lengths
-    want = [
-        int(np.argmax(teacher @ pool_embed(flat[s : s + n], embedding)))
-        for s, n in zip(starts, lengths)
-    ]
-    # Rows 4 and 5 are labeled from the table, the tied pairs by the fallback.
-    assert {0, 1, 3} <= set(want) and {4, 5} <= set(want)
-    assert _labeller(teacher, embedding, window)(lengths, flat) == want
+    labels = np.array(_labeller(teacher, embedding, window)(lengths, flat))
+    scores = np.hstack(
+        [teacher @ pool_embed(flat[s : s + n], embedding) for s, n in zip(starts, lengths)]
+    ).T
+    assert 2 not in labels and np.array_equal(labels == 0, scores.argmax(axis=1) == 0)
+    # Away from the near-tied pair, whose two scores differ by rounding
+    # alone, the label is the mat-vec's.
+    near = np.isin(labels, [1, 3])
+    assert 0.1 < near.mean() < 0.9 and {0, 4, 5} <= set(labels[~near])
+    assert np.array_equal(labels[~near], scores[~near].argmax(axis=1))
+    assert np.all(np.isin(scores[near].argmax(axis=1), [1, 3]))
 
 
 def pooling_case(vocab=30):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,19 @@ class TestRng:
     def test_distinct_tags_distinct_streams(self):
         r = Rng(7)
         assert r.child("a").seed != r.child("b").seed
+
+    @pytest.mark.parametrize(
+        "seed", [1.5, np.float64(2.0), "3", True, np.bool_(False)],
+        ids=["float", "numpy-float", "str", "bool", "numpy-bool"],
+    )
+    def test_refuses_seeds_that_are_not_integers(self, seed):
+        # Each ran as the integer it truncates or converts to.
+        with pytest.raises(ValueError, match=re.escape(f"seed={seed!r}: need an integer")):
+            Rng(seed)
+
+    def test_takes_numpy_and_negative_integer_seeds(self):
+        assert Rng(np.int64(5)).seed == 5
+        assert Rng(-1).seed == 2**64 - 1
 
     def test_known_stream_value(self):
         # Pin the generator family: PCG64 must not silently change.

@@ -21,8 +21,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Param
 from .errors import NoFreeSubspace, ShapeMismatch
+# sym_eig is not called here; bench/check_spans.py still binds adapter.sym_eig.
 from .numerics import Mat, Rng, gaussian_init, sym_eig
-from .subspace import SubspaceBasis, project_out
+from .subspace import Factorization, project_out
 
 BRANCH_INIT_STD = 0.02
 
@@ -212,35 +213,27 @@ def olora_gram(layer: AdaptedLinear) -> Mat | None:
     return gram
 
 
-def inflora_design(h_new: Mat, grad_space: SubspaceBasis, r: int) -> Mat:
+def inflora_design(f: Factorization, r: int) -> Mat:
     """Row basis for a new branch, orthogonal to the protected input span.
 
-    Rows are the top-r principal directions of the column covariance of
-    h_new after projecting off grad_space, orthonormalized after the
-    protected basis by one complete QR. If the new inputs do not span r
-    clean directions, the remaining rows come deterministically from the
-    QR's orthonormal basis of the complement; NoFreeSubspace if the
-    complement is smaller than r.
-
-    The factorization of h_new against grad_space is read from, or
-    recorded on, grad_space's memo (`SubspaceBasis.factored`), where the
-    `subspace.extend` that grows grad_space from the same input finds it.
+    f is the new task's input h_new factored against the protected basis
+    (`subspace.factor`, `f.basis`). Rows are the top-r principal directions
+    of the column covariance of h_new after projecting off that basis,
+    orthonormalized after the protected basis by one complete QR. If the
+    new inputs do not span r clean directions, the remaining rows come
+    deterministically from the QR's orthonormal basis of the complement;
+    NoFreeSubspace if the complement is smaller than r.
     """
     if r < 1:
         raise ValueError(f"rank must be >= 1, got {r}")
+    grad_space = f.basis
     dim = grad_space.dim
     if dim - grad_space.rank < r:
         raise NoFreeSubspace(
             f"complement has {dim - grad_space.rank} dims, need {r}"
         )
-    h_new = np.asarray(h_new, dtype=np.float64)
-    factors = grad_space.factored(h_new)
-    if factors is None:
-        residual = project_out(grad_space, h_new)
-        factors = grad_space.record(h_new, residual, sym_eig(residual @ residual.T))
-    evals, evecs = factors.evals, factors.evecs
-    floor = 1e-10 * max(1.0, float(evals[0]))
-    lead = evecs[:, :r][:, evals[:r] > floor]
+    floor = 1e-10 * max(1.0, float(f.evals[0]))
+    lead = f.evecs[:, :r][:, f.evals[:r] > floor]
     known = np.column_stack([grad_space.basis, project_out(grad_space, lead)])
     q, _ = np.linalg.qr(known, mode="complete")
     return q[:, grad_space.rank : grad_space.rank + r].T.copy()

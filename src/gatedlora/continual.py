@@ -38,6 +38,7 @@ from .errors import (
     IdOutOfRange,
     IncompleteMatrix,
     NoFreeSubspace,
+    NonFinite,
     OrderViolation,
     ShapeMismatch,
     SingleTask,
@@ -53,7 +54,7 @@ from .model import Dataset, TaskSequence, ToyBackbone, build_task_sequence
 from .numerics import Rng
 from .optim import AdamW
 from .params import BRANCH_STRATEGIES
-from .subspace import SubspaceMemory
+from .subspace import Factorization, SubspaceMemory, factor
 
 GATING_MODES = ("gain", "fixed_one", "no_init", "no_update", "no_constraints")
 
@@ -67,7 +68,7 @@ MODEL_KEYS = (
 OLORA_LAMBDA = 0.5
 
 # Most pooled training columns a task's subspace growth and InfLoRA design
-# read; a larger training set is subsampled to this many.
+# read; a larger training set is subsampled to this many, once per task.
 SUBSPACE_SAMPLES = 512
 
 
@@ -224,14 +225,7 @@ class ContinualState:
     frozen gate modules (`gates`, one per learned task in task order when
     gated), the gate that trains (`gate`, None but while a gated task
     learns), both subspace memories, the accuracy matrix and the held test
-    pools (`held`, one `Pool` per learned task, in task order).
-
-    The first layers of the gate memory (`gate_memory`) and of the
-    gradient memory (`grad_memory`) both protect the pooled input at
-    `eps_threshold`, so they start as one `SubspaceBasis` object. A basis
-    remembers its last factorization and what it grew into (see
-    `subspace`), so the two stay one object for as long as they grow from
-    the same columns (see `learn_task`)."""
+    pools (`held`, one `Pool` per learned task, in task order)."""
 
     def __init__(self, model: ToyBackbone, cfg: StrategyConfig, rng: Rng):
         cfg.validate()
@@ -254,7 +248,6 @@ class ContinualState:
         self.grad_memory = SubspaceMemory(
             [layer.in_dim for layer in model.adapted_layers], cfg.eps_threshold
         )
-        self.grad_memory.layers[0] = self.gate_memory.layers[0]
         self.tasks_learned = 0
         # Weights the latest task trained, counted before its freeze.
         self.trained_size = 0
@@ -366,16 +359,6 @@ def _subsample(rng: Rng, n: int, cap: int) -> np.ndarray:
     return np.sort(rng.permutation(n)[:cap])
 
 
-def _collect_adapted_inputs(
-    state: ContinualState, pool: Pool, rng: Rng
-) -> list[np.ndarray]:
-    """Inputs seen by each adapted layer on a sample of the pool's columns,
-    read through the pool's memo (`ContinualState.apply`)."""
-    idx = _subsample(rng, pool.pooled.shape[1], SUBSPACE_SAMPLES)
-    _, (_, cache) = state.apply(pool, idx)
-    return cache.inputs
-
-
 def learn_task(state: ContinualState, train: Dataset) -> None:
     """Run one task through the full pipeline (expansion, constrained
     initialization, training, subspace growth, freeze).
@@ -387,18 +370,22 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
     task's branches freeze (but under `seq`, whose one branch trains on
     every task), so no later forward computes them fresh.
 
-    The InfLoRA design and the growth of each memory read a sample of the
-    pooled training columns each: all of them when there are at most
-    `SUBSPACE_SAMPLES`, and then the three read the same input at the
-    first layer. The design's factorization of it against the memories'
-    shared first basis (`ContinualState`) serves both growths, and the
-    second growth returns the basis the first made, so the pooled input is
-    eigendecomposed once per task. Past the cap the samples differ, and
-    each is factored on its own.
+    The InfLoRA design, the gate trace and the gradient memory's growth
+    read one sample of the pooled training columns: all of them when there
+    are at most `SUBSPACE_SAMPLES`. Each layer input they read is factored
+    against its memory's basis (`subspace.factor`) once. The first adapted
+    layer's input is the sample of the pool itself, so its factorization
+    against the gradient memory's first basis serves both that layer's
+    design and, after training, the gradient memory's growth; the gate
+    memory factors its own layers.
 
     Raises, before the state changes, EmptyInput on an empty dataset,
     OrderViolation on a task id other than the next one and IdOutOfRange
-    on a label that is not a class of the head."""
+    on a label that is not a class of the head. Raises NoFreeSubspace,
+    naming the layer and the knobs, when the design finds too few free
+    input dims, and NonFinite, naming the memory, the layer, the input's
+    largest |entry| and `lr`, when an input to factor is too large for
+    its covariance to be finite, as after training diverged."""
     cfg = state.cfg
     if len(train) == 0:
         raise EmptyInput("cannot learn from an empty dataset")
@@ -411,19 +398,36 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
     rng = state.rng.child(f"task{t}")
     pool = Pool(state.model.pool_batch(train), train.labels)
     n = len(train)
+    sample = _subsample(rng.child("subspace"), n, SUBSPACE_SAMPLES)
+
+    def factored(
+        memory: SubspaceMemory, layer: str, inputs: list[np.ndarray], start: int = 0
+    ) -> list[Factorization]:
+        # Layer start + k's input inputs[k] against that layer's basis.
+        factors = []
+        for i, h in enumerate(inputs, start):
+            try:
+                factors.append(factor(memory.layers[i], h))
+            except NonFinite as exc:
+                raise NonFinite(
+                    f"task {train.task_id}, {layer} {i}: its input's largest |entry| is "
+                    f"{np.max(np.abs(h)):.3g}, too large for a finite covariance; "
+                    f"training diverged (lr={cfg.lr}; a smaller lr keeps it finite)"
+                ) from exc
+        return factors
 
     layers = state.model.adapted_layers
     designed_rows: list[Optional[np.ndarray]] = [None] * len(layers)
     if cfg.branch_strategy == "inflora":
-        inputs = _collect_adapted_inputs(state, pool, rng.child("design"))
-        for i, h in enumerate(inputs):
-            basis = state.grad_memory.layers[i]
+        _, (_, cache) = state.apply(pool, sample)
+        grad_factors = factored(state.grad_memory, "gradient memory, adapted layer", cache.inputs)
+        for i, f in enumerate(grad_factors):
             try:
-                designed_rows[i] = inflora_design(h, basis, cfg.rank)
+                designed_rows[i] = inflora_design(f, cfg.rank)
             except NoFreeSubspace as exc:
                 raise NoFreeSubspace(
-                    f"task {t}, adapted layer {i}: {basis.dim - basis.rank} of "
-                    f"{basis.dim} input dims are free of the protected subspace, "
+                    f"task {train.task_id}, adapted layer {i}: {f.basis.dim - f.basis.rank} of "
+                    f"{f.basis.dim} input dims are free of the protected subspace, "
                     f"too few for rank={cfg.rank} (eps_threshold="
                     f"{cfg.eps_threshold}; lowering either leaves more)"
                 ) from exc
@@ -483,12 +487,17 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
             opt.step(transforms)
 
     if cfg.gated and (cfg.init_constraints or cfg.update_constraints):
-        idx = _subsample(rng.child("trace"), n, SUBSPACE_SAMPLES)
-        _, trace = state.gate.forward_values(pool.pooled.take(idx, axis=1))
-        state.gate_memory.extend_all(trace)
+        _, trace = state.gate.forward_values(pool.pooled.take(sample, axis=1))
+        state.gate_memory.extend_all(factored(state.gate_memory, "gate memory, gate layer", trace))
     if cfg.branch_strategy == "inflora":
-        inputs = _collect_adapted_inputs(state, pool, rng.child("grad-space"))
-        state.grad_memory.extend_all(inputs)
+        # The first adapted layer's input is the pool's sample, as at the
+        # design, so the design's factorization of it stands; the later
+        # layers' inputs moved with training.
+        _, (_, cache) = state.apply(pool, sample)
+        state.grad_memory.extend_all(
+            grad_factors[:1]
+            + factored(state.grad_memory, "gradient memory, adapted layer", cache.inputs[1:], 1)
+        )
     if cfg.gated:
         state.gates.append(state.gate)
         state.gate = None

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from gatedlora import adapter, continual, subspace
+from gatedlora import continual, subspace
 from gatedlora.adapter import expand_branch
 from gatedlora.gating import GateFn
 from gatedlora.model import _token_ids
 from gatedlora.numerics import Rng
-from gatedlora.subspace import SubspaceBasis, extend
 
 import graph as gr
 
@@ -19,20 +18,13 @@ def rng():
 @pytest.fixture
 def eigensolves(monkeypatch):
     """A list that gains the input's shape per `sym_eig` call the package
-    makes, at every name it calls the solver by."""
+    makes. `subspace.factor` is its one caller in src
+    (`test_only_subspace_factor_eigendecomposes`), so the count is taken at
+    the name it calls: `subspace.sym_eig`."""
     calls = []
-    for module in (adapter, subspace):
-        solve = module.sym_eig
-        monkeypatch.setattr(
-            module, "sym_eig", lambda a, solve=solve: calls.append(a.shape) or solve(a)
-        )
+    solve = subspace.sym_eig
+    monkeypatch.setattr(subspace, "sym_eig", lambda a: calls.append(a.shape) or solve(a))
     return calls
-
-
-def fresh_extend(basis, h, eps):
-    """`extend` of a new basis object with `basis`'s columns, which holds
-    no memo."""
-    return extend(SubspaceBasis(basis.dim, basis.basis.copy()), h, eps)
 
 
 def finite_difference(fn, params, h=1e-5):

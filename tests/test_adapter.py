@@ -12,7 +12,7 @@ from gatedlora.adapter import (
 from gatedlora.errors import NoFreeSubspace, ShapeMismatch
 from gatedlora.numerics import Rng, sym_eig
 from gatedlora.optim import AdamW
-from gatedlora.subspace import SubspaceBasis
+from gatedlora.subspace import SubspaceBasis, factor
 
 import graph as gr
 from conftest import (
@@ -294,7 +294,7 @@ class TestOloraPenalty:
 class TestInfloraDesign:
     def test_empty_protected_space_gives_principal_directions(self, rng):
         h = rng.normal(5, 40, 1.0)
-        rows = inflora_design(h, SubspaceBasis(5), 2)
+        rows = inflora_design(factor(SubspaceBasis(5), h), 2)
         evals, evecs = sym_eig(h @ h.T)
         for j in range(2):
             # principal directions up to sign
@@ -306,14 +306,14 @@ class TestInfloraDesign:
         q, _ = np.linalg.qr(gen.normal(size=(6, 2)))
         protected = SubspaceBasis(6, q)
         h = rng.normal(6, 30, 1.0)
-        rows = inflora_design(h, protected, 3)
+        rows = inflora_design(factor(protected, h), 3)
         assert np.allclose(rows @ rows.T, np.eye(3), atol=1e-8)
         assert np.max(np.abs(rows @ q)) <= 1e-8
 
     def test_full_protected_space_raises(self):
         protected = SubspaceBasis(4, np.eye(4))
         with pytest.raises(NoFreeSubspace):
-            inflora_design(np.ones((4, 3)), protected, 1)
+            inflora_design(factor(protected, np.ones((4, 3))), 1)
 
     def test_degenerate_inputs_with_protected_space(self):
         # inputs excite one free direction plus the protected span, rank 3
@@ -324,18 +324,18 @@ class TestInfloraDesign:
         v -= q @ (q.T @ v)
         v /= np.linalg.norm(v)
         h = np.outer(v, np.arange(1.0, 6.0)) + q @ np.ones((2, 5))
-        rows = inflora_design(h, protected, 3)
+        rows = inflora_design(factor(protected, h), 3)
         assert np.allclose(rows @ rows.T, np.eye(3), atol=1e-10)
         assert np.max(np.abs(rows @ q)) <= 1e-10
         assert abs(rows[0] @ v) == pytest.approx(1.0, abs=1e-10)
-        assert np.array_equal(rows, inflora_design(h, protected, 3))
+        assert np.array_equal(rows, inflora_design(factor(protected, h), 3))
 
     def test_degenerate_inputs_completed_deterministically(self):
         # new inputs excite one direction only, rank 2 requested
         h = np.outer(np.array([1.0, 0, 0, 0]), np.ones(5))
-        rows = inflora_design(h, SubspaceBasis(4), 2)
+        rows = inflora_design(factor(SubspaceBasis(4), h), 2)
         assert np.allclose(rows @ rows.T, np.eye(2), atol=1e-10)
-        again = inflora_design(h, SubspaceBasis(4), 2)
+        again = inflora_design(factor(SubspaceBasis(4), h), 2)
         assert np.array_equal(rows, again)
 
 
@@ -447,7 +447,7 @@ class TestExpandBranch:
     def test_designed_rows_fixed_during_training(self, rng):
         layer = fresh_layer(rng)
         h_new = rng.normal(4, 20, 1.0)
-        rows = inflora_design(h_new, SubspaceBasis(4), 2)
+        rows = inflora_design(factor(SubspaceBasis(4), h_new), 2)
         br = expand_branch(layer, 2, rng.child("a"), designed_down=rows)
         opt = AdamW(br.trainable_params(), lr=1e-2)
         for _ in range(25):

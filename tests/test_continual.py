@@ -1,4 +1,5 @@
 import inspect
+import re
 from collections import Counter
 
 import numpy as np
@@ -23,6 +24,7 @@ from gatedlora.errors import (
     IdOutOfRange,
     IncompleteMatrix,
     NoFreeSubspace,
+    NonFinite,
     OrderViolation,
     ShapeMismatch,
     SingleTask,
@@ -33,13 +35,12 @@ from gatedlora.model import Dataset, ToyBackbone, build_task_sequence
 from gatedlora.numerics import Rng, gaussian_init
 from gatedlora.optim import AdamW
 from gatedlora.params import count_trainable_params, preset
-from gatedlora.subspace import SubspaceBasis, SubspaceMemory
+from gatedlora.subspace import SubspaceBasis, extend, factor
 
 import graph as gr
 from conftest import (
     EXPANDED,
     coefficient_nodes,
-    fresh_extend,
     frozen_chain,
     oracle_forward,
     penalty_chain,
@@ -206,48 +207,52 @@ def test_whole_run_invariants(branch_strategy):
 
 def test_subspace_reads_subsample_past_the_cap(monkeypatch):
     # No workload trains on more than SUBSPACE_SAMPLES columns; a cap of 16
-    # under the desk's 48 makes every subspace read draw a sample.
+    # under the desk's 48 makes the task's one subspace sample a draw.
     cap = 16
     monkeypatch.setattr(continual, "SUBSPACE_SAMPLES", cap)
-    reads = []  # (what, per-layer inputs) in call order
-    grown = []  # (memory, its first basis before, that layer's input)
-    design, extend_all = continual.inflora_design, SubspaceMemory.extend_all
+    samples = []  # each `_subsample` result
+    reads = []  # the columns each `ContinualState.apply` took
+    factored = []  # (basis, input) of each factorization, in call order
+    subsample, apply, factor_ = continual._subsample, ContinualState.apply, continual.factor
 
-    def recording_design(h, basis, rank):
-        reads.append(("design", [h]))
-        return design(h, basis, rank)
+    def recording_subsample(*args):
+        samples.append(subsample(*args))
+        return samples[-1]
 
-    def recording_extend_all(self, inputs):
-        reads.append(("extend_all", list(inputs)))
-        grown.append((self, self.layers[0], inputs[0]))
-        extend_all(self, inputs)
+    def recording_apply(self, pool, idx=None):
+        reads.append(idx)
+        return apply(self, pool, idx)
 
-    monkeypatch.setattr(continual, "inflora_design", recording_design)
-    monkeypatch.setattr(SubspaceMemory, "extend_all", recording_extend_all)
+    def recording_factor(basis, h):
+        factored.append((basis, h))
+        return factor_(basis, h)
+
+    monkeypatch.setattr(continual, "_subsample", recording_subsample)
+    monkeypatch.setattr(ContinualState, "apply", recording_apply)
+    monkeypatch.setattr(continual, "factor", recording_factor)
 
     def check_task(state, task):
-        pooled = state.model.pool_batch(task.train)
-        # The design runs once per adapted layer on a sample; then the gate
-        # trace and the grad space each draw a sample of their own, so no
-        # two of the three read the same columns and no factorization is
-        # shared.
-        kinds = [kind for kind, _ in reads]
-        assert kinds == ["design", "design", "extend_all", "extend_all"]
-        assert all(h.shape[1] == cap for _, inputs in reads for h in inputs)
-        for _, inputs in (reads[0], reads[2], reads[3]):
-            # the first input of each read is the pooled columns it took
-            idx = [
-                int(np.flatnonzero((pooled == col[:, None]).all(axis=0)).item())
-                for col in inputs[0].T
-            ]
-            assert np.all(np.diff(idx) > 0), idx
-        # Each memory's first layer grew from its own sample alone, into a
-        # basis of its own.
-        for memory, before, h in grown:
-            assert_basis_bytes(memory.layers[0], fresh_extend(before, h, memory.eps))
-        assert state.gate_memory.layers[0] is not state.grad_memory.layers[0]
-        reads.clear()
-        grown.clear()
+        [sample] = samples
+        assert sample.shape == (cap,) and np.all(np.diff(sample) > 0)
+        assert not np.array_equal(sample, np.arange(cap))
+        x = state.model.pool_batch(task.train).take(sample, axis=1)
+        # The design and the gradient growth read the adapted layers'
+        # inputs on the sample (a training batch is a slice of a
+        # permutation), and the gate trace reads the sample itself.
+        assert sum(idx is sample for idx in reads) == 2
+        # Factorizations: the design's two adapted layers, the gate
+        # memory's three layers, the growth's second adapted layer.
+        assert len(factored) == 6
+        design, gate = factored[:2], factored[2:5]
+        assert design[0][1].tobytes() == x.tobytes()
+        _, trace = state.gates[-1].forward_values(x)
+        assert [h.tobytes() for _, h in gate] == [h.tobytes() for h in trace]
+        # Each memory's first layer grew from the sample: the gradient
+        # memory's by the design's factorization of it.
+        for memory, (basis, _) in ((state.grad_memory, design[0]), (state.gate_memory, gate[0])):
+            assert_basis_bytes(memory.layers[0], extend(factor_(basis, x), memory.eps))
+        for records in (samples, reads, factored):
+            records.clear()
 
     assert_run_invariants(desk_strategy("inflora"), check_task)
 
@@ -260,45 +265,51 @@ def assert_basis_bytes(actual, expected):
 @pytest.mark.parametrize(
     "branch_strategy, gating_mode, per_task",
     [
-        ("inflora", "gain", 5),
-        ("inflora", "no_update", 5),
-        ("inflora", "no_init", 5),
-        ("olora", "gain", 3),
+        ("inflora", "gain", 6),
+        ("inflora", "no_update", 6),
+        ("inflora", "no_init", 6),
+        ("inflora", "no_constraints", 3),
         ("inflora", "fixed_one", 3),
+        ("olora", "gain", 3),
+        ("olora", "no_constraints", 0),
+        ("seq", "fixed_one", 0),
     ],
 )
-def test_task_factors_its_pooled_input_once(
-    branch_strategy, gating_mode, per_task, eigensolves, monkeypatch
-):
-    # A factorization per input read: the design's 2 adapted layers, the
-    # gate memory's 3 layers, the gradient memory's 2. The pooled input is
-    # the first layer's input of all three, against one basis, so it is
-    # factored once: 7 - 2 with both memories, 4 - 1 with the gradient
-    # memory alone; the gate memory alone (olora) has no repeat.
-    grown = []  # (memory, its first basis before, that layer's input)
-    extend_all = SubspaceMemory.extend_all
-
-    def recording_extend_all(self, inputs):
-        grown.append((self, self.layers[0], inputs[0]))
-        extend_all(self, inputs)
-
-    monkeypatch.setattr(SubspaceMemory, "extend_all", recording_extend_all)
-
-    state, sequence = desk_state(desk_strategy(branch_strategy, gating_mode=gating_mode))
+def test_eigensolves_per_task(branch_strategy, gating_mode, per_task, eigensolves):
+    # One eigensolve per factorization (`subspace.factor`). The gate memory
+    # factors its 3 layers' inputs when it grows (any constraint on). Under
+    # InfLoRA the gradient memory factors its 2: the first layer's input,
+    # the pool, once for both the design and the growth, and the second
+    # layer's once for the design and again for the growth, as training
+    # moves it.
+    cfg = desk_strategy(branch_strategy, gating_mode=gating_mode)
+    state, sequence = desk_state(cfg)
+    memories = {"gate": state.gate_memory, "grad": state.grad_memory}
+    grows = {
+        "gate": cfg.init_constraints or cfg.update_constraints,
+        "grad": branch_strategy == "inflora",
+    }
+    # The two memories share no basis object, from the start.
+    shared = {id(b) for b in state.gate_memory.layers} & {id(b) for b in state.grad_memory.layers}
+    assert not shared
     for task in sequence:
+        before = {name: memory.layers[0] for name, memory in memories.items()}
         learn_task(state, task.train)
         assert len(eigensolves) == per_task
-        for memory, before, h in grown:
-            assert_basis_bytes(memory.layers[0], fresh_extend(before, h, memory.eps))
-        if len(grown) == 2:
-            assert state.gate_memory.layers[0] is state.grad_memory.layers[0]
+        pooled = state.model.pool_batch(task.train)
+        for name, memory in memories.items():
+            if grows[name]:
+                grown = extend(factor(before[name], pooled), memory.eps)
+                assert_basis_bytes(memory.layers[0], grown)
+            else:
+                assert memory.layers[0] is before[name]
+        assert state.gate_memory.layers[0] is not state.grad_memory.layers[0]
         eigensolves.clear()
-        grown.clear()
 
 
 def test_no_factorization_outlives_a_run(eigensolves):
-    # Two runs on the same prebuilt inputs: a memo kept past the first run
-    # would serve the second, which would then solve fewer problems.
+    # Two runs on the same prebuilt inputs: anything factored in the first
+    # and kept would serve the second, which would then solve fewer problems.
     cfg = desk_strategy("inflora")
     _, sequence = desk_state(cfg, seed=5)
     results = []
@@ -306,8 +317,24 @@ def test_no_factorization_outlives_a_run(eigensolves):
         eigensolves.clear()
         result = run_sequence(DESK_MODEL, cfg, 5, sequence=sequence)
         results.append((len(eigensolves), result.summary_dict(), result.gate_samples))
-    assert results[0][0] == 5 * DESK_MODEL["n_tasks"]
+    assert results[0][0] == 6 * DESK_MODEL["n_tasks"]
     assert results[1] == results[0]
+
+
+def test_diverged_run_names_the_memory_the_layer_and_lr():
+    # At lr=1e8 task 0's gate-layer inputs reach 1e105; task 1's gate trace
+    # reaches 1.5e213 at gate layer 2, whose covariance overflows to inf.
+    # The suite turns numpy's overflow warning into an error, which would
+    # stop the run before the factorization that names the layer.
+    cfg = desk_strategy("inflora", lr=1e8)
+    with np.errstate(over="ignore"), pytest.raises(NonFinite) as info:
+        run_sequence(DESK_MODEL, cfg, 0)
+    msg = str(info.value)
+    for part in ("task 1", "gate memory, gate layer 2", "lr=100000000.0"):
+        assert part in msg
+    # Past sqrt(float max), about 1.3e154, a square overflows.
+    assert float(re.search(r"largest \|entry\| is ([^,]+),", msg).group(1)) > 1.4e154
+    assert isinstance(info.value.__cause__, NonFinite)
 
 
 @pytest.mark.parametrize("branch_strategy", ["olora", "inflora"])
@@ -1042,7 +1069,7 @@ def test_inflora_out_of_subspace_names_layer_and_settings():
     with pytest.raises(NoFreeSubspace) as info:
         learn_task(state, sequence.tasks[0].train)
     msg = str(info.value)
-    for part in ("task 1", "adapted layer 1", "0 of 16", "rank=3", "eps_threshold=0.95"):
+    for part in ("task 0", "adapted layer 1", "0 of 16", "rank=3", "eps_threshold=0.95"):
         assert part in msg
     assert isinstance(info.value.__cause__, NoFreeSubspace)
     # raised before anything was expanded or added

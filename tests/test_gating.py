@@ -19,7 +19,7 @@ from gatedlora.gating import (
 )
 from gatedlora.numerics import Rng, gaussian_init
 from gatedlora.optim import AdamW
-from gatedlora.subspace import SubspaceBasis, SubspaceMemory
+from gatedlora.subspace import SubspaceBasis, SubspaceMemory, factor
 
 import graph as gr
 from conftest import coefficient_nodes, pool_embed, total, upstream
@@ -158,7 +158,7 @@ class TestGatingForward:
 def memory_from_module(module, inputs, eps=1.0):
     mem = SubspaceMemory(module.input_dims, eps)
     _, trace = module.forward_values(inputs)
-    mem.extend_all(trace)
+    mem.extend_all([factor(basis, h) for basis, h in zip(mem.layers, trace)])
     return mem
 
 

@@ -16,9 +16,12 @@ if sys.version_info >= (3, 11):
 else:
     import tomli as tomllib
 
+import numpy as np
 import pytest
 
 import gatedlora
+from gatedlora.adapter import inflora_design
+from gatedlora.subspace import SubspaceBasis, extend, factor
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -311,6 +314,72 @@ def test_src_names_no_requires_grad():
         if "requires_grad" in line
     ]
     assert not found, "requires_grad named at " + ", ".join(found)
+
+
+# Calls that eigendecompose or factor a matrix: the package's solver and
+# numpy's.
+EIGENSOLVERS = {"sym_eig", "eigh", "eig", "eigvalsh", "eigvals", "svd"}
+
+
+def calls_by_owner(tree, names):
+    """(innermost enclosing function or class qualified name, callee) of
+    each call in the tree of a function or method named in `names`."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in names:
+                    found.add((owner, name))
+            visit(child, owner)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_subspace_factor_eigendecomposes():
+    """src eigendecomposes an input in one place: `subspace.factor` calls
+    `sym_eig`, which alone calls numpy's solver. An input factored once
+    serves everything that reads it (the InfLoRA design and the growth of
+    the gradient memory share the pool's), by passing the `Factorization`
+    on; a second factoring path fails here."""
+    found = {
+        (path.stem, owner, callee)
+        for path, tree in parsed("src/gatedlora").items()
+        for owner, callee in calls_by_owner(tree, EIGENSOLVERS)
+    }
+    assert found == {("subspace", "factor", "sym_eig"), ("numerics", "sym_eig", "eigh")}
+
+
+def test_eigensolver_guard_finds_each_call():
+    source = (
+        "import numpy as np\n"
+        "class B:\n    def m(self, a):\n        return np.linalg.svd(a)\n"
+        "def f(a):\n    def g():\n        return sym_eig(a)\n    return g\n"
+    )
+    assert calls_by_owner(ast.parse(source), EIGENSOLVERS) == {("B.m", "svd"), ("f.g", "sym_eig")}
+
+
+def test_a_subspace_basis_holds_only_its_columns():
+    """A `SubspaceBasis` holds `dim` and `basis`, before and after it is
+    factored against, designed from and grown, and its class adds only
+    `rank` and `orthonormality_defect`: a memo kept on a basis fails here."""
+    gen = np.random.default_rng(0)
+    m = SubspaceBasis(6)
+    for _ in range(3):
+        f = factor(m, gen.normal(size=(6, 2)))
+        inflora_design(f, 1)
+        grown = extend(f, 0.9)
+        assert set(vars(m)) == set(vars(grown)) == {"dim", "basis"}
+        m = grown
+    assert m.rank > 0
+    added = {name for name in vars(SubspaceBasis) if not name.startswith("__")}
+    assert added == {"rank", "orthonormality_defect"}
 
 
 # Calls that change a dict, list or set in place.

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from gatedlora import adapter
+from gatedlora.adapter import inflora_design
 from gatedlora.errors import DimMismatch, ThresholdUnreachable
+from gatedlora.numerics import sym_eig
 from gatedlora.subspace import (
     SubspaceBasis,
     SubspaceMemory,
     choose_rank,
     extend,
+    factor,
     project_out,
 )
-
-from conftest import fresh_extend
 
 
 def brute_force_rank(eigs, captured_sq, total_sq, eps):
@@ -102,51 +102,51 @@ class TestExtend:
     def test_full_capture_gives_complete_basis(self):
         m = SubspaceBasis(2)
         h = np.diag([2.0, 1.0])
-        out = extend(m, h, 1.0)
+        out = extend(factor(m, h), 1.0)
         assert out.rank == 2
         assert np.allclose(np.abs(out.basis), np.eye(2))
 
     def test_partial_capture_takes_leading_direction(self):
         m = SubspaceBasis(2)
-        out = extend(m, np.diag([2.0, 1.0]), 0.8)
+        out = extend(factor(m, np.diag([2.0, 1.0])), 0.8)
         # residual covariance eigenvalues (4, 1): one direction reaches 4 >= 0.8*5
         assert out.rank == 1
         assert np.allclose(np.abs(out.basis), [[1.0], [0.0]])
 
     def test_captured_input_changes_nothing(self):
         m = SubspaceBasis(2, np.array([[1.0], [0.0]]))
-        out = extend(m, np.array([[3.0], [0.0]]), 0.99)
+        out = extend(factor(m, np.array([[3.0], [0.0]])), 0.99)
         assert np.array_equal(out.basis, m.basis)
 
     def test_old_columns_preserved_as_prefix(self):
         gen = np.random.default_rng(3)
-        m = extend(SubspaceBasis(6), gen.normal(size=(6, 4)), 0.9)
+        m = extend(factor(SubspaceBasis(6), gen.normal(size=(6, 4))), 0.9)
         before = m.basis.copy()
-        m2 = extend(m, gen.normal(size=(6, 4)), 0.9)
+        m2 = extend(factor(m, gen.normal(size=(6, 4))), 0.9)
         assert np.array_equal(m2.basis[:, : m.rank], before)
 
     def test_empty_input(self):
         m = SubspaceBasis(4)
-        assert extend(m, np.zeros((4, 0)), 0.9).rank == 0
+        assert extend(factor(m, np.zeros((4, 0))), 0.9).rank == 0
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
-            extend(SubspaceBasis(3), np.zeros((4, 2)), 0.9)
+            extend(factor(SubspaceBasis(3), np.zeros((4, 2))), 0.9)
 
     def test_orthonormal_after_fifteen_extends(self):
         gen = np.random.default_rng(23)
         m = SubspaceBasis(32)
         for _ in range(15):
             h = gen.normal(size=(32, 20))
-            m = extend(m, h, 0.95)
+            m = extend(factor(m, h), 0.95)
         assert m.orthonormality_defect() <= 1e-6
         assert m.rank <= 32
 
     def test_monotone_capture(self):
         gen = np.random.default_rng(31)
-        m = extend(SubspaceBasis(8), gen.normal(size=(8, 5)), 0.9)
+        m = extend(factor(SubspaceBasis(8), gen.normal(size=(8, 5))), 0.9)
         h = gen.normal(size=(8, 6))
-        m2 = extend(m, h, 0.9)
+        m2 = extend(factor(m, h), 0.9)
         for j in range(h.shape[1]):
             col = h[:, j : j + 1]
             after = np.linalg.norm(project_out(m2, col))
@@ -157,74 +157,43 @@ class TestExtend:
         gen = np.random.default_rng(41)
         m = SubspaceBasis(10)
         h = gen.normal(size=(10, 6))
-        m = extend(m, h, 1.0)
+        m = extend(factor(m, h), 1.0)
         for j in range(6):
             res = project_out(m, h[:, j : j + 1])
             assert np.linalg.norm(res) <= 1e-6 * np.linalg.norm(h[:, j])
 
 
 def basis_and_input(seed=3):
-    """A basis of rank 2 in R^8 with no memo, and an (8, 5) input."""
+    """A basis of rank 2 in R^8 and an (8, 5) input."""
     gen = np.random.default_rng(seed)
     q, _ = np.linalg.qr(gen.normal(size=(8, 2)))
     return SubspaceBasis(8, q), gen.normal(size=(8, 5))
 
 
-class TestMemo:
-    def test_one_input_and_eps_grow_one_basis(self, eigensolves):
+class TestFactor:
+    def test_holds_its_basis_the_eigensolve_and_the_energy_sums(self):
+        m, h = basis_and_input()
+        f = factor(m, h)
+        assert f.basis is m
+        residual = h - m.basis @ (m.basis.T @ h)
+        evals, evecs = sym_eig(residual @ residual.T)
+        assert (f.evals.tobytes(), f.evecs.tobytes()) == (evals.tobytes(), evecs.tobytes())
+        assert f.total_sq == float(np.sum(h * h))
+        assert f.captured_sq == f.total_sq - float(np.sum(residual * residual))
+        assert f.captured_sq == pytest.approx(float(np.sum((m.basis.T @ h) ** 2)), rel=1e-12)
+
+    def test_one_factorization_serves_design_and_extend(self, eigensolves):
         m, h = basis_and_input()
         before = m.basis.copy()
-        first = extend(m, h, 0.9)
-        assert extend(m, h.copy(), 0.9) is first
+        f = factor(m, h)
+        rows = inflora_design(f, 2)
+        grown = extend(f, 0.9)
         assert len(eigensolves) == 1
+        assert rows.tobytes() == inflora_design(factor(m, h.copy()), 2).tobytes()
+        again = extend(factor(m, h.copy()), 0.9)
+        assert again is not grown
+        assert grown.basis.tobytes() == again.basis.tobytes()
         assert np.array_equal(m.basis, before)
-        assert first.basis.tobytes() == fresh_extend(m, h, 0.9).basis.tobytes()
-
-    def test_another_eps_reuses_the_factorization_only(self, eigensolves):
-        m, h = basis_and_input()
-        loose = extend(m, h, 0.5)
-        tight = extend(m, h, 0.99)
-        assert len(eigensolves) == 1
-        assert loose.rank < tight.rank
-        assert tight.basis.tobytes() == fresh_extend(m, h, 0.99).basis.tobytes()
-        assert extend(m, h, 0.99) is tight
-
-    @pytest.mark.parametrize("change", ["one_entry", "shape", "in_place"])
-    def test_another_input_is_factored_afresh(self, change, eigensolves):
-        m, h = basis_and_input()
-        first = extend(m, h, 0.9)
-        if change == "one_entry":
-            other = h.copy()
-            other[3, 1] = np.nextafter(other[3, 1], np.inf)
-        elif change == "shape":
-            other = h[:, :4].copy()
-        else:
-            # The memo keys on what h held when it was factored, not on
-            # the array object.
-            other = h
-            h[0] *= 3.0
-        second = extend(m, other, 0.9)
-        assert len(eigensolves) == 2
-        assert second is not first
-        assert second.basis.tobytes() == fresh_extend(m, other, 0.9).basis.tobytes()
-
-    def test_design_factorization_serves_extend(self, eigensolves):
-        m, h = basis_and_input()
-        rows = adapter.inflora_design(h, m, 2)
-        grown = extend(m, h, 0.9)
-        again = adapter.inflora_design(h, m, 2)
-        assert len(eigensolves) == 1
-        assert again.tobytes() == rows.tobytes()
-        assert grown.basis.tobytes() == fresh_extend(m, h, 0.9).basis.tobytes()
-        unmemoized = adapter.inflora_design(h, SubspaceBasis(8, m.basis.copy()), 2)
-        assert unmemoized.tobytes() == rows.tobytes()
-
-    def test_grown_basis_starts_with_no_memo(self, eigensolves):
-        m, h = basis_and_input()
-        grown = extend(m, h, 0.9)
-        assert grown.factored(h) is None
-        extend(grown, h, 0.9)
-        assert len(eigensolves) == 2
 
 
 class TestSubspaceMemory:
@@ -236,14 +205,30 @@ class TestSubspaceMemory:
     def test_extend_all(self):
         gen = np.random.default_rng(2)
         mem = SubspaceMemory([6, 3], 1.0)
-        mem.extend_all([gen.normal(size=(6, 4)), gen.normal(size=(3, 4))])
+        inputs = [gen.normal(size=(6, 4)), gen.normal(size=(3, 4))]
+        mem.extend_all([factor(b, h) for b, h in zip(mem.layers, inputs)])
         assert mem.layers[0].rank == 4
         assert mem.layers[1].rank == 3
 
     def test_extend_all_requires_matching_layers(self):
         mem = SubspaceMemory([6, 3], 1.0)
         with pytest.raises(DimMismatch):
-            mem.extend_all([np.zeros((6, 1))])
+            mem.extend_all([factor(mem.layers[0], np.zeros((6, 1)))])
+
+    def test_extend_all_refuses_a_factorization_of_another_basis(self):
+        gen = np.random.default_rng(4)
+        mem = SubspaceMemory([6, 3], 1.0)
+        layers = list(mem.layers)
+        # Equal columns, another basis: the memory grows only what was
+        # factored against its own layers.
+        twin = SubspaceBasis(3, mem.layers[1].basis.copy())
+        factors = [
+            factor(mem.layers[0], gen.normal(size=(6, 4))),
+            factor(twin, gen.normal(size=(3, 4))),
+        ]
+        with pytest.raises(ValueError, match="layer 1's factorization"):
+            mem.extend_all(factors)
+        assert all(a is b for a, b in zip(mem.layers, layers))
 
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):

@@ -50,7 +50,7 @@ from .gating import (
     gating_layer_shapes,
     init_new_gating,
 )
-from .model import Dataset, TaskSequence, ToyBackbone, build_task_sequence
+from .model import Dataset, Task, ToyBackbone, build_task_sequence
 from .numerics import Rng
 from .optim import AdamW
 from .params import BRANCH_STRATEGIES
@@ -66,10 +66,6 @@ MODEL_KEYS = (
 
 # Weight of the O-LoRA orthogonality penalty on each adapted layer.
 OLORA_LAMBDA = 0.5
-
-# Most pooled training columns a task's subspace growth and InfLoRA design
-# read; a larger training set is subsampled to this many, once per task.
-SUBSPACE_SAMPLES = 512
 
 
 @dataclass
@@ -344,19 +340,21 @@ class ContinualState:
         pool.frozen_terms = first.frozen_count
 
     def trainable_params(self) -> list[ad.Param]:
-        params: list[ad.Param] = []
-        for layer in self.model.adapted_layers:
+        return [p for _, p in self.named_trainable_params()]
+
+    def named_trainable_params(self) -> list[tuple[str, ad.Param]]:
+        """Every weight that trains, named: each adapted layer's trainable
+        branch halves, then the training gate's layers."""
+        named = []
+        for i, layer in enumerate(self.model.adapted_layers):
             if layer.branch is not None:
-                params.extend(layer.branch.trainable_params())
+                # A branch's `up` always trains, and so does its `down` but
+                # for InfLoRA's designed rows.
+                halves = zip(("up", "down"), layer.branch.trainable_params())
+                named += [(f"adapted layer {i}'s {half}", p) for half, p in halves]
         if self.gate is not None:
-            params.extend(self.gate.params)
-        return params
-
-
-def _subsample(rng: Rng, n: int, cap: int) -> np.ndarray:
-    if n <= cap:
-        return np.arange(n)
-    return np.sort(rng.permutation(n)[:cap])
+            named += [(f"gate layer {i}", p) for i, p in enumerate(self.gate.params)]
+        return named
 
 
 def learn_task(state: ContinualState, train: Dataset) -> None:
@@ -371,21 +369,25 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
     every task), so no later forward computes them fresh.
 
     The InfLoRA design, the gate trace and the gradient memory's growth
-    read one sample of the pooled training columns: all of them when there
-    are at most `SUBSPACE_SAMPLES`. Each layer input they read is factored
+    read the whole pool. The design reads one forward before training;
+    after it, whenever a memory grows, one more forward serves both: the
+    gate memory reads the training gate's trace and the gradient memory
+    the adapted layers' inputs. Each layer input they read is factored
     against its memory's basis (`subspace.factor`) once. The first adapted
-    layer's input is the sample of the pool itself, so its factorization
-    against the gradient memory's first basis serves both that layer's
-    design and, after training, the gradient memory's growth; the gate
-    memory factors its own layers.
+    layer's input is the pool itself, so its factorization against the
+    gradient memory's first basis serves both that layer's design and,
+    after training, the gradient memory's growth; the gate memory factors
+    its own layers.
 
     Raises, before the state changes, EmptyInput on an empty dataset,
     OrderViolation on a task id other than the next one and IdOutOfRange
     on a label that is not a class of the head. Raises NoFreeSubspace,
     naming the layer and the knobs, when the design finds too few free
-    input dims, and NonFinite, naming the memory, the layer, the input's
-    largest |entry| and `lr`, when an input to factor is too large for
-    its covariance to be finite, as after training diverged."""
+    input dims. Raises NonFinite, naming the task and `lr`, when training
+    diverges: from a step, when a trained weight (gate layer i, or adapted
+    layer i's up or down) ends the task not finite, naming it, or when an
+    input to factor is too large for its covariance to be finite, naming
+    the memory, the layer and the input's largest |entry|."""
     cfg = state.cfg
     if len(train) == 0:
         raise EmptyInput("cannot learn from an empty dataset")
@@ -398,7 +400,7 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
     rng = state.rng.child(f"task{t}")
     pool = Pool(state.model.pool_batch(train), train.labels)
     n = len(train)
-    sample = _subsample(rng.child("subspace"), n, SUBSPACE_SAMPLES)
+    diverged = f"training diverged (lr={cfg.lr}; a smaller lr keeps it finite)"
 
     def factored(
         memory: SubspaceMemory, layer: str, inputs: list[np.ndarray], start: int = 0
@@ -411,15 +413,14 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
             except NonFinite as exc:
                 raise NonFinite(
                     f"task {train.task_id}, {layer} {i}: its input's largest |entry| is "
-                    f"{np.max(np.abs(h)):.3g}, too large for a finite covariance; "
-                    f"training diverged (lr={cfg.lr}; a smaller lr keeps it finite)"
+                    f"{np.max(np.abs(h)):.3g}, too large for a finite covariance; {diverged}"
                 ) from exc
         return factors
 
     layers = state.model.adapted_layers
     designed_rows: list[Optional[np.ndarray]] = [None] * len(layers)
     if cfg.branch_strategy == "inflora":
-        _, (_, cache) = state.apply(pool, sample)
+        _, (_, cache) = state.apply(pool)
         grad_factors = factored(state.grad_memory, "gradient memory, adapted layer", cache.inputs)
         for i, f in enumerate(grad_factors):
             try:
@@ -480,20 +481,29 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
     # The batch's cache is referenced only while its backward pass runs, so
     # it is freed before the optimizer step allocates.
     shuffle_rng = rng.child("shuffle")
-    for _ in range(cfg.epochs):
-        order = shuffle_rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            set_gradients(order[start : start + cfg.batch_size])
-            opt.step(transforms)
+    try:
+        for _ in range(cfg.epochs):
+            order = shuffle_rng.permutation(n)
+            for start in range(0, n, cfg.batch_size):
+                set_gradients(order[start : start + cfg.batch_size])
+                opt.step(transforms)
+    except NonFinite as exc:
+        raise NonFinite(f"task {train.task_id}: {exc}; {diverged}") from exc
+    for name, param in state.named_trainable_params():
+        if not np.all(np.isfinite(param.value)):
+            raise NonFinite(f"task {train.task_id}: {name} is not finite after training; {diverged}")
 
-    if cfg.gated and (cfg.init_constraints or cfg.update_constraints):
-        _, trace = state.gate.forward_values(pool.pooled.take(sample, axis=1))
-        state.gate_memory.extend_all(factored(state.gate_memory, "gate memory, gate layer", trace))
+    grow_gate = cfg.gated and (cfg.init_constraints or cfg.update_constraints)
+    if grow_gate or cfg.branch_strategy == "inflora":
+        _, (gate_cache, cache) = state.apply(pool)
+    if grow_gate:
+        state.gate_memory.extend_all(
+            factored(state.gate_memory, "gate memory, gate layer", gate_cache.trace)
+        )
     if cfg.branch_strategy == "inflora":
-        # The first adapted layer's input is the pool's sample, as at the
-        # design, so the design's factorization of it stands; the later
-        # layers' inputs moved with training.
-        _, (_, cache) = state.apply(pool, sample)
+        # The first adapted layer's input is the pool, as at the design, so
+        # the design's factorization of it stands; the later layers' inputs
+        # moved with training.
         state.grad_memory.extend_all(
             grad_factors[:1]
             + factored(state.grad_memory, "gradient memory, adapted layer", cache.inputs[1:], 1)
@@ -578,7 +588,7 @@ def collect_gate_samples(state: ContinualState) -> list[dict]:
     return samples
 
 
-def _check_sequence(sequence: TaskSequence, n_classes: int, vocab_size: int) -> None:
+def _check_sequence(sequence: list[Task], n_classes: int, vocab_size: int) -> None:
     """Task t's train and test sets carry task id t and hold at least one
     sequence, every token id is in the vocab and every label is a class of
     the head."""
@@ -613,7 +623,7 @@ def run_sequence(
     strategy: StrategyConfig,
     seed: int,
     *,
-    sequence: Optional[TaskSequence] = None,
+    sequence: Optional[list[Task]] = None,
 ) -> RunResult:
     """One full continual run for one seed.
 

@@ -105,6 +105,7 @@ class GatingModule:
         for p, grad in zip(self.params, ad.gate_mlp_vjp(g, cache)):
             p.grad = grad
 
+    # Nothing in src calls this; bench/check_spans.py binds it by name.
     def forward_values(self, pooled: Mat) -> tuple[np.ndarray, list[Mat]]:
         """The (n,) gate row and the input of every layer: `forward` read
         for the gate memory."""

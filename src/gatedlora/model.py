@@ -12,16 +12,17 @@ sequences packed in two int64 arrays, the token ids back to back and one
 length per sequence, which pooling reads without a conversion.
 
 `generate_task` makes the draws of a one-at-a-time rejection sampler
-byte for byte, but reads them ahead in blocks of raw 32-bit draws: each
-block is decoded once per range (Lemire's method, as numpy's bounded
-sampler) and split by one walk along its chain of candidates.
+byte for byte, but takes each raw 32-bit draw once into a buffer and
+reads it in blocks: each block is decoded once per range (Lemire's
+method, as numpy's bounded sampler) and split by one walk along its
+chain of candidates.
 """
 
 from __future__ import annotations
 
 import itertools
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -105,17 +106,6 @@ class Task:
     train: Dataset
     test: Dataset
     window: tuple[int, int]  # [start, stop) token-id range
-
-
-@dataclass
-class TaskSequence:
-    tasks: list[Task] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.tasks)
-
-    def __iter__(self):
-        return iter(self.tasks)
 
 
 class BackboneCache(NamedTuple):
@@ -406,15 +396,16 @@ def generate_task(
     1, 1)` for its length, then `integers(lo, hi, length)` for its tokens.
     A split goes through candidates in order, taking each unseen one whose
     class has room left, until it is full or has gone through 400 per
-    sample plus 400; then the attempt fails. Candidates are read ahead of
-    the "draw" stream in blocks, each split by one walk along the chain of
-    candidates from the block's first draw (`_split_candidates`); the
-    stream then advances past exactly the candidates the split went
-    through, so every draw is the one a one-at-a-time generator would
-    make. A candidate's label is the argmax of its tokens' summed rows of
-    a table of the teacher's scores of each window token (`_labeller`):
-    the teacher's argmax on its pooled embedding, but where two class
-    scores lie within rounding of each other.
+    sample plus 400; then the attempt fails. The "draw" stream's raw draws
+    are taken once into a buffer that both splits read in blocks, each
+    split by one walk along the chain of candidates from the block's first
+    draw (`_split_candidates`); the buffer then drops the draws of exactly
+    the candidates the split went through, so every draw is the one a
+    one-at-a-time generator would make. A candidate's label is the argmax
+    of its tokens' summed rows of a table of the teacher's scores of each
+    window token (`_labeller`): the teacher's argmax on its pooled
+    embedding, but where two class scores lie within rounding of each
+    other.
 
     Raises ValueError, before any draw, when `n_classes` is not an integer
     >= 2, `seq_len` is not a pair of integers 1 <= min <= max, `noise` is
@@ -449,8 +440,11 @@ def generate_task(
         labeller = _labeller(teacher, embedding, vocab_window)
         draw = gen.child("draw")
         seen: set[tuple[int, ...]] = set()
+        # Raw draws taken from `draw` that no candidate has gone through.
+        ahead = np.empty(0, np.uint64)
 
         def fill(count: int) -> Dataset | None:
+            nonlocal ahead
             quota = [count // n_classes] * n_classes
             for c in range(count % n_classes):
                 quota[c] += 1
@@ -468,8 +462,10 @@ def generate_task(
                 n_raw = block * (seq_len[1] + 1)
                 lengths: list[int] = []
                 while not lengths:  # rejected draws left no candidate whole
+                    if len(ahead) < n_raw:
+                        ahead = np.concatenate([ahead, draw.raw(n_raw - len(ahead))])
                     lengths, flat, ends = _split_candidates(
-                        draw.peek_raw(n_raw), seq_len, vocab_window, block
+                        ahead[:n_raw], seq_len, vocab_window, block
                     )
                     n_raw *= 2
                 classes = labeller(np.array(lengths), flat)
@@ -488,7 +484,7 @@ def generate_task(
                     labels.append(class_offset + label)
                     if len(tokens) == count:
                         break
-                draw.skip_raw(end)
+                ahead = ahead[end:]
             if len(tokens) < count:
                 return None
             return Dataset(tokens, np.array(labels), task_id)
@@ -524,8 +520,8 @@ def build_task_sequence(
     noise: float,
     embedding: Mat,
     seq_len: tuple[int, int] = (8, 16),
-) -> TaskSequence:
-    """Lay out disjoint vocab windows and generate every task.
+) -> list[Task]:
+    """Lay out disjoint vocab windows and generate every task, in order.
 
     Raises ValueError, before any draw, naming the size: when `n_tasks` or
     `window_size` is not an integer >= 1, or `classes_per_task` not one
@@ -538,7 +534,7 @@ def build_task_sequence(
         raise WindowOverlap(
             f"{n_tasks} windows of {window_size} tokens exceed vocab {vocab_size}"
         )
-    tasks = [
+    return [
         generate_task(
             rng,
             t,
@@ -553,5 +549,4 @@ def build_task_sequence(
         )
         for t in range(n_tasks)
     ]
-    return TaskSequence(tasks)
 

@@ -36,7 +36,6 @@ class Rng:
             raise ValueError(f"seed={seed!r}: need an integer")
         self.seed = int(seed) & _MASK64
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
-        self._ahead: np.random.Generator | None = None  # made by the first peek
 
     def child(self, tag: str) -> "Rng":
         digest = hashlib.blake2b(
@@ -57,22 +56,15 @@ class Rng:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-    def peek_raw(self, n: int) -> np.ndarray:
-        """The stream's next n raw 32-bit draws (as uint64), left unconsumed.
+    def raw(self, n: int) -> np.ndarray:
+        """The stream's next n raw 32-bit draws (as uint64), consumed.
 
         `integers(low, high, k)` with 2 <= high - low <= 2**32 makes its
         values from these draws, one or more per value (`_lemire`); with
-        high - low == 1 it draws nothing.
+        high - low == 1 it draws nothing. The draws do not depend on how
+        they are chunked: `raw(a)` then `raw(b)` gives `raw(a + b)`.
         """
-        if self._ahead is None:
-            # Any seed: every peek overwrites the state.
-            self._ahead = np.random.Generator(np.random.PCG64(0))
-        self._ahead.bit_generator.state = self._gen.bit_generator.state
-        return self._ahead.integers(0, 1 << 32, size=n, dtype=np.uint64)
-
-    def skip_raw(self, n: int) -> None:
-        """Consume the stream's next n raw 32-bit draws."""
-        self._gen.integers(0, 1 << 32, size=n, dtype=np.uint64)
+        return self._gen.integers(0, 1 << 32, size=n, dtype=np.uint64)
 
 
 def _lemire(raw: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -205,56 +205,42 @@ def test_whole_run_invariants(branch_strategy):
     assert_run_invariants(desk_strategy(branch_strategy))
 
 
-def test_subspace_reads_subsample_past_the_cap(monkeypatch):
-    # No workload trains on more than SUBSPACE_SAMPLES columns; a cap of 16
-    # under the desk's 48 makes the task's one subspace sample a draw.
-    cap = 16
-    monkeypatch.setattr(continual, "SUBSPACE_SAMPLES", cap)
-    samples = []  # each `_subsample` result
-    reads = []  # the columns each `ContinualState.apply` took
-    factored = []  # (basis, input) of each factorization, in call order
-    subsample, apply, factor_ = continual._subsample, ContinualState.apply, continual.factor
+def test_task_end_reads_the_whole_pool_once(monkeypatch):
+    # Under gated InfLoRA both memories grow after training from one
+    # forward over the task's whole training pool: the trained gate runs on
+    # those columns once, and each memory's layers grow from that
+    # forward's gate trace and adapted-layer inputs.
+    forwards = []  # (module, input) of each gate forward
+    applied = []  # (columns, cache) of each `ContinualState.apply`
+    forward, apply = GatingModule.forward, ContinualState.apply
 
-    def recording_subsample(*args):
-        samples.append(subsample(*args))
-        return samples[-1]
+    def recording_forward(self, pooled):
+        forwards.append((self, pooled))
+        return forward(self, pooled)
 
     def recording_apply(self, pool, idx=None):
-        reads.append(idx)
-        return apply(self, pool, idx)
+        logits, cache = apply(self, pool, idx)
+        applied.append((idx, cache))
+        return logits, cache
 
-    def recording_factor(basis, h):
-        factored.append((basis, h))
-        return factor_(basis, h)
-
-    monkeypatch.setattr(continual, "_subsample", recording_subsample)
+    monkeypatch.setattr(GatingModule, "forward", recording_forward)
     monkeypatch.setattr(ContinualState, "apply", recording_apply)
-    monkeypatch.setattr(continual, "factor", recording_factor)
-
-    def check_task(state, task):
-        [sample] = samples
-        assert sample.shape == (cap,) and np.all(np.diff(sample) > 0)
-        assert not np.array_equal(sample, np.arange(cap))
-        x = state.model.pool_batch(task.train).take(sample, axis=1)
-        # The design and the gradient growth read the adapted layers'
-        # inputs on the sample (a training batch is a slice of a
-        # permutation), and the gate trace reads the sample itself.
-        assert sum(idx is sample for idx in reads) == 2
-        # Factorizations: the design's two adapted layers, the gate
-        # memory's three layers, the growth's second adapted layer.
-        assert len(factored) == 6
-        design, gate = factored[:2], factored[2:5]
-        assert design[0][1].tobytes() == x.tobytes()
-        _, trace = state.gates[-1].forward_values(x)
-        assert [h.tobytes() for _, h in gate] == [h.tobytes() for h in trace]
-        # Each memory's first layer grew from the sample: the gradient
-        # memory's by the design's factorization of it.
-        for memory, (basis, _) in ((state.grad_memory, design[0]), (state.gate_memory, gate[0])):
-            assert_basis_bytes(memory.layers[0], extend(factor_(basis, x), memory.eps))
-        for records in (samples, reads, factored):
-            records.clear()
-
-    assert_run_invariants(desk_strategy("inflora"), check_task)
+    state, sequence = desk_state(desk_strategy("inflora"))
+    memories = (state.gate_memory, state.grad_memory)
+    for task in sequence:
+        before = [memory.layers for memory in memories]
+        learn_task(state, task.train)
+        pooled = state.model.pool_batch(task.train)
+        whole = [x for module, x in forwards if module is state.gates[-1] and x.shape == pooled.shape]
+        assert len(whole) == 1 and whole[0].tobytes() == pooled.tobytes()
+        idx, (gate_cache, cache) = applied[-1]
+        assert idx is None and gate_cache.trace[0] is whole[0]
+        for memory, old, inputs in zip(memories, before, (gate_cache.trace, cache.inputs)):
+            assert len(inputs) == len(old) == len(memory.layers)
+            for basis, m, h in zip(memory.layers, old, inputs):
+                assert_basis_bytes(basis, extend(factor(m, h), memory.eps))
+        forwards.clear()
+        applied.clear()
 
 
 def assert_basis_bytes(actual, expected):
@@ -335,6 +321,23 @@ def test_diverged_run_names_the_memory_the_layer_and_lr():
     # Past sqrt(float max), about 1.3e154, a square overflows.
     assert float(re.search(r"largest \|entry\| is ([^,]+),", msg).group(1)) > 1.4e154
     assert isinstance(info.value.__cause__, NonFinite)
+
+
+@pytest.mark.parametrize(
+    "branch_strategy, gating_mode, failure",
+    [
+        # Task 1's step leaves NaN in the one branch's up; nothing factors.
+        ("seq", "fixed_one", "task 1: adapted layer 0's up is not finite after training"),
+        # Task 1's weights end finite, but task 2's steps overflow a gate.
+        ("olora", "no_constraints", "task 2: gate input has NaN or Inf entries"),
+    ],
+)
+def test_diverged_training_names_the_task_and_lr(branch_strategy, gating_mode, failure):
+    cfg = desk_strategy(branch_strategy, gating_mode=gating_mode, lr=1e8)
+    with np.errstate(all="ignore"), pytest.raises(NonFinite) as info:
+        run_sequence(DESK_MODEL, cfg, 0)
+    msg = str(info.value)
+    assert msg.startswith(failure) and "lr=100000000.0" in msg
 
 
 @pytest.mark.parametrize("branch_strategy", ["olora", "inflora"])
@@ -1067,7 +1070,7 @@ def test_inflora_out_of_subspace_names_layer_and_settings():
     dim = state.model.adapted_layers[1].in_dim
     state.grad_memory.layers[1] = SubspaceBasis(dim, np.eye(dim))
     with pytest.raises(NoFreeSubspace) as info:
-        learn_task(state, sequence.tasks[0].train)
+        learn_task(state, sequence[0].train)
     msg = str(info.value)
     for part in ("task 0", "adapted layer 1", "0 of 16", "rank=3", "eps_threshold=0.95"):
         assert part in msg
@@ -1156,7 +1159,7 @@ def test_run_refuses_model_cfg_keys(model_cfg, match, monkeypatch):
 def test_task_out_of_order_rejected():
     state, sequence = desk_state(desk_strategy("olora"))
     with pytest.raises(OrderViolation, match="expected task 0, got 1"):
-        learn_task(state, sequence.tasks[1].train)
+        learn_task(state, sequence[1].train)
     assert state.tasks_learned == 0 and not state.gates
 
 
@@ -1178,9 +1181,9 @@ def test_labels_outside_the_head_rejected_before_the_state_changes(branch_strate
     # gate built, and hold kept labels 6 and -1, which evaluation scored as
     # wrong.
     state, sequence = desk_state(desk_strategy(branch_strategy))
-    learn_task(state, sequence.tasks[0].train)
+    learn_task(state, sequence[0].train)
     before = state_snapshot(state)
-    train, test = sequence.tasks[1].train, sequence.tasks[0].test
+    train, test = sequence[1].train, sequence[0].test
     labels = train.labels.copy()
     labels[3] = 9
     with pytest.raises(IdOutOfRange, match="task 1: train label 9 is outside the head's 6 classes"):
@@ -1260,7 +1263,7 @@ def test_hold_refuses_labels_that_do_not_match_the_columns(case):
     # label for 16 columns broadcast in `evaluate` (a silent score), and 5
     # failed there with numpy's unnamed broadcast error.
     state, sequence = desk_state(desk_strategy("olora"))
-    test = sequence.tasks[0].test
+    test = sequence[0].test
     pooled = state.model.pool_batch(test)
     labels = {
         "one": test.labels[:1],
@@ -1293,19 +1296,19 @@ def test_bad_prebuilt_sequence_rejected_before_training(case, monkeypatch):
         model_cfg = dict(DESK_MODEL, n_tasks=2)
         error, message = IdOutOfRange, r"task 2: train label \d is outside the head's 4 classes"
     elif case == "task_id":
-        sequence.tasks[1].test.task_id = 2
+        sequence[1].test.task_id = 2
         error, message = OrderViolation, "task 1: test set has task id 2"
     elif case == "token_id":
         # the last task's test set, which the run would pool only after
         # every earlier task had trained
-        test = sequence.tasks[2].test
+        test = sequence[2].test
         seqs = sequences(test)
         seqs[5][-1] = 99
-        sequence.tasks[2].test = Dataset(seqs, test.labels, 2)
+        sequence[2].test = Dataset(seqs, test.labels, 2)
         error = IdOutOfRange
         message = r"task 2: test sequence 5 has token id 99, outside the vocab \[0, 24\)"
     else:
-        sequence.tasks[1].train = Dataset([], np.zeros(0, np.int64), 1)
+        sequence[1].train = Dataset([], np.zeros(0, np.int64), 1)
         error, message = EmptyInput, "task 1: train set holds no sequence"
     with pytest.raises(error, match=message):
         run_sequence(model_cfg, desk_strategy("olora"), 0, sequence=sequence)

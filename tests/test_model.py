@@ -1,3 +1,4 @@
+import copy
 import re
 import tracemalloc
 from collections import Counter
@@ -329,7 +330,9 @@ class TestSplitCandidates:
         # `limit`. With no limit it stops at the block's end, where the
         # draw-by-draw decoder does.
         for n_raw, limit, seed in [(200, 40, 0), (200, 40, 1), (200, 40, 2), (512 * 17, 512, 3)]:
-            raw = prefixed_stream(seed).peek_raw(n_raw)
+            # The block, and the 4 draws past it that a probe may read.
+            draws = prefixed_stream(seed).raw(n_raw + 4)
+            raw = draws[:n_raw]
             lengths, flat, ends = _split_candidates(raw, seq_len, window, limit)
             assert lengths and ends == sorted(ends) and ends[-1] <= len(raw)
             oracle = prefixed_stream(seed)
@@ -337,9 +340,9 @@ class TestSplitCandidates:
             for k, end in enumerate(ends):
                 [want] = sequential_candidates(oracle, seq_len, window, 1)
                 assert flat[starts[k] : starts[k + 1]].tolist() == want
-                probe = prefixed_stream(seed)
-                probe.skip_raw(end)
-                assert probe.peek_raw(4).tolist() == oracle.peek_raw(4).tolist()
+                # The oracle's next draws are the stream's past `end`.
+                probe = copy.deepcopy(oracle)
+                assert probe.raw(4).tolist() == draws[end : end + 4].tolist()
             candidates, whole, _ = decode_draw_by_draw(raw, seq_len, window, n_raw + 1)
             assert len(whole) <= n_raw
             assert_splits_as(raw, seq_len, window, n_raw + 1, candidates, whole)
@@ -348,13 +351,13 @@ class TestSplitCandidates:
 
     def test_rejection_path_runs(self):
         # Lemire's method rejects about half the draws for 2**31 + 1 values.
-        raw = Rng(0).peek_raw(200)
+        raw = Rng(0).raw(200)
         _, accepted = _lemire(raw, 2**31 + 1)
         assert 50 < np.count_nonzero(~accepted) < 150
 
     def test_decoder_reads_a_stream_as_integers(self):
         for window in ((200, 400), (0, 2**31 + 1)):
-            raw = Rng(5).peek_raw(400)
+            raw = Rng(5).raw(400)
             candidates, _, rejected = decode_draw_by_draw(raw, (8, 16), window, 10**6)
             assert len(candidates) > 10
             assert candidates == sequential_candidates(Rng(5), (8, 16), window, len(candidates))
@@ -391,7 +394,7 @@ class TestSplitCandidates:
             assert_splits_as(raw, seq_len, window, limit, candidates[:limit], ends[:limit])
 
     def test_limit_and_block_end(self):
-        raw = Rng(7).peek_raw(50)
+        raw = Rng(7).raw(50)
         lengths, flat, ends = _split_candidates(raw, (4, 4), (0, 10), 100)
         # A length drawn from one value draws nothing, so each candidate
         # takes four draws and 12 fit in the block.

@@ -45,7 +45,7 @@ class TestRng:
 
 class TestRawDraws:
     """`integers` calls over ranges of at most 2**32 values are Lemire's
-    method over the raw 32-bit draws that `peek_raw` shows."""
+    method over the raw 32-bit draws that `raw` consumes."""
 
     @pytest.mark.parametrize("n", [2, 9, 200, 2**31 + 1, 2**32])
     def test_lemire_on_raw_draws_is_integers(self, n):
@@ -53,18 +53,24 @@ class TestRawDraws:
             stream, oracle = Rng(seed), Rng(seed)
             for r in (stream, oracle):
                 r.integers(0, 3, 1)  # leave half a 64-bit draw buffered
-            raw = stream.peek_raw(64)
+            raw = stream.raw(64)
             values, accepted = _lemire(raw, n)
             want = oracle.integers(0, n, 20)
             assert values[accepted][:20].tolist() == want.tolist()
-            stream.skip_raw(int(np.flatnonzero(accepted)[19]) + 1)
+            # The oracle read the draws through its 20th value; the stream
+            # read 64, which the oracle now reads to their end.
+            oracle.raw(64 - (int(np.flatnonzero(accepted)[19]) + 1))
             assert stream.integers(0, 1000, 5).tolist() == oracle.integers(0, 1000, 5).tolist()
 
-    def test_peek_leaves_the_stream(self):
-        a, b = Rng(3), Rng(3)
-        ahead = a.peek_raw(10)
-        assert a.peek_raw(10).tolist() == ahead.tolist()
-        assert a.normal(2, 2).tobytes() == b.normal(2, 2).tobytes()
+    @pytest.mark.parametrize("split", [(0, 64), (1, 63), (7, 50), (32, 32), (63, 1), (3, 5, 56)])
+    def test_raw_draws_do_not_depend_on_chunking(self, split):
+        # An odd count leaves half a 64-bit draw buffered for the next.
+        for seed in range(20):
+            whole, chunked = Rng(seed), Rng(seed)
+            want = whole.raw(sum(split))
+            got = np.concatenate([chunked.raw(k) for k in split])
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+            assert chunked.normal(2, 2).tobytes() == whole.normal(2, 2).tobytes()
 
 
 class TestGaussianInit:

@@ -365,6 +365,48 @@ def test_eigensolver_guard_finds_each_call():
     assert calls_by_owner(ast.parse(source), EIGENSOLVERS) == {("B.m", "svd"), ("f.g", "sym_eig")}
 
 
+def bit_generator_state_stores(tree):
+    """Line of each store to a bit generator's `state` in the tree: an
+    assignment to `<expr>.bit_generator.state`, or a `setattr` of
+    `"state"` on `<expr>.bit_generator`."""
+
+    def is_bit_generator(node):
+        return isinstance(node, ast.Attribute) and node.attr == "bit_generator"
+
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            if node.attr == "state" and is_bit_generator(node.value):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setattr":
+            target, name = (node.args + [None, None])[:2]
+            if is_bit_generator(target) and getattr(name, "value", None) == "state":
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_src_sets_no_bit_generator_state():
+    """`Rng` reads its stream once, in order: no function in src sets a
+    bit generator's state, so no twin can draw the stream's values ahead
+    of it (the generator's buffer of raw draws is consumed, not peeked)."""
+    found = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path, tree in parsed("src/gatedlora").items()
+        for line in bit_generator_state_stores(tree)
+    ]
+    assert not found, "bit generator state set at " + ", ".join(found)
+
+
+def test_state_guard_finds_each_store():
+    source = (
+        "def peek(self):\n    self._twin.bit_generator.state = self._gen.bit_generator.state\n"
+        "def twin(g, h):\n    a.bit_generator.state, b = g, h\n"
+        "    setattr(g.bit_generator, 'state', h)\n"
+        "    x = g.bit_generator.state\n    self.state = h\n"
+    )
+    assert bit_generator_state_stores(ast.parse(source)) == [2, 4, 5]
+
+
 def test_a_subspace_basis_holds_only_its_columns():
     """A `SubspaceBasis` holds `dim` and `basis`, before and after it is
     factored against, designed from and grown, and its class adds only

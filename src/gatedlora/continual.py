@@ -5,7 +5,8 @@ One continual run walks the task list in order. For each task it expands
 the adapter stacks (strategy-dependent), builds the new gate module with
 its initialization constraint, trains with every gate update projected
 off the stored subspaces, grows the subspace memories from the task's
-own activations, and then freezes the task's gate and branches.
+own activations when a later task follows, and then freezes the task's
+gate and branches.
 Evaluation always uses the single gated forward path with no task
 identity, on test pools the state holds for the whole run.
 
@@ -357,16 +358,21 @@ class ContinualState:
         return named
 
 
-def learn_task(state: ContinualState, train: Dataset) -> None:
+def learn_task(state: ContinualState, train: Dataset, *, protect: bool = True) -> None:
     """Run one task through the full pipeline (expansion, constrained
     initialization, training, subspace growth, freeze).
 
+    The subspace memories grow only to keep later tasks off this one's
+    inputs. With `protect` False, as `run_sequence` passes for its last
+    task, no later task follows: the task-end forward and both memories'
+    growth are skipped, and everything else runs as with it True.
+
     The task's pooled training set is one `Pool` for the whole task: every
     step reads its batch's columns of the frozen gate rows from it. The
-    task's gate trains as `state.gate`. Once the subspace memories have
-    grown, it moves to `state.gates` (the only way a gate freezes) and the
-    task's branches freeze (but under `seq`, whose one branch trains on
-    every task), so no later forward computes them fresh.
+    task's gate trains as `state.gate`. After the subspace memories grow,
+    if they do, it moves to `state.gates` (the only way a gate freezes)
+    and the task's branches freeze (but under `seq`, whose one branch
+    trains on every task), so no later forward computes them fresh.
 
     The InfLoRA design, the gate trace and the gradient memory's growth
     read the whole pool. The design reads one forward before training;
@@ -493,14 +499,15 @@ def learn_task(state: ContinualState, train: Dataset) -> None:
         if not np.all(np.isfinite(param.value)):
             raise NonFinite(f"task {train.task_id}: {name} is not finite after training; {diverged}")
 
-    grow_gate = cfg.gated and (cfg.init_constraints or cfg.update_constraints)
-    if grow_gate or cfg.branch_strategy == "inflora":
+    grow_gate = protect and cfg.gated and (cfg.init_constraints or cfg.update_constraints)
+    grow_grad = protect and cfg.branch_strategy == "inflora"
+    if grow_gate or grow_grad:
         _, (gate_cache, cache) = state.apply(pool)
     if grow_gate:
         state.gate_memory.extend_all(
             factored(state.gate_memory, "gate memory, gate layer", gate_cache.trace)
         )
-    if cfg.branch_strategy == "inflora":
+    if grow_grad:
         # The first adapted layer's input is the pool, as at the design, so
         # the design's factorization of it stands; the later layers' inputs
         # moved with training.
@@ -582,7 +589,7 @@ def collect_gate_samples(state: ContinualState) -> list[dict]:
                 {
                     "gate": gate_idx,
                     "task": task_idx,
-                    "values": [float(v) for v in row[0, :50]],
+                    "values": row[0, :50].tolist(),
                 }
             )
     return samples
@@ -666,8 +673,8 @@ def run_sequence(
     _check_sequence(sequence, n_classes, model_cfg["vocab_size"])
     state = ContinualState(model, strategy, rng.child("train"))
     ap_trajectory = []
-    for task in sequence:
-        learn_task(state, task.train)
+    for t, task in enumerate(sequence, 1):
+        learn_task(state, task.train, protect=t < len(sequence))
         state.hold(model.pool_batch(task.test), task.test.labels)
         row = evaluate(state)
         state.matrix.add_row(row)

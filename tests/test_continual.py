@@ -303,8 +303,141 @@ def test_no_factorization_outlives_a_run(eigensolves):
         eigensolves.clear()
         result = run_sequence(DESK_MODEL, cfg, 5, sequence=sequence)
         results.append((len(eigensolves), result.summary_dict(), result.gate_samples))
-    assert results[0][0] == 6 * DESK_MODEL["n_tasks"]
+    # 6 per task, but 2 for the last, which grows no memory.
+    assert results[0][0] == 6 * (DESK_MODEL["n_tasks"] - 1) + 2
     assert results[1] == results[0]
+
+
+# The eigensolves of each task's `learn_task` in a desk run.
+LAST_TASK_CONFIGS = pytest.mark.parametrize(
+    "branch_strategy, gating_mode, per_task",
+    [
+        ("inflora", "gain", [6, 6, 2]),
+        ("inflora", "fixed_one", [3, 3, 2]),
+        ("olora", "gain", [3, 3, 0]),
+    ],
+)
+
+
+def recording_learn_task(monkeypatch, eigensolves, grow_last):
+    """Make `run_sequence` learn each task through a wrapper that records
+    the state and the number of eigensolves each `learn_task` makes; with
+    `grow_last`, the memories also grow after the last task, as
+    `learn_task` grows them by default."""
+    record = {"states": [], "eigensolves": []}
+
+    def wrapper(state, train, *, protect):
+        record["states"].append(state)
+        before = len(eigensolves)
+        learn_task(state, train, protect=protect or grow_last)
+        record["eigensolves"].append(len(eigensolves) - before)
+
+    monkeypatch.setattr(continual, "learn_task", wrapper)
+    return record
+
+
+@LAST_TASK_CONFIGS
+def test_last_task_grows_no_memory(
+    branch_strategy, gating_mode, per_task, eigensolves, monkeypatch
+):
+    # No task follows a run's last, so nothing is protected after it: of
+    # the 6 factorizations a gated InfLoRA task makes, the last task keeps
+    # only the design's 2 (the first and second adapted layers' inputs).
+    record = recording_learn_task(monkeypatch, eigensolves, grow_last=False)
+    run_sequence(DESK_MODEL, desk_strategy(branch_strategy, gating_mode=gating_mode), 0)
+    assert record["eigensolves"] == per_task
+
+
+def run_bytes(result, state):
+    """Everything a run returns, with the bytes of every frozen gate and
+    of every adapted layer's branch blocks."""
+    weights = [p.value.tobytes() for gate in state.gates for p in gate.params]
+    for layer in state.model.adapted_layers:
+        weights += [layer.ups.tobytes(), layer.downs.tobytes()]
+    return result.summary_dict(), result.gate_samples, weights
+
+
+@LAST_TASK_CONFIGS
+def test_last_task_growth_has_no_reader(
+    branch_strategy, gating_mode, per_task, eigensolves, monkeypatch
+):
+    # Growing the memories after the last task too, as after every other
+    # task, changes nothing a run returns or keeps trained.
+    cfg = desk_strategy(branch_strategy, gating_mode=gating_mode)
+    runs = []
+    for grow_last in (False, True):
+        record = recording_learn_task(monkeypatch, eigensolves, grow_last)
+        result = run_sequence(DESK_MODEL, cfg, 0)
+        runs.append((record["eigensolves"], run_bytes(result, record["states"][-1])))
+    (skipped, got), (grown, want) = runs
+    # The second run's last task grows as its first did.
+    assert (skipped, grown) == (per_task, per_task[:-1] + per_task[:1])
+    assert got == want
+
+
+def gained_run(branch_strategy):
+    """A gained desk run learned task by task, each test pool held, and
+    the gate memory's final-layer rank after each task: gate g was
+    projected off, and trained against, the first `ranks[g - 1]` columns
+    of that layer's basis (none for gate 0), a prefix of its final basis
+    since a basis only appends columns."""
+    state, sequence = desk_state(desk_strategy(branch_strategy))
+    ranks = []
+    for task in sequence:
+        learn_task(state, task.train)
+        ranks.append(state.gate_memory.layers[-1].rank)
+        state.hold(state.model.pool_batch(task.test), task.test.labels)
+    return state, ranks
+
+
+def pinned_pairs(branch_strategy):
+    """For every frozen gate g and every older held pool: g's final row w,
+    the basis prefix B at g's creation, the final layer's input h on the
+    pool, g's gate row on it and the pin bound d u ||w|| ||h||, per column.
+
+    w leaves its task after one projection off B at creation and one per
+    training step, each leaving w B at about u ||w||; the check's own
+    products round at about d u ||w|| ||h|| (d = 16 at the final layer).
+    The worst seen on these runs is 1.4 u ||w|| ||h||."""
+    state, ranks = gained_run(branch_strategy)
+    basis = state.gate_memory.layers[-1].basis
+    u = np.finfo(float).eps / 2
+    pairs = []
+    for g, gate in enumerate(state.gates[1:], 1):
+        b = basis[:, : ranks[g - 1]]
+        w = gate.params[-1].value
+        for pool in state.held[:g]:
+            row, cache = gate.forward(pool.pooled)
+            h = cache.trace[-1]
+            bound = basis.shape[0] * u * np.linalg.norm(w) * np.linalg.norm(h, axis=0)
+            pairs.append((w, b, h, row[0], bound))
+    assert len(pairs) == DESK_MODEL["n_tasks"] * (DESK_MODEL["n_tasks"] - 1) // 2
+    assert all(b.shape[1] > 0 for _, b, _, _, _ in pairs)
+    return pairs
+
+
+@pytest.mark.parametrize("branch_strategy", ["olora", "inflora"])
+def test_frozen_gate_is_blind_to_its_protected_span(branch_strategy):
+    # GainLoRA's pin: each gate's final row is projected off the final
+    # layer's protected span when the gate is made, and every update to it
+    # is projected off that span, so the row reads nothing of an older
+    # pool's input that lies inside the span.
+    for w, b, h, _, bound in pinned_pairs(branch_strategy):
+        inside = w @ (b @ (b.T @ h))
+        assert np.all(np.abs(inside[0]) <= bound)
+
+
+@pytest.mark.parametrize("branch_strategy", ["olora", "inflora"])
+def test_frozen_gate_row_is_the_squashed_residual(branch_strategy):
+    # So a gate's output on an older pool comes from the input's residual
+    # off the span alone: the row equals squash(w (h - B B^T h)) within the
+    # pin bound, halved by the squash's slope of at most 1/2, and 8 u for
+    # the two squashes' rounding near sigmoid(0) = 1/2.
+    u = np.finfo(float).eps / 2
+    for w, b, h, row, bound in pinned_pairs(branch_strategy):
+        pre = w @ (h - b @ (b.T @ h))
+        want = np.array([GateFn.ABS_SIGMOID.scalar(x) for x in pre[0]])
+        assert np.all(np.abs(row - want) <= bound / 2 + 8 * u)
 
 
 def test_diverged_run_names_the_memory_the_layer_and_lr():
@@ -864,9 +997,9 @@ def test_training_graph_stays_flat(gating_mode, monkeypatch):
         per_task[-1].add(cache_size(cache))
         backward(self, cache, g)
 
-    def marking_learn_task(state, train):
+    def marking_learn_task(*args, **kwargs):
         per_task.append(set())
-        learn_task(state, train)
+        learn_task(*args, **kwargs)
 
     monkeypatch.setattr(ContinualState, "backward", counting_backward)
     monkeypatch.setattr(continual, "learn_task", marking_learn_task)

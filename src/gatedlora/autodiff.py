@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import NonFinite, ShapeMismatch
+from .errors import IdOutOfRange, NonFinite, ShapeMismatch
 
 
 class Param:
@@ -57,23 +57,21 @@ class Param:
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
-    # Callers silence overflow: exp(-x) overflows to inf for x below about
-    # -709, which gives the right limit 0.
-    return 1.0 / (1.0 + np.exp(-x))
-
-
-def silu(a: np.ndarray) -> np.ndarray:
-    """a * sigmoid(a)."""
+    # exp(-x) overflows to inf for x below about -709, which gives the
+    # right limit 0.
     with np.errstate(over="ignore"):
-        return a * _logistic(a)
+        return 1.0 / (1.0 + np.exp(-x))
 
 
-def silu_vjp(g: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """a's gradient for the output gradient g of `silu(a)`. The sigmoid is
-    taken again from a, the same bytes: a forward that kept it would hold
-    one more (rows, n) array through the rest of every evaluation."""
-    with np.errstate(over="ignore"):
-        sig = _logistic(a)
+def silu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * sigmoid(a), and the sigmoid, which `silu_vjp` reads."""
+    sig = _logistic(a)
+    return a * sig, sig
+
+
+def silu_vjp(g: np.ndarray, a: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """a's gradient for the output gradient g of `silu(a)`, whose sigmoid
+    is sig."""
     # d/dx x*sigma(x) = sigma(x) (1 + x (1 - sigma(x)))
     return g * sig * (1.0 + a * (1.0 - sig))
 
@@ -224,17 +222,16 @@ def gate_mlp(
         raise ShapeMismatch(f"gate's final layer maps to {rows} rows, not 1")
     trace = [x]
     acts = []  # (pre-activation, its sigmoid) of each SiLU layer
-    with np.errstate(over="ignore"):
-        for w in weights[:-1]:
-            z = w @ trace[-1]
-            sig = _logistic(z)
-            acts.append((z, sig))
-            trace.append(z * sig)
-        pre = weights[-1] @ trace[-1]
-        if not np.isfinite(pre).all():
-            raise NonFinite("gate input has NaN or Inf entries")
-        v = _logistic(pre)
-        gate, squash_vjp = squash(v)
+    for w in weights[:-1]:
+        z = w @ trace[-1]
+        h, sig = silu(z)
+        acts.append((z, sig))
+        trace.append(h)
+    pre = weights[-1] @ trace[-1]
+    if not np.isfinite(pre).all():
+        raise NonFinite("gate input has NaN or Inf entries")
+    v = _logistic(pre)
+    gate, squash_vjp = squash(v)
     return gate, GateCache(weights, trace, acts, v, squash_vjp)
 
 
@@ -248,8 +245,7 @@ def gate_mlp_vjp(g: np.ndarray, cache: GateCache) -> list[np.ndarray]:
     grads = [g @ trace[-1].T]
     for i in range(len(weights) - 1, 0, -1):
         g = weights[i].T @ g
-        z, sig = acts[i - 1]
-        g = g * sig * (1.0 + z * (1.0 - sig))
+        g = silu_vjp(g, *acts[i - 1])
         grads.append(g @ trace[i - 1].T)
     return grads[::-1]
 
@@ -266,7 +262,7 @@ def softmax_cross_entropy_grad(logits: np.ndarray, labels: np.ndarray) -> np.nda
     if n == 0:
         raise ShapeMismatch("empty batch")
     if labels.min() < 0 or labels.max() >= logits.shape[0]:
-        raise ShapeMismatch("label id outside logit range")
+        raise IdOutOfRange("label id outside logit range")
     expv = np.exp(logits - logits.max(axis=0, keepdims=True))
     probs = expv / expv.sum(axis=0, keepdims=True)
     probs[labels, np.arange(n)] -= 1.0

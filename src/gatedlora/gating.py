@@ -107,8 +107,9 @@ class GatingModule:
 
     # Nothing in src calls this; bench/check_spans.py binds it by name.
     def forward_values(self, pooled: Mat) -> tuple[np.ndarray, list[Mat]]:
-        """The (n,) gate row and the input of every layer: `forward` read
-        for the gate memory."""
+        """The (n,) gate row and the input of every layer, from `forward`.
+        The gate memory reads the task-end forward's trace instead
+        (`continual.learn_task`)."""
         row, cache = self.forward(pooled)
         return row[0], cache.trace
 

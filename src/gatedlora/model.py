@@ -110,7 +110,8 @@ class Task:
 
 class BackboneCache(NamedTuple):
     """What `ToyBackbone.backward` reads of a forward: each adapted layer's
-    input, each SiLU's input and each adapted layer's cache."""
+    input, each SiLU's pre-activation and its sigmoid, and each adapted
+    layer's cache."""
 
     inputs: list
     acts: list
@@ -195,10 +196,10 @@ class ToyBackbone:
         h, cache = first.add_trainable(frozen, fixed, live, pooled)
         inputs, acts, layers = [pooled], [], [cache]
         for layer in rest:
-            acts.append(h)
-            h = ad.silu(h)
-            inputs.append(h)
-            h, cache = layer.forward(fixed, live, h)
+            out, sig = ad.silu(h)
+            acts.append((h, sig))
+            inputs.append(out)
+            h, cache = layer.forward(fixed, live, out)
             layers.append(cache)
         return self.head @ h, BackboneCache(inputs, acts, layers)
 
@@ -215,7 +216,7 @@ class ToyBackbone:
             if da is not None:
                 dlive = da if dlive is None else dlive + da
             if i:
-                g = ad.silu_vjp(dh, cache.acts[i - 1])
+                g = ad.silu_vjp(dh, *cache.acts[i - 1])
         return dlive
 
 

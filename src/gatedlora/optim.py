@@ -52,7 +52,7 @@ class AdamW:
     ) -> None:
         """Apply one update from the gradients currently on the params.
 
-        transforms maps a param node to a callable reshaping that param's
+        transforms maps a `Param` to a callable reshaping that param's
         proposed delta (projection constraints plug in here). Gradients
         are consumed: they are cleared after the step. ValueError, before
         anything moves, when a param holds no gradient.

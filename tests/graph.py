@@ -29,7 +29,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from gatedlora.autodiff import Param
-from gatedlora.errors import ShapeMismatch
+from gatedlora.errors import IdOutOfRange, ShapeMismatch
 
 
 class NonScalarLoss(Exception):
@@ -197,7 +197,7 @@ def softmax_cross_entropy(logits, labels: np.ndarray) -> DiffNode:
     if n == 0:
         raise ShapeMismatch("empty batch")
     if labels.min() < 0 or labels.max() >= n_classes:
-        raise ShapeMismatch("label id outside logit range")
+        raise IdOutOfRange("label id outside logit range")
     shifted = logits.value - logits.value.max(axis=0, keepdims=True)
     expv = np.exp(shifted)
     denom = expv.sum(axis=0, keepdims=True)

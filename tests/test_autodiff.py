@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gatedlora import autodiff as ad
-from gatedlora.errors import ShapeMismatch
+from gatedlora.errors import IdOutOfRange, ShapeMismatch
 from gatedlora.gating import GateFn
 
 import graph as gr
@@ -46,7 +46,8 @@ def _once(chain):
 
 
 def silu(a):
-    return gr.DiffNode(ad.silu(a.value), ((a, lambda g: ad.silu_vjp(g, a.value)),))
+    value, sig = ad.silu(a.value)
+    return gr.DiffNode(value, ((a, lambda g: ad.silu_vjp(g, a.value, sig)),))
 
 
 def gate_input_vjp(g, cache):
@@ -60,8 +61,7 @@ def gate_input_vjp(g, cache):
     for i in range(len(weights) - 1, -1, -1):
         g = weights[i].T @ g
         if i:
-            z, sig = acts[i - 1]
-            g = g * sig * (1.0 + z * (1.0 - sig))
+            g = ad.silu_vjp(g, *acts[i - 1])
     return g
 
 
@@ -249,7 +249,7 @@ class TestMechanics:
             ad.add_branch(square, np.ones((1, 3)), square, square)
         with pytest.raises(ShapeMismatch):  # final gate row maps to 2 rows
             ad.gate_mlp(np.ones((2, 3)), [square], GateFn.ABS_SIGMOID.squash)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(IdOutOfRange):
             ad.softmax_cross_entropy_grad(np.ones((3, 2)), np.array([0, 3]))
         with pytest.raises(ShapeMismatch):
             ad.row_space_penalty_grad(np.ones((2, 3)), square, 0.5)

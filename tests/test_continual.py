@@ -898,11 +898,11 @@ def test_training_step_after_the_first_skips_the_memo(
 
 
 # Kernel calls of a training step from task 2 on. Forward: the live gate
-# (none ungated), each adapted layer's live branch, the SiLU between them
-# and the second layer's fused frozen part (the first layer's is read from
-# the training pool's memo); backward: the same kernels' vjps, then the
-# cross-entropy gradient and, under O-LoRA, one penalty gradient per
-# adapted layer.
+# (none ungated) with a SiLU per hidden layer, each adapted layer's live
+# branch, the SiLU between them and the second layer's fused frozen part
+# (the first layer's is read from the training pool's memo); backward:
+# the same kernels' vjps, then the cross-entropy gradient and, under
+# O-LoRA, one penalty gradient per adapted layer.
 _STEP = Counter(
     add_branch=2,
     add_branch_vjp=2,
@@ -912,7 +912,7 @@ _STEP = Counter(
     lowrank_sum_vjp=1,
     softmax_cross_entropy_grad=1,
 )
-_GATE = Counter(gate_mlp=1, gate_mlp_vjp=1)
+_GATE = Counter(gate_mlp=1, gate_mlp_vjp=1, silu=2, silu_vjp=2)
 _PENALTY = Counter(row_space_penalty_grad=2)
 STEP_CALLS = {
     ("olora", "gain"): _STEP + _GATE + _PENALTY,
@@ -971,6 +971,52 @@ def test_training_step_nodes_do_not_grow_with_tasks(
     for counts in list(per_task.values())[1:]:
         assert counts == [want] * len(counts)
 
+
+@pytest.mark.parametrize(
+    "branch_strategy, gating_mode, sigmoids",
+    [("inflora", "gain", 4), ("seq", "fixed_one", 1)],
+)
+def test_training_step_takes_each_sigmoid_once(
+    branch_strategy, gating_mode, sigmoids, monkeypatch
+):
+    # Each SiLU's backward reads the sigmoid its forward computed, so a
+    # training step after a task's first, with the memo current, takes one
+    # `_logistic` per sigmoid: under a gate, its two SiLU layers, its final
+    # row and the backbone's SiLU; ungated, the backbone's alone. The
+    # sigmoid the backbone's cache holds is its pre-activation's.
+    calls = 0
+    logistic = ad._logistic
+
+    def counting(x):
+        nonlocal calls
+        calls += 1
+        return logistic(x)
+
+    backward = ContinualState.backward
+    acts = []
+
+    def reading_backward(self, cache, g):
+        acts.extend(cache[1].acts)
+        backward(self, cache, g)
+
+    step = AdamW.step
+    seen = []  # (optimizer, calls so far) at each step
+
+    def marking_step(self, transforms=None):
+        seen.append((self, calls))
+        step(self, transforms)
+
+    monkeypatch.setattr(ad, "_logistic", counting)
+    monkeypatch.setattr(ContinualState, "backward", reading_backward)
+    monkeypatch.setattr(AdamW, "step", marking_step)
+    state, sequence = desk_state(desk_strategy(branch_strategy, gating_mode=gating_mode))
+    for task in sequence:
+        learn_task(state, task.train)
+    counts = [b - a for (opt_a, a), (opt_b, b) in zip(seen, seen[1:]) if opt_a is opt_b]
+    assert counts and counts == [sigmoids] * len(counts)
+    assert len(acts) == len(seen)
+    for pre, sig in acts:
+        assert sig.tobytes() == logistic(pre).tobytes()
 
 
 def cache_size(cache):

@@ -47,6 +47,37 @@ def test_script_targets_resolve():
         assert callable(getattr(importlib.import_module(module), attr)), script
 
 
+def oldest_python() -> tuple[int, int]:
+    """The (major, minor) of pyproject's `requires-python = ">=X.Y"`."""
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        spec = tomllib.load(fh)["project"]["requires-python"]
+    assert spec.startswith(">="), spec
+    major, minor = spec[2:].split(".")
+    return int(major), int(minor)
+
+
+def test_sources_parse_on_the_oldest_python():
+    # The tier-1 workflow also runs the oldest supported Python; the
+    # grammar check catches newer syntax on any interpreter at hand.
+    oldest = oldest_python()
+    for d in ("src", "tests", "bench"):
+        for path in sorted((ROOT / d).rglob("*.py")):
+            ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=oldest)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "try:\n    pass\nexcept* ValueError:\n    pass\n",
+        "def f[T](x: T) -> T:\n    return x\n",
+    ],
+    ids=["except_star", "type_params"],
+)
+def test_oldest_python_grammar_refuses_newer_syntax(source):
+    with pytest.raises(SyntaxError):
+        ast.parse(source, feature_version=oldest_python())
+
+
 # Public API with no caller inside the package or the benchmark: entry
 # points for users of the library.
 API_ENTRY_POINTS = {
